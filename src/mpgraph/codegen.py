@@ -22,6 +22,7 @@ from .scheduler import (
     MarginalStep,
     Schedule,
     eval_energy_term,
+    slot_text,
 )
 
 
@@ -224,22 +225,6 @@ def compile_program(
 # ---------------------------------------------------------------------------
 
 
-def _slot_text(slot) -> str:
-    tag = slot[0]
-    if tag == "entry":
-        return f"msg[{slot[1]}]"
-    if tag == "marginal":
-        return f"q[{slot[1]}]"
-    if tag == "data":
-        name, index = slot[1]
-        return f"data[{name}][{index}]"
-    if tag == "const":
-        return "const:" + _canon_json(slot[1].to_json())
-    if tag == "site":
-        return f"site[{slot[1]}]"
-    return "_"
-
-
 def _slot_parse(text: str):
     text = text.strip()
     if text == "_":
@@ -297,15 +282,15 @@ def render(ir: AlgorithmIR) -> str:
 
 
 def _render_instruction(ins: Instruction) -> str:
-    args = ", ".join(_slot_text(s) for s in ins.slots)
+    args = ", ".join(slot_text(s) for s in ins.slots)
     comment = f"  # {ins.label}" if ins.label else ""
     if ins.opcode == "rule":
-        extra = f" @ {_slot_text(ins.extra)}" if ins.extra else ""
+        extra = f" @ {slot_text(ins.extra)}" if ins.extra else ""
         site = f" -> site[{ins.writes_site}]" if ins.writes_site else ""
         consts = _constants_text(ins.constants)
         return f"msg[{ins.output[1]}] <- {ins.rule_id}({args}){consts}{extra}{site}{comment}"
     if ins.opcode == "product":
-        return f"q[{ins.output[1]}] <- {' * '.join(_slot_text(s) for s in ins.slots)}"
+        return f"q[{ins.output[1]}] <- {' * '.join(slot_text(s) for s in ins.slots)}"
     if ins.opcode == "joint":
         consts = _constants_text(ins.constants)
         return f"q[{ins.output[1]}] <- joint {ins.rule_id}({args}){consts}"

@@ -24,6 +24,7 @@ from ._linalg import (
     spd_inverse,
     spd_logdet,
     spd_solve,
+    sym_eigvals,
     symmetrize,
 )
 
@@ -385,10 +386,6 @@ class Categorical(Distribution):
             raise DistributionError(f"Categorical probabilities must sum to 1, got {s!r}")
         self.probabilities = _freeze(np.clip(p, 0.0, None))
 
-    @property
-    def is_joint(self) -> bool:
-        return self.probabilities.ndim == 2
-
     def mean(self) -> np.ndarray:
         return self.probabilities
 
@@ -492,8 +489,6 @@ def product(a: Distribution, b: Distribution) -> Distribution:
             raise IncompatibleSupport(f"Gaussian dimension mismatch: {a.dim} vs {b.dim}")
         w = a.precision_matrix() + b.precision_matrix()
         xi = a.weighted_mean_vector() + b.weighted_mean_vector()
-        from ._linalg import sym_eigvals
-
         if float(np.min(sym_eigvals(w))) < -1e-9:
             raise DistributionError("product precision is not positive semi-definite")
         return GaussianCanonical(xi, w)

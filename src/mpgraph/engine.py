@@ -24,7 +24,6 @@ from .distributions import (
     Wishart,
     differential_entropy,
     product,
-    vague,
 )
 from .graph import FactorGraph, Support, infer_supports
 from .rules import default_registry
@@ -38,6 +37,7 @@ from .scheduler import (
     joint_key,
     schedule_free_energy,
     schedule_vmp,
+    vague_for,
 )
 
 
@@ -91,26 +91,11 @@ def marginal_layout(graph: FactorGraph, rf: RecognitionFactorization) -> dict[st
     return layout
 
 
-def _vague_for(sup: Support) -> Distribution:
-    if sup.family == "categorical":
-        if len(sup.shape) == 2:
-            k_out, k_in = sup.shape
-            return Categorical(np.full((k_out, k_in), 1.0 / (k_out * k_in)))
-        return vague("categorical", sup.shape[0])
-    if sup.family == "gamma":
-        return vague("gamma")
-    if sup.family == "wishart":
-        return vague("wishart", sup.shape)
-    if sup.family == "dirichlet":
-        return vague("dirichlet", sup.shape)
-    return vague("gaussian", sup.dim)
-
-
 def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=None) -> dict:
     """Vague defaults for every marginal key; overrides applied verbatim
     after a support check."""
     layout = marginal_layout(graph, rf)
-    table = {key: _vague_for(sup) for key, sup in layout.items()}
+    table = {key: vague_for(sup) for key, sup in layout.items()}
     for key, dist in (overrides or {}).items():
         if key not in layout:
             raise NumericalError(f"override for unknown variable {key!r}")

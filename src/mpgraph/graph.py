@@ -107,9 +107,6 @@ class Node:
     def roles(self, graph: "FactorGraph") -> list[str]:
         return graph.kind_of(self).role_names(len(self.interfaces))
 
-    def role_index(self, graph: "FactorGraph", role: str) -> int:
-        return self.roles(graph).index(role)
-
     def __repr__(self):
         return f"Node({self.id}, {self.kind})"
 
@@ -166,11 +163,6 @@ class FactorGraph:
 
     def variable_edges(self, name: str) -> list[Edge]:
         return [e for e in self.edges if e.variable == name]
-
-    def frontier_edge(self, name: str) -> Edge:
-        if name not in self._frontier:
-            raise GraphError(f"undeclared variable {name!r}")
-        return self.edges[self._frontier[name]]
 
     def variables(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -517,11 +509,6 @@ class Support:
 
     def __eq__(self, other):
         return (self.family, self.shape) == (other.family, other.shape)
-
-
-def _const_shape(value) -> tuple[int, ...]:
-    arr = np.asarray(value, dtype=float)
-    return tuple(arr.shape)
 
 
 def infer_supports(graph: FactorGraph) -> dict[str, Support]:

@@ -6,8 +6,13 @@ inbound slot signature; lookup returns the most specific applicable rule under
 the subtype order PointMass < specific Gaussian < generic Gaussian, breaking
 ties by registration order.
 
+A signature may repeat one slot group (``Repeat``), so each rule serves
+every arity; a rule for indexed interfaces (``mean_k``) is keyed by the role
+class and voids the group slot of component k.
+
 Rule identifiers are stable strings ``<flavor>:<kind>:<interface>:<sig-hash>``
-used in schedule listings and message provenance.
+used in schedule listings and message provenance; a variadic rule's id names
+its role class (``variational:gaussian_mixture:mean:<sig-hash>``).
 """
 
 from __future__ import annotations
@@ -109,15 +114,43 @@ class Slot:
         return f"{self.kind}[{name}]"
 
 
+class Repeat:
+    """A group of slot patterns repeated ``at_least`` or more times inside a
+    rule signature. For an indexed role such as ``mean_k``, group slot
+    ``void_at`` of the k-th repetition is the void outbound slot."""
+
+    def __init__(self, slots, at_least: int, void_at: int | None = None):
+        self.slots = list(slots)
+        self.at_least = at_least
+        self.void_at = void_at
+
+    def describe(self) -> str:
+        parts = []
+        for j, slot in enumerate(self.slots):
+            mark = "void@k|" if j == self.void_at else ""
+            parts.append(mark + slot.describe())
+        return f"({','.join(parts)})*{self.at_least}+"
+
+
+def _split_role(role: str) -> tuple[str, int | None]:
+    """``mean_2`` -> (``mean``, 2); a role without a numeric suffix -> (role, None)."""
+    stem, sep, suffix = role.rpartition("_")
+    if sep and suffix.isdigit():
+        return stem, int(suffix)
+    return role, None
+
+
 class Rule:
     def __init__(self, kind, role, flavor, slots, fn, out_type, needs_previous=False):
         self.kind = kind
-        self.role = role
+        self.role = role  # the role class (``mean``) when the rule is indexed
         self.flavor = flavor
-        self.slots = list(slots)
+        self.slots = list(slots)  # Slot patterns, at most one of them a Repeat
         self.fn = fn
         self.out_type = out_type  # callable(in_types, constants) -> variant class
         self.needs_previous = needs_previous
+        self.group_at = next((i for i, s in enumerate(self.slots) if isinstance(s, Repeat)), None)
+        self.indexed = self.group_at is not None and self.slots[self.group_at].void_at is not None
         digest = hashlib.sha1(
             "|".join([kind, role, flavor] + [s.describe() for s in self.slots]).encode()
         ).hexdigest()[:8]
@@ -131,11 +164,26 @@ class Rule:
         dist, info = result if isinstance(result, tuple) else (result, None)
         return Message(dist, self.id, info)
 
-    def matches(self, query_slots) -> int | None:
-        if len(query_slots) != len(self.slots):
+    def expand(self, n: int, index: int | None = None) -> list | None:
+        """The signature at arity ``n``: the repeating group, if any, repeated
+        to fill it, with an indexed rule's void in component ``index``; None
+        when the rule has no signature of that arity."""
+        if self.group_at is None:
+            return self.slots if n == len(self.slots) else None
+        group = self.slots[self.group_at]
+        count, rest = divmod(n - len(self.slots) + 1, len(group.slots))
+        if rest or count < group.at_least or (self.indexed and not 1 <= (index or 0) <= count):
+            return None
+        body = [Slot(VOID) if k == index and j == group.void_at else slot
+                for k in range(1, count + 1) for j, slot in enumerate(group.slots)]
+        return self.slots[:self.group_at] + body + self.slots[self.group_at + 1:]
+
+    def matches(self, query_slots, index: int | None = None) -> int | None:
+        slots = self.expand(len(query_slots), index)
+        if slots is None:
             return None
         score = 0
-        for slot, query in zip(self.slots, query_slots):
+        for slot, query in zip(slots, query_slots):
             if not slot.matches(query):
                 return None
             score += slot.specificity()
@@ -176,14 +224,16 @@ class RuleRegistry:
 
     def lookup(self, kind: str, role: str, query_slots, flavor: str | None = None) -> Rule:
         """Most specific applicable rule; deterministic tie-break by
-        registration order."""
+        registration order. An indexed role such as ``mean_2`` is served by
+        the rule registered for its role class ``mean``."""
+        stem, index = _split_role(role)
         best, best_score = None, -1
         for rule in self._rules:
-            if rule.kind != kind or rule.role != role:
+            if rule.kind != kind or rule.role != (stem if rule.indexed else role):
                 continue
             if flavor is not None and rule.flavor != flavor:
                 continue
-            score = rule.matches(query_slots)
+            score = rule.matches(query_slots, index)
             if score is not None and score > best_score:
                 best, best_score = rule, score
         if best is None:
@@ -452,29 +502,25 @@ def _mixture_selector(inbound, constants):
     return Categorical(p / float(np.sum(p)))
 
 
-def _mixture_toward_mean(component):
-    def fn(inbound, constants):
-        q_out, q_sel = inbound[0], inbound[1]
-        resp = float(np.asarray(moment(q_sel, "mean"))[component])
-        q_w = inbound[2 + 2 * component + 1]
-        my, _ = mean_and_cov(q_out)
-        w = resp * expected_precision(q_w, my.shape[0])
-        return GaussianCanonical(w @ my, w)
-
-    return fn
+def _mixture_toward_mean(inbound, constants):
+    # The void slot is component k's mean; its precision follows it.
+    at = inbound.index(None)
+    q_out, q_sel, q_w = inbound[0], inbound[1], inbound[at + 1]
+    resp = float(np.asarray(moment(q_sel, "mean"))[(at - 2) // 2])
+    my, _ = mean_and_cov(q_out)
+    w = resp * expected_precision(q_w, my.shape[0])
+    return GaussianCanonical(w @ my, w)
 
 
-def _mixture_toward_precision(component):
-    def fn(inbound, constants):
-        q_out, q_sel = inbound[0], inbound[1]
-        resp = float(np.asarray(moment(q_sel, "mean"))[component])
-        q_m = inbound[2 + 2 * component]
-        my, vy = mean_and_cov(q_out)
-        mm, vm = mean_and_cov(q_m)
-        r = my - mm
-        return _precision_message(vy + vm + np.outer(r, r), weight=resp)
-
-    return fn
+def _mixture_toward_precision(inbound, constants):
+    # The void slot is component k's precision; its mean precedes it.
+    at = inbound.index(None)
+    q_out, q_sel, q_m = inbound[0], inbound[1], inbound[at - 1]
+    resp = float(np.asarray(moment(q_sel, "mean"))[(at - 2) // 2])
+    my, vy = mean_and_cov(q_out)
+    mm, vm = mean_and_cov(q_m)
+    r = my - mm
+    return _precision_message(vy + vm + np.outer(r, r), weight=resp)
 
 
 def _mixture_out(inbound, constants):
@@ -767,50 +813,37 @@ def build_default_registry() -> RuleRegistry:
     add("transition", "matrix", "variational", [_marg(Categorical), _marg(Categorical), Slot(VOID)],
         _transition_toward_matrix_mf, _static(Dirichlet))
 
-    for k in range(2, 7):
-        def comp_slots(void_at):
-            slots = []
-            for idx in range(2 + 2 * k):
-                if idx == void_at:
-                    slots.append(Slot(VOID))
-                elif idx == 0:
-                    slots.append(_msg(GAUSSIAN_LIKE))
-                elif idx == 1:
-                    slots.append(_marg(CATEGORICAL_LIKE))
-                elif idx % 2 == 0:
-                    slots.append(_marg(GAUSSIAN_LIKE))
-                else:
-                    slots.append(_marg(PRECISION_LIKE))
-            return slots
-
-        add("gaussian_mixture", "selector", "variational", comp_slots(1),
-            _mixture_selector, _static(Categorical))
-        add("gaussian_mixture", "out", "variational", comp_slots(0),
-            _mixture_out, _static(GaussianCanonical))
-        for c in range(k):
-            add("gaussian_mixture", f"mean_{c + 1}", "variational", comp_slots(2 + 2 * c),
-                _mixture_toward_mean(c), _static(GaussianCanonical))
-            add("gaussian_mixture", f"precision_{c + 1}", "variational", comp_slots(3 + 2 * c),
-                _mixture_toward_precision(c), _precision_out_type)
+    # Component pairs (mean_k, precision_k) repeat for any K >= 2; the roles
+    # mean_k and precision_k void the first or second slot of the k-th pair.
+    pair = [_marg(GAUSSIAN_LIKE), _marg(PRECISION_LIKE)]
+    add("gaussian_mixture", "selector", "variational",
+        [_msg(GAUSSIAN_LIKE), Slot(VOID), Repeat(pair, 2)],
+        _mixture_selector, _static(Categorical))
+    add("gaussian_mixture", "out", "variational",
+        [Slot(VOID), _marg(CATEGORICAL_LIKE), Repeat(pair, 2)],
+        _mixture_out, _static(GaussianCanonical))
+    add("gaussian_mixture", "mean", "variational",
+        [_msg(GAUSSIAN_LIKE), _marg(CATEGORICAL_LIKE), Repeat(pair, 2, void_at=0)],
+        _mixture_toward_mean, _static(GaussianCanonical))
+    add("gaussian_mixture", "precision", "variational",
+        [_msg(GAUSSIAN_LIKE), _marg(CATEGORICAL_LIKE), Repeat(pair, 2, void_at=1)],
+        _mixture_toward_precision, _precision_out_type)
 
     add("probit", "in", "expectation-propagation",
         [_msg(PointMass), Slot(CAVITY, GAUSSIAN_LIKE)],
         _probit_ep, _static(GaussianCanonical), needs_previous=True)
 
-    # Structured-chain joints (out-side message, leaf message, offset
-    # marginals, precision marginal) for zero or one offset leaf.
-    for extra in (0, 1):
-        add("gaussian_affine", "joint", "variational",
-            [_msg(GAUSSIAN_LIKE), _msg(GAUSSIAN_LIKE)] + [_marg() for _ in range(extra)] + [_marg(PRECISION_LIKE)],
-            _joint_gaussian_chain, _static(GaussianMeanVariance))
+    # Structured-chain joint: out-side message, leaf message, any number of
+    # offset marginals, precision marginal.
+    add("gaussian_affine", "joint", "variational",
+        [_msg(GAUSSIAN_LIKE), _msg(GAUSSIAN_LIKE), Repeat([_marg()], 0), _marg(PRECISION_LIKE)],
+        _joint_gaussian_chain, _static(GaussianMeanVariance))
     add("transition", "joint", "variational",
         [_msg(CATEGORICAL_LIKE), _msg(CATEGORICAL_LIKE), _marg((Dirichlet, PointMass))],
         _joint_categorical_chain, _static(Categorical))
 
-    for n_in in range(1, 4):
-        add("gaussian_affine", "transport", "variational",
-            [_marg() for _ in range(n_in)] + [Slot(VOID)],
-            _affine_belief_transport, _static(GaussianMeanVariance))
+    add("gaussian_affine", "transport", "variational", [Repeat([_marg()], 1), Slot(VOID)],
+        _affine_belief_transport, _static(GaussianMeanVariance))
 
     add("gaussian_nonlinear", "precision", "variational",
         [_marg(), _marg(), Slot(VOID)],
@@ -818,10 +851,8 @@ def build_default_registry() -> RuleRegistry:
 
     # Composed affine updates toward a precision; the first marginal slot is
     # the out belief or the two-slice joint.
-    for n_in in range(1, 5):
-        add("gaussian_affine", "precision", "variational",
-            [_marg() for _ in range(n_in)] + [Slot(VOID)],
-            _gaussian_affine_precision, _precision_out_type)
+    add("gaussian_affine", "precision", "variational", [Repeat([_marg()], 1), Slot(VOID)],
+        _gaussian_affine_precision, _precision_out_type)
 
     return reg.freeze()
 

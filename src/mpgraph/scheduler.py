@@ -28,10 +28,10 @@ from .distributions import (
     Distribution,
     Gamma,
     GaussianCanonical,
-    GaussianMeanPrecision,
     GaussianMeanVariance,
     PointMass,
     Wishart,
+    _VARIANTS,
     vague,
 )
 from .graph import STOCHASTIC_KINDS, FactorGraph, Node, Support, infer_supports
@@ -65,6 +65,23 @@ DETERMINISTIC_WALK_KINDS = ("gain", "addition", "nonlinear")
 
 def joint_key(leaf_var: str, out_var: str) -> str:
     return f"{leaf_var}&{out_var}"
+
+
+def vague_for(sup: Support) -> Distribution:
+    """Uninformative default for a variable or marginal-table key of the
+    given support; a two-dimensional categorical support is a two-slice joint."""
+    if sup.family == "categorical":
+        if len(sup.shape) == 2:
+            k_out, k_in = sup.shape
+            return Categorical(np.full((k_out, k_in), 1.0 / (k_out * k_in)))
+        return vague("categorical", sup.shape[0])
+    if sup.family == "gamma":
+        return vague("gamma")
+    if sup.family == "wishart":
+        return vague("wishart", sup.shape)
+    if sup.family == "dirichlet":
+        return vague("dirichlet", sup.shape)
+    return vague("gaussian", sup.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +402,7 @@ class _FactorScheduler:
     def slot_variant(self, slot) -> type | None:
         tag = slot[0]
         if tag == "entry":
-            return _variant_class(self.schedule.entries[slot[1]].out_variant)
+            return _VARIANTS[self.schedule.entries[slot[1]].out_variant]
         if tag == "marginal":
             return self.marginal_variant(slot[1])
         if tag in ("data",):
@@ -421,7 +438,7 @@ class _FactorScheduler:
         edge = self.graph.edges[edge_id]
         source = edge.tail if direction == "fwd" else edge.head
         if source is None:
-            slot = ("const", self.vague_message(edge.variable))
+            slot = ("const", vague_for(self.supports.get(edge.variable, Support("gaussian", ()))))
             self.memo[key] = slot
             return slot
         node = self.graph.node_at(source)
@@ -550,18 +567,6 @@ class _FactorScheduler:
         entry = ScheduleEntry(rule.id, slots, out_variant, constants, label, extra, writes_site)
         self.schedule.entries.append(entry)
         return ("entry", len(self.schedule.entries) - 1)
-
-    def vague_message(self, var: str) -> Distribution:
-        sup = self.supports.get(var, Support("gaussian", ()))
-        if sup.family == "categorical":
-            return vague("categorical", sup.shape[0])
-        if sup.family == "gamma":
-            return vague("gamma")
-        if sup.family == "wishart":
-            return vague("wishart", sup.shape)
-        if sup.family == "dirichlet":
-            return vague("dirichlet", sup.shape)
-        return vague("gaussian", sup.dim)
 
     # -- composed parameter updates -----------------------------------------
 
@@ -817,21 +822,6 @@ def _leaf_gain(info: MeanSideInfo, var: str):
     raise SchedulingError(f"leaf {var!r} missing from mean-side analysis")
 
 
-def _variant_class(name: str) -> type:
-    from . import distributions as d
-
-    return {
-        "GaussianMeanVariance": d.GaussianMeanVariance,
-        "GaussianMeanPrecision": d.GaussianMeanPrecision,
-        "GaussianCanonical": d.GaussianCanonical,
-        "Gamma": d.Gamma,
-        "Wishart": d.Wishart,
-        "Dirichlet": d.Dirichlet,
-        "Categorical": d.Categorical,
-        "PointMass": d.PointMass,
-    }[name]
-
-
 # ---------------------------------------------------------------------------
 # Public scheduling operations
 # ---------------------------------------------------------------------------
@@ -912,7 +902,7 @@ def infer_types(graph: FactorGraph, schedules, registry: RuleRegistry | None = N
                 if slot[0] == "void":
                     in_types.append(None)
                 elif slot[0] == "entry":
-                    in_types.append(_variant_class(schedule.entries[slot[1]].out_variant))
+                    in_types.append(_VARIANTS[schedule.entries[slot[1]].out_variant])
                 elif slot[0] == "const":
                     in_types.append(type(slot[1]))
                 elif slot[0] == "data":
@@ -1092,7 +1082,7 @@ def eval_energy_term(kind: str, qs, constants) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _slot_text(slot) -> str:
+def slot_text(slot) -> str:
     tag = slot[0]
     if tag == "entry":
         return f"msg[{slot[1]}]"
@@ -1117,19 +1107,19 @@ def render_schedule(schedule: Schedule) -> str:
             + json.dumps(init.to_json(), sort_keys=True, separators=(",", ":"))
         )
     for i, entry in enumerate(schedule.entries):
-        args = ", ".join(_slot_text(s) for s in entry.slots)
+        args = ", ".join(slot_text(s) for s in entry.slots)
         suffix = ""
         if entry.extra is not None:
-            suffix = f" @ {_slot_text(entry.extra)}"
+            suffix = f" @ {slot_text(entry.extra)}"
         target = f" -> site[{entry.writes_site}]" if entry.writes_site else ""
         var, direction = entry.edge_label
         lines.append(f"msg[{i}] <- {entry.rule_id}({args}){suffix}{target}  # edge {var} {direction}")
     for step in schedule.marginal_steps:
         if isinstance(step, MarginalStep):
-            rhs = " * ".join(_slot_text(s) for s in step.inputs)
+            rhs = " * ".join(slot_text(s) for s in step.inputs)
             lines.append(f"q[{step.key}] <- {rhs}")
         else:
-            args = ", ".join(_slot_text(s) for s in step.slots)
+            args = ", ".join(slot_text(s) for s in step.slots)
             lines.append(f"q[{step.key}] <- joint {step.rule_id}({args})")
     return "\n".join(lines) + "\n"
 

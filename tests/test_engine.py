@@ -12,6 +12,7 @@ from mpgraph.engine import (
     run_inference,
     streaming_update,
 )
+from mpgraph.dsl import parse_model
 from mpgraph.graph import FactorGraph
 from mpgraph.models import (
     RandomWalkModel,
@@ -20,6 +21,7 @@ from mpgraph.models import (
 )
 from mpgraph.scheduler import (
     RecognitionFactorization,
+    default_factorization,
     schedule_free_energy,
     schedule_vmp,
 )
@@ -255,3 +257,45 @@ class TestAllObserved:
         executor = DirectExecutor(schedule_vmp(g, rf), fe)
         value = free_energy(executor, {"y": np.array([0.3])}, {})
         assert value == pytest.approx(-norm.logpdf(0.3), abs=1e-12)
+
+
+def leaf_sum_model(n_leaves: int) -> str:
+    """y[t] ~ N(a1 + ... + an, w^-1) with the sum built from chained Additions."""
+    lines = [f"a{i} ~ GaussianMeanVariance(0.0, 100.0)" for i in range(1, n_leaves + 1)]
+    lines += ["w ~ Gamma(1.0, 1.0)", "for t in 1:T {"]
+    mean = "a1"
+    for i in range(2, n_leaves + 1):
+        lines.append(f"  s{i}[t] ~ Addition({mean}, a{i})")
+        mean = f"s{i}[t]"
+    lines += [f"  y[t] ~ GaussianMeanPrecision({mean}, w)", "  observe y[t] :: ()", "}"]
+    return "\n".join(lines)
+
+
+TWO_OFFSET_WALK = """
+x[0] ~ GaussianMeanVariance(0.0, 100.0)
+d ~ GaussianMeanVariance(0.0, 100.0)
+e ~ GaussianMeanVariance(0.0, 100.0)
+w ~ Gamma(1.0, 1.0)
+for t in 1:T {
+  a[t] ~ Addition(x[t-1], d)
+  m[t] ~ Addition(a[t], e)
+  x[t] ~ GaussianMeanPrecision(m[t], w)
+  y[t] ~ GaussianMeanPrecision(x[t], 10.0)
+  observe y[t] :: ()
+}
+"""
+
+
+class TestAffineArity:
+    """Affine means with more leaves than a fixed-arity rule table would
+    cover: mean-field leaf sums and a chain transition with two offsets."""
+
+    @pytest.mark.parametrize("source", [leaf_sum_model(4), leaf_sum_model(5), TWO_OFFSET_WALK],
+                             ids=["4-leaves", "5-leaves", "two-offset-walk"])
+    def test_infers_with_non_increasing_free_energy(self, source):
+        g = parse_model(source, {"T": 6})
+        data = {"y": np.random.default_rng(0).normal(size=6)}
+        res = run_inference(g, default_factorization(g), data, max_iters=20, tol=0)
+        f = np.asarray(res.free_energy_trace)
+        assert len(f) == 20 and np.all(np.isfinite(f))
+        assert np.all(np.diff(f) <= 1e-9)

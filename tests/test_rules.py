@@ -257,18 +257,31 @@ class TestMixtureRules:
         out = run("gaussian_mixture", "selector", self.query(inbound, 1), inbound)
         np.testing.assert_allclose(out.dist.probabilities, [0.5, 0.5], atol=1e-12)
 
-    def test_full_responsibility_mean_message(self):
-        inbound = [
-            PointMass([2.0]),
-            Categorical([1.0, 0.0]),
-            None,
-            PointMass([[1.0]]),
-            GaussianMeanVariance([5.0], [[1.0]]),
-            PointMass([[1.0]]),
-        ]
-        out = run("gaussian_mixture", "mean_1", self.query(inbound, 2), inbound)
-        assert out.dist.precision[0, 0] == pytest.approx(1.0)
+    def full_responsibility(self, K, component, void_offset):
+        """y = 2 fully assigned to ``component``; component k has mean 5k and
+        precision k; the void sits on the component's mean (offset 0) or
+        precision (offset 1)."""
+        inbound = [PointMass([2.0]), Categorical(np.eye(K)[component - 1])]
+        for k in range(1, K + 1):
+            inbound += [GaussianMeanVariance([5.0 * k], [[1.0]]), PointMass([[float(k)]])]
+        at = 2 * component + void_offset
+        inbound[at] = None
+        return inbound, self.query(inbound, at)
+
+    @pytest.mark.parametrize("K,component", [(2, 1), (3, 2), (7, 1), (7, 7)])
+    def test_full_responsibility_mean_message(self, K, component):
+        inbound, query = self.full_responsibility(K, component, 0)
+        out = run("gaussian_mixture", f"mean_{component}", query, inbound)
+        assert out.dist.precision[0, 0] == pytest.approx(component)
         assert out.dist.mean_vector()[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("K,component", [(2, 1), (3, 2), (7, 1), (7, 7)])
+    def test_full_responsibility_precision_message(self, K, component):
+        inbound, query = self.full_responsibility(K, component, 1)
+        out = run("gaussian_mixture", f"precision_{component}", query, inbound)
+        # Gamma(1 + 1/2, S/2) with scatter S = var(m_k) + (y - E[m_k])^2
+        assert out.dist.shape == pytest.approx(1.5)
+        assert out.dist.rate == pytest.approx(0.5 * (1.0 + (2.0 - 5.0 * component) ** 2))
 
     def test_selector_permutation_equivariance(self):
         rng = np.random.default_rng(5)
