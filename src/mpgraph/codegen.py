@@ -15,12 +15,14 @@ import re
 
 import numpy as np
 
-from .distributions import Distribution, PointMass, from_json, product
+from .distributions import Distribution, PointMass, differential_entropy, from_json, product
 from .rules import RuleRegistry, default_registry
 from .scheduler import (
     FreeEnergyProgram,
     MarginalStep,
     Schedule,
+    call_text,
+    canonical_json,
     eval_energy_term,
     slot_text,
 )
@@ -111,23 +113,18 @@ class Instruction:
         )
 
     def __eq__(self, other):
-        return isinstance(other, Instruction) and _canon_json(self.to_json()) == _canon_json(other.to_json())
-
-
-def _canon_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return isinstance(other, Instruction) and canonical_json(self.to_json()) == canonical_json(other.to_json())
 
 
 class AlgorithmIR:
     """Step programs (one per recognition factor) plus the free-energy
     program, with slot tables describing the run-time storage layout."""
 
-    def __init__(self, steps, free_energy, site_inits, data_slots, marginal_keys):
+    def __init__(self, steps, free_energy, site_inits, data_slots):
         self.steps: list[tuple[str, list[Instruction]]] = steps
         self.free_energy: list[Instruction] = free_energy
         self.site_inits: dict[str, Distribution] = site_inits
         self.data_slots: list[tuple[str, int]] = data_slots
-        self.marginal_keys: list[str] = marginal_keys
 
     def to_json(self):
         return {
@@ -138,7 +135,6 @@ class AlgorithmIR:
             "free_energy": [ins.to_json() for ins in self.free_energy],
             "site_inits": {k: v.to_json() for k, v in self.site_inits.items()},
             "data_slots": [list(d) for d in self.data_slots],
-            "marginal_keys": list(self.marginal_keys),
         }
 
     @classmethod
@@ -151,11 +147,10 @@ class AlgorithmIR:
             [Instruction.from_json(i) for i in obj["free_energy"]],
             {k: from_json(v) for k, v in obj["site_inits"].items()},
             [tuple(d) for d in obj["data_slots"]],
-            list(obj["marginal_keys"]),
         )
 
     def __eq__(self, other):
-        return isinstance(other, AlgorithmIR) and _canon_json(self.to_json()) == _canon_json(other.to_json())
+        return isinstance(other, AlgorithmIR) and canonical_json(self.to_json()) == canonical_json(other.to_json())
 
 
 def compile_program(
@@ -169,15 +164,12 @@ def compile_program(
     energy steps; message arrays are sized exactly by entry count."""
     steps = []
     site_inits: dict[str, Distribution] = {}
-    data_slots: list[tuple[str, int]] = []
-    marginal_keys: list[str] = []
+    data_slots: dict[tuple[str, int], None] = {}  # insertion-ordered set
 
     def note_slots(slots):
         for slot in slots:
-            if slot[0] == "data" and tuple(slot[1]) not in data_slots:
-                data_slots.append(tuple(slot[1]))
-            if slot[0] == "marginal" and slot[1] not in marginal_keys:
-                marginal_keys.append(slot[1])
+            if slot[0] == "data":
+                data_slots[tuple(slot[1])] = None
 
     for fid, schedule in schedules.items():
         program: list[Instruction] = []
@@ -199,8 +191,6 @@ def compile_program(
                 program.append(
                     Instruction("joint", ("marginal", step.key), step.slots, step.rule_id, step.constants)
                 )
-            if step.key not in marginal_keys:
-                marginal_keys.append(step.key)
         steps.append((fid, program))
 
     fe_instructions: list[Instruction] = []
@@ -212,12 +202,10 @@ def compile_program(
                             dict(term.constants, kind=term.kind), label=term.label)
             )
         for key, weight in fe_program.entropies:
-            if key not in marginal_keys:
-                marginal_keys.append(key)
             fe_instructions.append(
                 Instruction("entropy", ("F",), [("marginal", key)], None, {"weight": weight})
             )
-    return AlgorithmIR(steps, fe_instructions, site_inits, data_slots, marginal_keys)
+    return AlgorithmIR(steps, fe_instructions, site_inits, list(data_slots))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +253,7 @@ def render(ir: AlgorithmIR) -> str:
     differently (the listing is a lossless serialization)."""
     lines = []
     for site, init in sorted(ir.site_inits.items()):
-        lines.append(f"declare site[{site}] = {_canon_json(init.to_json())}")
+        lines.append(f"declare site[{site}] = {canonical_json(init.to_json())}")
     for name, index in ir.data_slots:
         lines.append(f"declare data[{name}][{index}]")
     for fid, program in ir.steps:
@@ -282,32 +270,21 @@ def render(ir: AlgorithmIR) -> str:
 
 
 def _render_instruction(ins: Instruction) -> str:
-    args = ", ".join(slot_text(s) for s in ins.slots)
-    comment = f"  # {ins.label}" if ins.label else ""
     if ins.opcode == "rule":
-        extra = f" @ {slot_text(ins.extra)}" if ins.extra else ""
-        site = f" -> site[{ins.writes_site}]" if ins.writes_site else ""
-        consts = _constants_text(ins.constants)
-        return f"msg[{ins.output[1]}] <- {ins.rule_id}({args}){consts}{extra}{site}{comment}"
+        return call_text(f"msg[{ins.output[1]}] <- {ins.rule_id}", ins.slots, ins.constants,
+                         ins.extra, ins.writes_site, ins.label)
     if ins.opcode == "product":
         return f"q[{ins.output[1]}] <- {' * '.join(slot_text(s) for s in ins.slots)}"
     if ins.opcode == "joint":
-        consts = _constants_text(ins.constants)
-        return f"q[{ins.output[1]}] <- joint {ins.rule_id}({args}){consts}"
+        return call_text(f"q[{ins.output[1]}] <- joint {ins.rule_id}", ins.slots, ins.constants)
     if ins.opcode == "average_energy":
         consts = dict(ins.constants)
         kind = consts.pop("kind")
-        return f"F += averageEnergy[{kind}]({args}){_constants_text(consts)}{comment}"
+        return call_text(f"F += averageEnergy[{kind}]", ins.slots, consts, label=ins.label)
     if ins.opcode == "entropy":
         w = ins.constants.get("weight", 1.0)
-        return f"F -= {w!r} * entropy({args})"
+        return f"F -= {w!r} * entropy({', '.join(slot_text(s) for s in ins.slots)})"
     raise CompileError(f"unknown opcode {ins.opcode!r}")
-
-
-def _constants_text(constants: dict) -> str:
-    if not constants:
-        return ""
-    return " with " + _canon_json(constants)
 
 
 _RULE_RE = re.compile(
@@ -391,19 +368,7 @@ def parse_listing(text: str) -> AlgorithmIR:
             ))
             continue
         raise CompileError(f"unparseable listing line: {line!r}")
-    marginal_keys: list[str] = []
-    for _, prog in steps:
-        for ins in prog:
-            for slot in ins.slots:
-                if slot[0] == "marginal" and slot[1] not in marginal_keys:
-                    marginal_keys.append(slot[1])
-            if ins.output[0] == "marginal" and ins.output[1] not in marginal_keys:
-                marginal_keys.append(ins.output[1])
-    for ins in fe:
-        for slot in ins.slots:
-            if slot[0] == "marginal" and slot[1] not in marginal_keys:
-                marginal_keys.append(slot[1])
-    return AlgorithmIR(steps, fe, site_inits, data_slots, marginal_keys)
+    return AlgorithmIR(steps, fe, site_inits, data_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -502,24 +467,28 @@ class Interpreter:
             self.run_step(fid, data, marginals)
         return marginals
 
-    def free_energy(self, data, marginals) -> float:
-        total = 0.0
+    def free_energy_terms(self, data, marginals):
+        """Yield ``(label, signed contribution to F)`` per free-energy
+        instruction, in program order."""
         for pos, ins in enumerate(self.ir.free_energy):
+            label = ins.label or ins.opcode
             try:
                 if ins.opcode == "average_energy":
                     qs = [self._resolve(s, None, data, marginals) for s in ins.slots]
                     constants = dict(ins.constants)
                     kind = constants.pop("kind")
-                    total += eval_energy_term(kind, qs, constants)
+                    value = eval_energy_term(kind, qs, constants)
                 else:
                     q = self._resolve(ins.slots[0], None, data, marginals)
-                    from .distributions import differential_entropy
-
-                    total -= ins.constants.get("weight", 1.0) * differential_entropy(q)
+                    value = -(ins.constants.get("weight", 1.0) * differential_entropy(q))
             except Exception as exc:
-                raise InterpretError(
-                    f"free-energy term {pos} ({ins.label or ins.opcode}): {exc}"
-                ) from exc
+                raise InterpretError(f"free-energy term {pos} ({label}): {exc}") from exc
+            yield label, value
+
+    def free_energy(self, data, marginals) -> float:
+        total = 0.0
+        for _, value in self.free_energy_terms(data, marginals):
+            total += value
         return total
 
 

@@ -33,7 +33,9 @@ from .scheduler import (
     RecognitionFactorization,
     Schedule,
     analyze_sections,
+    chain_order,
     eval_energy_term,
+    factor_links,
     joint_key,
     schedule_free_energy,
     schedule_vmp,
@@ -79,15 +81,14 @@ def marginal_layout(graph: FactorGraph, rf: RecognitionFactorization) -> dict[st
     layout: dict[str, Support] = {}
     for var in owner:
         layout[var] = supports.get(var, Support("gaussian", ()))
-    for sec in analyze_sections(graph, supports).values():
-        if owner.get(sec.leaf_var) is not None and owner.get(sec.leaf_var) == owner.get(sec.out_var):
-            leaf = supports.get(sec.leaf_var, Support("gaussian", ()))
-            out = supports.get(sec.out_var, Support("gaussian", ()))
-            key = joint_key(sec.leaf_var, sec.out_var)
-            if out.family == "categorical":
-                layout[key] = Support("categorical", (out.shape[0], leaf.shape[0]))
-            else:
-                layout[key] = Support("gaussian", (leaf.dim + out.dim,))
+    for sec in factor_links(analyze_sections(graph, supports), owner).values():
+        leaf = supports.get(sec.leaf_var, Support("gaussian", ()))
+        out = supports.get(sec.out_var, Support("gaussian", ()))
+        key = joint_key(sec.leaf_var, sec.out_var)
+        if out.family == "categorical":
+            layout[key] = Support("categorical", (out.shape[0], leaf.shape[0]))
+        else:
+            layout[key] = Support("gaussian", (leaf.dim + out.dim,))
     return layout
 
 
@@ -194,13 +195,19 @@ class DirectExecutor:
             self.run_step(fid, data, marginals)
         return marginals
 
-    def free_energy(self, data, marginals) -> float:
-        total = 0.0
+    def free_energy_terms(self, data, marginals):
+        """Yield ``(label, signed contribution to F)`` per free-energy term,
+        in the order the compiled program evaluates them."""
         for term in self.fe_program.energies:
             qs = [self._resolve(s, None, data, marginals) for s in term.slots]
-            total += eval_energy_term(term.kind, qs, term.constants)
+            yield term.label or term.kind, eval_energy_term(term.kind, qs, term.constants)
         for key, weight in self.fe_program.entropies:
-            total -= weight * differential_entropy(marginals[key])
+            yield "entropy", -(weight * differential_entropy(marginals[key]))
+
+    def free_energy(self, data, marginals) -> float:
+        total = 0.0
+        for _, value in self.free_energy_terms(data, marginals):
+            total += value
         return total
 
 
@@ -218,27 +225,9 @@ def free_energy(executor, data, marginals) -> float:
 
 
 def _locate_nonfinite_term(executor, data, marginals) -> str:
-    if isinstance(executor, Interpreter):
-        for pos, ins in enumerate(executor.ir.free_energy):
-            if ins.opcode == "average_energy":
-                qs = [executor._resolve(s, None, data, marginals) for s in ins.slots]
-                constants = dict(ins.constants)
-                kind = constants.pop("kind")
-                val = eval_energy_term(kind, qs, constants)
-            else:
-                val = differential_entropy(
-                    executor._resolve(ins.slots[0], None, data, marginals)
-                )
-            if not np.isfinite(val):
-                return f"term {pos}: {ins.label or ins.opcode}"
-    elif isinstance(executor, DirectExecutor) and executor.fe_program is not None:
-        for pos, term in enumerate(executor.fe_program.energies):
-            qs = [executor._resolve(s, None, data, marginals) for s in term.slots]
-            if not np.isfinite(eval_energy_term(term.kind, qs, term.constants)):
-                return f"energy term {pos}: {term.label or term.kind}"
-        for key, _ in executor.fe_program.entropies:
-            if not np.isfinite(differential_entropy(marginals[key])):
-                return f"entropy term for {key}"
+    for pos, (label, value) in enumerate(executor.free_energy_terms(data, marginals)):
+        if not np.isfinite(value):
+            return f"term {pos}: {label}"
     return "offending term not identified"
 
 
@@ -340,24 +329,10 @@ def streaming_update(
             max_iters=iters_per_batch, tol=tol, registry=registry,
         )
         results.append(result)
-        supports = infer_supports(graph)
-        sections = analyze_sections(graph, supports)
-        owner = rf.factor_of()
+        links = factor_links(analyze_sections(graph, infer_supports(graph)), rf.factor_of())
         for fid, fvars in rf.factors:
-            if len(fvars) == 1:
-                var = fvars[0]
-                priors[var] = _as_prior(result.marginals[var])
-            else:
-                chain_secs = [s for s in sections.values()
-                              if s.leaf_var in fvars and s.out_var in fvars]
-                outs = {s.out_var for s in chain_secs}
-                first = next(v for v in fvars if v not in outs)
-                last = fvars[-1]
-                order = [first]
-                succ = {s.leaf_var: s.out_var for s in chain_secs}
-                while order[-1] in succ:
-                    order.append(succ[order[-1]])
-                priors[first] = _as_prior(result.marginals[order[-1]])
+            order, _ = chain_order(fid, fvars, links)
+            priors[order[0]] = _as_prior(result.marginals[order[-1]])
     return results
 
 

@@ -32,6 +32,8 @@ from .distributions import (
     PointMass,
     Wishart,
     _VARIANTS,
+    affine_transport,
+    average_energy,
     vague,
 )
 from .graph import STOCHASTIC_KINDS, FactorGraph, Node, Support, infer_supports
@@ -125,12 +127,20 @@ class RecognitionFactorization:
         return cls([(f["id"], list(f["variables"])) for f in obj["factors"]])
 
 
-def clamped_variables(graph: FactorGraph) -> set[str]:
-    out = set()
+def clamped_variables(graph: FactorGraph) -> dict[str, Node]:
+    """Each clamped variable mapped to its first clamp node."""
+    out: dict[str, Node] = {}
     for node in graph.nodes:
         if node.kind == "clamp":
-            out.add(graph.edges[node.interfaces[0]].variable)
+            out.setdefault(graph.edges[node.interfaces[0]].variable, node)
     return out
+
+
+def clamp_slot(node: Node):
+    """Slot holding a clamp node's value: a data placeholder or a constant."""
+    if "placeholder" in node.constants:
+        return ("data", (node.constants["placeholder"], node.constants["index"]))
+    return ("const", PointMass(node.constants["value"]))
 
 
 def latent_stochastic_variables(graph: FactorGraph, supports=None) -> list[str]:
@@ -311,6 +321,66 @@ def analyze_sections(graph: FactorGraph, supports) -> dict[int, Section]:
     return sections
 
 
+def factor_links(sections: dict[int, Section], owner: dict[str, str]) -> dict[int, Section]:
+    """Chain links: the sections whose leaf and out variables lie in the same
+    recognition factor, keyed by node id in node order."""
+    links: dict[int, Section] = {}
+    for node_id, sec in sections.items():
+        fid = owner.get(sec.out_var)
+        if fid is not None and fid == owner.get(sec.leaf_var):
+            links[node_id] = sec
+    return links
+
+
+def chain_order(fid: str, fvars: list[str], links: dict[int, Section]):
+    """Factor ``fid``'s variables in chain order, and its links in the same
+    order; ``links`` may also hold the links of other factors."""
+    members = set(fvars)
+    succ: dict[str, Section] = {}
+    pred: set[str] = set()
+    for sec in links.values():
+        if sec.out_var not in members:
+            continue
+        if sec.leaf_var in succ or sec.out_var in pred:
+            raise SchedulingError(f"factor {fid!r} is not a simple chain of states")
+        succ[sec.leaf_var] = sec
+        pred.add(sec.out_var)
+    if len(fvars) == 1:
+        return list(fvars), list(succ.values())
+    starts = [v for v in fvars if v not in pred]
+    if len(starts) != 1:
+        raise SchedulingError(f"factor {fid!r}: expected one chain start, found {starts}")
+    order, chain = [starts[0]], []
+    while order[-1] in succ:
+        chain.append(succ[order[-1]])
+        order.append(chain[-1].out_var)
+    if len(order) != len(fvars):
+        raise SchedulingError(f"factor {fid!r}: variables do not form a single chain")
+    return order, chain
+
+
+def slot_type(slot, entries: list, supports: dict[str, Support]) -> type | None:
+    """Distribution class a slot holds at run time (None for a void slot);
+    ``entries`` are the schedule entries that ``("entry", i)`` slots name."""
+    tag = slot[0]
+    if tag == "entry":
+        return _VARIANTS[entries[slot[1]].out_variant]
+    if tag == "marginal":
+        key = slot[1]
+        if "&" in key:
+            out = key.split("&", 1)[1]
+            return Categorical if supports[out].family == "categorical" else GaussianMeanVariance
+        sup = supports.get(key)
+        return MARGINAL_CLASS.get(sup.family if sup else "gaussian", GaussianMeanVariance)
+    if tag == "data":
+        return PointMass
+    if tag == "const":
+        return type(slot[1])
+    if tag == "site":
+        return GaussianCanonical
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Schedule data model
 # ---------------------------------------------------------------------------
@@ -380,14 +450,14 @@ class FreeEnergyProgram:
 
 
 class _FactorScheduler:
-    def __init__(self, graph, supports, owner, factor_id, factor_vars, sections, registry,
+    def __init__(self, graph, supports, owner, factor_id, factor_vars, links, registry,
                  ep_damping=None):
         self.graph = graph
         self.supports = supports
         self.owner = owner  # var -> factor id (stochastic latents only)
         self.factor_id = factor_id
         self.factor_vars = list(factor_vars)
-        self.sections = sections
+        self.links = links  # chain links of every factor, by node id
         self.registry = registry
         self.schedule = Schedule(factor_id)
         self.memo: dict[tuple[int, str], tuple] = {}
@@ -400,26 +470,7 @@ class _FactorScheduler:
     # -- slot helpers -----------------------------------------------------
 
     def slot_variant(self, slot) -> type | None:
-        tag = slot[0]
-        if tag == "entry":
-            return _VARIANTS[self.schedule.entries[slot[1]].out_variant]
-        if tag == "marginal":
-            return self.marginal_variant(slot[1])
-        if tag in ("data",):
-            return PointMass
-        if tag == "const":
-            return type(slot[1])
-        if tag == "site":
-            return GaussianCanonical
-        return None
-
-    def marginal_variant(self, key: str) -> type:
-        if "&" in key:
-            leaf, out = key.split("&", 1)
-            fam = self.supports[out].family
-            return Categorical if fam == "categorical" else GaussianMeanVariance
-        sup = self.supports.get(key)
-        return MARGINAL_CLASS.get(sup.family if sup else "gaussian", GaussianMeanVariance)
+        return slot_type(slot, self.schedule.entries, self.supports)
 
     def query_of(self, slots, kinds):
         return [
@@ -443,10 +494,7 @@ class _FactorScheduler:
             return slot
         node = self.graph.node_at(source)
         if node.kind == "clamp":
-            if "placeholder" in node.constants:
-                slot = ("data", (node.constants["placeholder"], node.constants["index"]))
-            else:
-                slot = ("const", PointMass(node.constants["value"]))
+            slot = clamp_slot(node)
             self.memo[key] = slot
             return slot
         if (
@@ -573,17 +621,14 @@ class _FactorScheduler:
     def out_belief_slot(self, node: Node):
         out_edge = self.graph.edges[node.interfaces[0]]
         out_var = out_edge.variable
-        sec = self.sections.get(node.id)
-        if sec is not None and self.owner.get(sec.out_var) == self.owner.get(sec.leaf_var) and self.owner.get(sec.out_var) is not None:
+        sec = self.links.get(node.id)
+        if sec is not None:
             return ("marginal", joint_key(sec.leaf_var, sec.out_var)), True
         if self.owner.get(out_var) is not None:
             return ("marginal", out_var), False
         # clamped output: locate the datum
         head = out_edge.head if out_edge.head and self.graph.node_at(out_edge.head).kind == "clamp" else out_edge.tail
-        clamp = self.graph.node_at(head)
-        if "placeholder" in clamp.constants:
-            return ("data", (clamp.constants["placeholder"], clamp.constants["index"])), False
-        return ("const", PointMass(clamp.constants["value"])), False
+        return clamp_slot(self.graph.node_at(head)), False
 
     def emit_precision_update(self, node: Node):
         roles = node.roles(self.graph)
@@ -608,7 +653,7 @@ class _FactorScheduler:
         gains = []
         slots = [out_slot]
         if uses_joint:
-            sec = self.sections[node.id]
+            sec = self.links[node.id]
             gains.append(_leaf_gain(mean_info, sec.leaf_var))
             for v, g in mean_info.leaves:
                 if v != sec.leaf_var:
@@ -638,8 +683,7 @@ class _FactorScheduler:
         out_var = self.graph.edges[node.interfaces[0]].variable
         in_var = self.graph.edges[node.interfaces[roles.index("in")]].variable
         label = (self.graph.edges[node.interfaces[roles.index("matrix")]].variable, "bwd")
-        same = self.owner.get(out_var) is not None and self.owner.get(out_var) == self.owner.get(in_var)
-        if same:
+        if node.id in self.links:
             slots = [("marginal", joint_key(in_var, out_var)), ("void",), ("void",)]
             query = [(MARGINAL, Categorical), (VOID, None), (VOID, None)]
         else:
@@ -650,39 +694,11 @@ class _FactorScheduler:
 
     # -- per-factor driver ----------------------------------------------------
 
-    def chain_order(self) -> list[str]:
-        in_factor = set(self.factor_vars)
-        succ: dict[str, str] = {}
-        pred: dict[str, str] = {}
-        for sec in self.sections.values():
-            if sec.leaf_var in in_factor and sec.out_var in in_factor:
-                if sec.leaf_var in succ or sec.out_var in pred:
-                    raise SchedulingError(
-                        f"factor {self.factor_id!r} is not a simple chain of states"
-                    )
-                succ[sec.leaf_var] = sec.out_var
-                pred[sec.out_var] = sec.leaf_var
-        starts = [v for v in self.factor_vars if v not in pred]
-        if len(self.factor_vars) == 1:
-            return list(self.factor_vars)
-        if len(starts) != 1:
-            raise SchedulingError(
-                f"factor {self.factor_id!r}: expected one chain start, found {starts}"
-            )
-        order = [starts[0]]
-        while order[-1] in succ:
-            order.append(succ[order[-1]])
-        if len(order) != len(self.factor_vars):
-            raise SchedulingError(
-                f"factor {self.factor_id!r}: variables do not form a single chain"
-            )
-        return order
-
     def frontier(self, var: str) -> int:
         return self.graph.variable_edges(var)[-1].id
 
     def build(self) -> Schedule:
-        order = self.chain_order()
+        order, chain = chain_order(self.factor_id, self.factor_vars, self.links)
         fwd_refs: dict[str, tuple] = {}
         bwd_refs: dict[str, tuple] = {}
         for var in order:
@@ -728,7 +744,7 @@ class _FactorScheduler:
             if bwd_refs.get(var) is not None:
                 inputs.append(bwd_refs[var])
             self.schedule.marginal_steps.append(MarginalStep(var, inputs))
-        self.emit_joints(order)
+        self.emit_joints(chain)
         return self.schedule
 
     def require_toward(self, node: Node, edge_id: int):
@@ -740,8 +756,8 @@ class _FactorScheduler:
             direction = "fwd"
         return self.require(edge_id, direction)
 
-    def emit_joints(self, order: list[str]):
-        for sec in self._ordered_sections(order):
+    def emit_joints(self, chain: list[Section]):
+        for sec in chain:
             node = sec.node
             out_edge_id = node.interfaces[0]
             out_side = self.require_toward(node, out_edge_id)
@@ -778,13 +794,6 @@ class _FactorScheduler:
             self.schedule.marginal_steps.append(
                 JointStep(joint_key(sec.leaf_var, sec.out_var), rule.id, slots, constants)
             )
-
-    def _ordered_sections(self, order):
-        pos = {v: i for i, v in enumerate(order)}
-        in_factor = set(self.factor_vars)
-        secs = [s for s in self.sections.values()
-                if s.leaf_var in in_factor and s.out_var in in_factor]
-        return sorted(secs, key=lambda s: pos[s.out_var])
 
     def _leaf_edge(self, node: Node, leaf_var: str) -> int:
         """The edge at the section's leaf side: the unique edge of leaf_var
@@ -880,10 +889,10 @@ def schedule_vmp(
     supports = infer_supports(graph)
     rf.validate(graph, supports)
     owner = rf.factor_of()
-    sections = analyze_sections(graph, supports)
+    links = factor_links(analyze_sections(graph, supports), owner)
     result: dict[str, Schedule] = {}
     for fid, fvars in rf.factors:
-        sched = _FactorScheduler(graph, supports, owner, fid, fvars, sections, registry,
+        sched = _FactorScheduler(graph, supports, owner, fid, fvars, links, registry,
                                  ep_damping=ep_damping)
         result[fid] = sched.build()
     return result
@@ -893,24 +902,12 @@ def infer_types(graph: FactorGraph, schedules, registry: RuleRegistry | None = N
     """Re-derive and check outbound variant annotations by forward propagation
     through rule lookup. Returns the annotated schedules (same objects)."""
     registry = registry or default_registry()
+    supports = infer_supports(_prepare(graph, registry))
     items = schedules.values() if isinstance(schedules, dict) else [schedules]
     for schedule in items:
-        for i, entry in enumerate(schedule.entries):
+        for entry in schedule.entries:
             rule = registry.by_id(entry.rule_id)
-            in_types = []
-            for slot in entry.slots:
-                if slot[0] == "void":
-                    in_types.append(None)
-                elif slot[0] == "entry":
-                    in_types.append(_VARIANTS[schedule.entries[slot[1]].out_variant])
-                elif slot[0] == "const":
-                    in_types.append(type(slot[1]))
-                elif slot[0] == "data":
-                    in_types.append(PointMass)
-                elif slot[0] == "site":
-                    in_types.append(GaussianCanonical)
-                else:
-                    in_types.append(None)
+            in_types = [slot_type(slot, schedule.entries, supports) for slot in entry.slots]
             entry.out_variant = rule.out_type(in_types, entry.constants).__name__
     return schedules
 
@@ -932,17 +929,14 @@ def schedule_free_energy(
     supports = infer_supports(graph)
     rf.validate(graph, supports)
     owner = rf.factor_of()
-    sections = analyze_sections(graph, supports)
-    clamped = clamped_variables(graph)
+    links = factor_links(analyze_sections(graph, supports), owner)
+    clamps = clamped_variables(graph)
 
     def belief_slot(var: str):
         if var in owner:
             return ("marginal", var)
-        for node in graph.nodes:
-            if node.kind == "clamp" and graph.edges[node.interfaces[0]].variable == var:
-                if "placeholder" in node.constants:
-                    return ("data", (node.constants["placeholder"], node.constants["index"]))
-                return ("const", PointMass(node.constants["value"]))
+        if var in clamps:
+            return clamp_slot(clamps[var])
         raise SchedulingError(f"no belief available for variable {var!r}")
 
     energies: list[FreeEnergyTerm] = []
@@ -960,11 +954,7 @@ def schedule_free_energy(
         if node.kind == "transition":
             in_var = graph.edges[node.interfaces[roles.index("in")]].variable
             t_slot = belief_slot(graph.edges[node.interfaces[roles.index("matrix")]].variable)
-            joint = (
-                owner.get(out_var) is not None
-                and owner.get(out_var) == owner.get(in_var)
-            )
-            if joint:
+            if node.id in links:
                 slots = [("marginal", joint_key(in_var, out_var)), t_slot]
             else:
                 slots = [belief_slot(out_var), belief_slot(in_var), t_slot]
@@ -975,8 +965,6 @@ def schedule_free_energy(
             energies.append(FreeEnergyTerm("gaussian_mixture", slots, {}, f"node{node.id}:mixture"))
             continue
         if node.kind == "probit":
-            in_var_edge = node.interfaces[roles.index("in")]
-            sup = supports.get(out_var, Support("binary", ()))
             info = analyze_mean_side(graph, node, 1)
             leaves = info.leaf_vars()
             if info.nonlinear is not None or len(leaves) != 1:
@@ -1010,12 +998,8 @@ def schedule_free_energy(
             energies.append(FreeEnergyTerm("gaussian_nonlinear_affine", slots, constants,
                                            f"node{node.id}:gaussian_nonlinear"))
             continue
-        sec = sections.get(node.id)
-        joint = (
-            sec is not None
-            and owner.get(sec.out_var) is not None
-            and owner.get(sec.out_var) == owner.get(sec.leaf_var)
-        )
+        sec = links.get(node.id)
+        joint = sec is not None
         gains, slots = [], []
         if joint:
             slots.append(("marginal", joint_key(sec.leaf_var, sec.out_var)))
@@ -1038,10 +1022,8 @@ def schedule_free_energy(
 
     entropies: list[tuple[str, float]] = []
     for fid, fvars in rf.factors:
-        sched_secs = [
-            s for s in sections.values()
-            if s.leaf_var in fvars and s.out_var in fvars
-        ]
+        members = set(fvars)
+        sched_secs = [s for s in links.values() if s.out_var in members]
         if not sched_secs:
             for v in fvars:
                 entropies.append((v, 1.0))
@@ -1057,16 +1039,12 @@ def schedule_free_energy(
 
 
 def _affine_scalar_transport(q, constants):
-    from .distributions import affine_transport
-
     return affine_transport(q, constants["gains"][0], constants.get("offset"))
 
 
 def eval_energy_term(kind: str, qs, constants) -> float:
     """Evaluate one free-energy energy term; the *_affine variants first
     project the leaf belief through the recorded gains."""
-    from .distributions import average_energy
-
     if kind == "probit_affine":
         datum, q_x = qs
         return average_energy("probit", [datum, _affine_scalar_transport(q_x, constants)])
@@ -1082,6 +1060,11 @@ def eval_energy_term(kind: str, qs, constants) -> float:
 # ---------------------------------------------------------------------------
 
 
+def canonical_json(obj) -> str:
+    """The one JSON spelling used in listings and IR comparisons."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def slot_text(slot) -> str:
     tag = slot[0]
     if tag == "entry":
@@ -1092,35 +1075,42 @@ def slot_text(slot) -> str:
         name, index = slot[1]
         return f"data[{name}][{index}]"
     if tag == "const":
-        return "const:" + json.dumps(slot[1].to_json(), sort_keys=True, separators=(",", ":"))
+        return "const:" + canonical_json(slot[1].to_json())
     if tag == "site":
         return f"site[{slot[1]}]"
     return "_"
+
+
+def call_text(head: str, slots, constants=None, extra=None, writes_site=None, label="") -> str:
+    """One call line of a listing:
+    ``head(slots) [with constants] [@ extra] [-> site[...]] [# label]``."""
+    text = f"{head}({', '.join(slot_text(s) for s in slots)})"
+    if constants:
+        text += " with " + canonical_json(constants)
+    if extra:
+        text += f" @ {slot_text(extra)}"
+    if writes_site:
+        text += f" -> site[{writes_site}]"
+    if label:
+        text += f"  # {label}"
+    return text
 
 
 def render_schedule(schedule: Schedule) -> str:
     """Deterministic text listing; the contract consumed by golden tests."""
     lines = []
     for site, init in schedule.site_inits.items():
-        lines.append(
-            f"site[{site}] <- init:"
-            + json.dumps(init.to_json(), sort_keys=True, separators=(",", ":"))
-        )
+        lines.append(f"site[{site}] <- init:" + canonical_json(init.to_json()))
     for i, entry in enumerate(schedule.entries):
-        args = ", ".join(slot_text(s) for s in entry.slots)
-        suffix = ""
-        if entry.extra is not None:
-            suffix = f" @ {slot_text(entry.extra)}"
-        target = f" -> site[{entry.writes_site}]" if entry.writes_site else ""
         var, direction = entry.edge_label
-        lines.append(f"msg[{i}] <- {entry.rule_id}({args}){suffix}{target}  # edge {var} {direction}")
+        lines.append(call_text(f"msg[{i}] <- {entry.rule_id}", entry.slots, extra=entry.extra,
+                               writes_site=entry.writes_site, label=f"edge {var} {direction}"))
     for step in schedule.marginal_steps:
         if isinstance(step, MarginalStep):
             rhs = " * ".join(slot_text(s) for s in step.inputs)
             lines.append(f"q[{step.key}] <- {rhs}")
         else:
-            args = ", ".join(slot_text(s) for s in step.slots)
-            lines.append(f"q[{step.key}] <- joint {step.rule_id}({args})")
+            lines.append(call_text(f"q[{step.key}] <- joint {step.rule_id}", step.slots))
     return "\n".join(lines) + "\n"
 
 

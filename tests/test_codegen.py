@@ -184,6 +184,8 @@ class TestInterpret:
         g, rf = conjugate_toy()
         ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))
         clone = AlgorithmIR.from_json(ir.to_json())
+        # IR JSON written while the IR still carried marginal_keys loads too
+        assert AlgorithmIR.from_json(dict(ir.to_json(), marginal_keys=["x"])) == ir
         data = {"y": np.array([0.3])}
         m1, _ = interpret(ir, data, init_marginals(g, rf))
         m2, _ = interpret(clone, data, init_marginals(g, rf))

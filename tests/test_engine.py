@@ -91,10 +91,11 @@ class TestIterate:
             worse["x"] = GaussianMeanVariance(mean, var)
             assert ex.free_energy(data, worse) > f_star
 
-    def test_nonfinite_data_raises_numerical(self):
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_nonfinite_data_raises_numerical(self, compiled):
         g, rf = conjugate_toy()
-        with pytest.raises(NumericalError, match="iteration 0"):
-            run_inference(g, rf, {"y": np.array([np.nan])}, max_iters=2)
+        with pytest.raises(NumericalError, match=r"iteration 0: .*\(term 0: node0:gaussian_mv\)"):
+            run_inference(g, rf, {"y": np.array([np.nan])}, max_iters=2, compiled=compiled)
 
     def test_trace_converges_flag(self):
         data, _ = sample_random_walk(seed=0, T=50)

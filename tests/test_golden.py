@@ -1,0 +1,80 @@
+"""Byte-for-byte golden listings: ``render_schedules`` and ``render`` output
+for four models, from the library and from ``mpgraph compile``.
+
+The files under ``tests/golden/`` are the contract. Regenerate them only for
+an intended listing change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mpgraph.cli import main
+from mpgraph.codegen import compile_program, render
+from mpgraph.dsl import parse_model
+from mpgraph.models import HmgmModel, ProbitSsmModel
+from mpgraph.scheduler import (
+    default_factorization,
+    render_schedules,
+    schedule_free_energy,
+    schedule_sum_product,
+    schedule_vmp,
+)
+from test_cli import RW_MODEL
+from test_scheduler import four_factor_graph
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _sum_product():
+    s = schedule_sum_product(four_factor_graph(), ["x2"])
+    schedules = {s.factor_id: s}
+    return schedules, compile_program(schedules, None)
+
+
+def _vmp(graph, rf, ep_damping=None):
+    schedules = schedule_vmp(graph, rf, ep_damping=ep_damping)
+    return schedules, compile_program(schedules, schedule_free_energy(graph, rf))
+
+
+def _random_walk():
+    graph = parse_model(RW_MODEL, {"T": 3})
+    return _vmp(graph, default_factorization(graph))
+
+
+MODELS = {
+    "four_factor": _sum_product,
+    "random_walk_T3": _random_walk,
+    "probit_T2_damped": lambda: _vmp(*ProbitSsmModel().build(2), ep_damping=0.5),
+    "hmgm_K3_T3": lambda: _vmp(*HmgmModel(K=3).build(3)),
+}
+
+
+def listings(name: str) -> dict[str, str]:
+    schedules, ir = MODELS[name]()
+    return {"schedule.txt": render_schedules(schedules), "algorithm.txt": render(ir)}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_library_listings_match_golden(name):
+    for suffix, text in listings(name).items():
+        assert text == (GOLDEN / f"{name}.{suffix}").read_text(), suffix
+
+
+def test_compile_command_writes_golden_listings(tmp_path):
+    model = tmp_path / "rw.mp"
+    model.write_text(RW_MODEL)
+    out = tmp_path / "compiled"
+    assert main(["compile", str(model), "--const", "T=3", "-o", str(out)]) == 0
+    for suffix in ("schedule.txt", "algorithm.txt"):
+        expected = (GOLDEN / f"random_walk_T3.{suffix}").read_bytes()
+        assert (out / suffix).read_bytes() == expected, suffix
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in MODELS:
+        for suffix, text in listings(name).items():
+            (GOLDEN / f"{name}.{suffix}").write_text(text)

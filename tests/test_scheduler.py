@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpgraph.graph import FactorGraph
-from mpgraph.models import HmgmModel, LgssmModel, RandomWalkModel
+from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
 from mpgraph.scheduler import (
     RecognitionFactorization,
     SchedulingError,
@@ -158,12 +158,24 @@ class TestVmpSchedules:
         b = render_schedules(schedule_vmp(g2, rf2))
         assert a == b
 
-    def test_infer_types_annotates(self):
-        g, rf = LgssmModel().build(3)
+    @pytest.mark.parametrize("build", [
+        lambda: LgssmModel().build(3),
+        lambda: LgssmModel(nonlinear=True).build(3),
+        lambda: ProbitSsmModel().build(3),
+        lambda: HmgmModel(K=3).build(3),
+        lambda: HmgmModel(K=7).build(3),
+        lambda: RandomWalkModel().build(3),
+        lambda: Co2Model().build(3),
+    ], ids=["lgssm", "nlssm", "probit", "hmgm-K3", "hmgm-K7", "random-walk", "co2"])
+    def test_infer_types_annotates(self, build):
+        g, rf = build()
         scheds = schedule_vmp(g, rf)
-        before = [e.out_variant for e in scheds["X"].entries]
+        entries = [e for s in scheds.values() for e in s.entries]
+        before = [e.out_variant for e in entries]
+        for e in entries:
+            e.out_variant = None
         infer_types(g, scheds)
-        after = [e.out_variant for e in scheds["X"].entries]
+        after = [e.out_variant for e in entries]
         assert before == after
         assert all(isinstance(v, str) and v for v in after)
         assert any(v == "GaussianCanonical" for v in after)  # equality fusions
