@@ -39,12 +39,14 @@ def is_symmetric(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(m - m.T)) <= tol * scale) if m.size else True
 
 
-def _eigh_2x2(a: float, b: float, c: float):
-    # analytic symmetric 2x2 eigendecomposition (ascending eigenvalues);
-    # the small root comes from the determinant identity lo*hi = det, since
-    # half -+ r cancels catastrophically for extreme eigenvalue ratios
+def _eigvals_2x2(a: float, b: float, c: float) -> tuple[float, float, float]:
+    # analytic symmetric 2x2 eigenvalues (ascending) and the half-gap r, on
+    # Python floats; the small root comes from the determinant identity
+    # lo*hi = det, since half -+ r cancels catastrophically for extreme
+    # eigenvalue ratios. np.hypot, not math.hypot: the two differ in the last
+    # bit on some inputs.
     half = 0.5 * (a + c)
-    r = np.hypot(0.5 * (a - c), b)
+    r = float(np.hypot(0.5 * (a - c), b))
     det = a * c - b * b
     if half >= 0.0:
         hi = half + r
@@ -52,6 +54,11 @@ def _eigh_2x2(a: float, b: float, c: float):
     else:
         lo = half - r
         hi = det / lo if lo != 0.0 else half + r
+    return lo, hi, r
+
+
+def _eigh_2x2(a: float, b: float, c: float):
+    lo, hi, r = _eigvals_2x2(a, b, c)
     if r == 0.0:
         return np.array([lo, hi]), np.eye(2)
     if b == 0.0:
@@ -64,7 +71,7 @@ def _eigh_2x2(a: float, b: float, c: float):
         v0, v1 = hi - c, b
     else:
         v0, v1 = b, hi - a
-    norm = np.hypot(v0, v1)
+    norm = float(np.hypot(v0, v1))
     u0, u1 = v0 / norm, v1 / norm
     return np.array([lo, hi]), np.array([[-u1, u0], [u0, u1]])
 
@@ -110,6 +117,8 @@ def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.shape[0] in (1, 2):
+        return _check_spd_small(m, name, strict, tol)
     if not is_symmetric(m, tol):
         raise ValueError(f"{name} is not symmetric within {tol}")
     w = sym_eigvals(m)
@@ -120,3 +129,35 @@ def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12
     elif np.any(w < bound):
         raise ValueError(f"{name} must be positive semi-definite (min eig {w.min():.3e})")
     return symmetrize(m)
+
+
+def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.ndarray:
+    """``check_spd`` for 1x1 and 2x2 matrices on Python floats: the same tests
+    in the same order, the same messages and the same bits as the numpy path.
+    NaN propagates through the maxima and minima as it does in ``np.max`` and
+    ``np.min``, and of two equal eigenvalues (0.0 and -0.0) the minimum is the
+    second, as ``np.min`` picks it."""
+    if m.shape[0] == 1:
+        a = float(m[0, 0])
+        entries, skew = (a,), (a - a,)
+    else:
+        (a, b), (c, d) = m.tolist()
+        entries, skew = (a, b, c, d), (a - a, b - c, c - b, d - d)
+    # a NaN entry makes a skew entry NaN, which fails the test whatever the
+    # scale, so the scale need not propagate NaN as np.max does
+    scale = max(1.0, *(abs(x) for x in entries))
+    if not all(abs(x) <= tol * scale for x in skew):
+        raise ValueError(f"{name} is not symmetric within {tol}")
+    w = (a,) if m.shape[0] == 1 else _eigvals_2x2(a, 0.5 * (b + c), d)[:2]
+    if any(x != x for x in w):
+        low, bound = float("nan"), -tol
+    else:
+        low, bound = (w[0] if w[0] < w[-1] else w[-1]), -tol * max(1.0, *(abs(x) for x in w))
+    if strict:
+        if any(x <= 0.0 for x in w):
+            raise ValueError(f"{name} must be positive definite (min eig {low:.3e})")
+    elif any(x < bound for x in w):
+        raise ValueError(f"{name} must be positive semi-definite (min eig {low:.3e})")
+    if m.shape[0] == 1:
+        return np.array([[0.5 * (a + a)]])
+    return np.array([[0.5 * (a + a), 0.5 * (b + c)], [0.5 * (c + b), 0.5 * (d + d)]])

@@ -3,7 +3,11 @@
 Every message and marginal in the engine carries one of these variants as its
 payload. Instances are immutable after construction (backing arrays are
 frozen), so they can be shared freely between threads; all operations here are
-pure functions.
+pure functions. Derived Gaussian forms (the precision of a mean-variance
+value, the covariance of a mean-precision value, the mean and covariance of a
+canonical value) are computed on first use and cached as read-only arrays. The
+lazy fill is idempotent: two threads that race on it store equal values, so
+sharing stays safe.
 
 Gaussian values come in three interconvertible parameterizations. Products of
 colliding messages are fused in the canonical (weighted-mean, precision) form,
@@ -21,6 +25,7 @@ from ._linalg import (
     as_matrix,
     as_vector,
     check_spd,
+    floored_eigh,
     spd_inverse,
     spd_logdet,
     spd_solve,
@@ -57,7 +62,12 @@ def _checked_spd(m, name: str, strict: bool = False) -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    """Read-only copy of an array the caller may still hold."""
+    return _freeze_owned(np.array(a, dtype=float))
+
+
+def _freeze_owned(a: np.ndarray) -> np.ndarray:
+    """Make an array no one else holds read-only, without copying it."""
     a.flags.writeable = False
     return a
 
@@ -145,7 +155,8 @@ class GaussianMeanVariance(GaussianBase):
         if v.shape[0] != m.shape[0]:
             raise DistributionError("mean/covariance dimension mismatch")
         self.mean = _freeze(m)
-        self.covariance = _freeze(v)
+        self.covariance = _freeze_owned(v)
+        self._precision = None
 
     @property
     def dim(self) -> int:
@@ -158,7 +169,9 @@ class GaussianMeanVariance(GaussianBase):
         return self.covariance
 
     def precision_matrix(self):
-        return spd_inverse(self.covariance)
+        if self._precision is None:
+            self._precision = _freeze_owned(spd_inverse(self.covariance))
+        return self._precision
 
     def _params_json(self):
         return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
@@ -173,7 +186,8 @@ class GaussianMeanPrecision(GaussianBase):
         if w.shape[0] != m.shape[0]:
             raise DistributionError("mean/precision dimension mismatch")
         self.mean = _freeze(m)
-        self.precision = _freeze(w)
+        self.precision = _freeze_owned(w)
+        self._covariance = None
 
     @property
     def dim(self) -> int:
@@ -183,7 +197,9 @@ class GaussianMeanPrecision(GaussianBase):
         return self.mean
 
     def covariance_matrix(self):
-        return spd_inverse(self.precision)
+        if self._covariance is None:
+            self._covariance = _freeze_owned(spd_inverse(self.precision))
+        return self._covariance
 
     def precision_matrix(self):
         return self.precision
@@ -213,17 +229,28 @@ class GaussianCanonical(GaussianBase):
         if w.size and float(np.max(np.abs(w - w.T))) > 1e-9 * max(1.0, float(np.max(np.abs(w)))):
             raise DistributionError("precision is not symmetric")
         self.weighted_mean = _freeze(xi)
-        self.precision = _freeze(symmetrize(w))
+        self.precision = _freeze_owned(symmetrize(w))
+        self._mean = self._covariance = None
 
     @property
     def dim(self) -> int:
         return self.weighted_mean.shape[0]
 
+    def _moments(self):
+        # one floored eigendecomposition serves both moments; the expressions
+        # are those of spd_solve and spd_inverse, so the bits are theirs
+        if self._covariance is None:
+            w, q = floored_eigh(self.precision)
+            qw = q / w
+            self._mean = _freeze_owned(qw @ (q.T @ self.weighted_mean))
+            self._covariance = _freeze_owned(symmetrize(qw @ q.T))
+        return self._mean, self._covariance
+
     def mean_vector(self):
-        return spd_solve(self.precision, self.weighted_mean)
+        return self._moments()[0]
 
     def covariance_matrix(self):
-        return spd_inverse(self.precision)
+        return self._moments()[1]
 
     def precision_matrix(self):
         return self.precision
@@ -285,7 +312,7 @@ class Wishart(Distribution):
         d = v.shape[0]
         if nu <= d - 1:
             raise DistributionError(f"Wishart dof must exceed dim-1, got nu={nu}, d={d}")
-        self.scale = _freeze(v)
+        self.scale = _freeze_owned(v)
         self.dof = nu
 
     @property
@@ -384,7 +411,7 @@ class Categorical(Distribution):
         s = float(np.sum(p))
         if abs(s - 1.0) > 1e-12:
             raise DistributionError(f"Categorical probabilities must sum to 1, got {s!r}")
-        self.probabilities = _freeze(np.clip(p, 0.0, None))
+        self.probabilities = _freeze_owned(np.clip(p, 0.0, None))
 
     def mean(self) -> np.ndarray:
         return self.probabilities

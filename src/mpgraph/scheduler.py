@@ -108,13 +108,14 @@ class RecognitionFactorization:
 
     def validate(self, graph: FactorGraph, supports: dict[str, Support]):
         latent = latent_stochastic_variables(graph, supports)
+        latent_set = set(latent)
         seen: set[str] = set()
         for fid, vs in self.factors:
             for v in vs:
                 if v in seen:
                     raise SchedulingError(f"variable {v!r} appears in more than one factor")
                 seen.add(v)
-                if v not in latent:
+                if v not in latent_set:
                     raise SchedulingError(
                         f"factor {fid!r} lists {v!r}, which is not a latent stochastic variable"
                     )
@@ -146,7 +147,7 @@ def clamp_slot(node: Node):
 def latent_stochastic_variables(graph: FactorGraph, supports=None) -> list[str]:
     """Variables produced by a stochastic node and not clamped, in edge order."""
     clamped = clamped_variables(graph)
-    names: list[str] = []
+    names: dict[str, None] = {}  # insertion-ordered set
     for edge in graph.edges:
         if edge.variable in clamped or edge.variable in names:
             continue
@@ -154,8 +155,8 @@ def latent_stochastic_variables(graph: FactorGraph, supports=None) -> list[str]:
             continue
         producer = graph.node_at(edge.tail)
         if producer.kind in STOCHASTIC_KINDS and edge.tail[1] == 0:
-            names.append(edge.variable)
-    return names
+            names[edge.variable] = None
+    return list(names)
 
 
 def default_factorization(graph: FactorGraph) -> RecognitionFactorization:
@@ -163,11 +164,12 @@ def default_factorization(graph: FactorGraph) -> RecognitionFactorization:
     every other latent variable gets its own mean-field factor."""
     supports = infer_supports(graph)
     latent = latent_stochastic_variables(graph, supports)
+    latent_set = set(latent)
     sections = analyze_sections(graph, supports)
     succ: dict[str, str] = {}
     pred: dict[str, str] = {}
     for sec in sections.values():
-        if sec.leaf_var in latent and sec.out_var in latent:
+        if sec.leaf_var in latent_set and sec.out_var in latent_set:
             succ[sec.leaf_var] = sec.out_var
             pred[sec.out_var] = sec.leaf_var
     chains: list[tuple[str, list[str]]] = []

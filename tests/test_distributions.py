@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mpgraph._linalg import spd_inverse, spd_solve
 from mpgraph.distributions import (
     Categorical,
     DegenerateEntropy,
@@ -368,3 +369,57 @@ class TestJsonAndVague:
             Wishart(np.eye(2), 0.5)
         with pytest.raises(DistributionError):
             Dirichlet([1.0, 0.0])
+
+
+def _random_spd(rng, d):
+    a = rng.normal(size=(d, d))
+    return a @ a.T + 0.5 * np.eye(d)
+
+
+# each Gaussian form with its derived forms and the spd_* value each must equal
+DERIVED = {
+    "mean_variance": (GaussianMeanVariance, lambda g: {
+        "precision_matrix": spd_inverse(g.covariance),
+    }),
+    "mean_precision": (GaussianMeanPrecision, lambda g: {
+        "covariance_matrix": spd_inverse(g.precision),
+    }),
+    "canonical": (GaussianCanonical, lambda g: {
+        "mean_vector": spd_solve(g.precision, g.weighted_mean),
+        "covariance_matrix": spd_inverse(g.precision),
+    }),
+}
+
+
+class TestDerivedForms:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("form", sorted(DERIVED))
+    def test_cached_read_only_and_bit_equal(self, form, dim):
+        cls, expected = DERIVED[form]
+        rng = np.random.default_rng(dim)
+        g = cls(rng.normal(size=dim), _random_spd(rng, dim))
+        for name, want in expected(g).items():
+            got = getattr(g, name)()
+            assert getattr(g, name)() is got, name
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            GaussianMeanVariance,
+            GaussianMeanPrecision,
+            GaussianCanonical,
+            lambda v, m: Wishart(m, 3.0),
+            lambda v, m: Categorical(v),
+        ],
+        ids=["mean_variance", "mean_precision", "canonical", "wishart", "categorical"],
+    )
+    def test_caller_arrays_are_copied(self, make):
+        vec, mat = np.array([0.25, 0.75]), np.array([[2.0, 0.3], [0.3, 1.0]])
+        d = make(vec, mat)
+        before = d.to_json()
+        vec[:] = [0.5, 0.5]
+        mat[:] = [[5.0, 1.0], [1.0, 4.0]]
+        assert d.to_json() == before

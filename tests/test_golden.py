@@ -1,8 +1,9 @@
-"""Byte-for-byte golden listings: ``render_schedules`` and ``render`` output
-for four models, from the library and from ``mpgraph compile``.
+"""Golden outputs: byte-for-byte ``render_schedules`` and ``render`` listings
+for four models, from the library and from ``mpgraph compile``, and the free
+energy trace (one ``repr`` per iteration) of three inference runs.
 
 The files under ``tests/golden/`` are the contract. Regenerate them only for
-an intended listing change:
+an intended listing or numerical change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,7 +15,8 @@ import pytest
 from mpgraph.cli import main
 from mpgraph.codegen import compile_program, render
 from mpgraph.dsl import parse_model
-from mpgraph.models import HmgmModel, ProbitSsmModel
+from mpgraph.engine import run_inference
+from mpgraph.models import HmgmModel, ProbitSsmModel, RandomWalkModel, sample_generative
 from mpgraph.scheduler import (
     default_factorization,
     render_schedules,
@@ -57,6 +59,38 @@ def listings(name: str) -> dict[str, str]:
     return {"schedule.txt": render_schedules(schedules), "algorithm.txt": render(ir)}
 
 
+def _probit_trace():
+    model = ProbitSsmModel()
+    data, _ = sample_generative("probit-ssm", seed=1, T=12)
+    return run_inference(*model.build(12), data, model.initial_marginals(12),
+                         max_iters=5, tol=0.0, ep_damping=0.5)
+
+
+def _hmgm_trace():
+    model = HmgmModel(K=3)
+    data, _ = sample_generative("hmgm", seed=1, T=30)
+    return run_inference(*model.build(30), data, model.initial_marginals(30, data),
+                         max_iters=20, tol=1e-6)
+
+
+def _random_walk_trace():
+    graph = parse_model(RW_MODEL, {"T": 20})
+    data, _ = sample_generative("random-walk", seed=1, T=20)
+    return run_inference(graph, default_factorization(graph), data,
+                         RandomWalkModel().initial_marginals(20), max_iters=10, tol=1e-9)
+
+
+TRACES = {
+    "probit_T12_damped": _probit_trace,
+    "hmgm_K3_T30": _hmgm_trace,
+    "random_walk_T20": _random_walk_trace,
+}
+
+
+def trace_text(name: str) -> str:
+    return "".join(f"{f!r}\n" for f in TRACES[name]().free_energy_trace)
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_library_listings_match_golden(name):
     for suffix, text in listings(name).items():
@@ -73,8 +107,18 @@ def test_compile_command_writes_golden_listings(tmp_path):
         assert (out / suffix).read_bytes() == expected, suffix
 
 
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_free_energy_trace_matches_golden(name):
+    got = TRACES[name]().free_energy_trace
+    want = [float(f) for f in (GOLDEN / f"{name}.ftrace.txt").read_text().split()]
+    assert len(got) == len(want)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in MODELS:
         for suffix, text in listings(name).items():
             (GOLDEN / f"{name}.{suffix}").write_text(text)
+    for name in TRACES:
+        (GOLDEN / f"{name}.ftrace.txt").write_text(trace_text(name))
