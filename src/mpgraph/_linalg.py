@@ -7,6 +7,8 @@ speed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 EIG_FLOOR = 1e-12
@@ -32,11 +34,6 @@ def as_matrix(x) -> np.ndarray:
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
-
-
-def is_symmetric(m: np.ndarray, tol: float = 1e-12) -> bool:
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    return bool(np.max(np.abs(m - m.T)) <= tol * scale) if m.size else True
 
 
 def _eigvals_2x2(a: float, b: float, c: float) -> tuple[float, float, float]:
@@ -113,13 +110,17 @@ def spd_logdet(m: np.ndarray, floor: float = EIG_FLOOR) -> float:
 
 
 def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12):
-    """Validate symmetry and (semi-)definiteness; returns the symmetrized matrix."""
+    """Validate finiteness, symmetry and (semi-)definiteness; returns the
+    symmetrized matrix."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] in (1, 2):
         return _check_spd_small(m, name, strict, tol)
-    if not is_symmetric(m, tol):
+    top = float(np.max(np.abs(m))) if m.size else 0.0
+    if not top < math.inf:  # NaN fails the comparison as well
+        raise ValueError(f"{name} has a non-finite entry")
+    if m.size and not np.max(np.abs(m - m.T)) <= tol * max(1.0, top):
         raise ValueError(f"{name} is not symmetric within {tol}")
     w = sym_eigvals(m)
     bound = -tol * max(1.0, float(np.max(np.abs(w))))
@@ -134,17 +135,18 @@ def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12
 def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.ndarray:
     """``check_spd`` for 1x1 and 2x2 matrices on Python floats: the same tests
     in the same order, the same messages and the same bits as the numpy path.
-    NaN propagates through the maxima and minima as it does in ``np.max`` and
-    ``np.min``, and of two equal eigenvalues (0.0 and -0.0) the minimum is the
-    second, as ``np.min`` picks it."""
+    A NaN eigenvalue (finite entries can overflow to one) propagates through
+    the maxima and minima as it does in ``np.max`` and ``np.min``, and of two
+    equal eigenvalues (0.0 and -0.0) the minimum is the second, as ``np.min``
+    picks it."""
     if m.shape[0] == 1:
         a = float(m[0, 0])
         entries, skew = (a,), (a - a,)
     else:
         (a, b), (c, d) = m.tolist()
         entries, skew = (a, b, c, d), (a - a, b - c, c - b, d - d)
-    # a NaN entry makes a skew entry NaN, which fails the test whatever the
-    # scale, so the scale need not propagate NaN as np.max does
+    if not all(math.isfinite(x) for x in entries):
+        raise ValueError(f"{name} has a non-finite entry")
     scale = max(1.0, *(abs(x) for x in entries))
     if not all(abs(x) <= tol * scale for x in skew):
         raise ValueError(f"{name} is not symmetric within {tol}")

@@ -242,8 +242,8 @@ class DslStreamingTemplate:
 
 def _substitute_prior(graph: FactorGraph, var: str, dist):
     producer = None
-    for edge in graph.edges:
-        if edge.variable == var and edge.tail is not None:
+    for edge in graph.variable_edges(var):
+        if edge.tail is not None:
             node = graph.node_at(edge.tail)
             if node.kind != "equality" and edge.tail[1] == 0:
                 producer = node

@@ -226,7 +226,10 @@ class GaussianCanonical(GaussianBase):
         w = as_matrix(precision)
         if w.shape[0] != w.shape[1] or w.shape[0] != xi.shape[0]:
             raise DistributionError("weighted-mean/precision dimension mismatch")
-        if w.size and float(np.max(np.abs(w - w.T))) > 1e-9 * max(1.0, float(np.max(np.abs(w)))):
+        top = float(np.max(np.abs(w))) if w.size else 0.0
+        if not top < np.inf:  # NaN fails the comparison as well
+            raise DistributionError("precision has a non-finite entry")
+        if w.size and float(np.max(np.abs(w - w.T))) > 1e-9 * max(1.0, top):
             raise DistributionError("precision is not symmetric")
         self.weighted_mean = _freeze(xi)
         self.precision = _freeze_owned(symmetrize(w))

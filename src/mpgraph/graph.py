@@ -150,6 +150,7 @@ class FactorGraph:
         self.placeholders: list[Placeholder] = []
         self.composites: dict[str, CompositeDefinition] = {}
         self._frontier: dict[str, int] = {}  # variable -> edge id with latest free/taken head
+        self._edges_of: dict[str, list[int]] = {}  # variable -> its edge ids in creation order
 
     # -- lookups ------------------------------------------------------------
 
@@ -162,13 +163,10 @@ class FactorGraph:
         raise GraphError(f"unknown node kind {node.kind!r}")
 
     def variable_edges(self, name: str) -> list[Edge]:
-        return [e for e in self.edges if e.variable == name]
+        return [self.edges[i] for i in self._edges_of.get(name, ())]
 
     def variables(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.edges:
-            seen.setdefault(e.variable, None)
-        return list(seen)
+        return list(self._edges_of)
 
     def node_at(self, site: tuple[int, int]) -> Node:
         return self.nodes[site[0]]
@@ -182,20 +180,21 @@ class FactorGraph:
     def add_variable(self, name: str) -> Edge:
         if name in self._frontier:
             raise GraphError(f"variable {name!r} already declared")
-        edge = Edge(len(self.edges), name)
-        self.edges.append(edge)
+        edge = self._new_segment(name)
         self._frontier[name] = edge.id
         return edge
 
     def _new_segment(self, name: str) -> Edge:
+        """The one place edges are appended; keeps the per-variable index."""
         edge = Edge(len(self.edges), name)
         self.edges.append(edge)
+        self._edges_of.setdefault(name, []).append(edge.id)
         return edge
 
     def _attach_output(self, name: str, site: tuple[int, int]):
         if name not in self._frontier:
             self.add_variable(name)
-        first = self.variable_edges(name)[0]
+        first = self.edges[self._edges_of[name][0]]
         if first.tail is not None:
             raise GraphError(f"variable {name!r} already has a producing factor")
         first.tail = site
@@ -327,8 +326,7 @@ class FactorGraph:
             node_map[node.id] = clone.id
         edge_map: dict[int, int] = {}
         for edge in self.edges:
-            clone = Edge(len(flat.edges), edge.variable)
-            flat.edges.append(clone)
+            clone = flat._new_segment(edge.variable)
             edge_map[edge.id] = clone.id
             for attr in ("tail", "head"):
                 site = getattr(edge, attr)
@@ -349,15 +347,14 @@ class FactorGraph:
             for se in sub.edges:
                 if se.tail is None or se.head is None:
                     continue
-                clone = Edge(len(flat.edges), prefix + se.variable)
-                flat.edges.append(clone)
+                clone = flat._new_segment(prefix + se.variable)
                 clone.tail = (sub_nodes[se.tail[0]], se.tail[1])
                 clone.head = (sub_nodes[se.head[0]], se.head[1])
                 flat.nodes[clone.tail[0]].interfaces[clone.tail[1]] = clone.id
                 flat.nodes[clone.head[0]].interfaces[clone.head[1]] = clone.id
             for iface, (role, var) in enumerate(comp.interface_map):
                 outer = flat.edges[edge_map[node.interfaces[iface]]]
-                inner = next(e for e in sub.edges if e.variable == var and (e.tail is None or e.head is None))
+                inner = next(e for e in sub.variable_edges(var) if e.tail is None or e.head is None)
                 inner_site = inner.tail if inner.tail is not None else inner.head
                 site = (sub_nodes[inner_site[0]], inner_site[1])
                 if outer.tail is None:
@@ -365,9 +362,7 @@ class FactorGraph:
                 else:
                     outer.head = site
                 flat.nodes[site[0]].interfaces[site[1]] = outer.id
-        flat._frontier = {}
-        for e in flat.edges:
-            flat._frontier[e.variable] = e.id
+        flat._frontier = {var: ids[-1] for var, ids in flat._edges_of.items()}
         return flat.flatten()
 
     def validate(self, targets=None) -> list[str]:
@@ -464,12 +459,11 @@ class FactorGraph:
                 raise GraphError("node ids must be contiguous")
             g.nodes.append(node)
         for spec in obj["edges"]:
-            edge = Edge(spec["id"], spec["variable"])
+            if spec["id"] != len(g.edges):
+                raise GraphError("edge ids must be contiguous")
+            edge = g._new_segment(spec["variable"])
             edge.tail = tuple(spec["tail"]) if spec["tail"] else None
             edge.head = tuple(spec["head"]) if spec["head"] else None
-            if edge.id != len(g.edges):
-                raise GraphError("edge ids must be contiguous")
-            g.edges.append(edge)
             g._frontier[edge.variable] = edge.id
         for spec in obj.get("placeholders", []):
             g.placeholders.append(Placeholder(spec["name"], spec["index"], tuple(spec["dims"])))

@@ -17,7 +17,6 @@ keeps every per-sweep schedule acyclic.
 from __future__ import annotations
 
 import json
-import sys
 
 import numpy as np
 
@@ -218,6 +217,24 @@ def analyze_mean_side(graph: FactorGraph, node: Node, out_dim: int) -> MeanSideI
     return affine_subtree(graph, node.interfaces[mean_idx], (node.id, mean_idx), out_dim, node.id)
 
 
+class MeanSides(dict):
+    """``analyze_mean_side`` per node id, computed on first use. One table
+    serves one scheduling call, so each node's mean side is walked once; a
+    failed analysis is not stored and raises again on the next use."""
+
+    def __init__(self, graph: FactorGraph, supports: dict[str, Support]):
+        super().__init__()
+        self.graph = graph
+        self.supports = supports
+
+    def __missing__(self, node_id: int) -> MeanSideInfo:
+        node = self.graph.nodes[node_id]
+        sup = self.supports.get(self.graph.edges[node.interfaces[0]].variable)
+        out_dim = 1 if node.kind == "probit" or sup is None else sup.dim
+        info = self[node_id] = analyze_mean_side(self.graph, node, out_dim)
+        return info
+
+
 def affine_subtree(graph: FactorGraph, root_edge: int, root_site, out_dim: int, node_id) -> MeanSideInfo:
     """Decompose the producer side of an edge into g(sum_i G_i v_i + c)."""
     info = MeanSideInfo()
@@ -287,8 +304,10 @@ class Section:
         self.matrix_var = matrix_var
 
 
-def analyze_sections(graph: FactorGraph, supports) -> dict[int, Section]:
+def analyze_sections(graph: FactorGraph, supports, mean_sides: MeanSides | None = None) -> dict[int, Section]:
     """Map stochastic transition-like nodes to (leaf -> out) section records."""
+    if mean_sides is None:
+        mean_sides = MeanSides(graph, supports)
     clamped = clamped_variables(graph)
     sections: dict[int, Section] = {}
     for node in graph.nodes:
@@ -305,10 +324,8 @@ def analyze_sections(graph: FactorGraph, supports) -> dict[int, Section]:
                 continue
             sections[node.id] = Section(node, in_var, out_var, "transition", matrix_var=matrix_var)
             continue
-        sup = supports.get(out_var)
-        out_dim = sup.dim if sup else 1
         try:
-            mean_info = analyze_mean_side(graph, node, out_dim)
+            mean_info = mean_sides[node.id]
         except SchedulingError:
             continue
         if mean_info.nonlinear is not None:
@@ -452,10 +469,11 @@ class FreeEnergyProgram:
 
 
 class _FactorScheduler:
-    def __init__(self, graph, supports, owner, factor_id, factor_vars, links, registry,
+    def __init__(self, graph, supports, mean_sides, owner, factor_id, factor_vars, links, registry,
                  ep_damping=None):
         self.graph = graph
         self.supports = supports
+        self.mean_sides = mean_sides
         self.owner = owner  # var -> factor id (stochastic latents only)
         self.factor_id = factor_id
         self.factor_vars = list(factor_vars)
@@ -484,10 +502,38 @@ class _FactorScheduler:
 
     def require(self, edge_id: int, direction: str):
         """Slot ref for the message on edge ``edge_id`` flowing ``direction``
-        ('fwd' = out of the tail node, 'bwd' = out of the head node)."""
-        key = (edge_id, direction)
+        ('fwd' = out of the tail node, 'bwd' = out of the head node).
+
+        A message computed from inbound messages comes out of an ``emit``
+        generator, which yields the ``(edge_id, direction)`` of each inbound
+        it needs. The suspended generators wait on an explicit stack, so a
+        dependency chain of any length runs in a fixed number of Python
+        frames; entries are appended in the order a depth-first recursion
+        would append them."""
+        stack: list = []  # (key, suspended emit generator), innermost last
+        try:
+            slot = self._open((edge_id, direction), stack)
+            while stack:
+                key, gen = stack[-1]
+                try:
+                    request = gen.send(slot)
+                except StopIteration as done:
+                    stack.pop()
+                    self.in_progress.discard(key)
+                    slot = self.memo[key] = done.value
+                else:
+                    slot = self._open(request, stack)
+            return slot
+        finally:
+            for key, _ in stack:
+                self.in_progress.discard(key)
+
+    def _open(self, key: tuple[int, str], stack: list):
+        """The slot of a message that needs no inbound messages, or None
+        after pushing the generator that will emit it onto ``stack``."""
         if key in self.memo:
             return self.memo[key]
+        edge_id, direction = key
         edge = self.graph.edges[edge_id]
         source = edge.tail if direction == "fwd" else edge.head
         if source is None:
@@ -529,24 +575,29 @@ class _FactorScheduler:
                 "a recognition factorization must break this loop"
             )
         self.in_progress.add(key)
-        try:
-            slot = self.emit(node, source[1], edge_id, direction)
-        finally:
-            self.in_progress.discard(key)
-        self.memo[key] = slot
-        return slot
+        stack.append((key, self.emit(node, source[1], edge_id, direction)))
+        return None
 
-    def inbound_slot(self, node: Node, iface: int):
+    def inbound(self, node: Node, iface: int):
+        """What a node reads on an interface: a ``("marginal", var)`` slot
+        when the variable belongs to another recognition factor, else the
+        ``(edge_id, direction)`` of the message flowing into the node."""
         edge_id = node.interfaces[iface]
         edge = self.graph.edges[edge_id]
-        var = edge.variable
-        fam = self.owner.get(var)
+        fam = self.owner.get(edge.variable)
         if fam is not None and fam != self.factor_id:
-            return ("marginal", var), MARGINAL
-        toward = "fwd" if edge.head == (node.id, iface) else "bwd"
-        slot = self.require(edge_id, toward)
-        kind = MARGINAL if slot[0] == "entry" and slot[1] in self.belief_entries else MESSAGE
-        return slot, kind
+            return ("marginal", edge.variable)
+        return (edge_id, "fwd" if edge.head == (node.id, iface) else "bwd")
+
+    def slot_kind(self, slot):
+        if slot[0] == "marginal" or (slot[0] == "entry" and slot[1] in self.belief_entries):
+            return MARGINAL
+        return MESSAGE
+
+    def inbound_slot(self, node: Node, iface: int):
+        target = self.inbound(node, iface)
+        slot = target if target[0] == "marginal" else self.require(*target)
+        return slot, self.slot_kind(slot)
 
     def try_belief_transport(self, node: Node, edge, direction: str):
         """When a deterministic subtree depends only on other factors'
@@ -580,6 +631,8 @@ class _FactorScheduler:
         return slot
 
     def emit(self, node: Node, out_iface: int, edge_id: int, direction: str):
+        """Generator: yields the (edge_id, direction) of each inbound message
+        it needs, receives its slot, and returns the emitted entry's slot."""
         roles = node.roles(self.graph)
         role = roles[out_iface]
         if node.kind in GAUSSIAN_NODE_KINDS and role in ("precision", "variance"):
@@ -592,9 +645,10 @@ class _FactorScheduler:
                 slots.append(("void",))
                 kinds.append(VOID)
             else:
-                slot, kind = self.inbound_slot(node, idx)
+                target = self.inbound(node, idx)
+                slot = target if target[0] == "marginal" else (yield target)
                 slots.append(slot)
-                kinds.append(kind)
+                kinds.append(self.slot_kind(slot))
         query = self.query_of(slots, kinds)
         rule = self.registry.lookup(node.kind, role, query)
         constants = dict(node.constants)
@@ -608,7 +662,7 @@ class _FactorScheduler:
             in_idx = roles.index("in")
             in_edge = node.interfaces[in_idx]
             toward = "fwd" if self.graph.edges[in_edge].head == (node.id, in_idx) else "bwd"
-            extra = self.require(in_edge, toward)
+            extra = yield (in_edge, toward)
         out_variant = rule.out_type([q[1] for q in query], constants).__name__
         return self.append_entry(rule, slots, out_variant, constants,
                                  (self.graph.edges[edge_id].variable, direction), extra)
@@ -637,7 +691,7 @@ class _FactorScheduler:
         out_var = self.graph.edges[node.interfaces[0]].variable
         sup = self.supports.get(out_var, Support("gaussian", ()))
         out_dim = sup.dim
-        mean_info = analyze_mean_side(self.graph, node, out_dim)
+        mean_info = self.mean_sides[node.id]
         out_slot, uses_joint = self.out_belief_slot(node)
         if mean_info.nonlinear is not None:
             if len(mean_info.leaves) != 1:
@@ -857,9 +911,9 @@ def schedule_sum_product(graph: FactorGraph, targets, registry: RuleRegistry | N
     of scope)."""
     registry = registry or default_registry()
     graph = _prepare(graph, registry)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100 * len(graph.nodes) + 10000))
     supports = infer_supports(graph)
-    sched = _FactorScheduler(graph, supports, {}, "sum_product", list(targets), {}, registry)
+    sched = _FactorScheduler(graph, supports, MeanSides(graph, supports), {}, "sum_product",
+                             list(targets), {}, registry)
     for var in targets:
         edges = graph.variable_edges(var)
         if not edges:
@@ -887,14 +941,14 @@ def schedule_vmp(
     flavor); two-slice joints are produced for chain sections."""
     registry = registry or default_registry()
     graph = _prepare(graph, registry)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100 * len(graph.nodes) + 10000))
     supports = infer_supports(graph)
     rf.validate(graph, supports)
     owner = rf.factor_of()
-    links = factor_links(analyze_sections(graph, supports), owner)
+    mean_sides = MeanSides(graph, supports)
+    links = factor_links(analyze_sections(graph, supports, mean_sides), owner)
     result: dict[str, Schedule] = {}
     for fid, fvars in rf.factors:
-        sched = _FactorScheduler(graph, supports, owner, fid, fvars, links, registry,
+        sched = _FactorScheduler(graph, supports, mean_sides, owner, fid, fvars, links, registry,
                                  ep_damping=ep_damping)
         result[fid] = sched.build()
     return result
@@ -931,7 +985,8 @@ def schedule_free_energy(
     supports = infer_supports(graph)
     rf.validate(graph, supports)
     owner = rf.factor_of()
-    links = factor_links(analyze_sections(graph, supports), owner)
+    mean_sides = MeanSides(graph, supports)
+    links = factor_links(analyze_sections(graph, supports, mean_sides), owner)
     clamps = clamped_variables(graph)
 
     def belief_slot(var: str):
@@ -967,7 +1022,7 @@ def schedule_free_energy(
             energies.append(FreeEnergyTerm("gaussian_mixture", slots, {}, f"node{node.id}:mixture"))
             continue
         if node.kind == "probit":
-            info = analyze_mean_side(graph, node, 1)
+            info = mean_sides[node.id]
             leaves = info.leaf_vars()
             if info.nonlinear is not None or len(leaves) != 1:
                 raise SchedulingError(f"unsupported probit composition at node {node.id}")
@@ -978,8 +1033,7 @@ def schedule_free_energy(
             energies.append(FreeEnergyTerm("probit_affine", slots, constants, f"node{node.id}:probit"))
             continue
         # gaussian nodes
-        sup = supports.get(out_var, Support("gaussian", ()))
-        info = analyze_mean_side(graph, node, sup.dim)
+        info = mean_sides[node.id]
         prec_role = "precision" if "precision" in roles else "variance"
         prec_slot = belief_slot(graph.edges[node.interfaces[roles.index(prec_role)]].variable)
         if node.kind == "gaussian_mean_variance":

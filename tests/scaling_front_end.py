@@ -1,0 +1,55 @@
+"""Front-end scaling on the README random walk: wall seconds per stage for a
+few chain lengths, and the interpreter's recursion limit before and after.
+
+A script, not a test (pytest does not collect it, and it asserts no time):
+
+    PYTHONPATH=src python tests/scaling_front_end.py [T ...]   # default: 400 1600 6400
+
+It prints a Markdown table; near-linear growth in T is what to look for.
+"""
+
+import sys
+import time
+
+from mpgraph.codegen import compile_program, render
+from mpgraph.dsl import parse_model
+from mpgraph.scheduler import default_factorization, schedule_free_energy, schedule_vmp
+from test_cli import RW_MODEL
+
+STAGES = ("parse", "default_factorization", "schedule_vmp", "schedule_free_energy",
+          "compile_program", "render")
+
+
+def front_end(T: int) -> dict[str, float]:
+    seconds: dict[str, float] = {}
+
+    def timed(stage, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        seconds[stage] = time.perf_counter() - start
+        return out
+
+    graph = timed("parse", parse_model, RW_MODEL, {"T": T})
+    rf = timed("default_factorization", default_factorization, graph)
+    schedules = timed("schedule_vmp", schedule_vmp, graph, rf)
+    fe = timed("schedule_free_energy", schedule_free_energy, graph, rf)
+    ir = timed("compile_program", compile_program, schedules, fe)
+    timed("render", render, ir)
+    return seconds
+
+
+def main(lengths: list[int]):
+    header = ["T", *STAGES, "total", "recursion limit before", "after"]
+    print("| " + " | ".join(header) + " |")
+    print("|" + "---|" * len(header))
+    for T in lengths:
+        before = sys.getrecursionlimit()
+        seconds = front_end(T)
+        after = sys.getrecursionlimit()
+        cells = [str(T), *(f"{seconds[s]:.2f}" for s in STAGES), f"{sum(seconds.values()):.2f}",
+                 str(before), str(after)]
+        print("| " + " | ".join(cells) + " |", flush=True)
+
+
+if __name__ == "__main__":
+    main([int(t) for t in sys.argv[1:]] or [400, 1600, 6400])

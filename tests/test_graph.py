@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpgraph.dsl import ModelParseError, parse_model
 from mpgraph.graph import (
@@ -8,6 +10,8 @@ from mpgraph.graph import (
     infer_supports,
     structurally_isomorphic,
 )
+from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
+from test_cli import RW_MODEL
 
 
 def build_four_factor_chain():
@@ -103,18 +107,36 @@ class TestValidate:
         assert any("contiguous" in d for d in g.validate())
 
 
-class TestComposite:
-    def gain_equality(self):
-        sub = FactorGraph()
-        sub.add_variable("x")
-        sub.add_variable("z")
-        sub.add_node("equality", {"1": "x", "2": "z", "3": "w"})
-        sub.add_node("gain", {"out": "y", "in": "w"}, {"matrix": np.array([[1.0, 0.0]])})
-        return sub
+def gain_equality_subgraph():
+    sub = FactorGraph()
+    sub.add_variable("x")
+    sub.add_variable("z")
+    sub.add_node("equality", {"1": "x", "2": "z", "3": "w"})
+    sub.add_node("gain", {"out": "y", "in": "w"}, {"matrix": np.array([[1.0, 0.0]])})
+    return sub
 
+
+def nested_composite_graph(instances: int) -> FactorGraph:
+    """``instances`` uses of a composite that wraps another composite, all on
+    one shared state, so the flattened graph branches it through equalities."""
+    g = FactorGraph()
+    g.define_composite("GainEquality", gain_equality_subgraph(), [("y", "y"), ("x", "x"), ("z", "z")])
+    outer = FactorGraph()
+    outer.composites = dict(g.composites)
+    outer.add_variable("a")
+    outer.add_variable("b")
+    outer.add_node("GainEquality", {"y": "c", "x": "a", "z": "b"})
+    g.define_composite("Wrapped", outer, [("c", "c"), ("a", "a"), ("b", "b")])
+    g.add_node("gaussian_mean_variance", {"out": "xs", "mean": [0.0, 0.0], "variance": np.eye(2).tolist()})
+    for i in range(instances):
+        g.add_node("Wrapped", {"c": f"obs{i}", "a": "xs", "b": f"z{i}"})
+    return g
+
+
+class TestComposite:
     def test_define_and_flatten(self):
         g = FactorGraph()
-        sub = self.gain_equality()
+        sub = gain_equality_subgraph()
         g.define_composite("GainEquality", sub, [("y", "y"), ("x", "x"), ("z", "z")])
         g.add_node("gaussian_mean_variance", {"out": "xs", "mean": [0.0, 0.0], "variance": np.eye(2).tolist()})
         g.add_node("GainEquality", {"y": "obs", "x": "xs", "z": "znext"})
@@ -126,24 +148,13 @@ class TestComposite:
         assert flat.validate() == []
 
     def test_nested_flatten_preserves_multiset(self):
-        g = FactorGraph()
-        sub = self.gain_equality()
-        g.define_composite("GainEquality", sub, [("y", "y"), ("x", "x"), ("z", "z")])
-        outer = FactorGraph()
-        outer.composites = dict(g.composites)
-        outer.add_variable("a")
-        outer.add_variable("b")
-        outer.add_node("GainEquality", {"y": "c", "x": "a", "z": "b"})
-        g.define_composite("Wrapped", outer, [("c", "c"), ("a", "a"), ("b", "b")])
-        g.add_node("gaussian_mean_variance", {"out": "xs", "mean": [0.0, 0.0], "variance": np.eye(2).tolist()})
-        g.add_node("Wrapped", {"c": "obs", "a": "xs", "b": "znext"})
-        flat = g.flatten()
+        flat = nested_composite_graph(1).flatten()
         kinds = [n.kind for n in flat.nodes if n.kind not in ("clamp",)]
         assert sorted(kinds) == ["equality", "gain", "gaussian_mean_variance"]
 
     def test_unmapped_boundary_rejected(self):
         g = FactorGraph()
-        sub = self.gain_equality()
+        sub = gain_equality_subgraph()
         with pytest.raises(GraphError):
             g.define_composite("Bad", sub, [("y", "y"), ("x", "x")])
 
@@ -268,3 +279,49 @@ class TestValidateTargets:
         assert g.validate(targets=["x"]) == []
         diags = g.validate(targets=[])
         assert any("untargeted half-edge" in d for d in diags)
+
+
+@st.composite
+def random_graphs(draw):
+    """Gaussian nodes whose means and variances reuse earlier variables at
+    random, so some variables get many segments; clamps sprinkled in."""
+    g = FactorGraph()
+    g.add_node("gamma", {"out": "v0", "shape": 1.0, "rate": 1.0})
+    names = ["v0"]
+    for i in range(1, draw(st.integers(1, 12))):
+        mean = draw(st.one_of(st.sampled_from(names), st.just(0.0)))
+        variance = draw(st.one_of(st.sampled_from(names), st.just(1.0)))
+        g.add_node("gaussian_mean_variance", {"out": f"v{i}", "mean": mean, "variance": variance})
+        names.append(f"v{i}")
+        if draw(st.booleans()):
+            g.clamp(draw(st.sampled_from(names)), 0.5)
+    return g
+
+
+def built_graph(how: str, size: int, data) -> FactorGraph:
+    if how == "dsl":
+        return parse_model(data.draw(st.sampled_from([RW_MODEL, TestDsl.HMGM])), {"T": size})
+    if how == "models":
+        model = data.draw(st.sampled_from([LgssmModel(), LgssmModel(nonlinear=True), ProbitSsmModel(),
+                                           RandomWalkModel(), HmgmModel(), Co2Model()]))
+        return model.build(size)[0]
+    if how == "flatten":
+        return nested_composite_graph(size).flatten()
+    return data.draw(random_graphs())
+
+
+class TestEdgeIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["dsl", "models", "flatten", "random"]), st.integers(1, 6), st.booleans(), st.data())
+    def test_variable_edges_equal_full_scan(self, how, size, via_json, data):
+        g = built_graph(how, size, data)
+        if via_json:
+            g = FactorGraph.from_json(g.to_json())
+            # the index stays right as a loaded graph grows
+            for var in data.draw(st.lists(st.sampled_from([e.variable for e in g.edges]), max_size=3)):
+                g.clamp(var, 1.0)
+        variables = list(dict.fromkeys(e.variable for e in g.edges))
+        assert g.variables() == variables
+        for var in variables:
+            assert g.variable_edges(var) == [e for e in g.edges if e.variable == var]
+        assert g.variable_edges("not a variable") == []

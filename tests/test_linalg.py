@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpgraph._linalg import _eigh_2x2, as_matrix, check_spd, is_symmetric, sym_eigvals, symmetrize
+from mpgraph._linalg import _eigh_2x2, as_matrix, check_spd, sym_eigvals, symmetrize
+from mpgraph.distributions import DistributionError, GaussianCanonical, GaussianMeanPrecision, GaussianMeanVariance
 
 TOL = 1e-12
 
@@ -16,7 +17,10 @@ def reference_check_spd(m, name, strict=False, tol=1e-12):
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not is_symmetric(m, tol):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has a non-finite entry")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if not np.max(np.abs(m - m.T)) <= tol * scale:
         raise ValueError(f"{name} is not symmetric within {tol}")
     w = sym_eigvals(m)
     bound = -tol * max(1.0, float(np.max(np.abs(w))))
@@ -96,25 +100,58 @@ def test_boundary_cases_land_on_both_sides():
 NONFINITE = [np.nan, np.inf, -np.inf]
 
 
+def with_nonfinite(n, entry, value):
+    """An n x n SPD matrix with one entry set to ``value``."""
+    m = np.eye(n) + 0.25 * (np.ones((n, n)) - np.eye(n))
+    m[entry] = value
+    return m
+
+
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1), None], ids=str)
 def test_nonfinite_entry(entry, value, strict):
-    if entry is None:
-        m = [[value]]
-    else:
-        m = np.array([[2.0, 0.5], [0.5, 1.0]])
-        m[entry] = value
+    # a non-finite entry fails first, before the symmetry test; an infinite
+    # off-diagonal entry used to pass it (|inf - x| <= tol * inf)
+    m = with_nonfinite(1, (0, 0), value) if entry is None else with_nonfinite(2, entry, value)
     assert_same(m, strict)
-    if entry is None or entry[0] == entry[1] or value != value:
-        with pytest.raises(ValueError, match="is not symmetric"):
+    with pytest.raises(ValueError, match="m has a non-finite entry"):
+        check_spd(m, "m", strict=strict)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
+def test_nonfinite_entry_numpy_path(value, strict):
+    for entry in np.ndindex(3, 3):
+        m = with_nonfinite(3, entry, value)
+        assert_same(m, strict)
+        with pytest.raises(ValueError, match="m has a non-finite entry"):
             check_spd(m, "m", strict=strict)
 
 
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("pair", [(np.inf, np.inf), (np.inf, -np.inf), (np.nan, np.inf)], ids=str)
+@pytest.mark.parametrize("pair", [(np.inf, np.inf), (np.inf, -np.inf), (np.nan, np.inf), (np.inf, 0.5)],
+                         ids=str)
 def test_nonfinite_off_diagonal_pair(pair, strict):
-    assert_same([[1.0, pair[0]], [pair[1], 1.0]], strict)
+    # an infinite off-diagonal entry passed the symmetry test (|inf - x| <=
+    # tol * inf) and left NaN eigenvalues that no bound rejected
+    m = [[1.0, pair[0]], [pair[1], 1.0]]
+    assert_same(m, strict)
+    with pytest.raises(ValueError, match="has a non-finite entry"):
+        check_spd(m, "m", strict=strict)
+    with pytest.raises(DistributionError, match="covariance has a non-finite entry"):
+        GaussianMeanVariance([0.0, 0.0], m)
+    with pytest.raises(DistributionError, match="precision has a non-finite entry"):
+        GaussianMeanPrecision([0.0, 0.0], m)
+
+
+@pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_rejects_nonfinite_precision(n, value):
+    # NaN made the symmetry test (max > tol) False, so it constructed
+    for entry in np.ndindex(n, n):
+        with pytest.raises(DistributionError, match="precision has a non-finite entry"):
+            GaussianCanonical(np.zeros(n), with_nonfinite(n, entry, value))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mpgraph.codegen import compile_program
+from mpgraph.dsl import parse_model
 from mpgraph.graph import FactorGraph
 from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
 from mpgraph.scheduler import (
@@ -14,6 +21,7 @@ from mpgraph.scheduler import (
     schedule_sum_product,
     schedule_vmp,
 )
+from test_cli import RW_MODEL
 
 
 def four_factor_graph():
@@ -221,3 +229,59 @@ class TestFreeEnergyProgram:
         fe = schedule_free_energy(g, rf)
         trans = [t for t in fe.energies if t.kind == "transition"]
         assert all(t.slots[0][0] == "marginal" and "&" in t.slots[0][1] for t in trans)
+
+
+def observed_gaussian_chain(n: int) -> FactorGraph:
+    """x[0] -> x[1] -> ... -> x[n] with every state observed: sum-product
+    messages along it depend on each other n deep."""
+    g = FactorGraph()
+    g.add_node("gaussian_mean_variance", {"out": "x[0]", "mean": 0.0, "variance": 1.0})
+    for t in range(1, n + 1):
+        g.add_node("gaussian_mean_variance", {"out": f"x[{t}]", "mean": f"x[{t - 1}]", "variance": 1.0})
+        g.add_node("gaussian_mean_variance", {"out": f"y[{t}]", "mean": f"x[{t}]", "variance": 1.0})
+        g.clamp(f"y[{t}]", 0.1 * t)
+    return g
+
+
+# Run in a fresh interpreter, so the recursion limit is Python's default.
+LONG_CHAINS = """
+import sys
+from mpgraph.codegen import compile_program
+from mpgraph.dsl import parse_model
+from mpgraph.scheduler import default_factorization, schedule_free_energy, schedule_sum_product, schedule_vmp
+from test_cli import RW_MODEL
+from test_scheduler import observed_gaussian_chain
+
+limit = sys.getrecursionlimit()
+g = parse_model(RW_MODEL, {"T": 8000})
+rf = default_factorization(g)
+ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))
+sp = schedule_sum_product(observed_gaussian_chain(8000), ["x[0]", "x[8000]"])
+print(limit, sys.getrecursionlimit(), sum(len(prog) for _, prog in ir.steps), len(sp.entries))
+"""
+
+
+class TestStackSafety:
+    def test_recursion_limit_unchanged(self):
+        limit = sys.getrecursionlimit()
+        g = parse_model(RW_MODEL, {"T": 100})
+        rf = default_factorization(g)
+        schedules = schedule_vmp(g, rf)
+        assert sys.getrecursionlimit() == limit
+        fe = schedule_free_energy(g, rf)
+        assert sys.getrecursionlimit() == limit
+        compile_program(schedules, fe)
+        assert sys.getrecursionlimit() == limit
+        schedule_sum_product(observed_gaussian_chain(100), ["x[0]"])
+        assert sys.getrecursionlimit() == limit
+
+    def test_long_chains_schedule_at_the_default_recursion_limit(self):
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        run = subprocess.run([sys.executable, "-c", LONG_CHAINS], env=env, capture_output=True,
+                             text=True, check=False)
+        assert run.returncode == 0, run.stderr[-3000:]
+        limit, after, instructions, entries = map(int, run.stdout.split())
+        assert limit == after == 1000
+        assert instructions > 8000 and entries > 2 * 8000
