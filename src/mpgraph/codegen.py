@@ -153,11 +153,7 @@ class AlgorithmIR:
         return isinstance(other, AlgorithmIR) and canonical_json(self.to_json()) == canonical_json(other.to_json())
 
 
-def compile_program(
-    schedules: dict[str, Schedule],
-    fe_program: FreeEnergyProgram | None,
-    graph=None,
-) -> AlgorithmIR:
+def compile_program(schedules: dict[str, Schedule], fe_program: FreeEnergyProgram | None) -> AlgorithmIR:
     """Translate schedules and the free-energy program into an AlgorithmIR.
 
     The instruction count equals the schedule entry count plus marginal and

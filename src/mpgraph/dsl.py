@@ -108,13 +108,18 @@ class _Parser:
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> _Token:
+    def current(self) -> _Token:
+        """The next token, not consumed; the end of input is an error."""
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise ModelParseError("unexpected end of input", last.line if last else None)
-        self.i += 1
+            self.error("unexpected end of input")
         return tok
+
+    def next(self) -> _Token:
+        if self.i >= len(self.tokens):
+            self.error("unexpected end of input")
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def expect(self, value: str) -> _Token:
         tok = self.next()
@@ -272,14 +277,14 @@ class _Parser:
                     raise ModelParseError(f"unknown loop index {tok.value!r}", tok.line, tok.pos)
                 total += int(env[tok.value])
             elif tok.kind == "number":
-                total += int(float(tok.value))
+                total += _integer(float(tok.value), tok)
             elif tok.value == "]":
                 return total
             else:
                 raise ModelParseError(f"bad index expression at {tok.value!r}", tok.line, tok.pos)
 
     def argument(self, env: dict, kind: str, position: int):
-        tok = self.peek()
+        tok = self.current()
         if tok.kind == "number":
             self.next()
             return float(tok.value)
@@ -296,7 +301,7 @@ class _Parser:
         self.error(f"bad argument {tok.value!r}")
 
     def literal(self):
-        tok = self.peek()
+        tok = self.current()
         if tok.kind == "number":
             self.next()
             return float(tok.value)
@@ -345,10 +350,10 @@ class _Parser:
     def int_literal(self, env: dict) -> int:
         tok = self.next()
         if tok.kind == "number":
-            return int(float(tok.value))
+            return _integer(float(tok.value), tok)
         if tok.kind == "name":
             if tok.value in self.lets and np.isscalar(self.lets[tok.value]):
-                return int(self.lets[tok.value])
+                return _integer(self.lets[tok.value], tok)
             if tok.value in env:
                 return int(env[tok.value])
             raise ModelParseError(f"loop bound {tok.value!r} is not a known constant", tok.line, tok.pos)
@@ -362,7 +367,7 @@ class _Parser:
             if tok.value == ")":
                 return tuple(dims)
             if tok.kind == "number":
-                dims.append(int(float(tok.value)))
+                dims.append(_integer(float(tok.value), tok))
             elif tok.value != ",":
                 raise ModelParseError(f"bad dims tuple at {tok.value!r}", tok.line, tok.pos)
 
@@ -404,6 +409,13 @@ class _Parser:
                 a, b = by_role.get("in1"), by_role.get("in2")
                 if a is not None and b is not None and a != b:
                     raise ModelParseError(f"node {node.id}: addition input dims differ: {a} vs {b}")
+
+
+def _integer(value, tok: _Token) -> int:
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise ModelParseError(f"{tok.value!r} is not a finite integer", tok.line, tok.pos) from None
 
 
 def parse_model(text: str, constants: dict | None = None) -> FactorGraph:

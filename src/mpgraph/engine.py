@@ -25,6 +25,8 @@ from .distributions import (
     differential_entropy,
     product,
 )
+# infer_supports and analyze_sections are not called here; they stay
+# attributes of this module for layer-timing tools that wrap them by name.
 from .graph import FactorGraph, Support, infer_supports
 from .rules import default_registry
 from .scheduler import (
@@ -32,10 +34,10 @@ from .scheduler import (
     MarginalStep,
     RecognitionFactorization,
     Schedule,
+    analyze_factorization,
     analyze_sections,
     chain_order,
     eval_energy_term,
-    factor_links,
     joint_key,
     schedule_free_energy,
     schedule_vmp,
@@ -74,28 +76,21 @@ class InferenceResult:
 # ---------------------------------------------------------------------------
 
 
-def marginal_layout(graph: FactorGraph, rf: RecognitionFactorization) -> dict[str, Support]:
-    """Supports for every marginal-table key, including two-slice joints."""
-    supports = infer_supports(graph)
-    owner = rf.factor_of()
-    layout: dict[str, Support] = {}
-    for var in owner:
-        layout[var] = supports.get(var, Support("gaussian", ()))
-    for sec in factor_links(analyze_sections(graph, supports), owner).values():
-        leaf = supports.get(sec.leaf_var, Support("gaussian", ()))
-        out = supports.get(sec.out_var, Support("gaussian", ()))
-        key = joint_key(sec.leaf_var, sec.out_var)
+def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=None,
+                   registry=None) -> dict:
+    """Vague defaults for every marginal-table key, two-slice joints
+    included, laid out on the graph the schedules see (``registry`` decides
+    which composites are expanded, as in ``schedule_vmp``); overrides applied
+    verbatim after a support check."""
+    facts = analyze_factorization(graph, rf, registry or default_registry())
+    layout = {var: facts.supports.get(var, Support("gaussian", ())) for var in facts.owner}
+    for sec in facts.links.values():
+        leaf, out = layout[sec.leaf_var], layout[sec.out_var]
         if out.family == "categorical":
-            layout[key] = Support("categorical", (out.shape[0], leaf.shape[0]))
+            joint = Support("categorical", (out.shape[0], leaf.shape[0]))
         else:
-            layout[key] = Support("gaussian", (leaf.dim + out.dim,))
-    return layout
-
-
-def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=None) -> dict:
-    """Vague defaults for every marginal key; overrides applied verbatim
-    after a support check."""
-    layout = marginal_layout(graph, rf)
+            joint = Support("gaussian", (leaf.dim + out.dim,))
+        layout[joint_key(sec.leaf_var, sec.out_var)] = joint
     table = {key: vague_for(sup) for key, sup in layout.items()}
     for key, dist in (overrides or {}).items():
         if key not in layout:
@@ -282,7 +277,7 @@ def run_inference(
     registry = registry or default_registry()
     schedules = schedule_vmp(graph, rf, registry=registry, ep_damping=ep_damping)
     fe = schedule_free_energy(graph, rf, registry=registry)
-    marginals = init_marginals(graph, rf, overrides)
+    marginals = init_marginals(graph, rf, overrides, registry)
     if compiled:
         runner = Interpreter(compile_program(schedules, fe), registry)
     else:
@@ -329,7 +324,7 @@ def streaming_update(
             max_iters=iters_per_batch, tol=tol, registry=registry,
         )
         results.append(result)
-        links = factor_links(analyze_sections(graph, infer_supports(graph)), rf.factor_of())
+        links = analyze_factorization(graph, rf, registry).links
         for fid, fvars in rf.factors:
             order, _ = chain_order(fid, fvars, links)
             priors[order[0]] = _as_prior(result.marginals[order[-1]])

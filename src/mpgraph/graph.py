@@ -196,7 +196,23 @@ class FactorGraph:
             self.add_variable(name)
         first = self.edges[self._edges_of[name][0]]
         if first.tail is not None:
-            raise GraphError(f"variable {name!r} already has a producing factor")
+            held = self.node_at(first.tail)
+            if first.tail[1] == 0 and held.kind not in ("equality", "clamp"):
+                raise GraphError(f"variable {name!r} already has a producing factor")
+            # A second reader took the free tail before the producer came:
+            # branch both readers off an equality node behind the producer.
+            eq = Node(len(self.nodes), "equality", 3)
+            self.nodes.append(eq)
+            for idx, reader in ((1, first.head), (2, first.tail)):
+                segment = self._new_segment(name)
+                segment.tail = (eq.id, idx)
+                segment.head = reader
+                eq.interfaces[idx] = segment.id
+                self.nodes[reader[0]].interfaces[reader[1]] = segment.id
+            first.head = (eq.id, 0)
+            eq.interfaces[0] = first.id
+            if self._frontier[name] == first.id:
+                self._frontier[name] = segment.id
         first.tail = site
         self.nodes[site[0]].interfaces[site[1]] = first.id
 
@@ -523,64 +539,83 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
                 dims = node.constants.get("dims", ())
                 supports.setdefault(edge.variable, Support("gaussian", dims or ()))
 
-    def resolve(var: str, stack: tuple = ()) -> Support | None:
-        if var in supports:
-            return supports[var]
-        if var in stack:
-            return None
-        node = producer.get(var)
-        if node is None:
-            return None
-        stack = stack + (var,)
+    def derive(node: Node):
+        """Generator: yields the input variable (None if unconnected) of each
+        role whose support it needs, receives that support (or None), and
+        returns the node's output support (or None)."""
         roles = node.roles(graph)
 
-        def input_support(role: str) -> Support | None:
-            idx = roles.index(role)
-            edge_id = node.interfaces[idx]
-            if edge_id is None:
-                return None
-            return resolve(graph.edges[edge_id].variable, stack)
+        def input_var(role: str) -> str | None:
+            edge_id = node.interfaces[roles.index(role)]
+            return None if edge_id is None else graph.edges[edge_id].variable
 
-        result: Support | None = None
         if node.kind in ("gaussian_mean_variance", "gaussian_mean_precision"):
-            mean = input_support(roles[1])
-            result = Support("gaussian", mean.shape if mean else ())
-        elif node.kind == "gamma":
-            result = Support("gamma", ())
-        elif node.kind == "wishart":
-            scale = input_support("scale")
-            result = Support("wishart", scale.shape if scale else (1, 1))
-        elif node.kind == "dirichlet":
-            conc = input_support("concentration")
-            result = Support("dirichlet", conc.shape if conc else ())
-        elif node.kind in ("categorical", "transition"):
-            if node.kind == "categorical":
-                p = input_support("p")
-                k = p.shape[0] if p and p.shape else 2
-            else:
-                mat = input_support("matrix")
-                prev = input_support("in")
-                k = mat.shape[0] if mat and mat.shape else (prev.shape[0] if prev else 2)
-            result = Support("categorical", (k,))
-        elif node.kind == "gaussian_mixture":
-            m1 = input_support("mean_1")
-            result = Support("gaussian", m1.shape if m1 else ())
-        elif node.kind == "gain":
+            mean = yield input_var(roles[1])
+            return Support("gaussian", mean.shape if mean else ())
+        if node.kind == "gamma":
+            return Support("gamma", ())
+        if node.kind == "wishart":
+            scale = yield input_var("scale")
+            return Support("wishart", scale.shape if scale else (1, 1))
+        if node.kind == "dirichlet":
+            conc = yield input_var("concentration")
+            return Support("dirichlet", conc.shape if conc else ())
+        if node.kind == "categorical":
+            p = yield input_var("p")
+            return Support("categorical", (p.shape[0] if p and p.shape else 2,))
+        if node.kind == "transition":
+            mat = yield input_var("matrix")
+            prev = yield input_var("in")
+            k = mat.shape[0] if mat and mat.shape else (prev.shape[0] if prev else 2)
+            return Support("categorical", (k,))
+        if node.kind == "gaussian_mixture":
+            m1 = yield input_var("mean_1")
+            return Support("gaussian", m1.shape if m1 else ())
+        if node.kind == "gain":
             a = as_matrix(node.constants["matrix"])
-            result = Support("gaussian", (a.shape[0],) if a.shape[0] > 1 else ())
-        elif node.kind == "addition":
-            s = input_support("in1") or input_support("in2")
-            result = Support("gaussian", s.shape if s else ())
-        elif node.kind == "nonlinear":
-            result = Support("gaussian", ())
-        elif node.kind == "probit":
-            result = Support("binary", ())
-        if result is not None:
-            supports[var] = result
-        return result
+            return Support("gaussian", (a.shape[0],) if a.shape[0] > 1 else ())
+        if node.kind == "addition":
+            s = (yield input_var("in1")) or (yield input_var("in2"))
+            return Support("gaussian", s.shape if s else ())
+        if node.kind == "nonlinear":
+            return Support("gaussian", ())
+        if node.kind == "probit":
+            return Support("binary", ())
+        return None
+
+    def resolve(var: str) -> Support | None:
+        """A variable's support, derived from its producer's inputs first.
+        The suspended derivations wait on an explicit stack, so a chain of
+        any length runs in a fixed number of Python frames; a variable met
+        again while its own derivation is pending counts as unknown."""
+        stack: list = []  # (variable, suspended derive generator), innermost last
+        pending: set[str] = set()
+        while True:
+            if var in supports:
+                value = supports[var]
+            elif var in pending or var not in producer:  # also an unconnected input (None)
+                value = None
+            else:
+                stack.append((var, derive(producer[var])))
+                pending.add(var)
+                value = None  # starts the new generator
+            while stack:
+                top, gen = stack[-1]
+                try:
+                    var = gen.send(value)
+                    break
+                except StopIteration as done:
+                    stack.pop()
+                    pending.discard(top)
+                    value = done.value
+                    if value is not None:
+                        supports[top] = value
+            else:
+                return value
 
     for var in graph.variables():
-        resolve(var)
+        if var not in supports:
+            resolve(var)
     # Precision/parameter inputs with no producer default by consumer role.
     for node in graph.nodes:
         roles = node.roles(graph)

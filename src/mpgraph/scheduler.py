@@ -17,6 +17,7 @@ keeps every per-sweep schedule acyclic.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,6 @@ MARGINAL_CLASS = {
 }
 
 GAUSSIAN_NODE_KINDS = ("gaussian_mean_precision", "gaussian_mean_variance")
-DETERMINISTIC_WALK_KINDS = ("gain", "addition", "nonlinear")
 
 
 def joint_key(leaf_var: str, out_var: str) -> str:
@@ -200,15 +200,17 @@ def default_factorization(graph: FactorGraph) -> RecognitionFactorization:
 
 class MeanSideInfo:
     """Affine (plus optional scalar nonlinearity) decomposition of a Gaussian
-    node's mean input: mean = g(sum_i G_i v_i + c)."""
+    node's mean input: mean = g(sum_i G_i v_i + c). ``leaves`` maps each leaf
+    v_i to its gain G_i in walk order; ``leaf_edges`` maps it to the
+    ``(edge_id, direction)`` of the message toward the node on the edge the
+    walk first found it on."""
 
-    def __init__(self):
-        self.leaves: list[tuple[str, np.ndarray]] = []
+    def __init__(self, node_id: int):
+        self.node_id = node_id
+        self.leaves: dict[str, np.ndarray] = {}
+        self.leaf_edges: dict[str, tuple[int, str]] = {}
         self.offset: np.ndarray | None = None
         self.nonlinear: str | None = None
-
-    def leaf_vars(self) -> list[str]:
-        return [v for v, _ in self.leaves]
 
 
 def analyze_mean_side(graph: FactorGraph, node: Node, out_dim: int) -> MeanSideInfo:
@@ -236,59 +238,73 @@ class MeanSides(dict):
 
 
 def affine_subtree(graph: FactorGraph, root_edge: int, root_site, out_dim: int, node_id) -> MeanSideInfo:
-    """Decompose the producer side of an edge into g(sum_i G_i v_i + c)."""
-    info = MeanSideInfo()
-    node = graph.nodes[node_id]
-
-    def walk(edge_id: int, consumer_site, gain: np.ndarray):
+    """Decompose the producer side of an edge into g(sum_i G_i v_i + c). The
+    deterministic subtree is walked depth first, inputs in interface order,
+    from an explicit stack."""
+    info = MeanSideInfo(node_id)
+    stack = [(root_edge, root_site, np.eye(out_dim))]
+    while stack:
+        edge_id, consumer_site, gain = stack.pop()
         edge = graph.edges[edge_id]
         site = graph.neighbor_site(edge, consumer_site)
-        if site is None:
-            _add_leaf(info, edge.variable, gain)
-            return
-        src = graph.node_at(site)
-        src_roles = src.roles(graph)
-        if src.kind == "clamp":
+        src = None if site is None else graph.node_at(site)
+        if src is not None and src.kind == "clamp":
             value = src.constants.get("value")
             if value is None:
                 raise SchedulingError(
-                    f"placeholder data cannot appear on the mean side of node {node.id}"
+                    f"placeholder data cannot appear on the mean side of node {node_id}"
                 )
             contrib = gain @ np.atleast_1d(np.asarray(value, dtype=float))
             info.offset = contrib if info.offset is None else info.offset + contrib
-            return
-        if src.kind == "gain" and src_roles[site[1]] == "out":
-            a = as_matrix(src.constants["matrix"])
-            in_idx = src_roles.index("in")
-            walk(src.interfaces[in_idx], (src.id, in_idx), gain @ a)
-            return
-        if src.kind == "addition" and src_roles[site[1]] == "out":
-            for role in ("in1", "in2"):
-                idx = src_roles.index(role)
-                walk(src.interfaces[idx], (src.id, idx), gain)
-            return
-        if src.kind == "nonlinear" and src_roles[site[1]] == "out":
+            continue
+        walks_on = src is not None and src.kind in ("gain", "addition", "nonlinear")
+        if not walks_on or src.roles(graph)[site[1]] != "out":
+            # a half-edge, or an equality or stochastic producer: a shared variable
+            var = edge.variable
+            if var in info.leaves:
+                info.leaves[var] = info.leaves[var] + gain
+            else:
+                info.leaves[var] = gain
+                info.leaf_edges[var] = (edge_id, "fwd" if edge.head == consumer_site else "bwd")
+            continue
+        if src.kind == "nonlinear":
             if info.nonlinear is not None or info.leaves or info.offset is not None:
-                raise SchedulingError(
-                    f"unsupported nonlinear composition at node {node.id}"
-                )
+                raise SchedulingError(f"unsupported nonlinear composition at node {node_id}")
             info.nonlinear = src.constants["g"]
-            in_idx = src_roles.index("in")
-            walk(src.interfaces[in_idx], (src.id, in_idx), gain)
-            return
-        # equality or stochastic producer: a shared variable
-        _add_leaf(info, edge.variable, gain)
-
-    walk(root_edge, root_site, np.eye(out_dim))
+        elif src.kind == "gain":
+            gain = gain @ as_matrix(src.constants["matrix"])
+        # inputs are interfaces 1.. of gain, addition and nonlinear; pushed
+        # last to first so the first is walked first
+        for idx in range(len(src.interfaces) - 1, 0, -1):
+            stack.append((src.interfaces[idx], (src.id, idx), gain))
     return info
 
 
-def _add_leaf(info: MeanSideInfo, var: str, gain: np.ndarray):
-    for i, (v, g) in enumerate(info.leaves):
-        if v == var:
-            info.leaves[i] = (v, g + gain)
-            return
-    info.leaves.append((var, gain))
+def affine_layout(info: MeanSideInfo, leaf_slot, joint_leaf: str | None = None, **extra):
+    """Leaf slots and constants of an update or energy term that reads the
+    mean side ``info`` through its leaves' beliefs: ``leaf_slot(v)`` per leaf,
+    in walk order, with one gain each, and the offset. ``joint_leaf`` is read
+    through its chain's two-slice joint instead: its gain comes first and it
+    gets no slot. ``extra`` constants follow the gains."""
+    gains, slots = [], []
+    if joint_leaf is not None:
+        gains.append(info.leaves[joint_leaf].tolist())
+    for v, g in info.leaves.items():
+        if v != joint_leaf:
+            gains.append(g.tolist())
+            slots.append(leaf_slot(v))
+    constants = {"gains": gains, **extra}
+    if info.nonlinear is not None:
+        if len(info.leaves) != 1:
+            raise SchedulingError(f"unsupported nonlinear composition at node {info.node_id}")
+        constants["g"] = info.nonlinear
+    if info.offset is not None:
+        constants["offset"] = info.offset.tolist()
+    return slots, constants
+
+
+def marginal_slot(var: str):
+    return ("marginal", var)
 
 
 class Section:
@@ -332,7 +348,7 @@ def analyze_sections(graph: FactorGraph, supports, mean_sides: MeanSides | None 
             continue
         prec_role = "precision" if "precision" in roles else "variance"
         prec_var = graph.edges[node.interfaces[roles.index(prec_role)]].variable
-        candidates = [v for v in mean_info.leaf_vars() if v not in clamped]
+        candidates = [v for v in mean_info.leaves if v not in clamped]
         if len(candidates) >= 1:
             sections[node.id] = Section(
                 node, candidates[0], out_var, "gaussian", mean_info=mean_info, prec_var=prec_var
@@ -613,14 +629,11 @@ class _FactorScheduler:
             return None
         if info.nonlinear is not None or not info.leaves:
             return None
-        for leaf, _ in info.leaves:
+        for leaf in info.leaves:
             fam = self.owner.get(leaf)
             if fam is None or fam == self.factor_id:
                 return None
-        slots = [("marginal", v) for v, _ in info.leaves]
-        constants = {"gains": [g.tolist() for _, g in info.leaves]}
-        if info.offset is not None:
-            constants["offset"] = info.offset.tolist()
+        slots, constants = affine_layout(info, marginal_slot)
         query = [(MARGINAL, self.slot_variant(sl)) for sl in slots] + [(VOID, None)]
         rule = self.registry.lookup("gaussian_affine", "transport", query)
         slot = self.append_entry(
@@ -674,61 +687,32 @@ class _FactorScheduler:
 
     # -- composed parameter updates -----------------------------------------
 
-    def out_belief_slot(self, node: Node):
+    def out_belief_slot(self, node: Node, sec: Section | None):
         out_edge = self.graph.edges[node.interfaces[0]]
         out_var = out_edge.variable
-        sec = self.links.get(node.id)
         if sec is not None:
-            return ("marginal", joint_key(sec.leaf_var, sec.out_var)), True
+            return ("marginal", joint_key(sec.leaf_var, sec.out_var))
         if self.owner.get(out_var) is not None:
-            return ("marginal", out_var), False
+            return ("marginal", out_var)
         # clamped output: locate the datum
         head = out_edge.head if out_edge.head and self.graph.node_at(out_edge.head).kind == "clamp" else out_edge.tail
-        return clamp_slot(self.graph.node_at(head)), False
+        return clamp_slot(self.graph.node_at(head))
 
     def emit_precision_update(self, node: Node):
         roles = node.roles(self.graph)
         out_var = self.graph.edges[node.interfaces[0]].variable
-        sup = self.supports.get(out_var, Support("gaussian", ()))
-        out_dim = sup.dim
-        mean_info = self.mean_sides[node.id]
-        out_slot, uses_joint = self.out_belief_slot(node)
-        if mean_info.nonlinear is not None:
-            if len(mean_info.leaves) != 1:
-                raise SchedulingError(f"unsupported nonlinear composition at node {node.id}")
-            leaf, gain = mean_info.leaves[0]
-            slots = [out_slot, ("marginal", leaf), ("void",)]
-            constants = {"g": mean_info.nonlinear, "gains": [gain.tolist()], "out_dim": out_dim}
-            rule = self.registry.lookup(
-                "gaussian_nonlinear", "precision",
-                [(MARGINAL, self.slot_variant(out_slot)), (MARGINAL, self.slot_variant(slots[1])), (VOID, None)],
-            )
-            variant = rule.out_type(None, constants).__name__
-            return self.append_entry(rule, slots, variant, constants,
-                                     (self.graph.edges[node.interfaces[roles.index('precision')]].variable, "bwd"))
-        gains = []
-        slots = [out_slot]
-        if uses_joint:
-            sec = self.links[node.id]
-            gains.append(_leaf_gain(mean_info, sec.leaf_var))
-            for v, g in mean_info.leaves:
-                if v != sec.leaf_var:
-                    gains.append(g.tolist())
-                    slots.append(("marginal", v))
+        out_dim = self.supports.get(out_var, Support("gaussian", ())).dim
+        info = self.mean_sides[node.id]
+        sec = self.links.get(node.id)
+        if info.nonlinear is not None:
+            kind, extra = "gaussian_nonlinear", {"out_dim": out_dim}
         else:
-            for v, g in mean_info.leaves:
-                gains.append(g.tolist())
-                slots.append(("marginal", v))
-        slots.append(("void",))
-        constants = {
-            "gains": gains,
-            "joint": uses_joint,
-            "out_dim": out_dim,
-        }
-        if mean_info.offset is not None:
-            constants["offset"] = mean_info.offset.tolist()
+            kind, extra = "gaussian_affine", {"joint": sec is not None, "out_dim": out_dim}
+        out_slot = self.out_belief_slot(node, sec)
+        leaf_slots, constants = affine_layout(info, marginal_slot, sec and sec.leaf_var, **extra)
+        slots = [out_slot, *leaf_slots, ("void",)]
         query = [(MARGINAL, self.slot_variant(s)) for s in slots[:-1]] + [(VOID, None)]
-        rule = self.registry.lookup("gaussian_affine", "precision", query)
+        rule = self.registry.lookup(kind, "precision", query)
         variant = rule.out_type(None, constants).__name__
         prec_role = "precision" if "precision" in roles else "variance"
         label = (self.graph.edges[node.interfaces[roles.index(prec_role)]].variable, "bwd")
@@ -829,62 +813,16 @@ class _FactorScheduler:
                 rule = self.registry.lookup("transition", "joint", query)
                 constants = {}
             else:
-                mean_info = sec.mean_info
-                leaf_edge = self._leaf_edge(node, sec.leaf_var)
-                leaf_ref = self.require_toward(node, leaf_edge)
-                gains = [_leaf_gain(mean_info, sec.leaf_var)]
-                slots = [out_side, leaf_ref]
-                for v, g in mean_info.leaves:
-                    if v != sec.leaf_var:
-                        gains.append(g.tolist())
-                        slots.append(("marginal", v))
-                roles = node.roles(self.graph)
-                prec_slot, _ = self.inbound_slot(node, roles.index("precision"))
-                slots.append(prec_slot)
-                constants = {"gains": gains}
-                if mean_info.offset is not None:
-                    constants["offset"] = mean_info.offset.tolist()
+                leaf_ref = self.require(*sec.mean_info.leaf_edges[sec.leaf_var])
+                leaf_slots, constants = affine_layout(sec.mean_info, marginal_slot, sec.leaf_var)
+                prec_slot, _ = self.inbound_slot(node, node.roles(self.graph).index("precision"))
+                slots = [out_side, leaf_ref, *leaf_slots, prec_slot]
                 query = ([(MESSAGE, self.slot_variant(out_side)), (MESSAGE, self.slot_variant(leaf_ref))]
                          + [(MARGINAL, self.slot_variant(s)) for s in slots[2:]])
                 rule = self.registry.lookup("gaussian_affine", "joint", query)
             self.schedule.marginal_steps.append(
                 JointStep(joint_key(sec.leaf_var, sec.out_var), rule.id, slots, constants)
             )
-
-    def _leaf_edge(self, node: Node, leaf_var: str) -> int:
-        """The edge at the section's leaf side: the unique edge of leaf_var
-        whose message toward the section flows into the deterministic mean
-        chain (or directly into the node)."""
-        roles = node.roles(self.graph)
-        mean_idx = roles.index("mean") if "mean" in roles else roles.index("in")
-
-        def find(edge_id, consumer_site):
-            edge = self.graph.edges[edge_id]
-            if edge.variable == leaf_var:
-                return edge_id
-            site = self.graph.neighbor_site(edge, consumer_site)
-            if site is None:
-                return None
-            src = self.graph.node_at(site)
-            if src.kind not in DETERMINISTIC_WALK_KINDS or src.roles(self.graph)[site[1]] != "out":
-                return None
-            for idx in range(1, len(src.interfaces)):
-                found = find(src.interfaces[idx], (src.id, idx))
-                if found is not None:
-                    return found
-            return None
-
-        found = find(node.interfaces[mean_idx], (node.id, mean_idx))
-        if found is None:
-            raise SchedulingError(f"cannot locate leaf edge for {leaf_var!r} at node {node.id}")
-        return found
-
-
-def _leaf_gain(info: MeanSideInfo, var: str):
-    for v, g in info.leaves:
-        if v == var:
-            return g.tolist()
-    raise SchedulingError(f"leaf {var!r} missing from mean-side analysis")
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +839,32 @@ def _prepare(graph: FactorGraph, registry: RuleRegistry) -> FactorGraph:
         for node in graph.nodes
     )
     return graph.flatten() if needs_flatten else graph
+
+
+class Factorization(NamedTuple):
+    """The facts a recognition factorization fixes on a graph, derived once
+    for everything that reads them: the scheduled graph (composites without
+    custom rules expanded), variable supports, the owning factor of each
+    latent variable, mean-side analyses and the chain links."""
+
+    graph: FactorGraph
+    supports: dict[str, Support]
+    owner: dict[str, str]
+    mean_sides: MeanSides
+    links: dict[int, Section]
+
+
+def analyze_factorization(graph: FactorGraph, rf: RecognitionFactorization,
+                          registry: RuleRegistry) -> Factorization:
+    """The one derivation of a ``Factorization``: schedules, the free-energy
+    program, the marginal table and streaming re-anchoring all read it."""
+    graph = _prepare(graph, registry)
+    supports = infer_supports(graph)
+    rf.validate(graph, supports)
+    owner = rf.factor_of()
+    mean_sides = MeanSides(graph, supports)
+    links = factor_links(analyze_sections(graph, supports, mean_sides), owner)
+    return Factorization(graph, supports, owner, mean_sides, links)
 
 
 def schedule_sum_product(graph: FactorGraph, targets, registry: RuleRegistry | None = None) -> Schedule:
@@ -940,12 +904,7 @@ def schedule_vmp(
     factor boundaries read the neighbor factor's marginals (variational or EP
     flavor); two-slice joints are produced for chain sections."""
     registry = registry or default_registry()
-    graph = _prepare(graph, registry)
-    supports = infer_supports(graph)
-    rf.validate(graph, supports)
-    owner = rf.factor_of()
-    mean_sides = MeanSides(graph, supports)
-    links = factor_links(analyze_sections(graph, supports, mean_sides), owner)
+    graph, supports, owner, mean_sides, links = analyze_factorization(graph, rf, registry)
     result: dict[str, Schedule] = {}
     for fid, fvars in rf.factors:
         sched = _FactorScheduler(graph, supports, mean_sides, owner, fid, fvars, links, registry,
@@ -980,13 +939,7 @@ def schedule_free_energy(
 ) -> FreeEnergyProgram:
     """F = sum of node average energies minus recognition entropy, with the
     structured chain entropy expanded through the two-slice identity."""
-    registry = registry or default_registry()
-    graph = _prepare(graph, registry)
-    supports = infer_supports(graph)
-    rf.validate(graph, supports)
-    owner = rf.factor_of()
-    mean_sides = MeanSides(graph, supports)
-    links = factor_links(analyze_sections(graph, supports, mean_sides), owner)
+    graph, _, owner, mean_sides, links = analyze_factorization(graph, rf, registry or default_registry())
     clamps = clamped_variables(graph)
 
     def belief_slot(var: str):
@@ -1023,14 +976,12 @@ def schedule_free_energy(
             continue
         if node.kind == "probit":
             info = mean_sides[node.id]
-            leaves = info.leaf_vars()
-            if info.nonlinear is not None or len(leaves) != 1:
+            if info.nonlinear is not None or len(info.leaves) != 1:
                 raise SchedulingError(f"unsupported probit composition at node {node.id}")
-            constants = {"gains": [g.tolist() for _, g in info.leaves]}
-            if info.offset is not None:
-                constants["offset"] = info.offset.tolist()
-            slots = [belief_slot(out_var), belief_slot(leaves[0])]
-            energies.append(FreeEnergyTerm("probit_affine", slots, constants, f"node{node.id}:probit"))
+            out_slot = belief_slot(out_var)
+            leaf_slots, constants = affine_layout(info, belief_slot)
+            energies.append(FreeEnergyTerm("probit_affine", [out_slot, *leaf_slots], constants,
+                                           f"node{node.id}:probit"))
             continue
         # gaussian nodes
         info = mean_sides[node.id]
@@ -1044,37 +995,16 @@ def schedule_free_energy(
                 {}, f"node{node.id}:gaussian_mv",
             ))
             continue
-        if info.nonlinear is not None:
-            if len(info.leaves) != 1:
-                raise SchedulingError(f"unsupported nonlinear composition at node {node.id}")
-            constants = {"g": info.nonlinear, "gains": [info.leaves[0][1].tolist()]}
-            if info.offset is not None:
-                constants["offset"] = info.offset.tolist()
-            slots = [belief_slot(out_var), belief_slot(info.leaves[0][0]), prec_slot]
-            energies.append(FreeEnergyTerm("gaussian_nonlinear_affine", slots, constants,
-                                           f"node{node.id}:gaussian_nonlinear"))
-            continue
         sec = links.get(node.id)
-        joint = sec is not None
-        gains, slots = [], []
-        if joint:
-            slots.append(("marginal", joint_key(sec.leaf_var, sec.out_var)))
-            gains.append(_leaf_gain(info, sec.leaf_var))
-            for v, g in info.leaves:
-                if v != sec.leaf_var:
-                    gains.append(g.tolist())
-                    slots.append(belief_slot(v))
+        if info.nonlinear is not None:
+            kind, label, extra = "gaussian_nonlinear_affine", "gaussian_nonlinear", {}
+            out_slot = belief_slot(out_var)
         else:
-            slots.append(belief_slot(out_var))
-            for v, g in info.leaves:
-                gains.append(g.tolist())
-                slots.append(belief_slot(v))
-        slots.append(prec_slot)
-        constants = {"gains": gains, "joint": joint}
-        if info.offset is not None:
-            constants["offset"] = info.offset.tolist()
-        energies.append(FreeEnergyTerm("gaussian_affine", slots, constants,
-                                       f"node{node.id}:gaussian"))
+            kind, label, extra = "gaussian_affine", "gaussian", {"joint": sec is not None}
+            out_slot = ("marginal", joint_key(sec.leaf_var, sec.out_var)) if sec else belief_slot(out_var)
+        leaf_slots, constants = affine_layout(info, belief_slot, sec and sec.leaf_var, **extra)
+        energies.append(FreeEnergyTerm(kind, [out_slot, *leaf_slots, prec_slot], constants,
+                                       f"node{node.id}:{label}"))
 
     entropies: list[tuple[str, float]] = []
     for fid, fvars in rf.factors:

@@ -13,11 +13,12 @@ import time
 
 from mpgraph.codegen import compile_program, render
 from mpgraph.dsl import parse_model
+from mpgraph.engine import init_marginals
 from mpgraph.scheduler import default_factorization, schedule_free_energy, schedule_vmp
 from test_cli import RW_MODEL
 
 STAGES = ("parse", "default_factorization", "schedule_vmp", "schedule_free_energy",
-          "compile_program", "render")
+          "compile_program", "render", "init_marginals")
 
 
 def front_end(T: int) -> dict[str, float]:
@@ -35,6 +36,7 @@ def front_end(T: int) -> dict[str, float]:
     fe = timed("schedule_free_energy", schedule_free_energy, graph, rf)
     ir = timed("compile_program", compile_program, schedules, fe)
     timed("render", render, ir)
+    timed("init_marginals", init_marginals, graph, rf)
     return seconds
 
 

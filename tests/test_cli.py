@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpgraph.cli import ingest, main
+from mpgraph.dsl import KIND_ALIASES, ModelParseError, parse_model
 
 ONE_NODE_MODEL = """
 x ~ GaussianMeanVariance(0.0, 1.0)
@@ -96,6 +103,68 @@ class TestExitCodes:
         data.write_text("y\nnan\n")
         assert main(["infer", str(model), str(data)]) == 3
         assert "not finite" in capsys.readouterr().err
+
+
+# The model language's tokens, numbers small or out of float range.
+TOKENS = ["let", "for", "in", "observe", "x", "y", "t", "T", "A", "softplus", *KIND_ALIASES,
+          "0", "1", "3", "0.5", "-1", "1e400", "-1e400",
+          "::", "~", "=", "(", ")", "[", "]", "{", "}", ",", ":"]
+# Statements of the forms RW_MODEL lacks, spaced so that words are tokens.
+MODEL_LINES = """
+let A = [ [ 0.5 , 1 ] , [ 0 , 1 ] ]
+let T = 3
+m [ t ] ~ Gain ( x [ t - 1 ] , A )
+s [ t ] ~ Nonlinear ( x [ t ] , softplus )
+z ~ Dirichlet ( [ 1 , 1 ] )
+observe y [ t ] :: ( 2 )
+"""
+
+
+
+@st.composite
+def edited_model_lines(draw):
+    """A line of a valid model with one token replaced, dropped or added, or
+    cut short: streams that get past the first few tokens."""
+    line = draw(st.sampled_from([ln for ln in (RW_MODEL + MODEL_LINES).splitlines() if ln])).split()
+    at = draw(st.integers(0, len(line)))
+    edit = draw(st.sampled_from(["replace", "drop", "add", "cut"]))
+    if edit == "cut":
+        return line[:at]
+    tail = line[at + 1:] if edit != "add" else line[at:]
+    return line[:at] + ([draw(st.sampled_from(TOKENS))] if edit != "drop" else []) + tail
+
+
+class TestParseErrorContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.lists(st.sampled_from(TOKENS), max_size=12), edited_model_lines()),
+                    min_size=1, max_size=6))
+    def test_token_streams_parse_or_exit_1_without_traceback(self, lines):
+        text = "\n".join(" ".join(line) for line in lines)
+        try:
+            parse_model(text, {"T": 2})
+            return
+        except ModelParseError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "m.mp"
+            model.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["compile", str(model), "--const", "T=2", "-o", str(Path(tmp) / "out")])
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("text, where", [
+        ("let Addition =", "line 1, token 3: unexpected end of input"),
+        ("x ~ GaussianMeanVariance(0.0,", "line 1, token 6: unexpected end of input"),
+        ("x[1e400] ~ Gamma(1.0, 1.0)", "line 1, token 3: '1e400' is not a finite integer"),
+        ("x ~ Gamma(1.0, 1.0)\nobserve x :: (1e400)", "line 2, token 5: '1e400' is not a finite integer"),
+        ("let T = 1e400\nfor t in 1:T {\n}", "line 2, token 6: 'T' is not a finite integer"),
+    ])
+    def test_end_of_input_and_huge_integers_name_line_and_token(self, text, where):
+        with pytest.raises(ModelParseError) as err:
+            parse_model(text)
+        assert str(err.value) == where
 
 
 class TestInfer:

@@ -300,3 +300,102 @@ class TestAffineArity:
         f = np.asarray(res.free_energy_trace)
         assert len(f) == 20 and np.all(np.isfinite(f))
         assert np.all(np.diff(f) <= 1e-9)
+
+
+def step_subgraph():
+    """The transition x[t] ~ N(0.9 x[t-1], w^-1) as one composite node."""
+    sub = FactorGraph()
+    sub.add_variable("in")
+    sub.add_variable("w")
+    sub.add_node("gain", {"out": "m", "in": "in"}, {"matrix": np.array([[0.9]])})
+    sub.add_node("gaussian_mean_precision", {"out": "out", "mean": "m", "precision": "w"})
+    return sub
+
+
+class StepTemplate:
+    """An observed state chain with a learned transition precision w; with
+    ``composite`` each transition is one ``Step`` node."""
+
+    def __init__(self, composite: bool):
+        self.composite = composite
+
+    def build(self, T, priors):
+        g = FactorGraph()
+        if self.composite:
+            g.define_composite("Step", step_subgraph(), [("out", "out"), ("in", "in"), ("precision", "w")])
+        x0 = priors.get("x[0]", GaussianMeanVariance(0.0, 100.0))
+        g.add_node("gaussian_mean_variance", {"out": "x[0]", "mean": x0.mean_vector().tolist(),
+                                              "variance": x0.covariance_matrix().tolist()})
+        w = priors.get("w", Gamma(1.0, 1.0))
+        g.add_node("gamma", {"out": "w", "shape": w.shape, "rate": w.rate})
+        for t in range(1, T + 1):
+            if self.composite:
+                g.add_node("Step", {"out": f"x[{t}]", "in": f"x[{t - 1}]", "precision": "w"})
+            else:
+                g.add_node("gain", {"out": f"m[{t}]", "in": f"x[{t - 1}]"}, {"matrix": np.array([[0.9]])})
+                g.add_node("gaussian_mean_precision", {"out": f"x[{t}]", "mean": f"m[{t}]", "precision": "w"})
+            g.add_node("gaussian_mean_precision", {"out": f"y[{t}]", "mean": f"x[{t}]", "precision": 4.0})
+            g.observe(f"y[{t}]", "y", t, ())
+        return g, RecognitionFactorization([("X", [f"x[{t}]" for t in range(T + 1)]), ("W", ["w"])])
+
+
+class TestCompositeChain:
+    """A chain whose transitions are composite nodes: the marginal table and
+    the streaming re-anchoring see the expanded chain, as the schedules do."""
+
+    def test_marginal_table_has_the_two_slice_joints(self):
+        g, rf = StepTemplate(composite=True).build(3, {})
+        joints = [f"x[{t - 1}]&x[{t}]" for t in range(1, 4)]
+        assert sorted(init_marginals(g, rf)) == sorted(["w", *rf.factors[0][1], *joints])
+        flat_g, flat_rf = StepTemplate(composite=False).build(3, {})
+        assert list(init_marginals(g, rf)) == list(init_marginals(flat_g, flat_rf))
+
+    def test_streams_like_the_expanded_chain(self):
+        rng = np.random.default_rng(7)
+        batches = [{"y": rng.normal(size=4)} for _ in range(3)]
+        composite = streaming_update(StepTemplate(composite=True), batches, iters_per_batch=10)
+        flat = streaming_update(StepTemplate(composite=False), batches, iters_per_batch=10)
+        assert len(composite) == 3
+        for a, b in zip(composite, flat):
+            assert "x[3]&x[4]" in a.marginals
+            assert a.free_energy_trace == pytest.approx(b.free_energy_trace, rel=1e-9)
+            for key in ("x[0]", "x[4]"):
+                qa, qb = a.marginals[key], b.marginals[key]
+                assert qa.mean_vector() == pytest.approx(qb.mean_vector(), rel=1e-9)
+                assert qa.covariance_matrix() == pytest.approx(qb.covariance_matrix(), rel=1e-9)
+            wa, wb = a.marginals["w"], b.marginals["w"]
+            assert (wa.shape, wa.rate) == pytest.approx((wb.shape, wb.rate), rel=1e-9)
+
+
+class TestNonlinearOffset:
+    """g(x + c) with g the identity must update the precision and score the
+    energy exactly as the affine mean x + c does."""
+
+    @staticmethod
+    def build(nonlinear: bool):
+        g = FactorGraph()
+        g.add_node("gaussian_mean_variance", {"out": "x", "mean": 0.3, "variance": 2.0})
+        g.add_node("gamma", {"out": "u", "shape": 1.0, "rate": 1.0})
+        g.add_node("addition", {"out": "r", "in1": "x", "in2": 1.5})
+        mean = "r"
+        if nonlinear:
+            g.add_node("nonlinear", {"out": "s", "in": "r"}, {"g": "identity"})
+            mean = "s"
+        g.add_node("gaussian_mean_precision", {"out": "y", "mean": mean, "precision": "u"})
+        g.observe("y", "y", 1, ())
+        return g, RecognitionFactorization([("X", ["x"]), ("U", ["u"])])
+
+    def test_identity_nonlinearity_matches_the_affine_mean(self):
+        data = {"y": np.array([2.5])}
+        updated, energies = [], []
+        for nonlinear in (False, True):
+            g, rf = self.build(nonlinear)
+            executor = DirectExecutor(schedule_vmp(g, rf), schedule_free_energy(g, rf))
+            marginals = init_marginals(g, rf, {"x": GaussianMeanVariance(0.7, 0.4)})
+            executor.run_step("U", data, marginals)
+            updated.append(marginals["u"])
+            energies.append(executor.free_energy(data, marginals))
+        # rate 1 + E[(2.5 - x - 1.5)^2] / 2 with x ~ N(0.7, 0.4)
+        for u in updated:
+            assert (u.shape, u.rate) == pytest.approx((1.5, 1.0 + 0.5 * (0.3 ** 2 + 0.4)), rel=1e-12)
+        assert energies[1] == pytest.approx(energies[0], rel=1e-12)

@@ -1,5 +1,5 @@
 """Golden outputs: byte-for-byte ``render_schedules`` and ``render`` listings
-for four models, from the library and from ``mpgraph compile``, and the free
+for eight models, from the library and from ``mpgraph compile``, and the free
 energy trace (one ``repr`` per iteration) of three inference runs.
 
 The files under ``tests/golden/`` are the contract. Regenerate them only for
@@ -16,7 +16,14 @@ from mpgraph.cli import main
 from mpgraph.codegen import compile_program, render
 from mpgraph.dsl import parse_model
 from mpgraph.engine import run_inference
-from mpgraph.models import HmgmModel, ProbitSsmModel, RandomWalkModel, sample_generative
+from mpgraph.models import (
+    Co2Model,
+    HmgmModel,
+    LgssmModel,
+    ProbitSsmModel,
+    RandomWalkModel,
+    sample_generative,
+)
 from mpgraph.scheduler import (
     default_factorization,
     render_schedules,
@@ -28,6 +35,23 @@ from test_cli import RW_MODEL
 from test_scheduler import four_factor_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The README random walk with constant shifts on both mean sides: a chain link
+# with two leaves and an offset, and an observation with an offset.
+OFFSET_WALK_MODEL = """
+x[0] ~ GaussianMeanVariance(0.0, 1e12)
+d ~ GaussianMeanVariance(0.0, 1e12)
+w ~ Gamma(1.0, 1e-12)
+u ~ Gamma(1.0, 1e-12)
+for t in 1:T {
+  a[t] ~ Addition(x[t-1], 0.5)
+  m[t] ~ Addition(a[t], d)
+  x[t] ~ GaussianMeanPrecision(m[t], w)
+  r[t] ~ Addition(x[t], -0.25)
+  y[t] ~ GaussianMeanPrecision(r[t], u)
+  observe y[t] :: ()
+}
+"""
 
 
 def _sum_product():
@@ -41,16 +65,23 @@ def _vmp(graph, rf, ep_damping=None):
     return schedules, compile_program(schedules, schedule_free_energy(graph, rf))
 
 
-def _random_walk():
-    graph = parse_model(RW_MODEL, {"T": 3})
+def _parsed(source):
+    graph = parse_model(source, {"T": 3})
     return _vmp(graph, default_factorization(graph))
 
 
 MODELS = {
     "four_factor": _sum_product,
-    "random_walk_T3": _random_walk,
+    "random_walk_T3": lambda: _parsed(RW_MODEL),
     "probit_T2_damped": lambda: _vmp(*ProbitSsmModel().build(2), ep_damping=0.5),
     "hmgm_K3_T3": lambda: _vmp(*HmgmModel(K=3).build(3)),
+    "lgssm_T3": lambda: _vmp(*LgssmModel().build(3)),
+    # a nonlinear composition on the observation mean side
+    "nlssm_softplus_T3": lambda: _vmp(*LgssmModel(nonlinear=True).build(3)),
+    # two chains whose sum is observed: affine belief transport between factors
+    "co2_T3": lambda: _vmp(*Co2Model().build(3)),
+    # offsets in chain joints, precision updates, energies and belief transports
+    "offset_walk_T3": lambda: _parsed(OFFSET_WALK_MODEL),
 }
 
 

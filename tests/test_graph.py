@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpgraph._linalg import as_matrix
 from mpgraph.dsl import ModelParseError, parse_model
 from mpgraph.graph import (
     FactorGraph,
     GraphError,
+    Node,
+    Support,
+    _support_of_value,
     infer_supports,
     structurally_isomorphic,
 )
@@ -307,12 +311,15 @@ def built_graph(how: str, size: int, data) -> FactorGraph:
         return model.build(size)[0]
     if how == "flatten":
         return nested_composite_graph(size).flatten()
+    if how == "any_order":
+        return data.draw(any_order_graphs())
     return data.draw(random_graphs())
 
 
 class TestEdgeIndex:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["dsl", "models", "flatten", "random"]), st.integers(1, 6), st.booleans(), st.data())
+    @given(st.sampled_from(["dsl", "models", "flatten", "random", "any_order"]), st.integers(1, 6), st.booleans(),
+           st.data())
     def test_variable_edges_equal_full_scan(self, how, size, via_json, data):
         g = built_graph(how, size, data)
         if via_json:
@@ -325,3 +332,215 @@ class TestEdgeIndex:
         for var in variables:
             assert g.variable_edges(var) == [e for e in g.edges if e.variable == var]
         assert g.variable_edges("not a variable") == []
+
+
+def recursive_infer_supports(graph: FactorGraph) -> dict[str, Support]:
+    """``infer_supports`` as a recursion over producers, which copies the
+    resolution stack per level: the reference the stack-driven version must
+    equal, result and insertion order alike."""
+    supports: dict[str, Support] = {}
+    producer: dict[str, Node] = {}
+    for edge in graph.edges:
+        if edge.tail is not None:
+            node = graph.node_at(edge.tail)
+            if node.kind != "equality":
+                producer[edge.variable] = node
+    for node in graph.nodes:
+        if node.kind == "clamp":
+            edge = graph.edges[node.interfaces[0]]
+            if "value" in node.constants:
+                supports.setdefault(edge.variable, _support_of_value(node.constants["value"]))
+            else:
+                dims = node.constants.get("dims", ())
+                supports.setdefault(edge.variable, Support("gaussian", dims or ()))
+
+    def resolve(var: str, stack: tuple = ()) -> Support | None:
+        if var in supports:
+            return supports[var]
+        if var in stack:
+            return None
+        node = producer.get(var)
+        if node is None:
+            return None
+        stack = stack + (var,)
+        roles = node.roles(graph)
+
+        def input_support(role: str) -> Support | None:
+            idx = roles.index(role)
+            edge_id = node.interfaces[idx]
+            if edge_id is None:
+                return None
+            return resolve(graph.edges[edge_id].variable, stack)
+
+        result: Support | None = None
+        if node.kind in ("gaussian_mean_variance", "gaussian_mean_precision"):
+            mean = input_support(roles[1])
+            result = Support("gaussian", mean.shape if mean else ())
+        elif node.kind == "gamma":
+            result = Support("gamma", ())
+        elif node.kind == "wishart":
+            scale = input_support("scale")
+            result = Support("wishart", scale.shape if scale else (1, 1))
+        elif node.kind == "dirichlet":
+            conc = input_support("concentration")
+            result = Support("dirichlet", conc.shape if conc else ())
+        elif node.kind in ("categorical", "transition"):
+            if node.kind == "categorical":
+                p = input_support("p")
+                k = p.shape[0] if p and p.shape else 2
+            else:
+                mat = input_support("matrix")
+                prev = input_support("in")
+                k = mat.shape[0] if mat and mat.shape else (prev.shape[0] if prev else 2)
+            result = Support("categorical", (k,))
+        elif node.kind == "gaussian_mixture":
+            m1 = input_support("mean_1")
+            result = Support("gaussian", m1.shape if m1 else ())
+        elif node.kind == "gain":
+            a = as_matrix(node.constants["matrix"])
+            result = Support("gaussian", (a.shape[0],) if a.shape[0] > 1 else ())
+        elif node.kind == "addition":
+            s = input_support("in1") or input_support("in2")
+            result = Support("gaussian", s.shape if s else ())
+        elif node.kind == "nonlinear":
+            result = Support("gaussian", ())
+        elif node.kind == "probit":
+            result = Support("binary", ())
+        if result is not None:
+            supports[var] = result
+        return result
+
+    for var in graph.variables():
+        resolve(var)
+    # Precision/parameter inputs with no producer default by consumer role.
+    for node in graph.nodes:
+        roles = node.roles(graph)
+        for idx, edge_id in enumerate(node.interfaces):
+            if edge_id is None:
+                continue
+            var = graph.edges[edge_id].variable
+            if var in supports:
+                continue
+            role = roles[idx]
+            if role in ("precision", "rate", "shape", "dof") or role.startswith("precision_"):
+                supports[var] = Support("gamma", ())
+    return supports
+
+
+CONSTANTS = [0.5, [0.5, 1.0], [0.2, 0.3, 0.5], [[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]]]
+PRODUCER_KINDS = ["gaussian_mean_variance", "gaussian_mean_precision", "gamma", "wishart", "dirichlet",
+                  "categorical", "transition", "gaussian_mixture", "addition", "gain", "nonlinear", "probit"]
+
+
+@st.composite
+def any_order_graphs(draw):
+    """One producer per variable, of any primitive kind, reading other
+    variables (earlier, later or itself, so producers form cycles) or
+    constants; the nodes are added in random order, so variables are often
+    read before their producer exists. Some readers are equality nodes and
+    some variables are clamped as well."""
+    g = FactorGraph()
+    pool = [f"v{i}" for i in range(draw(st.integers(2, 10)))]
+    endpoint = st.sampled_from(pool * 3 + CONSTANTS)  # mostly variables
+    specs = []
+    for out in pool:
+        kind = draw(st.sampled_from(PRODUCER_KINDS))
+        constants = {}
+        if kind == "gain":
+            constants["matrix"] = np.asarray(draw(st.sampled_from(CONSTANTS[3:] + [[[2.0]]])))
+        elif kind == "nonlinear":
+            constants["g"] = "tanh"
+        if kind == "gaussian_mixture":
+            roles = Node(0, kind, 2 + 2 * draw(st.integers(2, 3))).roles(g)
+        else:
+            roles = list(g.kind_of(Node(0, kind, 1)).roles)
+        specs.append((kind, {role: out if i == 0 else draw(endpoint) for i, role in enumerate(roles)},
+                      constants))
+    for _ in range(draw(st.integers(0, 2))):
+        specs.append(("equality", {role: draw(st.sampled_from(pool)) for role in ("1", "2", "3")}, {}))
+    for kind, connections, constants in draw(st.permutations(specs)):
+        g.add_node(kind, connections, constants)
+    for var in draw(st.lists(st.sampled_from(pool), max_size=2)):
+        g.clamp(var, draw(st.sampled_from(CONSTANTS)))
+    return g
+
+
+def descending_chain(n: int) -> FactorGraph:
+    """x[n] <- ... <- x[0], each state added before the one it reads."""
+    g = FactorGraph()
+    for t in range(n, 0, -1):
+        g.add_node("gaussian_mean_precision", {"out": f"x[{t}]", "mean": f"x[{t - 1}]", "precision": 1.0})
+    g.add_node("gaussian_mean_variance", {"out": "x[0]", "mean": 0.0, "variance": 1.0})
+    return g
+
+
+def outcome(fn, g):
+    try:
+        return list(fn(g).items())
+    except Exception as exc:  # both versions must fail alike
+        return (type(exc), str(exc))
+
+
+class TestSupportInference:
+    @settings(max_examples=400, deadline=None)
+    @given(any_order_graphs())
+    def test_equals_the_recursive_reference(self, g):
+        assert outcome(infer_supports, g) == outcome(recursive_infer_supports, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["dsl", "models", "flatten", "descending"]), st.integers(1, 6), st.data())
+    def test_equals_the_recursive_reference_on_built_models(self, how, size, data):
+        g = descending_chain(size * 20) if how == "descending" else built_graph(how, size, data)
+        assert outcome(infer_supports, g) == outcome(recursive_infer_supports, g)
+
+
+def random_walk_nodes(T: int) -> list:
+    """The README random walk as (kind, connections) node specifications."""
+    nodes = [("gaussian_mean_variance", {"out": "x[0]", "mean": 0.0, "variance": 100.0}),
+             ("gaussian_mean_variance", {"out": "d", "mean": 0.0, "variance": 100.0}),
+             ("gamma", {"out": "w", "shape": 1.0, "rate": 1.0}),
+             ("gamma", {"out": "u", "shape": 1.0, "rate": 1.0})]
+    for t in range(1, T + 1):
+        nodes += [("addition", {"out": f"m[{t}]", "in1": f"x[{t - 1}]", "in2": "d"}),
+                  ("gaussian_mean_precision", {"out": f"x[{t}]", "mean": f"m[{t}]", "precision": "w"}),
+                  ("gaussian_mean_precision", {"out": f"y[{t}]", "mean": f"x[{t}]", "precision": "u"})]
+    return nodes
+
+
+class TestBuildOrder:
+    """Nodes may be added in any order, also after several readers of their
+    output: inference on the result equals inference on the in-order build."""
+
+    @staticmethod
+    def infer(nodes):
+        from mpgraph.engine import run_inference
+        from mpgraph.scheduler import RecognitionFactorization, default_factorization
+
+        g = FactorGraph()
+        for kind, connections in nodes:
+            g.add_node(kind, connections)
+        for t in range(1, 4):
+            g.observe(f"y[{t}]", "y", t, ())
+        assert g.validate() == []
+        chain = [f"x[{t}]" for t in range(4)]
+        assert default_factorization(g).factors[0] == ("X", chain)
+        # the same factor order for every build, so the same update sequence
+        rf = RecognitionFactorization([("X", chain), ("D", ["d"]), ("W", ["w"]), ("U", ["u"])])
+        return run_inference(g, rf, {"y": np.array([0.3, 0.8, 1.9])}, max_iters=15, tol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.permutations(random_walk_nodes(3)))
+    def test_any_order_infers_like_the_in_order_build(self, nodes):
+        got, want = self.infer(nodes), self.infer(random_walk_nodes(3))
+        assert got.free_energy_trace == pytest.approx(want.free_energy_trace, rel=1e-9)
+        for var in ("x[0]", "x[3]", "d"):
+            assert got.marginals[var].mean_vector() == pytest.approx(want.marginals[var].mean_vector(), rel=1e-9)
+        assert got.marginals["w"].rate == pytest.approx(want.marginals["w"].rate, rel=1e-9)
+
+    def test_second_producer_still_rejected(self):
+        g = FactorGraph()
+        g.add_node("gaussian_mean_precision", {"out": "y1", "mean": "x", "precision": 1.0})
+        g.add_node("gaussian_mean_precision", {"out": "y2", "mean": "x", "precision": 1.0})
+        g.add_node("gaussian_mean_variance", {"out": "x", "mean": 0.0, "variance": 1.0})
+        with pytest.raises(GraphError, match="already has a producing factor"):
+            g.add_node("gaussian_mean_variance", {"out": "x", "mean": 1.0, "variance": 1.0})

@@ -250,6 +250,7 @@ from mpgraph.codegen import compile_program
 from mpgraph.dsl import parse_model
 from mpgraph.scheduler import default_factorization, schedule_free_energy, schedule_sum_product, schedule_vmp
 from test_cli import RW_MODEL
+from test_graph import descending_chain
 from test_scheduler import observed_gaussian_chain
 
 limit = sys.getrecursionlimit()
@@ -257,7 +258,12 @@ g = parse_model(RW_MODEL, {"T": 8000})
 rf = default_factorization(g)
 ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))
 sp = schedule_sum_product(observed_gaussian_chain(8000), ["x[0]", "x[8000]"])
-print(limit, sys.getrecursionlimit(), sum(len(prog) for _, prog in ir.steps), len(sp.entries))
+# built from the end: each state's support waits on the state it reads
+d = descending_chain(8000)
+drf = default_factorization(d)
+dir_ = compile_program(schedule_vmp(d, drf), schedule_free_energy(d, drf))
+print(limit, sys.getrecursionlimit(), sum(len(prog) for _, prog in ir.steps), len(sp.entries),
+      len(drf.factors[0][1]), sum(len(prog) for _, prog in dir_.steps))
 """
 
 
@@ -282,6 +288,7 @@ class TestStackSafety:
         run = subprocess.run([sys.executable, "-c", LONG_CHAINS], env=env, capture_output=True,
                              text=True, check=False)
         assert run.returncode == 0, run.stderr[-3000:]
-        limit, after, instructions, entries = map(int, run.stdout.split())
+        limit, after, instructions, entries, chain, descending = map(int, run.stdout.split())
         assert limit == after == 1000
         assert instructions > 8000 and entries > 2 * 8000
+        assert chain == 8001 and descending > 8000
