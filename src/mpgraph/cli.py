@@ -142,13 +142,22 @@ def _check_data(graph: FactorGraph, data: dict):
             )
 
 
-def _load_model(args) -> FactorGraph:
-    text = Path(args.model).read_text()
+def _constants(args) -> dict:
+    """The ``--const NAME=VALUE`` items as a table of model constants."""
     constants = {}
-    for item in getattr(args, "const", None) or []:
-        key, _, value = item.partition("=")
-        constants[key] = float(value)
-    return parse_model(text, constants)
+    for item in args.const or []:
+        key, sep, value = item.partition("=")
+        try:
+            if not (key and sep):
+                raise ValueError
+            constants[key] = float(value)
+        except ValueError:
+            raise CliError(f"--const expects NAME=VALUE with a numeric VALUE, got {item!r}", 1) from None
+    return constants
+
+
+def _load_model(args) -> FactorGraph:
+    return parse_model(Path(args.model).read_text(), _constants(args))
 
 
 def _load_factorization(args, graph) -> RecognitionFactorization:
@@ -285,10 +294,7 @@ def _substitute_prior(graph: FactorGraph, var: str, dist):
 
 def cmd_stream(args) -> int:
     text = Path(args.model).read_text()
-    constants = {}
-    for item in args.const or []:
-        key, _, value = item.partition("=")
-        constants[key] = float(value)
+    constants = _constants(args)
     data = ingest(args.data, "y")
     name = next(iter(data))
     series = np.asarray(data[name])

@@ -4,8 +4,11 @@ instruction program with a deterministic, human-readable source listing.
 The IR is interpreted rather than transpiled: one instruction per schedule
 entry or marginal/energy step, executed against a message array (slots are
 reused across iterations), a marginal table, persistent EP site slots, and a
-data table. Interpretation is observationally identical to direct schedule
-execution because instructions mirror schedule steps one for one.
+data table. That storage and the one slot resolver live in ``Executor``,
+which ``Interpreter`` and ``engine.DirectExecutor`` share; the two differ
+only in the program they walk (instructions here, schedules and the
+free-energy program there), so interpretation is bit-identical to direct
+schedule execution as long as instructions mirror schedule steps one for one.
 """
 
 from __future__ import annotations
@@ -372,31 +375,25 @@ def parse_listing(text: str) -> AlgorithmIR:
 # ---------------------------------------------------------------------------
 
 
-class Interpreter:
-    """Executes an AlgorithmIR against its own mutable storage. Identical
-    inputs produce bit-identical outputs; concurrent runs must not share an
-    Interpreter."""
+class Executor:
+    """Run-time storage shared by ``Interpreter`` and ``engine.DirectExecutor``:
+    per-step message arrays, the EP site store (distributions) and the one
+    slot resolver. A subclass walks its own program in ``run_step`` and
+    ``energy_terms``, reading and writing only through the methods here.
+    Concurrent runs must not share an executor."""
 
-    def __init__(self, ir: AlgorithmIR, registry: RuleRegistry | None = None):
-        self.ir = ir
+    def __init__(self, registry, site_inits, message_counts, rule_ids):
         self.registry = registry or default_registry()
-        self.sites = {k: v for k, v in ir.site_inits.items()}
-        self._programs = dict(ir.steps)
-        self._rules = {}
-        for _, prog in ir.steps:
-            for ins in prog:
-                if ins.rule_id and ins.rule_id not in self._rules:
-                    self._rules[ins.rule_id] = self.registry.by_id(ins.rule_id)
-        self.messages: dict[str, list] = {
-            fid: [None] * sum(1 for ins in prog if ins.opcode == "rule")
-            for fid, prog in ir.steps
-        }
+        self.sites: dict[str, Distribution] = dict(site_inits)
+        self.messages: dict[str, list] = {fid: [None] * n for fid, n in message_counts.items()}
+        self._rules = {rule_id: self.registry.by_id(rule_id) for rule_id in dict.fromkeys(rule_ids)}
 
-    def _resolve(self, slot, fid, data, marginals):
+    def resolve(self, slot, fid, data, marginals):
+        """The value a slot reads: a message, marginal, datum, constant or
+        site; None for a void slot."""
         tag = slot[0]
         if tag == "entry":
-            msg = self.messages[fid][slot[1]]
-            return msg.dist
+            return self.messages[fid][slot[1]].dist
         if tag == "marginal":
             try:
                 return marginals[slot[1]]
@@ -405,78 +402,55 @@ class Interpreter:
         if tag == "data":
             name, index = slot[1]
             try:
-                series = data[name]
-                value = series[index - 1]
+                value = data[name][index - 1]
             except (KeyError, IndexError):
                 raise InterpretError(f"missing data slot {name}[{index}]") from None
             return PointMass(value)
         if tag == "const":
             return slot[1]
         if tag == "site":
-            held = self.sites[slot[1]]
-            return held.dist if hasattr(held, "dist") else held
-        return None
-
-    def _resolve_extra(self, slot, fid):
-        if slot[0] == "entry":
-            return self.messages[fid][slot[1]]
-        if slot[0] == "site":
             return self.sites[slot[1]]
         return None
 
-    def run_step(self, fid: str, data, marginals):
-        program = self._programs[fid]
-        msgs = self.messages[fid]
-        for pos, ins in enumerate(program):
-            try:
-                self._execute(ins, fid, msgs, data, marginals)
-            except Exception as exc:
-                raise InterpretError(
-                    f"step {fid}, instruction {pos} ({ins.opcode} -> {ins.output}): {exc}"
-                ) from exc
-        return marginals
+    def send(self, fid, index, step, data, marginals):
+        """Apply the rule of ``step`` (an ``Instruction`` or a schedule
+        entry), store the message at ``index`` and its distribution in the
+        site the step writes."""
+        inbound = [self.resolve(s, fid, data, marginals) for s in step.slots]
+        previous = self.resolve(step.extra, fid, data, marginals) if step.extra else None
+        msg = self._rules[step.rule_id].apply(inbound, step.constants, previous)
+        self.messages[fid][index] = msg
+        if step.writes_site:
+            self.sites[step.writes_site] = msg.dist
 
-    def _execute(self, ins: Instruction, fid, msgs, data, marginals):
-        if ins.opcode == "rule":
-            rule = self._rules[ins.rule_id]
-            inbound = [self._resolve(s, fid, data, marginals) for s in ins.slots]
-            previous = self._resolve_extra(ins.extra, fid) if ins.extra else None
-            msg = rule.apply(inbound, ins.constants, previous)
-            msgs[ins.output[1]] = msg
-            if ins.writes_site:
-                self.sites[ins.writes_site] = msg
-        elif ins.opcode == "product":
-            dists = [self._resolve(s, fid, data, marginals) for s in ins.slots]
-            out = dists[0]
-            for d in dists[1:]:
-                out = product(out, d)
-            marginals[ins.output[1]] = out
-        elif ins.opcode == "joint":
-            rule = self._rules[ins.rule_id]
-            inbound = [self._resolve(s, fid, data, marginals) for s in ins.slots]
-            marginals[ins.output[1]] = rule.apply(inbound, ins.constants).dist
-        else:
-            raise InterpretError(f"opcode {ins.opcode!r} is not executable in a step")
+    def belief(self, fid, slots, data, marginals) -> Distribution:
+        """The product of the messages in ``slots``."""
+        out = self.resolve(slots[0], fid, data, marginals)
+        for slot in slots[1:]:
+            out = product(out, self.resolve(slot, fid, data, marginals))
+        return out
+
+    def joint(self, fid, step, data, marginals) -> Distribution:
+        """A two-slice joint marginal from the rule of ``step``."""
+        inbound = [self.resolve(s, fid, data, marginals) for s in step.slots]
+        return self._rules[step.rule_id].apply(inbound, step.constants).dist
 
     def run_iteration(self, data, marginals):
-        for fid, _ in self.ir.steps:
+        for fid in self.messages:
             self.run_step(fid, data, marginals)
         return marginals
 
     def free_energy_terms(self, data, marginals):
-        """Yield ``(label, signed contribution to F)`` per free-energy
-        instruction, in program order."""
-        for pos, ins in enumerate(self.ir.free_energy):
-            label = ins.label or ins.opcode
+        """Yield ``(label, signed contribution to F)`` per free-energy term,
+        in program order. ``energy_terms`` yields ``(label, kind, slots,
+        constants)``; kind ``entropy`` is a weighted marginal entropy."""
+        for pos, (label, kind, slots, constants) in enumerate(self.energy_terms()):
             try:
-                if ins.opcode == "average_energy":
-                    qs = [self._resolve(s, None, data, marginals) for s in ins.slots]
-                    constants = dict(ins.constants)
-                    kind = constants.pop("kind")
-                    value = eval_energy_term(kind, qs, constants)
+                qs = [self.resolve(s, None, data, marginals) for s in slots]
+                if kind == "entropy":
+                    value = -(constants.get("weight", 1.0) * differential_entropy(qs[0]))
                 else:
-                    q = self._resolve(ins.slots[0], None, data, marginals)
-                    value = -(ins.constants.get("weight", 1.0) * differential_entropy(q))
+                    value = eval_energy_term(kind, qs, constants)
             except Exception as exc:
                 raise InterpretError(f"free-energy term {pos} ({label}): {exc}") from exc
             yield label, value
@@ -486,6 +460,51 @@ class Interpreter:
         for _, value in self.free_energy_terms(data, marginals):
             total += value
         return total
+
+
+def step_error(fid, pos, opcode, output, exc) -> InterpretError:
+    """The error both executors raise for a failed step instruction."""
+    return InterpretError(f"step {fid}, instruction {pos} ({opcode} -> {output}): {exc}")
+
+
+class Interpreter(Executor):
+    """Executes an AlgorithmIR against its own mutable storage. Identical
+    inputs produce bit-identical outputs."""
+
+    def __init__(self, ir: AlgorithmIR, registry: RuleRegistry | None = None):
+        self.ir = ir
+        self._programs = dict(ir.steps)
+        super().__init__(
+            registry, ir.site_inits,
+            {fid: sum(1 for ins in prog if ins.opcode == "rule") for fid, prog in ir.steps},
+            [ins.rule_id for _, prog in ir.steps for ins in prog if ins.rule_id],
+        )
+        self._energy_terms = []
+        for ins in ir.free_energy:
+            if ins.opcode == "average_energy":
+                constants = dict(ins.constants)
+                kind = constants.pop("kind")
+                self._energy_terms.append((ins.label or kind, kind, ins.slots, constants))
+            else:
+                self._energy_terms.append((ins.label or ins.opcode, "entropy", ins.slots, ins.constants))
+
+    def run_step(self, fid: str, data, marginals):
+        for pos, ins in enumerate(self._programs[fid]):
+            try:
+                if ins.opcode == "rule":
+                    self.send(fid, ins.output[1], ins, data, marginals)
+                elif ins.opcode == "product":
+                    marginals[ins.output[1]] = self.belief(fid, ins.slots, data, marginals)
+                elif ins.opcode == "joint":
+                    marginals[ins.output[1]] = self.joint(fid, ins, data, marginals)
+                else:
+                    raise InterpretError(f"opcode {ins.opcode!r} is not executable in a step")
+            except Exception as exc:
+                raise step_error(fid, pos, ins.opcode, ins.output, exc) from exc
+        return marginals
+
+    def energy_terms(self):
+        return self._energy_terms
 
 
 def interpret(ir: AlgorithmIR, data, marginals, registry=None, iterations: int = 1):

@@ -4,6 +4,10 @@ predictive score.
 
 Each run owns its marginal table and message storage; runs are independent.
 Within a run execution is strictly sequential, following the schedule.
+``DirectExecutor`` walks the uncompiled schedules and free-energy program on
+the storage and slot resolver of ``codegen.Executor``, which the instruction
+interpreter shares; it is the reference the interpreter must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import time
 import numpy as np
 
 from ._linalg import as_matrix, as_vector
-from .codegen import AlgorithmIR, Interpreter, compile_program
+from .codegen import AlgorithmIR, Executor, Interpreter, compile_program, step_error
 from .distributions import (
     Categorical,
     Dirichlet,
@@ -22,8 +26,6 @@ from .distributions import (
     GaussianBase,
     PointMass,
     Wishart,
-    differential_entropy,
-    product,
 )
 # infer_supports and analyze_sections are not called here; they stay
 # attributes of this module for layer-timing tools that wrap them by name.
@@ -37,7 +39,6 @@ from .scheduler import (
     analyze_factorization,
     analyze_sections,
     chain_order,
-    eval_energy_term,
     joint_key,
     schedule_free_energy,
     schedule_vmp,
@@ -91,7 +92,14 @@ def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=N
         else:
             joint = Support("gaussian", (leaf.dim + out.dim,))
         layout[joint_key(sec.leaf_var, sec.out_var)] = joint
-    table = {key: vague_for(sup) for key, sup in layout.items()}
+    # one immutable default per distinct support, shared by its keys
+    vague: dict[tuple, Distribution] = {}
+    table = {}
+    for key, sup in layout.items():
+        shared = (sup.family, sup.shape)
+        if shared not in vague:
+            vague[shared] = vague_for(sup)
+        table[key] = vague[shared]
     for key, dist in (overrides or {}).items():
         if key not in layout:
             raise NumericalError(f"override for unknown variable {key!r}")
@@ -125,85 +133,50 @@ def _support_compatible(sup: Support, dist: Distribution) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class DirectExecutor:
-    """Executes Schedule objects without compiling them; the instruction
+class DirectExecutor(Executor):
+    """Executes Schedule objects and the FreeEnergyProgram without compiling
+    them, on the interpreter's storage and resolver; the instruction
     interpreter must match this path bit for bit."""
 
     def __init__(self, schedules: dict[str, Schedule], fe_program: FreeEnergyProgram | None = None,
                  registry=None):
         self.schedules = schedules
         self.fe_program = fe_program
-        self.registry = registry or default_registry()
-        self.sites: dict[str, object] = {}
+        sites: dict[str, Distribution] = {}
         for schedule in schedules.values():
-            for name, init in schedule.site_inits.items():
-                self.sites[name] = init
-        self.messages = {fid: [None] * len(s.entries) for fid, s in schedules.items()}
-
-    def _resolve(self, slot, fid, data, marginals):
-        tag = slot[0]
-        if tag == "entry":
-            return self.messages[fid][slot[1]].dist
-        if tag == "marginal":
-            return marginals[slot[1]]
-        if tag == "data":
-            name, index = slot[1]
-            return PointMass(data[name][index - 1])
-        if tag == "const":
-            return slot[1]
-        if tag == "site":
-            held = self.sites[slot[1]]
-            return held.dist if hasattr(held, "dist") else held
-        return None
+            sites.update(schedule.site_inits)
+        rule_ids = [e.rule_id for s in schedules.values() for e in s.entries]
+        rule_ids += [st.rule_id for s in schedules.values() for st in s.marginal_steps
+                     if not isinstance(st, MarginalStep)]
+        super().__init__(registry, sites, {fid: len(s.entries) for fid, s in schedules.items()},
+                         rule_ids)
 
     def run_step(self, fid, data, marginals):
         schedule = self.schedules[fid]
-        msgs = self.messages[fid]
-        for i, entry in enumerate(schedule.entries):
-            rule = self.registry.by_id(entry.rule_id)
-            inbound = [self._resolve(s, fid, data, marginals) for s in entry.slots]
-            previous = None
-            if entry.extra is not None:
-                if entry.extra[0] == "entry":
-                    previous = msgs[entry.extra[1]]
-                elif entry.extra[0] == "site":
-                    previous = self.sites[entry.extra[1]]
-            msg = rule.apply(inbound, entry.constants, previous)
-            msgs[i] = msg
-            if entry.writes_site:
-                self.sites[entry.writes_site] = msg
-        for step in schedule.marginal_steps:
-            if isinstance(step, MarginalStep):
-                dists = [self._resolve(s, fid, data, marginals) for s in step.inputs]
-                out = dists[0]
-                for d in dists[1:]:
-                    out = product(out, d)
-                marginals[step.key] = out
-            else:
-                rule = self.registry.by_id(step.rule_id)
-                inbound = [self._resolve(s, fid, data, marginals) for s in step.slots]
-                marginals[step.key] = rule.apply(inbound, step.constants).dist
+        for pos, entry in enumerate(schedule.entries):
+            try:
+                self.send(fid, pos, entry, data, marginals)
+            except Exception as exc:
+                raise step_error(fid, pos, "rule", ("msg", pos), exc) from exc
+        for pos, step in enumerate(schedule.marginal_steps, len(schedule.entries)):
+            is_product = isinstance(step, MarginalStep)
+            try:
+                if is_product:
+                    marginals[step.key] = self.belief(fid, step.inputs, data, marginals)
+                else:
+                    marginals[step.key] = self.joint(fid, step, data, marginals)
+            except Exception as exc:
+                raise step_error(fid, pos, "product" if is_product else "joint",
+                                 ("marginal", step.key), exc) from exc
         return marginals
 
-    def run_iteration(self, data, marginals):
-        for fid in self.schedules:
-            self.run_step(fid, data, marginals)
-        return marginals
-
-    def free_energy_terms(self, data, marginals):
-        """Yield ``(label, signed contribution to F)`` per free-energy term,
-        in the order the compiled program evaluates them."""
+    def energy_terms(self):
+        if self.fe_program is None:
+            return
         for term in self.fe_program.energies:
-            qs = [self._resolve(s, None, data, marginals) for s in term.slots]
-            yield term.label or term.kind, eval_energy_term(term.kind, qs, term.constants)
+            yield term.label or term.kind, term.kind, term.slots, term.constants
         for key, weight in self.fe_program.entropies:
-            yield "entropy", -(weight * differential_entropy(marginals[key]))
-
-    def free_energy(self, data, marginals) -> float:
-        total = 0.0
-        for _, value in self.free_energy_terms(data, marginals):
-            total += value
-        return total
+            yield "entropy", "entropy", [("marginal", key)], {"weight": weight}
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +243,6 @@ def run_inference(
     tol: float = 1e-6,
     registry=None,
     seed=None,
-    compiled: bool = True,
     ep_damping: float | None = None,
 ):
     """Schedule, compile and iterate in one call."""
@@ -278,10 +250,7 @@ def run_inference(
     schedules = schedule_vmp(graph, rf, registry=registry, ep_damping=ep_damping)
     fe = schedule_free_energy(graph, rf, registry=registry)
     marginals = init_marginals(graph, rf, overrides, registry)
-    if compiled:
-        runner = Interpreter(compile_program(schedules, fe), registry)
-    else:
-        runner = DirectExecutor(schedules, fe, registry)
+    runner = Interpreter(compile_program(schedules, fe), registry)
     return iterate(runner, data, marginals, max_iters, tol, seed)
 
 

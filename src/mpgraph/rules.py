@@ -427,13 +427,12 @@ def _nonlinear_forward(inbound, constants):
 
 
 def _nonlinear_backward(inbound, constants, previous):
-    # ``previous`` carries the forward inbound message recorded during the
-    # same sweep; its mean is the linearization point.
+    # ``previous`` is the forward inbound message recorded during the same
+    # sweep; its mean is the linearization point.
     g, g_prime = NONLINEAR_FUNCTIONS[constants["g"]]
     if previous is None:
         raise RuleError("nonlinear backward rule needs the forward message for linearization")
-    lin = previous.dist if isinstance(previous, Message) else previous
-    x0 = float(as_vector(moment(lin, "mean"))[0])
+    x0 = float(as_vector(moment(previous, "mean"))[0])
     slope = g_prime(x0)
     if abs(slope) < 1e-10:
         return vague("gaussian", 1), {"flat_linearization": True}
@@ -558,17 +557,14 @@ def _probit_ep(inbound, constants, previous):
     xi_new = tilted_mean / tilted_var - mu / s2
     info = {"tilted_mean": tilted_mean, "tilted_var": tilted_var}
     lam = float(constants.get("damping", 1.0))
-    if lam < 1.0:
-        prev = previous.dist if isinstance(previous, Message) else previous
-        if prev is not None and np.isfinite(w_new):
-            xi_p, w_p = _canonical(prev)
-            w_new = lam * w_new + (1.0 - lam) * float(w_p[0, 0])
-            xi_new = lam * xi_new + (1.0 - lam) * float(xi_p[0])
+    if lam < 1.0 and previous is not None and np.isfinite(w_new):
+        xi_p, w_p = _canonical(previous)
+        w_new = lam * w_new + (1.0 - lam) * float(w_p[0, 0])
+        xi_new = lam * xi_new + (1.0 - lam) * float(xi_p[0])
     if w_new <= 0.0 or not np.isfinite(w_new):
-        prev = previous.dist if isinstance(previous, Message) else previous
-        if prev is None:
-            prev = GaussianCanonical([0.0], [[1e-12]])
-        xi_p, w_p = _canonical(prev)
+        if previous is None:
+            previous = GaussianCanonical([0.0], [[1e-12]])
+        xi_p, w_p = _canonical(previous)
         w_new = max(0.5 * float(w_p[0, 0]) + 0.5 * max(w_new, 0.0), 1e-12)
         xi_new = 0.5 * float(xi_p[0]) + 0.5 * xi_new
         info["damped"] = True

@@ -160,7 +160,10 @@ def latent_stochastic_variables(graph: FactorGraph, supports=None) -> list[str]:
 
 def default_factorization(graph: FactorGraph) -> RecognitionFactorization:
     """Structured default: each transition chain becomes one joint factor,
-    every other latent variable gets its own mean-field factor."""
+    every other latent variable gets its own mean-field factor. Chains are
+    found on the graph the schedules see (composites without custom rules
+    in the default registry expanded)."""
+    graph = _prepare(graph, default_registry())
     supports = infer_supports(graph)
     latent = latent_stochastic_variables(graph, supports)
     latent_set = set(latent)

@@ -104,6 +104,15 @@ class TestExitCodes:
         assert main(["infer", str(model), str(data)]) == 3
         assert "not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compile", "infer", "stream"])
+    @pytest.mark.parametrize("item", ["T", "T=", "T=four", "=4"])
+    def test_malformed_const_names_the_item(self, rw_files, command, item, capsys):
+        model, data = rw_files
+        args = [str(model)] if command == "compile" else [str(model), str(data)]
+        assert main([command, *args, "--const", "T=4", "--const", item]) == 1
+        err = capsys.readouterr().err
+        assert "--const" in err and repr(item) in err and "Traceback" not in err
+
 
 # The model language's tokens, numbers small or out of float range.
 TOKENS = ["let", "for", "in", "observe", "x", "y", "t", "T", "A", "softplus", *KIND_ALIASES,

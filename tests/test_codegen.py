@@ -154,6 +154,32 @@ class TestInterpret:
         with pytest.raises(InterpretError, match="y"):
             interpret(ir, {}, init_marginals(g, rf))
 
+    @pytest.mark.parametrize("missing, expected", [
+        ("data", "missing data slot y[1]"),
+        ("marginal", "marginal 'w' missing from the table"),
+    ])
+    @pytest.mark.parametrize("stage", ["run_iteration", "free_energy"])
+    def test_direct_and_interpreted_errors_agree(self, missing, expected, stage):
+        g = FactorGraph()
+        g.add_node("gaussian_mean_variance", {"out": "x", "mean": 0.0, "variance": 1.0})
+        g.add_node("gamma", {"out": "w", "shape": 1.0, "rate": 1.0})
+        g.add_node("gaussian_mean_precision", {"out": "y", "mean": "x", "precision": "w"})
+        g.observe("y", "y", 1, ())
+        rf = RecognitionFactorization([("X", ["x"]), ("W", ["w"])])
+        schedules, fe = schedule_vmp(g, rf), schedule_free_energy(g, rf)
+        errors = []
+        for runner in (Interpreter(compile_program(schedules, fe)), DirectExecutor(schedules, fe)):
+            data, marginals = {"y": np.array([0.3])}, init_marginals(g, rf)
+            if missing == "data":
+                data = {}
+            else:
+                del marginals["w"]
+            with pytest.raises(InterpretError) as err:
+                getattr(runner, stage)(data, marginals)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].endswith(expected)
+
     def test_error_carries_instruction_position(self):
         g, rf = conjugate_toy()
         ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))

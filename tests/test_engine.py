@@ -13,7 +13,7 @@ from mpgraph.engine import (
     streaming_update,
 )
 from mpgraph.dsl import parse_model
-from mpgraph.graph import FactorGraph
+from mpgraph.graph import FactorGraph, Support, infer_supports
 from mpgraph.models import (
     RandomWalkModel,
     sample_generative,
@@ -44,6 +44,22 @@ class TestInitMarginals:
         assert table["W"].dof == 2.0 and table["W"].scale[0, 0] == 1e12
         assert isinstance(table["u"], Gamma) and table["u"].rate == 1e-12
         assert table["x[0]&x[1]"].dim == 4
+
+    def test_one_vague_default_per_support(self):
+        from mpgraph.models import LgssmModel
+        from mpgraph.scheduler import vague_for
+
+        g, rf = LgssmModel().build(3)
+        table = init_marginals(g, rf)
+        assert table["x[1]"] is table["x[2]"] and table["x[0]&x[1]"] is table["x[1]&x[2]"]
+        assert table["x[1]"] is not table["x[0]&x[1]"]
+        supports = infer_supports(g)
+        for key, dist in table.items():
+            if "&" in key:
+                sup = Support("gaussian", (sum(supports[v].dim for v in key.split("&")),))
+            else:
+                sup = supports[key]
+            assert dist.to_json() == vague_for(sup).to_json(), key
 
     def test_overrides_verbatim(self):
         g, rf = conjugate_toy()
@@ -93,9 +109,15 @@ class TestIterate:
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_nonfinite_data_raises_numerical(self, compiled):
+        # compiled: run_inference's interpreter; otherwise the direct executor
         g, rf = conjugate_toy()
+        data = {"y": np.array([np.nan])}
         with pytest.raises(NumericalError, match=r"iteration 0: .*\(term 0: node0:gaussian_mv\)"):
-            run_inference(g, rf, {"y": np.array([np.nan])}, max_iters=2, compiled=compiled)
+            if compiled:
+                run_inference(g, rf, data, max_iters=2)
+            else:
+                direct = DirectExecutor(schedule_vmp(g, rf), schedule_free_energy(g, rf))
+                iterate(direct, data, init_marginals(g, rf), max_iters=2)
 
     def test_trace_converges_flag(self):
         data, _ = sample_random_walk(seed=0, T=50)
@@ -349,6 +371,13 @@ class TestCompositeChain:
         assert sorted(init_marginals(g, rf)) == sorted(["w", *rf.factors[0][1], *joints])
         flat_g, flat_rf = StepTemplate(composite=False).build(3, {})
         assert list(init_marginals(g, rf)) == list(init_marginals(flat_g, flat_rf))
+
+    def test_default_factorization_sees_the_expanded_chain(self):
+        g, _ = StepTemplate(composite=True).build(3, {})
+        rf = default_factorization(g)
+        assert rf.factors == [("X", [f"x[{t}]" for t in range(4)]), ("w", ["w"])]
+        schedules = schedule_vmp(g, rf)
+        assert list(schedules) == ["X", "w"]
 
     def test_streams_like_the_expanded_chain(self):
         rng = np.random.default_rng(7)
