@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codegen import CompileError, InterpretError, compile_program, render
+from .codegen import CompileError, InterpretError, compile_program, render, render_schedules
 from .distributions import (
     DistributionError,
     Gamma,
@@ -49,7 +49,6 @@ from .scheduler import (
     RecognitionFactorization,
     SchedulingError,
     default_factorization,
-    render_schedules,
     schedule_free_energy,
     schedule_vmp,
 )
@@ -91,6 +90,35 @@ def _write_data_csv(ys: np.ndarray, path: Path, name: str = "y"):
         writer.writerows(rows)
 
 
+def _json_object(path: str) -> dict:
+    """The JSON object an input file holds; anything else exits 1 naming the file."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}", 1) from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(obj).__name__}", 1)
+    return obj
+
+
+def _parse_entry(path: str, parse, obj, key=None):
+    """``parse(obj)`` on part of an input file; malformed content exits 1
+    naming the file and, if given, the JSON key."""
+    try:
+        return parse(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        where = f"{path}, key {key!r}" if key is not None else path
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise CliError(f"{where}: {detail}", 1) from None
+
+
+def _series(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        raise ValueError(f"expected a list of values, got {values!r}")
+    return arr
+
+
 def ingest(path: str, placeholder: str = "y") -> dict:
     """Load an observation table from CSV (header row, one row per step) or
     JSON ({"name": [...]}) keyed by placeholder name."""
@@ -98,25 +126,27 @@ def ingest(path: str, placeholder: str = "y") -> dict:
     if not p.exists():
         raise CliError(f"data file not found: {path}", 1)
     if p.suffix.lower() == ".json":
-        obj = json.loads(p.read_text())
-        return {k: np.asarray(v, dtype=float) for k, v in obj.items()}
+        table = {k: _parse_entry(path, _series, v, k) for k, v in _json_object(path).items()}
+        if not table:
+            raise CliError(f"{path}: no data series", 1)
+        return table
     with p.open() as fh:
         reader = csv.reader(fh)
         rows = list(reader)
-    if not rows:
-        raise CliError("empty CSV data file", 1)
+    if len(rows) < 2:
+        raise CliError(f"{path}: no CSV data rows after the header", 1)
     header, body = rows[0], rows[1:]
     width = len(header)
     values = []
     for r, row in enumerate(body, start=2):
         if len(row) != width:
-            raise CliError(f"ragged CSV row {r}: expected {width} cells, got {len(row)}", 1)
+            raise CliError(f"{path}: ragged CSV row {r}: expected {width} cells, got {len(row)}", 1)
         parsed = []
         for c, cell in enumerate(row, start=1):
             try:
                 parsed.append(float(cell))
             except ValueError:
-                raise CliError(f"non-numeric cell at row {r}, column {c}: {cell!r}", 1) from None
+                raise CliError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}", 1) from None
         values.append(parsed)
     arr = np.asarray(values, dtype=float)
     if arr.shape[1] == 1:
@@ -161,9 +191,9 @@ def _load_model(args) -> FactorGraph:
 
 
 def _load_factorization(args, graph) -> RecognitionFactorization:
-    if getattr(args, "factorization", None):
-        obj = json.loads(Path(args.factorization).read_text())
-        return RecognitionFactorization.from_json(obj)
+    path = getattr(args, "factorization", None)
+    if path:
+        return _parse_entry(path, RecognitionFactorization.from_json, _json_object(path))
     return default_factorization(graph)
 
 
@@ -211,8 +241,7 @@ def cmd_infer(args) -> int:
     _check_data(graph, data)
     overrides = None
     if args.init:
-        spec = json.loads(Path(args.init).read_text())
-        overrides = {k: dist_from_json(v) for k, v in spec.items()}
+        overrides = {k: _parse_entry(args.init, dist_from_json, v, k) for k, v in _json_object(args.init).items()}
     seed = _seed_of(args)
     result = run_inference(
         graph, rf, data, overrides=overrides,

@@ -1,6 +1,12 @@
 """Compile schedules plus the free-energy program into an executable
 instruction program with a deterministic, human-readable source listing.
 
+The listing is the IR's one serialization, and this module holds its whole
+grammar: each writer sits beside its reader (``slot_text`` and its slot
+parser, ``call_text`` and its one call pattern, ``render`` and
+``parse_listing``), and ``render_schedule(s)`` write schedules in the same
+line forms. ``parse_listing(render(ir)) == ir`` holds field by field.
+
 The IR is interpreted rather than transpiled: one instruction per schedule
 entry or marginal/energy step, executed against a message array (slots are
 reused across iterations), a marginal table, persistent EP site slots, and a
@@ -20,15 +26,7 @@ import numpy as np
 
 from .distributions import Distribution, PointMass, differential_entropy, from_json, product
 from .rules import RuleRegistry, default_registry
-from .scheduler import (
-    FreeEnergyProgram,
-    MarginalStep,
-    Schedule,
-    call_text,
-    canonical_json,
-    eval_energy_term,
-    slot_text,
-)
+from .scheduler import FreeEnergyProgram, MarginalStep, Schedule, eval_energy_term
 
 
 class CompileError(ValueError):
@@ -37,28 +35,6 @@ class CompileError(ValueError):
 
 class InterpretError(RuntimeError):
     pass
-
-
-def _slot_json(slot):
-    tag = slot[0]
-    if tag == "const":
-        return ["const", slot[1].to_json()]
-    if tag == "data":
-        return ["data", list(slot[1])]
-    if tag == "void":
-        return ["void"]
-    return [tag, slot[1]]
-
-
-def _slot_from_json(obj):
-    tag = obj[0]
-    if tag == "const":
-        return ("const", from_json(obj[1]))
-    if tag == "data":
-        return ("data", tuple(obj[1]))
-    if tag == "void":
-        return ("void",)
-    return (tag, obj[1])
 
 
 def _canon_constants(constants: dict) -> dict:
@@ -90,33 +66,8 @@ class Instruction:
         self.writes_site = writes_site
         self.label = label
 
-    def to_json(self):
-        return {
-            "opcode": self.opcode,
-            "output": list(self.output),
-            "slots": [_slot_json(s) for s in self.slots],
-            "rule_id": self.rule_id,
-            "constants": self.constants,
-            "extra": _slot_json(self.extra) if self.extra else None,
-            "writes_site": self.writes_site,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            obj["opcode"],
-            tuple(obj["output"]),
-            [_slot_from_json(s) for s in obj["slots"]],
-            obj.get("rule_id"),
-            obj.get("constants") or {},
-            _slot_from_json(obj["extra"]) if obj.get("extra") else None,
-            obj.get("writes_site"),
-            obj.get("label", ""),
-        )
-
     def __eq__(self, other):
-        return isinstance(other, Instruction) and canonical_json(self.to_json()) == canonical_json(other.to_json())
+        return isinstance(other, Instruction) and vars(self) == vars(other)
 
 
 class AlgorithmIR:
@@ -129,31 +80,8 @@ class AlgorithmIR:
         self.site_inits: dict[str, Distribution] = site_inits
         self.data_slots: list[tuple[str, int]] = data_slots
 
-    def to_json(self):
-        return {
-            "steps": [
-                {"factor": fid, "instructions": [ins.to_json() for ins in prog]}
-                for fid, prog in self.steps
-            ],
-            "free_energy": [ins.to_json() for ins in self.free_energy],
-            "site_inits": {k: v.to_json() for k, v in self.site_inits.items()},
-            "data_slots": [list(d) for d in self.data_slots],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            [
-                (blk["factor"], [Instruction.from_json(i) for i in blk["instructions"]])
-                for blk in obj["steps"]
-            ],
-            [Instruction.from_json(i) for i in obj["free_energy"]],
-            {k: from_json(v) for k, v in obj["site_inits"].items()},
-            [tuple(d) for d in obj["data_slots"]],
-        )
-
     def __eq__(self, other):
-        return isinstance(other, AlgorithmIR) and canonical_json(self.to_json()) == canonical_json(other.to_json())
+        return isinstance(other, AlgorithmIR) and vars(self) == vars(other)
 
 
 def compile_program(schedules: dict[str, Schedule], fe_program: FreeEnergyProgram | None) -> AlgorithmIR:
@@ -212,7 +140,29 @@ def compile_program(schedules: dict[str, Schedule], fe_program: FreeEnergyProgra
 # ---------------------------------------------------------------------------
 
 
+def canonical_json(obj) -> str:
+    """The one JSON spelling used in listings."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def slot_text(slot) -> str:
+    tag = slot[0]
+    if tag == "entry":
+        return f"msg[{slot[1]}]"
+    if tag == "marginal":
+        return f"q[{slot[1]}]"
+    if tag == "data":
+        name, index = slot[1]
+        return f"data[{name}][{index}]"
+    if tag == "const":
+        return "const:" + canonical_json(slot[1].to_json())
+    if tag == "site":
+        return f"site[{slot[1]}]"
+    return "_"
+
+
 def _slot_parse(text: str):
+    """Inverse of ``slot_text``."""
     text = text.strip()
     if text == "_":
         return ("void",)
@@ -221,8 +171,8 @@ def _slot_parse(text: str):
     if text.startswith("q["):
         return ("marginal", text[2:-1])
     if text.startswith("data["):
-        m = re.match(r"data\[(.+)\]\[(\d+)\]$", text)
-        return ("data", (m.group(1), int(m.group(2))))
+        name, _, index = text[5:-1].rpartition("][")
+        return ("data", (name, int(index)))
     if text.startswith("const:"):
         return ("const", from_json(json.loads(text[6:])))
     if text.startswith("site["):
@@ -246,10 +196,60 @@ def _split_args(text: str) -> list[str]:
     return [a.strip() for a in args]
 
 
+def call_text(head: str, slots, constants=None, extra=None, writes_site=None, label="") -> str:
+    """One call line of a listing:
+    ``head(slots) [with constants] [@ extra] [-> site[...]] [# label]``."""
+    text = f"{head}({', '.join(slot_text(s) for s in slots)})"
+    if constants:
+        text += " with " + canonical_json(constants)
+    if extra:
+        text += f" @ {slot_text(extra)}"
+    if writes_site:
+        text += f" -> site[{writes_site}]"
+    if label:
+        text += f"  # {label}"
+    return text
+
+
+# The inverse of ``call_text``: one pattern for every call line.
+_CALL_RE = re.compile(
+    r"(?P<head>[^(]+)\((?P<slots>.*?)\)(?: with (?P<constants>\{.*?\}))?(?: @ (?P<extra>\S+))?"
+    r"(?: -> site\[(?P<site>\S+)\])?(?:  # (?P<label>.*))?$"
+)
+
+
+def render_schedule(schedule: Schedule) -> str:
+    """Deterministic text listing; the contract consumed by golden tests."""
+    lines = []
+    for site, init in schedule.site_inits.items():
+        lines.append(f"site[{site}] <- init:" + canonical_json(init.to_json()))
+    for i, entry in enumerate(schedule.entries):
+        var, direction = entry.edge_label
+        lines.append(call_text(f"msg[{i}] <- {entry.rule_id}", entry.slots, extra=entry.extra,
+                               writes_site=entry.writes_site, label=f"edge {var} {direction}"))
+    for step in schedule.marginal_steps:
+        if isinstance(step, MarginalStep):
+            rhs = " * ".join(slot_text(s) for s in step.inputs)
+            lines.append(f"q[{step.key}] <- {rhs}")
+        else:
+            lines.append(call_text(f"q[{step.key}] <- joint {step.rule_id}", step.slots))
+    return "\n".join(lines) + "\n"
+
+
+def render_schedules(schedules: dict[str, Schedule]) -> str:
+    parts = []
+    for fid, schedule in schedules.items():
+        parts.append(f"schedule {fid}:")
+        body = render_schedule(schedule).rstrip("\n")
+        parts.extend("  " + line for line in body.split("\n") if line)
+        parts.append("end")
+    return "\n".join(parts) + "\n"
+
+
 def render(ir: AlgorithmIR) -> str:
-    """Deterministic source listing of the compiled program. Re-rendering an
-    identical IR yields byte-identical text, and distinct IRs render
-    differently (the listing is a lossless serialization)."""
+    """Deterministic source listing of the compiled program, and the IR's
+    one serialization: re-rendering an identical IR yields byte-identical
+    text, and ``parse_listing`` reads it back to an equal IR."""
     lines = []
     for site, init in sorted(ir.site_inits.items()):
         lines.append(f"declare site[{site}] = {canonical_json(init.to_json())}")
@@ -281,22 +281,35 @@ def _render_instruction(ins: Instruction) -> str:
         kind = consts.pop("kind")
         return call_text(f"F += averageEnergy[{kind}]", ins.slots, consts, label=ins.label)
     if ins.opcode == "entropy":
-        w = ins.constants.get("weight", 1.0)
-        return f"F -= {w!r} * entropy({', '.join(slot_text(s) for s in ins.slots)})"
+        return call_text(f"F -= {ins.constants.get('weight', 1.0)!r} * entropy", ins.slots)
     raise CompileError(f"unknown opcode {ins.opcode!r}")
 
 
-_RULE_RE = re.compile(
-    r"msg\[(\d+)\] <- (\S+)\((.*?)\)(?: with (\{.*?\}))?(?: @ (\S+))?(?: -> site\[(\S+)\])?(?:  # (.*))?$"
-)
-_PRODUCT_RE = re.compile(r"q\[(.+?)\] <- (msg\[.+)$")
-_JOINT_RE = re.compile(r"q\[(.+?)\] <- joint (\S+)\((.*?)\)(?: with (\{.*\}))?$")
-_ENERGY_RE = re.compile(r"F \+= averageEnergy\[(\S+)\]\((.*?)\)(?: with (\{.*?\}))?(?:  # (.*))?$")
-_ENTROPY_RE = re.compile(r"F -= (\S+) \* entropy\(q\[(.+)\]\)$")
+def _parse_instruction(line: str) -> Instruction:
+    """Inverse of ``_render_instruction``."""
+    call = _CALL_RE.match(line)
+    if call is None:
+        target, arrow, rhs = line.partition(" <- ")
+        if not (arrow and target.startswith("q[")):
+            raise CompileError(f"unparseable listing line: {line!r}")
+        return Instruction("product", ("marginal", target[2:-1]), [_slot_parse(s) for s in rhs.split(" * ")])
+    head, label = call["head"], call["label"] or ""
+    slots = [_slot_parse(a) for a in _split_args(call["slots"])]
+    constants = json.loads(call["constants"]) if call["constants"] else {}
+    if head.startswith("F += averageEnergy["):
+        return Instruction("average_energy", ("F",), slots, None,
+                           dict(constants, kind=head[len("F += averageEnergy["):-1]), label=label)
+    if head.startswith("F -= ") and head.endswith(" * entropy"):
+        return Instruction("entropy", ("F",), slots, None, {"weight": float(head[5:-len(" * entropy")])})
+    target, _, rule_id = head.partition(" <- ")
+    if rule_id.startswith("joint "):
+        return Instruction("joint", ("marginal", target[2:-1]), slots, rule_id[len("joint "):], constants)
+    extra = _slot_parse(call["extra"]) if call["extra"] else None
+    return Instruction("rule", ("msg", int(target[4:-1])), slots, rule_id, constants, extra, call["site"], label)
 
 
 def parse_listing(text: str) -> AlgorithmIR:
-    """Inverse of ``render``; used to verify the listing is lossless."""
+    """Inverse of ``render``."""
     steps: list[tuple[str, list[Instruction]]] = []
     fe: list[Instruction] = []
     site_inits: dict[str, Distribution] = {}
@@ -309,64 +322,19 @@ def parse_listing(text: str) -> AlgorithmIR:
         if line.startswith("declare site["):
             name, payload = line[len("declare site["):].split("] = ", 1)
             site_inits[name] = from_json(json.loads(payload))
-            continue
-        if line.startswith("declare data["):
-            m = re.match(r"declare data\[(.+)\]\[(\d+)\]$", line)
-            data_slots.append((m.group(1), int(m.group(2))))
-            continue
-        if line.startswith("step "):
+        elif line.startswith("declare data["):
+            data_slots.append(_slot_parse(line[len("declare "):])[1])
+        elif line.startswith("step "):
             steps.append((line[5:-1], []))
             current = steps[-1][1]
-            continue
-        if line == "free_energy:":
+        elif line == "free_energy:":
             current = fe
-            continue
-        if line == "end":
+        elif line == "end":
             current = None
-            continue
-        m = _JOINT_RE.match(line)
-        if m:
-            current.append(Instruction(
-                "joint", ("marginal", m.group(1)),
-                [_slot_parse(a) for a in _split_args(m.group(3))],
-                m.group(2), json.loads(m.group(4)) if m.group(4) else {},
-            ))
-            continue
-        m = _RULE_RE.match(line)
-        if m:
-            current.append(Instruction(
-                "rule", ("msg", int(m.group(1))),
-                [_slot_parse(a) for a in _split_args(m.group(3))],
-                m.group(2), json.loads(m.group(4)) if m.group(4) else {},
-                _slot_parse(m.group(5)) if m.group(5) else None,
-                m.group(6), label=m.group(7) or "",
-            ))
-            continue
-        m = _PRODUCT_RE.match(line)
-        if m:
-            current.append(Instruction(
-                "product", ("marginal", m.group(1)),
-                [_slot_parse(a) for a in m.group(2).split(" * ")],
-            ))
-            continue
-        m = _ENERGY_RE.match(line)
-        if m:
-            constants = json.loads(m.group(3)) if m.group(3) else {}
-            constants["kind"] = m.group(1)
-            fe.append(Instruction(
-                "average_energy", ("F",),
-                [_slot_parse(a) for a in _split_args(m.group(2))],
-                None, constants, label=m.group(4) or "",
-            ))
-            continue
-        m = _ENTROPY_RE.match(line)
-        if m:
-            fe.append(Instruction(
-                "entropy", ("F",), [("marginal", m.group(2))], None,
-                {"weight": float(m.group(1))},
-            ))
-            continue
-        raise CompileError(f"unparseable listing line: {line!r}")
+        elif current is None:
+            raise CompileError(f"listing line outside a block: {line!r}")
+        else:
+            current.append(_parse_instruction(line))
     return AlgorithmIR(steps, fe, site_inits, data_slots)
 
 

@@ -18,6 +18,9 @@ eigenvalues floored at 1e-12.
 
 from __future__ import annotations
 
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 from scipy.special import digamma, gammaln, log_ndtr, multigammaln
 
@@ -475,22 +478,54 @@ def from_json(obj: dict) -> Distribution:
     return cls(**obj["params"])
 
 
+class Family(NamedTuple):
+    """What a support family decides: the class of a marginal on it, its
+    vague default for a support shape, and whether a value fits that shape."""
+
+    belief: type
+    vague: Callable[[tuple], Distribution]
+    fits: Callable[[Distribution, tuple], bool]
+
+
+def _vague_gaussian(shape: tuple) -> Distribution:
+    d = math.prod(shape)
+    return GaussianMeanVariance(np.zeros(d), VAGUE_VARIANCE * np.eye(d))
+
+
+def _vague_wishart(shape: tuple) -> Distribution:
+    d = shape[0] if shape else 1
+    return Wishart(VAGUE_VARIANCE * np.eye(d), float(d))
+
+
+def _fits_any(dist: Distribution, shape: tuple) -> bool:
+    return True
+
+
+# One entry per support family; an observed family (binary, point) holds
+# point masses, and its vague default is the Gaussian one of the same size.
+FAMILIES: dict[str, Family] = {
+    "gaussian": Family(GaussianMeanVariance, _vague_gaussian,
+                       lambda q, shape: isinstance(q, GaussianBase) and q.dim == math.prod(shape)),
+    "gamma": Family(Gamma, lambda shape: Gamma(1.0, 1e-12), lambda q, shape: isinstance(q, Gamma)),
+    "wishart": Family(Wishart, _vague_wishart,
+                      lambda q, shape: isinstance(q, Wishart) and q.scale.shape == shape),
+    "dirichlet": Family(Dirichlet, lambda shape: Dirichlet(np.ones(shape)),
+                        lambda q, shape: isinstance(q, Dirichlet) and q.concentration.shape == shape),
+    "categorical": Family(Categorical, lambda shape: Categorical(np.full(shape, 1.0 / math.prod(shape))),
+                          lambda q, shape: isinstance(q, Categorical) and q.probabilities.shape == shape),
+    "binary": Family(PointMass, _vague_gaussian, _fits_any),
+    "point": Family(PointMass, _vague_gaussian, _fits_any),
+}
+
+
 def vague(family: str, shape=None) -> Distribution:
-    """Virtually uninformative but proper default for a variable support."""
-    if family == "gaussian":
-        d = 1 if shape in (None, ()) else int(np.prod(shape))
-        return GaussianMeanVariance(np.zeros(d), VAGUE_VARIANCE * np.eye(d))
-    if family == "gamma":
-        return Gamma(1.0, 1e-12)
-    if family == "wishart":
-        d = int(shape[0]) if isinstance(shape, (tuple, list)) else int(shape or 1)
-        return Wishart(VAGUE_VARIANCE * np.eye(d), float(d))
-    if family == "dirichlet":
-        return Dirichlet(np.ones(shape))
-    if family == "categorical":
-        k = int(shape)
-        return Categorical(np.full(k, 1.0 / k))
-    raise DistributionError(f"no vague default for family {family!r}")
+    """Virtually uninformative but proper default for a variable support of
+    the given shape; an integer ``k`` stands for the shape ``(k,)``."""
+    try:
+        make = FAMILIES[family].vague
+    except KeyError:
+        raise DistributionError(f"no vague default for family {family!r}") from None
+    return make(() if shape is None else tuple(int(s) for s in np.atleast_1d(shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import as_matrix, as_vector
 from .codegen import AlgorithmIR, Executor, Interpreter, compile_program, step_error
 from .distributions import (
-    Categorical,
+    FAMILIES,
     Dirichlet,
     Distribution,
     Gamma,
@@ -29,7 +29,7 @@ from .distributions import (
 )
 # infer_supports and analyze_sections are not called here; they stay
 # attributes of this module for layer-timing tools that wrap them by name.
-from .graph import FactorGraph, Support, infer_supports
+from .graph import FactorGraph, infer_supports
 from .rules import default_registry
 from .scheduler import (
     FreeEnergyProgram,
@@ -42,6 +42,7 @@ from .scheduler import (
     joint_key,
     schedule_free_energy,
     schedule_vmp,
+    support_of,
     vague_for,
 )
 
@@ -84,14 +85,8 @@ def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=N
     which composites are expanded, as in ``schedule_vmp``); overrides applied
     verbatim after a support check."""
     facts = analyze_factorization(graph, rf, registry or default_registry())
-    layout = {var: facts.supports.get(var, Support("gaussian", ())) for var in facts.owner}
-    for sec in facts.links.values():
-        leaf, out = layout[sec.leaf_var], layout[sec.out_var]
-        if out.family == "categorical":
-            joint = Support("categorical", (out.shape[0], leaf.shape[0]))
-        else:
-            joint = Support("gaussian", (leaf.dim + out.dim,))
-        layout[joint_key(sec.leaf_var, sec.out_var)] = joint
+    keys = [*facts.owner, *(joint_key(sec.leaf_var, sec.out_var) for sec in facts.links.values())]
+    layout = {key: support_of(key, facts.supports) for key in keys}
     # one immutable default per distinct support, shared by its keys
     vague: dict[tuple, Distribution] = {}
     table = {}
@@ -104,28 +99,12 @@ def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=N
         if key not in layout:
             raise NumericalError(f"override for unknown variable {key!r}")
         sup = layout[key]
-        if not _support_compatible(sup, dist):
+        if not (isinstance(dist, PointMass) or FAMILIES[sup.family].fits(dist, sup.shape)):
             raise NumericalError(
                 f"override for {key!r} has support {type(dist).__name__}, expected {sup.family} {sup.shape}"
             )
         table[key] = dist
     return table
-
-
-def _support_compatible(sup: Support, dist: Distribution) -> bool:
-    if isinstance(dist, PointMass):
-        return True
-    if sup.family == "gaussian":
-        return isinstance(dist, GaussianBase) and dist.dim == sup.dim
-    if sup.family == "gamma":
-        return isinstance(dist, Gamma)
-    if sup.family == "wishart":
-        return isinstance(dist, Wishart) and dist.scale.shape == tuple(sup.shape)
-    if sup.family == "dirichlet":
-        return isinstance(dist, Dirichlet) and dist.concentration.shape == tuple(sup.shape)
-    if sup.family == "categorical":
-        return isinstance(dist, Categorical) and dist.probabilities.shape == tuple(sup.shape)
-    return True
 
 
 # ---------------------------------------------------------------------------

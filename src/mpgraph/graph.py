@@ -11,6 +11,8 @@ as immutable by the scheduler and engine.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import expit
 
@@ -512,7 +514,7 @@ class Support:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     def __repr__(self):
         return f"Support({self.family}, {self.shape})"
@@ -524,9 +526,9 @@ class Support:
 def infer_supports(graph: FactorGraph) -> dict[str, Support]:
     """Propagate variable supports from constants, priors and gain shapes."""
     supports: dict[str, Support] = {}
-    producer: dict[str, Node] = {}
+    producer: dict[str, Node] = {}  # the node whose out site (interface 0) holds the variable
     for edge in graph.edges:
-        if edge.tail is not None:
+        if edge.tail is not None and edge.tail[1] == 0:
             node = graph.node_at(edge.tail)
             if node.kind != "equality":
                 producer[edge.variable] = node

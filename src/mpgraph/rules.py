@@ -214,14 +214,6 @@ class RuleRegistry:
         self._frozen = True
         return self
 
-    def extended(self, rules) -> "RuleRegistry":
-        reg = RuleRegistry()
-        for r in self._rules:
-            reg.register(r)
-        for r in rules:
-            reg.register(r)
-        return reg.freeze()
-
     def lookup(self, kind: str, role: str, query_slots, flavor: str | None = None) -> Rule:
         """Most specific applicable rule; deterministic tie-break by
         registration order. An indexed role such as ``mean_2`` is served by

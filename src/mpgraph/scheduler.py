@@ -12,25 +12,25 @@ EP messages (probit sites) introduce circular dependencies; they are held in
 persistent site slots initialized to an uninformative Gaussian, read during
 the sweeps, and rewritten from fresh cavities at the end of each sweep, which
 keeps every per-sweep schedule acyclic.
+
+Every update is selected at one site (``_FactorScheduler.lookup``), which
+types its slots, and appended by one emitter. What a support family decides
+(marginal class, vague default) comes from ``distributions.FAMILIES``.
+Listings of schedules are written by ``codegen.render_schedule(s)``.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
 
 from ._linalg import as_matrix
 from .distributions import (
-    Categorical,
-    Dirichlet,
+    FAMILIES,
     Distribution,
-    Gamma,
     GaussianCanonical,
-    GaussianMeanVariance,
     PointMass,
-    Wishart,
     _VARIANTS,
     affine_transport,
     average_energy,
@@ -51,16 +51,6 @@ class SchedulingError(ValueError):
     """The graph/factorization combination does not admit a schedule."""
 
 
-MARGINAL_CLASS = {
-    "gaussian": GaussianMeanVariance,
-    "gamma": Gamma,
-    "wishart": Wishart,
-    "dirichlet": Dirichlet,
-    "categorical": Categorical,
-    "binary": PointMass,
-    "point": PointMass,
-}
-
 GAUSSIAN_NODE_KINDS = ("gaussian_mean_precision", "gaussian_mean_variance")
 
 
@@ -68,21 +58,29 @@ def joint_key(leaf_var: str, out_var: str) -> str:
     return f"{leaf_var}&{out_var}"
 
 
+def joint_support(leaf: Support, out: Support) -> Support:
+    """Support of the two-slice joint of a chain link's leaf and out variables."""
+    if out.family == "categorical":
+        return Support("categorical", (out.shape[0], leaf.shape[0]))
+    return Support("gaussian", (leaf.dim + out.dim,))
+
+
+def support_of(key: str, supports: dict[str, Support]) -> Support:
+    """Support of a variable (a scalar Gaussian when none was inferred) or of
+    a two-slice joint key ``leaf&out``."""
+    sup = supports.get(key)
+    if sup is not None:
+        return sup
+    leaf, joint, out = key.partition("&")
+    if joint:
+        return joint_support(support_of(leaf, supports), support_of(out, supports))
+    return Support("gaussian", ())
+
+
 def vague_for(sup: Support) -> Distribution:
     """Uninformative default for a variable or marginal-table key of the
-    given support; a two-dimensional categorical support is a two-slice joint."""
-    if sup.family == "categorical":
-        if len(sup.shape) == 2:
-            k_out, k_in = sup.shape
-            return Categorical(np.full((k_out, k_in), 1.0 / (k_out * k_in)))
-        return vague("categorical", sup.shape[0])
-    if sup.family == "gamma":
-        return vague("gamma")
-    if sup.family == "wishart":
-        return vague("wishart", sup.shape)
-    if sup.family == "dirichlet":
-        return vague("dirichlet", sup.shape)
-    return vague("gaussian", sup.dim)
+    given support."""
+    return vague(sup.family, sup.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +232,8 @@ class MeanSides(dict):
 
     def __missing__(self, node_id: int) -> MeanSideInfo:
         node = self.graph.nodes[node_id]
-        sup = self.supports.get(self.graph.edges[node.interfaces[0]].variable)
-        out_dim = 1 if node.kind == "probit" or sup is None else sup.dim
+        out_var = self.graph.edges[node.interfaces[0]].variable
+        out_dim = 1 if node.kind == "probit" else support_of(out_var, self.supports).dim
         info = self[node_id] = analyze_mean_side(self.graph, node, out_dim)
         return info
 
@@ -404,12 +402,7 @@ def slot_type(slot, entries: list, supports: dict[str, Support]) -> type | None:
     if tag == "entry":
         return _VARIANTS[entries[slot[1]].out_variant]
     if tag == "marginal":
-        key = slot[1]
-        if "&" in key:
-            out = key.split("&", 1)[1]
-            return Categorical if supports[out].family == "categorical" else GaussianMeanVariance
-        sup = supports.get(key)
-        return MARGINAL_CLASS.get(sup.family if sup else "gaussian", GaussianMeanVariance)
+        return FAMILIES[support_of(slot[1], supports).family].belief
     if tag == "data":
         return PointMass
     if tag == "const":
@@ -508,14 +501,20 @@ class _FactorScheduler:
 
     # -- slot helpers -----------------------------------------------------
 
-    def slot_variant(self, slot) -> type | None:
-        return slot_type(slot, self.schedule.entries, self.supports)
+    def lookup(self, kind: str, role: str, slots, kinds):
+        """The rule for ``slots`` read as ``kinds``, and the slots' run-time
+        types (None for a void slot)."""
+        types = [None if k == VOID else slot_type(s, self.schedule.entries, self.supports)
+                 for s, k in zip(slots, kinds)]
+        return self.registry.lookup(kind, role, list(zip(kinds, types))), types
 
-    def query_of(self, slots, kinds):
-        return [
-            (k, None) if k == VOID else (k, self.slot_variant(s))
-            for s, k in zip(slots, kinds)
-        ]
+    def emit_entry(self, rule, types, slots, constants, label, extra=None, writes_site=None):
+        """Append an entry applying a ``lookup`` result to ``slots``; its
+        outbound variant is the rule's output type for the slots' types."""
+        self.schedule.entries.append(ScheduleEntry(
+            rule.id, slots, rule.out_type(types, constants).__name__, constants, label, extra, writes_site,
+        ))
+        return ("entry", len(self.schedule.entries) - 1)
 
     # -- message scheduling -------------------------------------------------
 
@@ -556,7 +555,7 @@ class _FactorScheduler:
         edge = self.graph.edges[edge_id]
         source = edge.tail if direction == "fwd" else edge.head
         if source is None:
-            slot = ("const", vague_for(self.supports.get(edge.variable, Support("gaussian", ()))))
+            slot = ("const", vague_for(support_of(edge.variable, self.supports)))
             self.memo[key] = slot
             return slot
         node = self.graph.node_at(source)
@@ -625,9 +624,9 @@ class _FactorScheduler:
         consumer = edge.head if direction == "fwd" else edge.tail
         if consumer is None:
             return None
-        sup = self.supports.get(edge.variable, Support("gaussian", ()))
         try:
-            info = affine_subtree(self.graph, edge.id, consumer, sup.dim, node.id)
+            info = affine_subtree(self.graph, edge.id, consumer, support_of(edge.variable, self.supports).dim,
+                                  node.id)
         except SchedulingError:
             return None
         if info.nonlinear is not None or not info.leaves:
@@ -637,12 +636,9 @@ class _FactorScheduler:
             if fam is None or fam == self.factor_id:
                 return None
         slots, constants = affine_layout(info, marginal_slot)
-        query = [(MARGINAL, self.slot_variant(sl)) for sl in slots] + [(VOID, None)]
-        rule = self.registry.lookup("gaussian_affine", "transport", query)
-        slot = self.append_entry(
-            rule, slots + [("void",)], rule.out_type(None, constants).__name__,
-            constants, (edge.variable, direction),
-        )
+        slots.append(("void",))
+        found = self.lookup("gaussian_affine", "transport", slots, [MARGINAL] * (len(slots) - 1) + [VOID])
+        slot = self.emit_entry(*found, slots, constants, (edge.variable, direction))
         self.belief_entries.add(slot[1])
         return slot
 
@@ -665,13 +661,10 @@ class _FactorScheduler:
                 slot = target if target[0] == "marginal" else (yield target)
                 slots.append(slot)
                 kinds.append(self.slot_kind(slot))
-        query = self.query_of(slots, kinds)
-        rule = self.registry.lookup(node.kind, role, query)
+        rule, types = self.lookup(node.kind, role, slots, kinds)
         constants = dict(node.constants)
         if role.startswith("precision"):
-            out_var = self.graph.edges[node.interfaces[0]].variable
-            sup = self.supports.get(out_var)
-            constants["out_dim"] = sup.dim if sup else 1
+            constants["out_dim"] = support_of(self.graph.edges[node.interfaces[0]].variable, self.supports).dim
         extra = None
         if rule.needs_previous and node.kind == "nonlinear":
             # linearization point: the forward inbound on the in interface
@@ -679,14 +672,8 @@ class _FactorScheduler:
             in_edge = node.interfaces[in_idx]
             toward = "fwd" if self.graph.edges[in_edge].head == (node.id, in_idx) else "bwd"
             extra = yield (in_edge, toward)
-        out_variant = rule.out_type([q[1] for q in query], constants).__name__
-        return self.append_entry(rule, slots, out_variant, constants,
-                                 (self.graph.edges[edge_id].variable, direction), extra)
-
-    def append_entry(self, rule, slots, out_variant, constants, label, extra=None, writes_site=None):
-        entry = ScheduleEntry(rule.id, slots, out_variant, constants, label, extra, writes_site)
-        self.schedule.entries.append(entry)
-        return ("entry", len(self.schedule.entries) - 1)
+        return self.emit_entry(rule, types, slots, constants, (self.graph.edges[edge_id].variable, direction),
+                               extra)
 
     # -- composed parameter updates -----------------------------------------
 
@@ -703,8 +690,7 @@ class _FactorScheduler:
 
     def emit_precision_update(self, node: Node):
         roles = node.roles(self.graph)
-        out_var = self.graph.edges[node.interfaces[0]].variable
-        out_dim = self.supports.get(out_var, Support("gaussian", ())).dim
+        out_dim = support_of(self.graph.edges[node.interfaces[0]].variable, self.supports).dim
         info = self.mean_sides[node.id]
         sec = self.links.get(node.id)
         if info.nonlinear is not None:
@@ -714,12 +700,10 @@ class _FactorScheduler:
         out_slot = self.out_belief_slot(node, sec)
         leaf_slots, constants = affine_layout(info, marginal_slot, sec and sec.leaf_var, **extra)
         slots = [out_slot, *leaf_slots, ("void",)]
-        query = [(MARGINAL, self.slot_variant(s)) for s in slots[:-1]] + [(VOID, None)]
-        rule = self.registry.lookup(kind, "precision", query)
-        variant = rule.out_type(None, constants).__name__
+        found = self.lookup(kind, "precision", slots, [MARGINAL] * (len(slots) - 1) + [VOID])
         prec_role = "precision" if "precision" in roles else "variance"
         label = (self.graph.edges[node.interfaces[roles.index(prec_role)]].variable, "bwd")
-        return self.append_entry(rule, slots, variant, constants, label)
+        return self.emit_entry(*found, slots, constants, label)
 
     def emit_matrix_update(self, node: Node):
         roles = node.roles(self.graph)
@@ -728,12 +712,11 @@ class _FactorScheduler:
         label = (self.graph.edges[node.interfaces[roles.index("matrix")]].variable, "bwd")
         if node.id in self.links:
             slots = [("marginal", joint_key(in_var, out_var)), ("void",), ("void",)]
-            query = [(MARGINAL, Categorical), (VOID, None), (VOID, None)]
+            kinds = [MARGINAL, VOID, VOID]
         else:
             slots = [("marginal", out_var), ("marginal", in_var), ("void",)]
-            query = [(MARGINAL, Categorical), (MARGINAL, Categorical), (VOID, None)]
-        rule = self.registry.lookup("transition", "matrix", query)
-        return self.append_entry(rule, slots, rule.out_type(None, {}).__name__, {}, label)
+            kinds = [MARGINAL, MARGINAL, VOID]
+        return self.emit_entry(*self.lookup("transition", "matrix", slots, kinds), slots, {}, label)
 
     # -- per-factor driver ----------------------------------------------------
 
@@ -761,27 +744,17 @@ class _FactorScheduler:
                 cavity_ref = self.require_toward(node, in_edge_id)
                 datum_slot, _ = self.inbound_slot(node, 0)
                 slots = [datum_slot, cavity_ref]
-                query = [(MESSAGE, self.slot_variant(datum_slot)),
-                         (CAVITY, self.slot_variant(cavity_ref))]
-                rule = self.registry.lookup("probit", "in", query)
                 constants = {"damping": self.ep_damping} if self.ep_damping else {}
-                self.append_entry(
-                    rule, slots, rule.out_type(None, constants).__name__, constants,
-                    (in_edge.variable, "bwd"), extra=("site", site), writes_site=site,
-                )
+                self.emit_entry(*self.lookup("probit", "in", slots, [MESSAGE, CAVITY]), slots, constants,
+                                (in_edge.variable, "bwd"), extra=("site", site), writes_site=site)
             else:
                 # nonlinear: linearize around the mean of the inbound
                 # (cavity-side) message; out side supplies the likelihood.
                 out_side = self.require_toward(node, node.interfaces[0])
                 lin_ref = self.require_toward(node, in_edge_id)
                 slots = [out_side, ("void",)]
-                query = [(MESSAGE, self.slot_variant(out_side)), (VOID, None)]
-                rule = self.registry.lookup("nonlinear", "in", query)
-                self.append_entry(
-                    rule, slots, rule.out_type(None, dict(node.constants)).__name__,
-                    dict(node.constants), (in_edge.variable, "bwd"),
-                    extra=lin_ref, writes_site=site,
-                )
+                self.emit_entry(*self.lookup("nonlinear", "in", slots, [MESSAGE, VOID]), slots,
+                                dict(node.constants), (in_edge.variable, "bwd"), extra=lin_ref, writes_site=site)
         for var in order:
             inputs = [fwd_refs[var]]
             if bwd_refs.get(var) is not None:
@@ -810,19 +783,14 @@ class _FactorScheduler:
                 leaf_ref = self.require_toward(node, in_edge)
                 matrix_slot, _ = self.inbound_slot(node, roles.index("matrix"))
                 slots = [out_side, leaf_ref, matrix_slot]
-                query = [(MESSAGE, self.slot_variant(out_side)),
-                         (MESSAGE, self.slot_variant(leaf_ref)),
-                         (MARGINAL, self.slot_variant(matrix_slot))]
-                rule = self.registry.lookup("transition", "joint", query)
-                constants = {}
+                kind, constants = "transition", {}
             else:
                 leaf_ref = self.require(*sec.mean_info.leaf_edges[sec.leaf_var])
                 leaf_slots, constants = affine_layout(sec.mean_info, marginal_slot, sec.leaf_var)
                 prec_slot, _ = self.inbound_slot(node, node.roles(self.graph).index("precision"))
                 slots = [out_side, leaf_ref, *leaf_slots, prec_slot]
-                query = ([(MESSAGE, self.slot_variant(out_side)), (MESSAGE, self.slot_variant(leaf_ref))]
-                         + [(MARGINAL, self.slot_variant(s)) for s in slots[2:]])
-                rule = self.registry.lookup("gaussian_affine", "joint", query)
+                kind = "gaussian_affine"
+            rule, _ = self.lookup(kind, "joint", slots, [MESSAGE, MESSAGE] + [MARGINAL] * (len(slots) - 2))
             self.schedule.marginal_steps.append(
                 JointStep(joint_key(sec.leaf_var, sec.out_var), rule.id, slots, constants)
             )
@@ -847,8 +815,9 @@ def _prepare(graph: FactorGraph, registry: RuleRegistry) -> FactorGraph:
 class Factorization(NamedTuple):
     """The facts a recognition factorization fixes on a graph, derived once
     for everything that reads them: the scheduled graph (composites without
-    custom rules expanded), variable supports, the owning factor of each
-    latent variable, mean-side analyses and the chain links."""
+    custom rules expanded), the supports of variables and of the chain
+    links' two-slice joints, the owning factor of each latent variable,
+    mean-side analyses and the chain links."""
 
     graph: FactorGraph
     supports: dict[str, Support]
@@ -867,6 +836,9 @@ def analyze_factorization(graph: FactorGraph, rf: RecognitionFactorization,
     owner = rf.factor_of()
     mean_sides = MeanSides(graph, supports)
     links = factor_links(analyze_sections(graph, supports, mean_sides), owner)
+    for sec in links.values():
+        key = joint_key(sec.leaf_var, sec.out_var)
+        supports[key] = support_of(key, supports)
     return Factorization(graph, supports, owner, mean_sides, links)
 
 
@@ -1042,72 +1014,3 @@ def eval_energy_term(kind: str, qs, constants) -> float:
         q_r = _affine_scalar_transport(q_x, constants)
         return average_energy("gaussian_nonlinear", [q_out, q_r, q_prec], {"g": constants["g"]})
     return average_energy(kind, qs, constants)
-
-
-# ---------------------------------------------------------------------------
-# Listing
-# ---------------------------------------------------------------------------
-
-
-def canonical_json(obj) -> str:
-    """The one JSON spelling used in listings and IR comparisons."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def slot_text(slot) -> str:
-    tag = slot[0]
-    if tag == "entry":
-        return f"msg[{slot[1]}]"
-    if tag == "marginal":
-        return f"q[{slot[1]}]"
-    if tag == "data":
-        name, index = slot[1]
-        return f"data[{name}][{index}]"
-    if tag == "const":
-        return "const:" + canonical_json(slot[1].to_json())
-    if tag == "site":
-        return f"site[{slot[1]}]"
-    return "_"
-
-
-def call_text(head: str, slots, constants=None, extra=None, writes_site=None, label="") -> str:
-    """One call line of a listing:
-    ``head(slots) [with constants] [@ extra] [-> site[...]] [# label]``."""
-    text = f"{head}({', '.join(slot_text(s) for s in slots)})"
-    if constants:
-        text += " with " + canonical_json(constants)
-    if extra:
-        text += f" @ {slot_text(extra)}"
-    if writes_site:
-        text += f" -> site[{writes_site}]"
-    if label:
-        text += f"  # {label}"
-    return text
-
-
-def render_schedule(schedule: Schedule) -> str:
-    """Deterministic text listing; the contract consumed by golden tests."""
-    lines = []
-    for site, init in schedule.site_inits.items():
-        lines.append(f"site[{site}] <- init:" + canonical_json(init.to_json()))
-    for i, entry in enumerate(schedule.entries):
-        var, direction = entry.edge_label
-        lines.append(call_text(f"msg[{i}] <- {entry.rule_id}", entry.slots, extra=entry.extra,
-                               writes_site=entry.writes_site, label=f"edge {var} {direction}"))
-    for step in schedule.marginal_steps:
-        if isinstance(step, MarginalStep):
-            rhs = " * ".join(slot_text(s) for s in step.inputs)
-            lines.append(f"q[{step.key}] <- {rhs}")
-        else:
-            lines.append(call_text(f"q[{step.key}] <- joint {step.rule_id}", step.slots))
-    return "\n".join(lines) + "\n"
-
-
-def render_schedules(schedules: dict[str, Schedule]) -> str:
-    parts = []
-    for fid, schedule in schedules.items():
-        parts.append(f"schedule {fid}:")
-        body = render_schedule(schedule).rstrip("\n")
-        parts.extend("  " + line for line in body.split("\n") if line)
-        parts.append("end")
-    return "\n".join(parts) + "\n"

@@ -113,6 +113,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--const" in err and repr(item) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("option, name, content, where", [
+        ("data", "d.csv", "y\n", "d.csv"),
+        ("data", "d.json", "[0.5, 1.0]", "d.json"),
+        ("data", "d.json", '{"y": 3}', "key 'y'"),
+        ("--init", "init.json", '{"w": {"type": "Gamma"}}', "key 'w'"),
+        ("--init", "init.json", '{"w": {"type": "Gamma", "params": {"alpha": 1.0, "rate": 1.0}}}', "key 'w'"),
+        ("--factorization", "rf.json", '{"factors": [{"id": "X"}]}', "'variables'"),
+        ("--init", "init.json", '{"w": {"type": "Beta", "params": {}}}', "key 'w'"),
+    ], ids=["header-only-csv", "json-list", "json-scalar-series", "init-without-params",
+            "init-wrong-parameter", "factor-without-variables", "init-unknown-type"])
+    def test_malformed_input_file_names_it(self, rw_files, tmp_path, option, name, content, where, capsys):
+        model, data = rw_files
+        path = tmp_path / name
+        path.write_text(content)
+        if option == "data":
+            args = [str(model), str(path)]
+        else:
+            args = [str(model), str(data), option, str(path)]
+        assert main(["infer", *args, "--const", "T=3", "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(path) in err and where in err
+
 
 # The model language's tokens, numbers small or out of float range.
 TOKENS = ["let", "for", "in", "observe", "x", "y", "t", "T", "A", "softplus", *KIND_ALIASES,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from mpgraph.cli import main
-from mpgraph.codegen import compile_program, render
+from mpgraph.codegen import compile_program, parse_listing, render, render_schedules
 from mpgraph.dsl import parse_model
 from mpgraph.engine import run_inference
 from mpgraph.models import (
@@ -26,7 +26,6 @@ from mpgraph.models import (
 )
 from mpgraph.scheduler import (
     default_factorization,
-    render_schedules,
     schedule_free_energy,
     schedule_sum_product,
     schedule_vmp,
@@ -126,6 +125,12 @@ def trace_text(name: str) -> str:
 def test_library_listings_match_golden(name):
     for suffix, text in listings(name).items():
         assert text == (GOLDEN / f"{name}.{suffix}").read_text(), suffix
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_golden_algorithm_listing_parses_back_to_itself(name):
+    text = (GOLDEN / f"{name}.algorithm.txt").read_text()
+    assert render(parse_listing(text)) == text
 
 
 def test_compile_command_writes_golden_listings(tmp_path):

@@ -341,7 +341,7 @@ def recursive_infer_supports(graph: FactorGraph) -> dict[str, Support]:
     supports: dict[str, Support] = {}
     producer: dict[str, Node] = {}
     for edge in graph.edges:
-        if edge.tail is not None:
+        if edge.tail is not None and edge.tail[1] == 0:
             node = graph.node_at(edge.tail)
             if node.kind != "equality":
                 producer[edge.variable] = node
@@ -492,6 +492,17 @@ class TestSupportInference:
     def test_equals_the_recursive_reference_on_built_models(self, how, size, data):
         g = descending_chain(size * 20) if how == "descending" else built_graph(how, size, data)
         assert outcome(infer_supports, g) == outcome(recursive_infer_supports, g)
+
+    def test_a_reader_at_a_tail_is_not_a_producer(self):
+        # the second reader of an unproduced precision takes the edge's free tail
+        def precision_support(means):
+            g = FactorGraph()
+            for i, mean in enumerate(means):
+                g.add_node("gaussian_mean_precision", {"out": f"x{i}", "mean": mean, "precision": "w"})
+            return infer_supports(g)["w"]
+
+        assert precision_support([[0.0, 0.0], [1.0, 0.0]]) == precision_support([[0.0, 0.0]])
+        assert precision_support([[0.0, 0.0]]) == Support("gamma", ())
 
 
 def random_walk_nodes(T: int) -> list:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpgraph.codegen import compile_program
+from mpgraph.codegen import compile_program, render_schedule, render_schedules
 from mpgraph.dsl import parse_model
 from mpgraph.graph import FactorGraph
 from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
@@ -15,8 +15,6 @@ from mpgraph.scheduler import (
     SchedulingError,
     default_factorization,
     infer_types,
-    render_schedule,
-    render_schedules,
     schedule_free_energy,
     schedule_sum_product,
     schedule_vmp,
