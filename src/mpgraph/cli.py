@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .codegen import CompileError, InterpretError, compile_program, render, render_schedules
-from .distributions import (
-    DistributionError,
-    Gamma,
-    GaussianBase,
-    Wishart,
-    from_json as dist_from_json,
-)
+from .distributions import DistributionError, from_json as dist_from_json
 from .dsl import ModelParseError, parse_model
 from .engine import (
     NumericalError,
@@ -41,6 +35,7 @@ from .models import (
     LgssmModel,
     ProbitSsmModel,
     RandomWalkModel,
+    apply_priors,
     sample_generative,
     sample_random_walk_continuations,
 )
@@ -262,7 +257,7 @@ def _placeholder_name(graph: FactorGraph) -> str:
 
 class DslStreamingTemplate:
     """Re-parses the model text per batch with the loop length bound to the
-    batch size, substituting previous posteriors into the prior nodes."""
+    batch size, writing previous posteriors into the prior nodes."""
 
     def __init__(self, text: str, constants: dict, length_constant: str = "T"):
         self.text = text
@@ -273,65 +268,21 @@ class DslStreamingTemplate:
         constants = dict(self.constants)
         constants[self.length_constant] = batch_len
         graph = parse_model(self.text, constants)
-        for var, dist in priors.items():
-            _substitute_prior(graph, var, dist)
+        apply_priors(graph, priors)
         return graph, default_factorization(graph)
 
 
-def _substitute_prior(graph: FactorGraph, var: str, dist):
-    producer = None
-    for edge in graph.variable_edges(var):
-        if edge.tail is not None:
-            node = graph.node_at(edge.tail)
-            if node.kind != "equality" and edge.tail[1] == 0:
-                producer = node
-                break
-    if producer is None:
-        raise SchedulingError(f"streaming: no prior node found for {var!r}")
-
-    def set_param(role: str, value):
-        roles = producer.roles(graph)
-        edge = graph.edges[producer.interfaces[roles.index(role)]]
-        site = graph.neighbor_site(edge, (producer.id, roles.index(role)))
-        clamp = graph.node_at(site) if site else None
-        if clamp is None or clamp.kind != "clamp":
-            raise SchedulingError(
-                f"streaming: prior parameter {role!r} of {var!r} is not clamped"
-            )
-        clamp.constants["value"] = np.asarray(value, dtype=float)
-
-    if producer.kind == "gaussian_mean_variance" and isinstance(dist, GaussianBase):
-        set_param("mean", dist.mean_vector())
-        set_param("variance", dist.covariance_matrix())
-    elif producer.kind == "gaussian_mean_precision" and isinstance(dist, GaussianBase):
-        set_param("mean", dist.mean_vector())
-        set_param("precision", dist.precision_matrix())
-    elif producer.kind == "gamma" and isinstance(dist, Gamma):
-        set_param("shape", dist.shape)
-        set_param("rate", dist.rate)
-    elif producer.kind == "wishart" and isinstance(dist, Wishart):
-        set_param("scale", dist.scale)
-        set_param("dof", dist.dof)
-    elif producer.kind == "dirichlet":
-        set_param("concentration", dist.concentration)
-    else:
-        raise SchedulingError(
-            f"streaming: posterior {dist.variant} is not accepted as a prior "
-            f"for node kind {producer.kind!r} ({var!r})"
-        )
-
-
 def cmd_stream(args) -> int:
-    text = Path(args.model).read_text()
-    constants = _constants(args)
-    data = ingest(args.data, "y")
-    name = next(iter(data))
-    series = np.asarray(data[name])
     size = args.batch_size
-    batches = [
-        {name: series[i: i + size]} for i in range(0, len(series), size)
-    ]
-    template = DslStreamingTemplate(text, constants)
+    if size < 1:
+        raise CliError(f"--batch-size must be at least 1, got {size}", 1)
+    template = DslStreamingTemplate(Path(args.model).read_text(), _constants(args))
+    data = ingest(args.data, _placeholder_name(template.build(size, {})[0]))
+    length = max(len(series) for series in data.values())
+    batches = [{k: v[i: i + size] for k, v in data.items()} for i in range(0, length, size)]
+    for batch in batches:
+        # the graph streaming_update builds for a batch has its first series' length
+        _check_data(template.build(len(next(iter(batch.values()))), {})[0], batch)
     results = streaming_update(template, batches, iters_per_batch=args.iters, tol=args.tol)
     out = _outdir(args)
     for i, result in enumerate(results):

@@ -471,11 +471,23 @@ _VARIANTS = {
 
 
 def from_json(obj: dict) -> Distribution:
+    """The value ``to_json`` wrote; a malformed object raises
+    ``DistributionError`` naming the key at fault."""
+    if not isinstance(obj, dict):
+        raise DistributionError(f"expected a distribution object, got {type(obj).__name__}")
+    for key in ("type", "params"):
+        if key not in obj:
+            raise DistributionError(f"distribution object has no {key!r} key")
+    kind, params = obj["type"], obj["params"]
+    cls = _VARIANTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DistributionError(f"unknown distribution type {kind!r}")
+    if not isinstance(params, dict):
+        raise DistributionError(f"'params' of {kind} must be an object, got {type(params).__name__}")
     try:
-        cls = _VARIANTS[obj["type"]]
-    except KeyError as exc:
-        raise DistributionError(f"unknown distribution type {obj.get('type')!r}") from exc
-    return cls(**obj["params"])
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
+        raise DistributionError(f"'params' of {kind}: {exc}") from None
 
 
 class Family(NamedTuple):
@@ -786,8 +798,8 @@ def _energy_categorical(q_out, q_p) -> float:
         e_logp = _safe_log(np.asarray(q_p.value, dtype=float))
     else:
         raise IncompatibleSupport("Categorical energy needs PointMass or Dirichlet probabilities")
-    terms = e_z * e_logp
-    return float(-np.sum(terms[e_z > 0.0]))
+    mask = e_z > 0.0
+    return float(-np.sum(e_z[mask] * e_logp[mask]))
 
 
 def _energy_transition(qs) -> float:

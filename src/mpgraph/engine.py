@@ -253,12 +253,16 @@ def streaming_update(
     overrides_fn=None,
 ) -> list[InferenceResult]:
     """Sequential mini-batch inference: each batch's parameter posteriors
-    become the next batch's priors, and the state chain is re-anchored at the
-    final smoothed state marginal.
+    become the next batch's priors, and each state chain is re-anchored at
+    its final smoothed state marginal.
 
-    ``template`` must provide ``build(T, priors) -> (graph, rf)`` where
-    ``priors`` maps variable names to distributions; chain factors are
-    re-anchored under the name of their first variable.
+    ``template`` must provide ``build(T, priors) -> (graph, rf)``. ``priors``
+    maps the first variable of each recognition factor to the previous
+    batch's posterior: a single-variable factor's own marginal, a chain's
+    marginal of its last variable (Gaussians in mean-variance form). The
+    bundled models and ``cli.DslStreamingTemplate`` write them into the
+    graph with ``models.apply_priors``, so every such variable needs a
+    producing prior node whose parameters are clamped.
     """
     registry = registry or default_registry()
     priors: dict[str, Distribution] = {}

@@ -424,81 +424,6 @@ class FactorGraph:
                     diags.append(f"variable {edge.variable!r}: untargeted half-edge")
         return diags
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        def const_json(value):
-            if isinstance(value, np.ndarray):
-                return value.tolist()
-            if isinstance(value, tuple):
-                return list(value)
-            return value
-
-        return {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "interfaces": list(n.interfaces),
-                    "constants": {k: const_json(v) for k, v in n.constants.items()},
-                }
-                for n in self.nodes
-            ],
-            "edges": [
-                {
-                    "id": e.id,
-                    "variable": e.variable,
-                    "tail": list(e.tail) if e.tail else None,
-                    "head": list(e.head) if e.head else None,
-                }
-                for e in self.edges
-            ],
-            "placeholders": [
-                {"name": p.name, "index": p.index, "dims": list(p.dims)} for p in self.placeholders
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FactorGraph":
-        g = cls()
-        for spec in obj["nodes"]:
-            node = Node(spec["id"], spec["kind"], len(spec["interfaces"]), {})
-            for key, value in spec.get("constants", {}).items():
-                if key == "value":
-                    node.constants[key] = np.asarray(value, dtype=float)
-                elif key == "dims":
-                    node.constants[key] = tuple(value)
-                elif isinstance(value, list):
-                    node.constants[key] = np.asarray(value, dtype=float)
-                else:
-                    node.constants[key] = value
-            node.interfaces = list(spec["interfaces"])
-            if node.id != len(g.nodes):
-                raise GraphError("node ids must be contiguous")
-            g.nodes.append(node)
-        for spec in obj["edges"]:
-            if spec["id"] != len(g.edges):
-                raise GraphError("edge ids must be contiguous")
-            edge = g._new_segment(spec["variable"])
-            edge.tail = tuple(spec["tail"]) if spec["tail"] else None
-            edge.head = tuple(spec["head"]) if spec["head"] else None
-            g._frontier[edge.variable] = edge.id
-        for spec in obj.get("placeholders", []):
-            g.placeholders.append(Placeholder(spec["name"], spec["index"], tuple(spec["dims"])))
-        return g
-
-
-def structurally_isomorphic(a: FactorGraph, b: FactorGraph) -> bool:
-    """Same node kinds, connectivity, variable names and constants."""
-    ja, jb = a.to_json(), b.to_json()
-
-    def canon(j):
-        import json
-
-        return json.dumps(j, sort_keys=True)
-
-    return canon(ja) == canon(jb)
-
 
 # ---------------------------------------------------------------------------
 # Variable support inference

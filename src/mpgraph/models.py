@@ -1,9 +1,11 @@
 """Built-in state-space models: graph builders, synthetic data generators,
 recommended initial recognition distributions, and predictive-model pieces.
 
-Builders accept a ``priors`` mapping (variable name -> distribution) so that
-streaming inference can feed one batch's posteriors in as the next batch's
-priors; unspecified priors fall back to vague defaults.
+Builders write vague prior parameters as literals and accept a ``priors``
+mapping (variable name -> distribution) so that streaming inference can feed
+one batch's posteriors in as the next batch's priors. ``apply_priors`` writes
+that mapping into the graph's prior clamps; it is the only code that sets
+prior parameters, for these builders and for DSL models alike.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import (
+    Categorical,
     Dirichlet,
     Gamma,
     GaussianBase,
@@ -18,7 +21,7 @@ from .distributions import (
     Wishart,
 )
 from .graph import FactorGraph
-from .scheduler import RecognitionFactorization
+from .scheduler import RecognitionFactorization, SchedulingError
 
 VAGUE_V = 1e12
 
@@ -28,31 +31,48 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _gaussian_prior_params(priors, name, mean, cov):
-    dist = priors.get(name)
-    if dist is None:
-        return np.asarray(mean, float), np.asarray(cov, float)
-    if not isinstance(dist, GaussianBase):
-        raise ValueError(f"prior for {name!r} must be Gaussian, got {dist.variant}")
-    return dist.mean_vector(), dist.covariance_matrix()
+# Per producer kind: the posterior family it takes as a prior, and that
+# posterior's value for each clamped parameter role.
+_PRIOR_ROLES = {
+    "gaussian_mean_variance": (GaussianBase, lambda q: {"mean": q.mean_vector(), "variance": q.covariance_matrix()}),
+    "gaussian_mean_precision": (GaussianBase, lambda q: {"mean": q.mean_vector(), "precision": q.precision_matrix()}),
+    "gamma": (Gamma, lambda q: {"shape": q.shape, "rate": q.rate}),
+    "wishart": (Wishart, lambda q: {"scale": q.scale, "dof": q.dof}),
+    "dirichlet": (Dirichlet, lambda q: {"concentration": q.concentration}),
+    "categorical": (Categorical, lambda q: {"p": q.probabilities}),
+}
 
 
-def _gamma_prior_params(priors, name, shape=1.0, rate=1e-12):
-    dist = priors.get(name)
-    if dist is None:
-        return shape, rate
-    if not isinstance(dist, Gamma):
-        raise ValueError(f"prior for {name!r} must be Gamma, got {dist.variant}")
-    return dist.shape, dist.rate
-
-
-def _wishart_prior_params(priors, name, dim):
-    dist = priors.get(name)
-    if dist is None:
-        return VAGUE_V * np.eye(dim), float(dim)
-    if not isinstance(dist, Wishart):
-        raise ValueError(f"prior for {name!r} must be Wishart, got {dist.variant}")
-    return dist.scale, dist.dof
+def apply_priors(graph: FactorGraph, priors: dict) -> None:
+    """Write each prior distribution into the clamped parameters of its
+    variable's producing node. An unknown variable, a family the node does not
+    accept, or a parameter that is not clamped raises ``SchedulingError``
+    naming the variable."""
+    for var, dist in priors.items():
+        producer = None
+        for edge in graph.variable_edges(var):
+            if edge.tail is not None:
+                node = graph.node_at(edge.tail)
+                if node.kind != "equality" and edge.tail[1] == 0:
+                    producer = node
+                    break
+        if producer is None:
+            raise SchedulingError(f"streaming: no prior node found for {var!r}")
+        family, params = _PRIOR_ROLES.get(producer.kind, (None, None))
+        if family is None or not isinstance(dist, family):
+            raise SchedulingError(
+                f"streaming: posterior {dist.variant} is not accepted as a prior "
+                f"for node kind {producer.kind!r} ({var!r})"
+            )
+        roles = producer.roles(graph)
+        for role, value in params(dist).items():
+            site = (producer.id, roles.index(role))
+            edge = graph.edges[producer.interfaces[site[1]]]
+            clamp_site = graph.neighbor_site(edge, site)
+            clamp = graph.node_at(clamp_site) if clamp_site else None
+            if clamp is None or clamp.kind != "clamp":
+                raise SchedulingError(f"streaming: prior parameter {role!r} of {var!r} is not clamped")
+            clamp.constants["value"] = np.asarray(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +92,11 @@ class LgssmModel:
         self.angle = angle
 
     def build(self, T: int, priors: dict | None = None):
-        priors = priors or {}
         a = rotation(self.angle)
         g = FactorGraph()
-        m0, v0 = _gaussian_prior_params(priors, "x[0]", np.zeros(2), VAGUE_V * np.eye(2))
-        g.add_node("gaussian_mean_variance",
-                   {"out": "x[0]", "mean": m0.tolist(), "variance": v0.tolist()})
-        vw, nw = _wishart_prior_params(priors, "W", 2)
-        g.add_node("wishart", {"out": "W", "scale": vw.tolist(), "dof": nw})
-        au, bu = _gamma_prior_params(priors, "u")
-        g.add_node("gamma", {"out": "u", "shape": au, "rate": bu})
+        g.add_node("gaussian_mean_variance", {"out": "x[0]", "mean": np.zeros(2), "variance": VAGUE_V * np.eye(2)})
+        g.add_node("wishart", {"out": "W", "scale": VAGUE_V * np.eye(2), "dof": 2.0})
+        g.add_node("gamma", {"out": "u", "shape": 1.0, "rate": 1e-12})
         for t in range(1, T + 1):
             g.add_node("gain", {"out": f"m[{t}]", "in": f"x[{t-1}]"}, {"matrix": a})
             g.add_node("gaussian_mean_precision",
@@ -100,6 +115,7 @@ class LgssmModel:
             ("W", ["W"]),
             ("U", ["u"]),
         ])
+        apply_priors(g, priors or {})
         return g, rf
 
     def initial_marginals(self, T: int) -> dict:
@@ -135,14 +151,10 @@ class ProbitSsmModel:
         self.angle = angle
 
     def build(self, T: int, priors: dict | None = None):
-        priors = priors or {}
         a = rotation(self.angle)
         g = FactorGraph()
-        m0, v0 = _gaussian_prior_params(priors, "x[0]", np.zeros(2), VAGUE_V * np.eye(2))
-        g.add_node("gaussian_mean_variance",
-                   {"out": "x[0]", "mean": m0.tolist(), "variance": v0.tolist()})
-        vw, nw = _wishart_prior_params(priors, "W", 2)
-        g.add_node("wishart", {"out": "W", "scale": vw.tolist(), "dof": nw})
+        g.add_node("gaussian_mean_variance", {"out": "x[0]", "mean": np.zeros(2), "variance": VAGUE_V * np.eye(2)})
+        g.add_node("wishart", {"out": "W", "scale": VAGUE_V * np.eye(2), "dof": 2.0})
         for t in range(1, T + 1):
             g.add_node("gain", {"out": f"m[{t}]", "in": f"x[{t-1}]"}, {"matrix": a})
             g.add_node("gaussian_mean_precision",
@@ -154,6 +166,7 @@ class ProbitSsmModel:
             ("X", [f"x[{t}]" for t in range(T + 1)]),
             ("W", ["W"]),
         ])
+        apply_priors(g, priors or {})
         return g, rf
 
     def initial_marginals(self, T: int) -> dict:
@@ -185,18 +198,11 @@ class RandomWalkModel:
     """x_t ~ N(x_{t-1} + d, w^-1), y_t ~ N(x_t, u^-1)."""
 
     def build(self, T: int, priors: dict | None = None):
-        priors = priors or {}
         g = FactorGraph()
-        m0, v0 = _gaussian_prior_params(priors, "x[0]", [0.0], [[VAGUE_V]])
-        g.add_node("gaussian_mean_variance",
-                   {"out": "x[0]", "mean": m0.tolist(), "variance": v0.tolist()})
-        md, vd = _gaussian_prior_params(priors, "d", [0.0], [[VAGUE_V]])
-        g.add_node("gaussian_mean_variance",
-                   {"out": "d", "mean": md.tolist(), "variance": vd.tolist()})
-        aw, bw = _gamma_prior_params(priors, "w")
-        g.add_node("gamma", {"out": "w", "shape": aw, "rate": bw})
-        au, bu = _gamma_prior_params(priors, "u")
-        g.add_node("gamma", {"out": "u", "shape": au, "rate": bu})
+        g.add_node("gaussian_mean_variance", {"out": "x[0]", "mean": [0.0], "variance": [[VAGUE_V]]})
+        g.add_node("gaussian_mean_variance", {"out": "d", "mean": [0.0], "variance": [[VAGUE_V]]})
+        g.add_node("gamma", {"out": "w", "shape": 1.0, "rate": 1e-12})
+        g.add_node("gamma", {"out": "u", "shape": 1.0, "rate": 1e-12})
         for t in range(1, T + 1):
             g.add_node("addition", {"out": f"m[{t}]", "in1": f"x[{t-1}]", "in2": "d"})
             g.add_node("gaussian_mean_precision",
@@ -210,6 +216,7 @@ class RandomWalkModel:
             ("W", ["w"]),
             ("U", ["u"]),
         ])
+        apply_priors(g, priors or {})
         return g, rf
 
     def initial_marginals(self, T: int) -> dict:
@@ -267,18 +274,13 @@ class HmgmModel:
         self.dim = dim
 
     def build(self, T: int, priors: dict | None = None):
-        priors = priors or {}
         k, d = self.K, self.dim
         g = FactorGraph()
-        alpha = priors["T"].concentration if isinstance(priors.get("T"), Dirichlet) else np.ones((k, k))
-        g.add_node("dirichlet", {"out": "T", "concentration": alpha.tolist()})
+        g.add_node("dirichlet", {"out": "T", "concentration": np.ones((k, k))})
         for i in range(1, k + 1):
-            mi, vi = _gaussian_prior_params(priors, f"m{i}", np.zeros(d), VAGUE_V * np.eye(d))
-            g.add_node("gaussian_mean_variance",
-                       {"out": f"m{i}", "mean": mi.tolist(), "variance": vi.tolist()})
-            vwi, nwi = _wishart_prior_params(priors, f"W{i}", d)
-            g.add_node("wishart", {"out": f"W{i}", "scale": vwi.tolist(), "dof": nwi})
-        g.add_node("categorical", {"out": "x[0]", "p": (np.ones(k) / k).tolist()})
+            g.add_node("gaussian_mean_variance", {"out": f"m{i}", "mean": np.zeros(d), "variance": VAGUE_V * np.eye(d)})
+            g.add_node("wishart", {"out": f"W{i}", "scale": VAGUE_V * np.eye(d), "dof": float(d)})
+        g.add_node("categorical", {"out": "x[0]", "p": np.ones(k) / k})
         for t in range(1, T + 1):
             g.add_node("transition", {"out": f"x[{t}]", "in": f"x[{t-1}]", "matrix": "T"})
             connections = {"out": f"y[{t}]", "selector": f"x[{t}]"}
@@ -291,6 +293,7 @@ class HmgmModel:
         factors += [(f"W{i}", [f"W{i}"]) for i in range(1, k + 1)]
         factors += [(f"M{i}", [f"m{i}"]) for i in range(1, k + 1)]
         factors.append(("T", ["T"]))
+        apply_priors(g, priors or {})
         return g, RecognitionFactorization(factors)
 
     def initial_marginals(self, T: int, data: dict | None = None) -> dict:
@@ -352,24 +355,14 @@ CO2_ANGLE = np.pi / 6  # one cycle per 12 monthly samples
 
 class Co2Model:
     def build(self, T: int, priors: dict | None = None):
-        priors = priors or {}
         a = rotation(CO2_ANGLE)
         g = FactorGraph()
-        mz, vz = _gaussian_prior_params(priors, "z[0]", [330.0], [[VAGUE_V]])
-        g.add_node("gaussian_mean_variance",
-                   {"out": "z[0]", "mean": mz.tolist(), "variance": vz.tolist()})
-        md, vd = _gaussian_prior_params(priors, "d", [0.0], [[VAGUE_V]])
-        g.add_node("gaussian_mean_variance",
-                   {"out": "d", "mean": md.tolist(), "variance": vd.tolist()})
-        ag, bg = _gamma_prior_params(priors, "gamma")
-        g.add_node("gamma", {"out": "gamma", "shape": ag, "rate": bg})
-        mx, vx = _gaussian_prior_params(priors, "x[0]", np.zeros(2), VAGUE_V * np.eye(2))
-        g.add_node("gaussian_mean_variance",
-                   {"out": "x[0]", "mean": mx.tolist(), "variance": vx.tolist()})
-        vw, nw = _wishart_prior_params(priors, "W", 2)
-        g.add_node("wishart", {"out": "W", "scale": vw.tolist(), "dof": nw})
-        au, bu = _gamma_prior_params(priors, "u")
-        g.add_node("gamma", {"out": "u", "shape": au, "rate": bu})
+        g.add_node("gaussian_mean_variance", {"out": "z[0]", "mean": [330.0], "variance": [[VAGUE_V]]})
+        g.add_node("gaussian_mean_variance", {"out": "d", "mean": [0.0], "variance": [[VAGUE_V]]})
+        g.add_node("gamma", {"out": "gamma", "shape": 1.0, "rate": 1e-12})
+        g.add_node("gaussian_mean_variance", {"out": "x[0]", "mean": np.zeros(2), "variance": VAGUE_V * np.eye(2)})
+        g.add_node("wishart", {"out": "W", "scale": VAGUE_V * np.eye(2), "dof": 2.0})
+        g.add_node("gamma", {"out": "u", "shape": 1.0, "rate": 1e-12})
         for t in range(1, T + 1):
             g.add_node("addition", {"out": f"mz[{t}]", "in1": f"z[{t-1}]", "in2": "d"})
             g.add_node("gaussian_mean_precision",
@@ -390,6 +383,7 @@ class Co2Model:
             ("W", ["W"]),
             ("U", ["u"]),
         ])
+        apply_priors(g, priors or {})
         return g, rf
 
     def initial_marginals(self, T: int) -> dict:

@@ -31,6 +31,20 @@ for t in 1:T {
 }
 """
 
+HMM_MODEL = """
+A ~ Dirichlet([[1.0, 1.0], [1.0, 1.0]])
+m1 ~ GaussianMeanVariance([0.0, 0.0], [[1e12, 0.0], [0.0, 1e12]])
+W1 ~ Wishart([[1e12, 0.0], [0.0, 1e12]], 2.0)
+m2 ~ GaussianMeanVariance([0.0, 0.0], [[1e12, 0.0], [0.0, 1e12]])
+W2 ~ Wishart([[1e12, 0.0], [0.0, 1e12]], 2.0)
+x[0] ~ Categorical([0.5, 0.5])
+for t in 1:T {
+  x[t] ~ Transition(x[t-1], A)
+  y[t] ~ GaussianMixture(x[t], m1, W1, m2, W2)
+  observe y[t] :: (2,)
+}
+"""
+
 
 @pytest.fixture
 def rw_files(tmp_path):
@@ -263,6 +277,48 @@ class TestStreamCommand:
         assert len(files) == 4
         first = json.loads(files[0].read_text())
         assert "free_energy" in first and "marginals" in first
+
+    def test_stream_hmm_reanchors_the_chain(self, tmp_path):
+        model = tmp_path / "hmm.mp"
+        model.write_text(HMM_MODEL)
+        rng = np.random.default_rng(3)
+        rows = [rng.normal([4.0 * (t % 2), 0.0], 0.5) for t in range(12)]
+        data = tmp_path / "hmm.csv"
+        data.write_text("y1,y2\n" + "\n".join(f"{a},{b}" for a, b in rows) + "\n")
+        out = tmp_path / "stream"
+        assert main(["stream", str(model), str(data), "--batch-size", "6",
+                     "--iters", "5", "-o", str(out)]) == 0
+        batches = [json.loads(f.read_text()) for f in sorted(out.glob("batch_*.json"))]
+        assert len(batches) == 2
+        assert all(np.all(np.isfinite(b["free_energy"])) for b in batches)
+
+    def test_stream_reads_the_models_placeholder(self, rw_files, tmp_path):
+        model, data = rw_files
+        z_model = tmp_path / "rw_z.mp"
+        z_model.write_text(RW_MODEL.replace("y[t]", "z[t]"))
+        z_data = tmp_path / "z.csv"
+        z_data.write_text(data.read_text().replace("y", "z", 1))
+        assert main(["infer", str(z_model), str(z_data), "--const", "T=20", "--iters", "3",
+                     "-o", str(tmp_path / "infer")]) == 0
+        out = tmp_path / "stream"
+        assert main(["stream", str(z_model), str(z_data), "--batch-size", "6", "--iters", "3",
+                     "-o", str(out)]) == 0
+        assert len(list(out.glob("batch_*.json"))) == 4
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_batch_size_below_one_is_rejected(self, rw_files, size, capsys):
+        model, data = rw_files
+        assert main(["stream", str(model), str(data), "--batch-size", size]) == 1
+        err = capsys.readouterr().err
+        assert "--batch-size" in err and "Traceback" not in err
+
+    def test_each_batch_is_checked_against_the_model(self, tmp_path, capsys):
+        model = tmp_path / "hmm.mp"
+        model.write_text(HMM_MODEL)
+        data = tmp_path / "flat.csv"
+        data.write_text("y\n" + "\n".join(["0.5"] * 8) + "\n")
+        assert main(["stream", str(model), str(data), "--batch-size", "4"]) == 1
+        assert "datum y[1] has 1 values, expected 2" in capsys.readouterr().err
 
 
 class TestSeedEnv:

@@ -342,6 +342,22 @@ class TestJsonAndVague:
         for d in cases:
             assert from_json(d.to_json()) == d
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"type": "Gamma"}, "'params'"),
+        ({"params": {"shape": 1.0, "rate": 1.0}}, "'type'"),
+        ({"type": "Gamma", "params": {"alpha": 1.0, "rate": 1.0}}, "'alpha'"),
+        ({"type": "Gamma", "params": {"shape": 1.0}}, "'rate'"),
+        ({"type": "Gamma", "params": [1.0, 1.0]}, "'params'"),
+        ({"type": ["Gamma"], "params": {}}, "['Gamma']"),
+        ({"type": "Beta", "params": {}}, "'Beta'"),
+        ([1.0, 1.0], "list"),
+    ], ids=["no-params", "no-type", "wrong-parameter", "missing-parameter", "params-not-object",
+            "unhashable-type", "unknown-type", "not-an-object"])
+    def test_malformed_object_names_the_key(self, obj, key):
+        with pytest.raises(DistributionError) as err:
+            from_json(obj)
+        assert key in str(err.value)
+
     def test_vague_defaults(self):
         g = vague("gaussian", 2)
         assert g.covariance[0, 0] == 1e12

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,16 @@ from mpgraph.engine import (
 from mpgraph.dsl import parse_model
 from mpgraph.graph import FactorGraph, Support, infer_supports
 from mpgraph.models import (
+    HmgmModel,
     RandomWalkModel,
+    apply_priors,
     sample_generative,
+    sample_hmgm,
     sample_random_walk,
 )
 from mpgraph.scheduler import (
     RecognitionFactorization,
+    SchedulingError,
     default_factorization,
     schedule_free_energy,
     schedule_vmp,
@@ -185,6 +191,43 @@ class TestStreaming:
         assert results[1].marginals["w"].shape == pytest.approx(
             results[0].marginals["w"].shape + 3.0
         )
+
+    def test_hmm_chain_reanchored_at_first_state(self):
+        data, _ = sample_hmgm(seed=1, T=20)
+        model = HmgmModel()
+        graphs = []
+
+        class Recording:
+            def build(self, T, priors):
+                graph, rf = model.build(T, priors)
+                graphs.append(graph)
+                return graph, rf
+
+        batches = [{"y": data["y"][:10]}, {"y": data["y"][10:]}]
+        results = streaming_update(Recording(), batches, iters_per_batch=10,
+                                   overrides_fn=lambda b, p: model.initial_marginals(len(b["y"]), b))
+        assert all(np.isfinite(r.free_energy_trace[-1]) for r in results)
+        second = graphs[1]
+        start = next(n for n in second.nodes if n.kind == "categorical")
+        edge = second.edges[start.interfaces[1]]
+        clamp = second.node_at(second.neighbor_site(edge, (start.id, 1)))
+        np.testing.assert_array_equal(clamp.constants["value"], results[0].marginals["x[10]"].probabilities)
+
+    @pytest.mark.parametrize("priors, message", [
+        ({"nowhere": Gamma(1.0, 1.0)}, "no prior node found for 'nowhere'"),
+        ({"T": Gamma(1.0, 1.0)}, "posterior Gamma is not accepted as a prior for node kind 'dirichlet' ('T')"),
+    ], ids=["unknown-variable", "wrong-family"])
+    def test_apply_priors_names_the_variable(self, priors, message):
+        with pytest.raises(SchedulingError, match=re.escape(message)):
+            HmgmModel().build(3, priors)
+        graph, _ = HmgmModel().build(3)
+        with pytest.raises(SchedulingError, match=re.escape(message)):
+            apply_priors(graph, priors)
+
+    def test_apply_priors_needs_clamped_parameters(self):
+        graph, _ = conjugate_toy()
+        with pytest.raises(SchedulingError, match=re.escape("prior parameter 'mean' of 'y' is not clamped")):
+            apply_priors(graph, {"y": GaussianMeanVariance(0.0, 1.0)})
 
 
 class TestPredictive:
