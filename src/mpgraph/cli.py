@@ -19,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .codegen import CompileError, InterpretError, compile_program, render, render_schedules
+from .codegen import CompileError, InterpretError, render, render_schedules
 from .distributions import DistributionError, from_json as dist_from_json
 from .dsl import ModelParseError, parse_model
 from .engine import (
     NumericalError,
+    compile_model,
+    init_marginals,
     predictive_score,
     run_inference,
     streaming_update,
@@ -40,13 +42,7 @@ from .models import (
     sample_random_walk_continuations,
 )
 from .rules import RuleUnavailable
-from .scheduler import (
-    RecognitionFactorization,
-    SchedulingError,
-    default_factorization,
-    schedule_free_energy,
-    schedule_vmp,
-)
+from .scheduler import RecognitionFactorization, SchedulingError, default_factorization
 
 PARSE_ERRORS = (ModelParseError, CompileError, json.JSONDecodeError, OSError, ValueError)
 SCHEDULE_ERRORS = (SchedulingError, RuleUnavailable, GraphError)
@@ -181,8 +177,12 @@ def _constants(args) -> dict:
     return constants
 
 
-def _load_model(args) -> FactorGraph:
-    return parse_model(Path(args.model).read_text(), _constants(args))
+def _load_model(args) -> tuple[FactorGraph, RecognitionFactorization]:
+    graph = parse_model(Path(args.model).read_text(), _constants(args))
+    problems = graph.validate()
+    if problems:
+        raise SchedulingError("; ".join(problems))
+    return graph, _load_factorization(args, graph)
 
 
 def _load_factorization(args, graph) -> RecognitionFactorization:
@@ -211,37 +211,26 @@ def _outdir(args) -> Path:
 
 
 def cmd_compile(args) -> int:
-    graph = _load_model(args)
-    problems = graph.validate()
-    if problems:
-        raise SchedulingError("; ".join(problems))
-    rf = _load_factorization(args, graph)
-    schedules = schedule_vmp(graph, rf)
-    fe = schedule_free_energy(graph, rf)
-    ir = compile_program(schedules, fe)
+    program = compile_model(*_load_model(args))
     out = _outdir(args)
-    (out / "schedule.txt").write_text(render_schedules(schedules))
-    (out / "algorithm.txt").write_text(render(ir))
+    (out / "schedule.txt").write_text(render_schedules(program.schedules))
+    (out / "algorithm.txt").write_text(render(program.ir))
     print(f"wrote {out / 'schedule.txt'} and {out / 'algorithm.txt'}")
     return 0
 
 
 def cmd_infer(args) -> int:
-    graph = _load_model(args)
-    problems = graph.validate()
-    if problems:
-        raise SchedulingError("; ".join(problems))
-    rf = _load_factorization(args, graph)
+    graph, rf = _load_model(args)
     data = ingest(args.data, _placeholder_name(graph))
     _check_data(graph, data)
     overrides = None
     if args.init:
         overrides = {k: _parse_entry(args.init, dist_from_json, v, k) for k, v in _json_object(args.init).items()}
-    seed = _seed_of(args)
-    result = run_inference(
-        graph, rf, data, overrides=overrides,
-        max_iters=args.iters, tol=args.tol, seed=seed,
-    )
+    program = compile_model(graph, rf)
+    if overrides is not None:
+        # the library's override check, so a bad key or family names the file
+        _parse_entry(args.init, lambda table: init_marginals(program.factorization, rf, table), overrides)
+    result = program.run(data, overrides, max_iters=args.iters, tol=args.tol, seed=_seed_of(args))
     out = _outdir(args)
     _json_dump(result.to_json(), out / "result.json")
     _write_trace_csv(result.free_energy_trace, out / "free_energy.csv")
@@ -284,8 +273,10 @@ def cmd_stream(args) -> int:
         # the graph streaming_update builds for a batch has its first series' length
         _check_data(template.build(len(next(iter(batch.values()))), {})[0], batch)
     results = streaming_update(template, batches, iters_per_batch=args.iters, tol=args.tol)
+    seed = _seed_of(args)
     out = _outdir(args)
     for i, result in enumerate(results):
+        result.seed = seed
         _json_dump(result.to_json(), out / f"batch_{i:03d}.json")
     print(f"streamed {len(results)} batches of size {size} -> {out}")
     return 0

@@ -473,12 +473,3 @@ class Interpreter(Executor):
 
     def energy_terms(self):
         return self._energy_terms
-
-
-def interpret(ir: AlgorithmIR, data, marginals, registry=None, iterations: int = 1):
-    """Run ``iterations`` full passes over all step programs, updating the
-    marginal table in place. Returns (marginals, interpreter)."""
-    interp = Interpreter(ir, registry)
-    for _ in range(iterations):
-        interp.run_iteration(data, marginals)
-    return marginals, interp

@@ -1,6 +1,11 @@
-"""Inference driver: marginal initialization, iteration with a free-energy
-trace, direct schedule execution, streaming mini-batch updates, and the
-predictive score.
+"""Inference driver: the compiled model, marginal initialization, iteration
+with a free-energy trace, direct schedule execution, streaming mini-batch
+updates, and the predictive score.
+
+``compile_model`` derives a model's algorithm once: one factorization
+analysis, handed in place of the graph to the stages that build the
+schedules, the free-energy program and the ``AlgorithmIR``. ``run_inference``
+and each ``streaming_update`` batch are one compile and one ``Program.run``.
 
 Each run owns its marginal table and message storage; runs are independent.
 Within a run execution is strictly sequential, following the schedule.
@@ -17,7 +22,7 @@ import time
 import numpy as np
 
 from ._linalg import as_matrix, as_vector
-from .codegen import AlgorithmIR, Executor, Interpreter, compile_program, step_error
+from .codegen import Executor, Interpreter, compile_program, step_error
 from .distributions import (
     FAMILIES,
     Dirichlet,
@@ -32,6 +37,7 @@ from .distributions import (
 from .graph import FactorGraph, infer_supports
 from .rules import default_registry
 from .scheduler import (
+    Factorization,
     FreeEnergyProgram,
     MarginalStep,
     RecognitionFactorization,
@@ -78,12 +84,12 @@ class InferenceResult:
 # ---------------------------------------------------------------------------
 
 
-def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=None,
-                   registry=None) -> dict:
+def init_marginals(graph: FactorGraph | Factorization, rf: RecognitionFactorization,
+                   overrides=None, registry=None) -> dict:
     """Vague defaults for every marginal-table key, two-slice joints
     included, laid out on the graph the schedules see (``registry`` decides
     which composites are expanded, as in ``schedule_vmp``); overrides applied
-    verbatim after a support check."""
+    verbatim after a support check (``ValueError`` naming the key)."""
     facts = analyze_factorization(graph, rf, registry or default_registry())
     keys = [*facts.owner, *(joint_key(sec.leaf_var, sec.out_var) for sec in facts.links.values())]
     layout = {key: support_of(key, facts.supports) for key in keys}
@@ -97,10 +103,10 @@ def init_marginals(graph: FactorGraph, rf: RecognitionFactorization, overrides=N
         table[key] = vague[shared]
     for key, dist in (overrides or {}).items():
         if key not in layout:
-            raise NumericalError(f"override for unknown variable {key!r}")
+            raise ValueError(f"override for unknown variable {key!r}")
         sup = layout[key]
         if not (isinstance(dist, PointMass) or FAMILIES[sup.family].fits(dist, sup.shape)):
-            raise NumericalError(
+            raise ValueError(
                 f"override for {key!r} has support {type(dist).__name__}, expected {sup.family} {sup.shape}"
             )
         table[key] = dist
@@ -187,10 +193,8 @@ def iterate(
     seed=None,
 ) -> InferenceResult:
     """Run full sweeps until the relative free-energy change drops below
-    ``tol`` or ``max_iters`` is reached. ``runner`` is an AlgorithmIR, an
-    Interpreter, or a DirectExecutor."""
-    if isinstance(runner, AlgorithmIR):
-        runner = Interpreter(runner)
+    ``tol`` or ``max_iters`` is reached. ``runner`` is an Interpreter or a
+    DirectExecutor."""
     trace: list[float] = []
     clocks: list[float] = []
     converged = False
@@ -213,6 +217,34 @@ def iterate(
     return InferenceResult(marginals, trace, iterations, converged, clocks, seed)
 
 
+class Program:
+    """A model's derived message-passing algorithm: one factorization
+    analysis and what is built from it (per-factor schedules, free-energy
+    program, ``AlgorithmIR``). Immutable once compiled; every ``run`` has
+    its own marginal table and interpreter, so runs are independent."""
+
+    def __init__(self, factorization: Factorization, rf: RecognitionFactorization,
+                 registry, ep_damping: float | None = None):
+        self.factorization = factorization
+        self.rf = rf
+        self.registry = registry
+        self.schedules = schedule_vmp(factorization, rf, registry=registry, ep_damping=ep_damping)
+        self.free_energy = schedule_free_energy(factorization, rf, registry=registry)
+        self.ir = compile_program(self.schedules, self.free_energy)
+
+    def run(self, data, overrides=None, max_iters: int = 100, tol: float = 1e-6,
+            seed=None) -> InferenceResult:
+        marginals = init_marginals(self.factorization, self.rf, overrides, self.registry)
+        return iterate(Interpreter(self.ir, self.registry), data, marginals, max_iters, tol, seed)
+
+
+def compile_model(graph: FactorGraph, rf: RecognitionFactorization, registry=None,
+                  ep_damping: float | None = None) -> Program:
+    """Analyse, schedule and compile a model once; run it with ``Program.run``."""
+    registry = registry or default_registry()
+    return Program(analyze_factorization(graph, rf, registry), rf, registry, ep_damping)
+
+
 def run_inference(
     graph: FactorGraph,
     rf: RecognitionFactorization,
@@ -224,13 +256,8 @@ def run_inference(
     seed=None,
     ep_damping: float | None = None,
 ):
-    """Schedule, compile and iterate in one call."""
-    registry = registry or default_registry()
-    schedules = schedule_vmp(graph, rf, registry=registry, ep_damping=ep_damping)
-    fe = schedule_free_energy(graph, rf, registry=registry)
-    marginals = init_marginals(graph, rf, overrides, registry)
-    runner = Interpreter(compile_program(schedules, fe), registry)
-    return iterate(runner, data, marginals, max_iters, tol, seed)
+    """Compile and run in one call."""
+    return compile_model(graph, rf, registry, ep_damping).run(data, overrides, max_iters, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -264,28 +291,18 @@ def streaming_update(
     graph with ``models.apply_priors``, so every such variable needs a
     producing prior node whose parameters are clamped.
     """
-    registry = registry or default_registry()
     priors: dict[str, Distribution] = {}
     results: list[InferenceResult] = []
     for batch in batches:
-        batch_len = _batch_length(batch)
-        graph, rf = template.build(batch_len, dict(priors))
+        graph, rf = template.build(len(next(iter(batch.values()))), dict(priors))
         overrides = overrides_fn(batch, priors) if overrides_fn else None
-        result = run_inference(
-            graph, rf, batch, overrides=overrides,
-            max_iters=iters_per_batch, tol=tol, registry=registry,
-        )
+        program = compile_model(graph, rf, registry)
+        result = program.run(batch, overrides, max_iters=iters_per_batch, tol=tol)
         results.append(result)
-        links = analyze_factorization(graph, rf, registry).links
         for fid, fvars in rf.factors:
-            order, _ = chain_order(fid, fvars, links)
+            order, _ = chain_order(fid, fvars, program.factorization.links)
             priors[order[0]] = _as_prior(result.marginals[order[-1]])
     return results
-
-
-def _batch_length(batch) -> int:
-    first = next(iter(batch.values()))
-    return len(first)
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,8 @@ def analyze_mean_side(graph: FactorGraph, node: Node, out_dim: int) -> MeanSideI
 
 class MeanSides(dict):
     """``analyze_mean_side`` per node id, computed on first use. One table
-    serves one scheduling call, so each node's mean side is walked once; a
-    failed analysis is not stored and raises again on the next use."""
+    serves one factorization analysis, so each node's mean side is walked
+    once; a failed analysis is not stored and raises again on the next use."""
 
     def __init__(self, graph: FactorGraph, supports: dict[str, Support]):
         super().__init__()
@@ -481,20 +481,17 @@ class FreeEnergyProgram:
 
 
 class _FactorScheduler:
-    def __init__(self, graph, supports, mean_sides, owner, factor_id, factor_vars, links, registry,
-                 ep_damping=None):
-        self.graph = graph
-        self.supports = supports
-        self.mean_sides = mean_sides
-        self.owner = owner  # var -> factor id (stochastic latents only)
+    def __init__(self, facts: Factorization, factor_id, factor_vars, registry, ep_damping=None):
+        # owner: var -> factor id (stochastic latents only); links: the
+        # chain links of every factor, by node id
+        self.graph, self.supports, self.owner, self.mean_sides, self.links = facts
         self.factor_id = factor_id
         self.factor_vars = list(factor_vars)
-        self.links = links  # chain links of every factor, by node id
         self.registry = registry
         self.schedule = Schedule(factor_id)
         self.memo: dict[tuple[int, str], tuple] = {}
         self.in_progress: set[tuple[int, str]] = set()
-        self.use_sites = bool(owner)
+        self.use_sites = bool(self.owner)
         self.ep_damping = ep_damping
         self.site_nodes: list[tuple[Node, int]] = []
         self.belief_entries: set[int] = set()
@@ -826,10 +823,14 @@ class Factorization(NamedTuple):
     links: dict[int, Section]
 
 
-def analyze_factorization(graph: FactorGraph, rf: RecognitionFactorization,
+def analyze_factorization(graph: FactorGraph | Factorization, rf: RecognitionFactorization,
                           registry: RuleRegistry) -> Factorization:
     """The one derivation of a ``Factorization``: schedules, the free-energy
-    program, the marginal table and streaming re-anchoring all read it."""
+    program, the marginal table and streaming re-anchoring all read it. A
+    ``Factorization`` given as ``graph`` is returned as it is, so the stages
+    that take a graph also take one derived for the same ``rf`` and registry."""
+    if isinstance(graph, Factorization):
+        return graph
     graph = _prepare(graph, registry)
     supports = infer_supports(graph)
     rf.validate(graph, supports)
@@ -851,8 +852,8 @@ def schedule_sum_product(graph: FactorGraph, targets, registry: RuleRegistry | N
     registry = registry or default_registry()
     graph = _prepare(graph, registry)
     supports = infer_supports(graph)
-    sched = _FactorScheduler(graph, supports, MeanSides(graph, supports), {}, "sum_product",
-                             list(targets), {}, registry)
+    facts = Factorization(graph, supports, {}, MeanSides(graph, supports), {})
+    sched = _FactorScheduler(facts, "sum_product", list(targets), registry)
     for var in targets:
         edges = graph.variable_edges(var)
         if not edges:
@@ -867,9 +868,8 @@ def schedule_sum_product(graph: FactorGraph, targets, registry: RuleRegistry | N
 
 
 def schedule_vmp(
-    graph: FactorGraph,
+    graph: FactorGraph | Factorization,
     rf: RecognitionFactorization,
-    targets=None,
     registry: RuleRegistry | None = None,
     ep_damping: float | None = None,
 ) -> dict[str, Schedule]:
@@ -879,13 +879,9 @@ def schedule_vmp(
     factor boundaries read the neighbor factor's marginals (variational or EP
     flavor); two-slice joints are produced for chain sections."""
     registry = registry or default_registry()
-    graph, supports, owner, mean_sides, links = analyze_factorization(graph, rf, registry)
-    result: dict[str, Schedule] = {}
-    for fid, fvars in rf.factors:
-        sched = _FactorScheduler(graph, supports, mean_sides, owner, fid, fvars, links, registry,
-                                 ep_damping=ep_damping)
-        result[fid] = sched.build()
-    return result
+    facts = analyze_factorization(graph, rf, registry)
+    return {fid: _FactorScheduler(facts, fid, fvars, registry, ep_damping).build()
+            for fid, fvars in rf.factors}
 
 
 def infer_types(graph: FactorGraph, schedules, registry: RuleRegistry | None = None):
@@ -908,7 +904,7 @@ def infer_types(graph: FactorGraph, schedules, registry: RuleRegistry | None = N
 
 
 def schedule_free_energy(
-    graph: FactorGraph,
+    graph: FactorGraph | Factorization,
     rf: RecognitionFactorization,
     registry: RuleRegistry | None = None,
 ) -> FreeEnergyProgram:

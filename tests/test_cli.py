@@ -149,6 +149,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and str(path) in err and where in err
 
+    @pytest.mark.parametrize("entry, key", [
+        ('{"zz": {"type": "Gamma", "params": {"shape": 1.0, "rate": 1.0}}}', "'zz'"),
+        ('{"w": {"type": "GaussianMeanVariance", "params": {"mean": [0.0], "covariance": [[1.0]]}}}', "'w'"),
+    ], ids=["unknown-variable", "wrong-family"])
+    def test_init_entry_the_model_rejects_names_the_file(self, rw_files, tmp_path, entry, key, capsys):
+        model, data = rw_files
+        init = tmp_path / "init.json"
+        init.write_text(entry)
+        assert main(["infer", str(model), str(data), "--const", "T=3", "--init", str(init),
+                     "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {init}: override for ") and key in err
+
 
 # The model language's tokens, numbers small or out of float range.
 TOKENS = ["let", "for", "in", "observe", "x", "y", "t", "T", "A", "softplus", *KIND_ALIASES,
@@ -277,6 +290,16 @@ class TestStreamCommand:
         assert len(files) == 4
         first = json.loads(files[0].read_text())
         assert "free_energy" in first and "marginals" in first
+
+    def test_stream_records_the_seed(self, rw_files, tmp_path, monkeypatch):
+        model, data = rw_files
+        for seed, args in (("5", ["--seed", "5"]), ("9", [])):
+            monkeypatch.setenv("MPGRAPH_SEED", "9")
+            out = tmp_path / f"stream{seed}"
+            assert main(["stream", str(model), str(data), "--batch-size", "10", "--iters", "2",
+                         *args, "-o", str(out)]) == 0
+            batches = [json.loads(f.read_text()) for f in sorted(out.glob("batch_*.json"))]
+            assert len(batches) == 2 and all(b["seed"] == int(seed) for b in batches)
 
     def test_stream_hmm_reanchors_the_chain(self, tmp_path):
         model = tmp_path / "hmm.mp"

@@ -7,7 +7,6 @@ from mpgraph.codegen import (
     Interpreter,
     InterpretError,
     compile_program,
-    interpret,
     parse_listing,
     render,
 )
@@ -161,7 +160,7 @@ class TestInterpret:
         g, rf = conjugate_toy()
         ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))
         with pytest.raises(InterpretError, match="y"):
-            interpret(ir, {}, init_marginals(g, rf))
+            Interpreter(ir).run_iteration({}, init_marginals(g, rf))
 
     @pytest.mark.parametrize("missing, expected", [
         ("data", "missing data slot y[1]"),
@@ -193,7 +192,7 @@ class TestInterpret:
         g, rf = conjugate_toy()
         ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))
         with pytest.raises(InterpretError, match="instruction"):
-            interpret(ir, {"y": np.array([])}, init_marginals(g, rf))
+            Interpreter(ir).run_iteration({"y": np.array([])}, init_marginals(g, rf))
 
     @pytest.mark.parametrize("K", [3, 7, 10])
     def test_repeat_runs_bit_identical(self, K):
@@ -220,6 +219,6 @@ class TestInterpret:
         ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))
         clone = parse_listing(render(ir))
         data = {"y": np.array([0.3])}
-        m1, _ = interpret(ir, data, init_marginals(g, rf))
-        m2, _ = interpret(clone, data, init_marginals(g, rf))
+        m1 = Interpreter(ir).run_iteration(data, init_marginals(g, rf))
+        m2 = Interpreter(clone).run_iteration(data, init_marginals(g, rf))
         assert {k: v.to_json() for k, v in m1.items()} == {k: v.to_json() for k, v in m2.items()}

@@ -18,6 +18,7 @@ from mpgraph.dsl import parse_model
 from mpgraph.graph import FactorGraph, Support, infer_supports
 from mpgraph.models import (
     HmgmModel,
+    ProbitSsmModel,
     RandomWalkModel,
     apply_priors,
     sample_generative,
@@ -75,9 +76,9 @@ class TestInitMarginals:
 
     def test_support_mismatch_rejected(self):
         g, rf = conjugate_toy()
-        with pytest.raises(NumericalError, match="support"):
+        with pytest.raises(ValueError, match="support"):
             init_marginals(g, rf, {"x": Gamma(1.0, 1.0)})
-        with pytest.raises(NumericalError, match="unknown"):
+        with pytest.raises(ValueError, match="unknown"):
             init_marginals(g, rf, {"zz": Gamma(1.0, 1.0)})
 
 
@@ -471,3 +472,73 @@ class TestNonlinearOffset:
         for u in updated:
             assert (u.shape, u.rate) == pytest.approx((1.5, 1.0 + 0.5 * (0.3 ** 2 + 0.4)), rel=1e-12)
         assert energies[1] == pytest.approx(energies[0], rel=1e-12)
+
+
+class TestCompileModel:
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        """Counts factorization analyses performed: each runs support
+        inference once, a ``Factorization`` passed through runs none."""
+        from mpgraph import scheduler
+
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return infer_supports(graph)
+
+        monkeypatch.setattr(scheduler, "infer_supports", counted)
+        return calls
+
+    def test_one_analysis_per_run_inference(self, analyses):
+        data, _ = sample_random_walk(seed=2, T=12)
+        model = RandomWalkModel()
+        g, rf = model.build(12)
+        run_inference(g, rf, data, overrides=model.initial_marginals(12), max_iters=3)
+        assert len(analyses) == 1
+
+    def test_one_analysis_per_streaming_batch(self, analyses):
+        data, _ = sample_random_walk(seed=2, T=12)
+        model = RandomWalkModel()
+        batches = [{"y": data["y"][i:i + 4]} for i in range(0, 12, 4)]
+        streaming_update(model, batches, iters_per_batch=3,
+                         overrides_fn=lambda b, p: model.initial_marginals(4) if not p else None)
+        assert len(analyses) == len(batches)
+
+    def test_one_analysis_per_compile_command(self, analyses, tmp_path):
+        import json
+
+        from mpgraph.cli import main
+
+        model = tmp_path / "sum.mp"
+        model.write_text(leaf_sum_model(2))
+        spec = tmp_path / "rf.json"
+        spec.write_text(json.dumps({"factors": [
+            {"id": v, "variables": [v]} for v in ("a1", "a2", "w")]}))
+        assert main(["compile", str(model), "--const", "T=3", "--factorization", str(spec),
+                     "-o", str(tmp_path / "out")]) == 0
+        assert len(analyses) == 1
+
+    @pytest.mark.parametrize("model, spec, ep_damping", [
+        (RandomWalkModel(), "random-walk", None),
+        (ProbitSsmModel(), "probit-ssm", 0.5),
+    ], ids=["random-walk", "probit-ep-sites"])
+    def test_runs_equal_run_inference_and_leave_the_program_unchanged(self, model, spec, ep_damping):
+        from mpgraph.codegen import render
+        from mpgraph.engine import compile_model
+
+        T = 15
+        g, rf = model.build(T)
+        program = compile_model(g, rf, ep_damping=ep_damping)
+        listing = render(program.ir)
+        for seed in (3, 4):
+            data, _ = sample_generative(spec, seed, T)
+            got = program.run(data, model.initial_marginals(T), max_iters=6, seed=seed)
+            want = run_inference(g, rf, data, overrides=model.initial_marginals(T), max_iters=6,
+                                 seed=seed, ep_damping=ep_damping)
+            assert got.free_energy_trace == want.free_energy_trace
+            assert got.seed == want.seed == seed
+            assert got.marginals.keys() == want.marginals.keys()
+            for key in want.marginals:
+                assert got.marginals[key].to_json() == want.marginals[key].to_json(), key
+        assert render(program.ir) == listing
