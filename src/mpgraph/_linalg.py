@@ -1,8 +1,15 @@
 """Small dense linear-algebra helpers shared by distributions and rules.
 
-All matrices handled here are tiny (state dimensions of a few), so the
-eigendecomposition-based routines favour determinism and robustness over
-speed.
+All matrices handled here are tiny (state dimensions of a few). The routines
+are eigendecomposition based, so that flooring and inversion are deterministic
+and robust. Most matrices in a run are 1x1 or 2x2, where a numpy call costs far
+more than the arithmetic, so ``check_spd``, ``floored_eigh``, ``sym_eigvals``
+and the 1x1 ``spd_inverse`` work on Python floats for d <= 2 (analytic 2x2
+eigenvalues, exact 1x1 closed forms). Each such float path runs the same tests
+in the same order, raises the same exceptions with the same text and returns
+the same bits as the numpy body it stands in for; ``tests/test_linalg.py``
+compares them. Matrix products stay in numpy at every size: a 2x2 ``@`` and
+``a*b + c*d`` on floats round differently in the last bit.
 """
 
 from __future__ import annotations
@@ -95,6 +102,11 @@ def sym_eigvals(m: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
+    if m.shape[0] == 1 and floor > 0.0:
+        # q = [[1]], so (q / w) @ q.T and its symmetrization round once; a
+        # positive floor leaves no zero divisor and no -0.0 for the matmul's
+        # +0.0 start to flip
+        return np.array([[1.0 / max(float(m[0, 0]), floor)]])
     w, q = floored_eigh(m, floor)
     return symmetrize((q / w) @ q.T)
 
@@ -135,30 +147,33 @@ def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12
 def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.ndarray:
     """``check_spd`` for 1x1 and 2x2 matrices on Python floats: the same tests
     in the same order, the same messages and the same bits as the numpy path.
-    A NaN eigenvalue (finite entries can overflow to one) propagates through
-    the maxima and minima as it does in ``np.max`` and ``np.min``, and of two
-    equal eigenvalues (0.0 and -0.0) the minimum is the second, as ``np.min``
-    picks it."""
+    The skew of a diagonal entry is 0.0 and |b - c| == |c - b|, so one
+    off-diagonal skew stands for all four. A NaN eigenvalue (finite entries
+    can overflow to one) propagates through the maxima and minima as it does
+    in ``np.max`` and ``np.min``, and of two equal eigenvalues (0.0 and -0.0)
+    the minimum is the second, as ``np.min`` picks it."""
     if m.shape[0] == 1:
         a = float(m[0, 0])
-        entries, skew = (a,), (a - a,)
+        if not math.isfinite(a):
+            raise ValueError(f"{name} has a non-finite entry")
+        if not 0.0 <= tol * max(1.0, abs(a)):
+            raise ValueError(f"{name} is not symmetric within {tol}")
+        lo = hi = a
     else:
         (a, b), (c, d) = m.tolist()
-        entries, skew = (a, b, c, d), (a - a, b - c, c - b, d - d)
-    if not all(math.isfinite(x) for x in entries):
-        raise ValueError(f"{name} has a non-finite entry")
-    scale = max(1.0, *(abs(x) for x in entries))
-    if not all(abs(x) <= tol * scale for x in skew):
-        raise ValueError(f"{name} is not symmetric within {tol}")
-    w = (a,) if m.shape[0] == 1 else _eigvals_2x2(a, 0.5 * (b + c), d)[:2]
-    if any(x != x for x in w):
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+            raise ValueError(f"{name} has a non-finite entry")
+        if not abs(b - c) <= tol * max(1.0, abs(a), abs(b), abs(c), abs(d)):
+            raise ValueError(f"{name} is not symmetric within {tol}")
+        lo, hi, _ = _eigvals_2x2(a, 0.5 * (b + c), d)
+    if lo != lo or hi != hi:
         low, bound = float("nan"), -tol
     else:
-        low, bound = (w[0] if w[0] < w[-1] else w[-1]), -tol * max(1.0, *(abs(x) for x in w))
+        low, bound = (lo if lo < hi else hi), -tol * max(1.0, abs(lo), abs(hi))
     if strict:
-        if any(x <= 0.0 for x in w):
+        if lo <= 0.0 or hi <= 0.0:
             raise ValueError(f"{name} must be positive definite (min eig {low:.3e})")
-    elif any(x < bound for x in w):
+    elif lo < bound or hi < bound:
         raise ValueError(f"{name} must be positive semi-definite (min eig {low:.3e})")
     if m.shape[0] == 1:
         return np.array([[0.5 * (a + a)]])

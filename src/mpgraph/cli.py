@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -107,6 +108,10 @@ def _series(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
         raise ValueError(f"expected a list of values, got {values!r}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        at = np.unravel_index(bad[0], arr.shape)
+        raise ValueError(f"non-finite value {float(arr[at])!r} at index {', '.join(map(str, at))}")
     return arr
 
 
@@ -135,9 +140,12 @@ def ingest(path: str, placeholder: str = "y") -> dict:
         parsed = []
         for c, cell in enumerate(row, start=1):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise CliError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}", 1) from None
+            if not math.isfinite(value):
+                raise CliError(f"{path}: non-finite cell at row {r}, column {c}: {cell!r}", 1)
+            parsed.append(value)
         values.append(parsed)
     arr = np.asarray(values, dtype=float)
     if arr.shape[1] == 1:

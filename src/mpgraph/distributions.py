@@ -14,6 +14,13 @@ colliding messages are fused in the canonical (weighted-mean, precision) form,
 and conversion back to moment form is deferred until a mean or covariance is
 actually requested. Before any inversion, symmetric matrices get their
 eigenvalues floored at 1e-12.
+
+Most Gaussians in a run have d = 1 or 2, so the canonical constructor's
+finiteness and symmetry tests, the product's semi-definiteness test and the
+1x1 canonical moments run on Python floats there (see ``_linalg``). Each float
+branch raises the same exceptions with the same text and gives the same bits
+as the numpy body it stands in for, which still runs for d >= 3; so F traces
+and listings do not depend on which branch ran.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ import numpy as np
 from scipy.special import digamma, gammaln, log_ndtr, multigammaln
 
 from ._linalg import (
+    EIG_FLOOR,
+    _eigvals_2x2,
     as_matrix,
     as_vector,
     check_spd,
@@ -229,13 +238,28 @@ class GaussianCanonical(GaussianBase):
         w = as_matrix(precision)
         if w.shape[0] != w.shape[1] or w.shape[0] != xi.shape[0]:
             raise DistributionError("weighted-mean/precision dimension mismatch")
-        top = float(np.max(np.abs(w))) if w.size else 0.0
-        if not top < np.inf:  # NaN fails the comparison as well
-            raise DistributionError("precision has a non-finite entry")
-        if w.size and float(np.max(np.abs(w - w.T))) > 1e-9 * max(1.0, top):
-            raise DistributionError("precision is not symmetric")
+        n = w.shape[0]
+        if n == 1:
+            a = float(w[0, 0])
+            if not math.isfinite(a):
+                raise DistributionError("precision has a non-finite entry")
+            w = np.array([[0.5 * (a + a)]])
+        elif n == 2:  # |b - c| is the largest entry of |w - w.T|
+            (a, b), (c, d) = w.tolist()
+            if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+                raise DistributionError("precision has a non-finite entry")
+            if abs(b - c) > 1e-9 * max(1.0, abs(a), abs(b), abs(c), abs(d)):
+                raise DistributionError("precision is not symmetric")
+            w = np.array([[0.5 * (a + a), 0.5 * (b + c)], [0.5 * (c + b), 0.5 * (d + d)]])
+        else:
+            top = float(np.max(np.abs(w))) if w.size else 0.0
+            if not top < np.inf:  # NaN fails the comparison as well
+                raise DistributionError("precision has a non-finite entry")
+            if w.size and float(np.max(np.abs(w - w.T))) > 1e-9 * max(1.0, top):
+                raise DistributionError("precision is not symmetric")
+            w = symmetrize(w)
         self.weighted_mean = _freeze(xi)
-        self.precision = _freeze_owned(symmetrize(w))
+        self.precision = _freeze_owned(w)
         self._mean = self._covariance = None
 
     @property
@@ -244,12 +268,19 @@ class GaussianCanonical(GaussianBase):
 
     def _moments(self):
         # one floored eigendecomposition serves both moments; the expressions
-        # are those of spd_solve and spd_inverse, so the bits are theirs
+        # are those of spd_solve and spd_inverse, so the bits are theirs. For
+        # d = 1 (q = [[1]]) each product rounds once; a matmul sums from +0.0,
+        # so it turns a -0.0 mean into +0.0, and so does "+ 0.0".
         if self._covariance is None:
-            w, q = floored_eigh(self.precision)
-            qw = q / w
-            self._mean = _freeze_owned(qw @ (q.T @ self.weighted_mean))
-            self._covariance = _freeze_owned(symmetrize(qw @ q.T))
+            if self.dim == 1:
+                inv = 1.0 / max(float(self.precision[0, 0]), EIG_FLOOR)
+                self._mean = _freeze_owned(np.array([inv * float(self.weighted_mean[0]) + 0.0]))
+                self._covariance = _freeze_owned(np.array([[inv]]))
+            else:
+                w, q = floored_eigh(self.precision)
+                qw = q / w
+                self._mean = _freeze_owned(qw @ (q.T @ self.weighted_mean))
+                self._covariance = _freeze_owned(symmetrize(qw @ q.T))
         return self._mean, self._covariance
 
     def mean_vector(self):
@@ -362,6 +393,8 @@ class Dirichlet(Distribution):
             raise DistributionError("Dirichlet concentration must be a vector or matrix")
         if np.any(a <= 0.0):
             raise DistributionError("Dirichlet concentration entries must be strictly positive")
+        if not (a < math.inf).all():  # NaN fails the comparison as well
+            raise DistributionError("Dirichlet concentration entries must be finite")
         self.concentration = _freeze(a)
 
     @property
@@ -415,7 +448,9 @@ class Categorical(Distribution):
         if np.any(p < -1e-12):
             raise DistributionError("Categorical probabilities must be nonnegative")
         s = float(np.sum(p))
-        if abs(s - 1.0) > 1e-12:
+        if not abs(s - 1.0) <= 1e-12:  # a non-finite entry makes the sum fail too
+            if not np.isfinite(p).all():
+                raise DistributionError("Categorical probabilities must be finite")
             raise DistributionError(f"Categorical probabilities must sum to 1, got {s!r}")
         self.probabilities = _freeze_owned(np.clip(p, 0.0, None))
 
@@ -566,7 +601,15 @@ def product(a: Distribution, b: Distribution) -> Distribution:
             raise IncompatibleSupport(f"Gaussian dimension mismatch: {a.dim} vs {b.dim}")
         w = a.precision_matrix() + b.precision_matrix()
         xi = a.weighted_mean_vector() + b.weighted_mean_vector()
-        if float(np.min(sym_eigvals(w))) < -1e-9:
+        if a.dim == 1:
+            negative = float(w[0, 0]) < -1e-9
+        elif a.dim == 2:  # a NaN eigenvalue passes, as it passes np.min
+            (w00, w01), (w10, w11) = w.tolist()
+            lo, hi, _ = _eigvals_2x2(w00, 0.5 * (w01 + w10), w11)
+            negative = (lo < -1e-9 or hi < -1e-9) and lo == lo and hi == hi
+        else:
+            negative = float(np.min(sym_eigvals(w))) < -1e-9
+        if negative:
             raise DistributionError("product precision is not positive semi-definite")
         return GaussianCanonical(xi, w)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpgraph.cli import ingest, main
+from mpgraph.cli import CliError, ingest, main
 from mpgraph.dsl import KIND_ALIASES, ModelParseError, parse_model
 
 ONE_NODE_MODEL = """
@@ -85,6 +86,26 @@ class TestIngest:
         with pytest.raises(Exception, match="row 3, column 1"):
             ingest(str(p))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_csv_cell_reported(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"y1,y2\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(CliError, match=re.escape(f"{p}: non-finite cell at row 3, column 2: {cell!r}")) as info:
+            ingest(str(p))
+        assert info.value.code == 1
+
+    @pytest.mark.parametrize("content, where", [
+        ('{"y": [1.0, NaN, 2.0]}', "key 'y': non-finite value nan at index 1"),
+        ('{"y": [[1.0, 2.0], [Infinity, 0.0]]}', "key 'y': non-finite value inf at index 1, 0"),
+        ('{"y": [-Infinity]}', "key 'y': non-finite value -inf at index 0"),
+    ], ids=["nan", "inf-matrix", "-inf"])
+    def test_non_finite_json_value_reported(self, tmp_path, content, where):
+        p = tmp_path / "d.json"
+        p.write_text(content)
+        with pytest.raises(CliError, match=re.escape(f"{p}, {where}")) as info:
+            ingest(str(p))
+        assert info.value.code == 1
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_parse_error(self, capsys):
@@ -114,9 +135,37 @@ class TestExitCodes:
         model = tmp_path / "m.mp"
         model.write_text(ONE_NODE_MODEL)
         data = tmp_path / "d.csv"
-        data.write_text("y\nnan\n")
-        assert main(["infer", str(model), str(data)]) == 3
+        data.write_text("y\n1e200\n")  # finite, but its square overflows
+        assert main(["infer", str(model), str(data), "-o", str(tmp_path / "out")]) == 3
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, content, where", [
+        ("d.csv", "y\n1.0\nnan\n", "row 3, column 1: 'nan'"),
+        ("d.json", '{"y": [1.0, Infinity, 2.0]}', "key 'y': non-finite value inf at index 1"),
+    ], ids=["csv", "json"])
+    def test_non_finite_data_is_a_parse_error(self, rw_files, tmp_path, name, content, where, capsys):
+        model, _ = rw_files
+        data = tmp_path / name
+        data.write_text(content)
+        assert main(["infer", str(model), str(data), "--const", "T=3", "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}") and where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_init_parameter_names_the_file(self, tmp_path, value, capsys):
+        # a NaN Dirichlet entry used to construct and exit 3 deep in the run
+        model = tmp_path / "hmm.mp"
+        model.write_text(HMM_MODEL)
+        rng = np.random.default_rng(1)
+        data = tmp_path / "d.csv"
+        data.write_text("y1,y2\n" + "\n".join(f"{a!r},{b!r}" for a, b in rng.normal(size=(4, 2)).tolist()) + "\n")
+        init = tmp_path / "init.json"
+        init.write_text('{"A": {"type": "Dirichlet", "params": {"concentration": [[%s, 1.0], [1.0, 1.0]]}}}'
+                        % value)
+        assert main(["infer", str(model), str(data), "--const", "T=4", "--init", str(init),
+                     "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {init}, key 'A': ") and "must be finite" in err
 
     @pytest.mark.parametrize("command", ["compile", "infer", "stream"])
     @pytest.mark.parametrize("item", ["T", "T=", "T=four", "=4"])

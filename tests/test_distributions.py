@@ -386,6 +386,27 @@ class TestJsonAndVague:
         with pytest.raises(DistributionError):
             Dirichlet([1.0, 0.0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
+    def test_nonfinite_categorical_and_dirichlet_parameters_raise(self, value, matrix):
+        # both constructed before: NaN passed every comparison, and inf the
+        # positivity test; the Categorical sum test now fails on them
+        def shaped(v):
+            return np.array([[v, 0.25], [0.25, 0.25]]) if matrix else np.array([v, 0.5])
+
+        with pytest.raises(DistributionError, match="Categorical probabilities must be finite"):
+            Categorical(shaped(value))
+        with pytest.raises(DistributionError, match="Dirichlet concentration entries must be finite"):
+            Dirichlet(shaped(value) + 1.0)
+        assert Categorical(shaped(0.25 if matrix else 0.5)).probabilities.shape == shaped(0.0).shape
+        assert Dirichlet(shaped(2.0)).concentration.shape == shaped(0.0).shape
+
+    def test_categorical_sum_message_for_finite_entries(self):
+        with pytest.raises(DistributionError, match="must sum to 1, got 1.8"):
+            Categorical([0.8, 1.0])
+        with pytest.raises(DistributionError, match="must sum to 1, got inf"):
+            Categorical([1.7e308, 1.7e308])  # finite entries whose sum overflows
+
 
 def _random_spd(rng, d):
     a = rng.normal(size=(d, d))

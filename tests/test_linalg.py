@@ -1,13 +1,30 @@
-"""The 1x1/2x2 float path of ``check_spd`` against the numpy body it stands in
-for, and the float arithmetic of ``_eigh_2x2`` against numpy scalars."""
+"""The 1x1/2x2 float paths of ``check_spd``, ``GaussianCanonical``, the
+Gaussian ``product`` and the 1x1 inverses against the numpy bodies they stand
+in for, and the float arithmetic of ``_eigh_2x2`` against numpy scalars."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpgraph._linalg import _eigh_2x2, as_matrix, check_spd, sym_eigvals, symmetrize
-from mpgraph.distributions import DistributionError, GaussianCanonical, GaussianMeanPrecision, GaussianMeanVariance
+from mpgraph._linalg import (
+    EIG_FLOOR,
+    _eigh_2x2,
+    as_matrix,
+    as_vector,
+    check_spd,
+    floored_eigh,
+    spd_inverse,
+    sym_eigvals,
+    symmetrize,
+)
+from mpgraph.distributions import (
+    DistributionError,
+    GaussianCanonical,
+    GaussianMeanPrecision,
+    GaussianMeanVariance,
+    product,
+)
 
 TOL = 1e-12
 
@@ -175,7 +192,7 @@ def small_matrices(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(small_matrices(), st.booleans(), st.sampled_from([1e-12, 1e-9, 0.0]))
+@given(small_matrices(), st.booleans(), st.sampled_from([1e-12, 1e-9, 0.0, -1e-12]))
 def test_small_path_matches_numpy_body_random(m, strict, tol):
     assert_same(m, strict, tol)
 
@@ -214,3 +231,229 @@ def test_eigh_2x2_float_arithmetic_is_bit_identical(a, b, c):
         w_ref, q_ref = reference_eigh_2x2(a, b, c)
     assert w.tobytes() == w_ref.tobytes()
     assert q.tobytes() == q_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The d <= 2 float paths of GaussianCanonical, product and the 1x1 inverses
+# against the numpy bodies they stand in for
+# ---------------------------------------------------------------------------
+
+
+def result_of(fn, *args):
+    """The exception type and text ``fn`` raises, or the bytes of what it returns."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args)
+        except Exception as exc:  # the type and text are what is compared
+            return type(exc), str(exc)
+    return [(a.shape, a.dtype, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def reference_canonical(xi, w):
+    """The numpy body ``GaussianCanonical.__init__`` runs for d >= 3."""
+    xi, w = as_vector(xi), as_matrix(w)
+    if w.shape[0] != w.shape[1] or w.shape[0] != xi.shape[0]:
+        raise DistributionError("weighted-mean/precision dimension mismatch")
+    top = float(np.max(np.abs(w))) if w.size else 0.0
+    if not top < np.inf:
+        raise DistributionError("precision has a non-finite entry")
+    if w.size and float(np.max(np.abs(w - w.T))) > 1e-9 * max(1.0, top):
+        raise DistributionError("precision is not symmetric")
+    return np.array(xi), symmetrize(w)
+
+
+def canonical(xi, w):
+    g = GaussianCanonical(xi, w)
+    return g.weighted_mean, g.precision
+
+
+def assert_canonical_same(xi, w):
+    assert result_of(canonical, xi, w) == result_of(reference_canonical, xi, w)
+
+
+SKEW = 1e-9  # GaussianCanonical's symmetry tolerance, relative to max(1, top)
+CANONICAL_CASES = {
+    "pd_1x1": [[2.5]],
+    "negzero_1x1": [[-0.0]],
+    "negative_1x1": [[-3.0]],
+    "overflow_1x1": [[1.7e308]],  # 0.5 * (a + a) is inf
+    "pd_2x2": [[2.0, 0.5], [0.5, 1.0]],
+    "negzero_2x2": [[-0.0, -0.0], [0.0, -0.0]],
+    "overflow_diag_2x2": [[1.7e308, 0.0], [0.0, 1.0]],
+    "overflow_sum_2x2": [[1.0, 1.7e308], [1.7e308, 1.0]],  # 0.5 * (b + c) is inf
+    "overflow_skew_2x2": [[1.0, 1.7e308], [-1.7e308, 1.0]],  # b - c is inf
+    "skew_at_edge": [[1.0, 0.5], [0.5 + SKEW, 1.0]],
+    "skew_just_inside": [[1.0, 0.5], [0.5 + 0.99 * SKEW, 1.0]],
+    "skew_just_outside": [[1.0, 0.5], [0.5 + 1.01 * SKEW, 1.0]],
+    "skew_scaled_inside": [[4e6, 1.0], [1.0 + 0.99 * 4e6 * SKEW, 1.0]],
+    "skew_scaled_outside": [[4e6, 1.0], [1.0 + 1.01 * 4e6 * SKEW, 1.0]],
+    "not_square": [[1.0, 2.0]],
+    "dim_mismatch": [[1.0]],  # against a 2-vector
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_canonical_matches_numpy_body(name):
+    w = CANONICAL_CASES[name]
+    n = 2 if name == "dim_mismatch" else len(w[0])
+    assert_canonical_same(np.arange(1.0, n + 1.0), w)
+
+
+def test_canonical_cases_land_on_both_sides():
+    def passes(name):
+        return not isinstance(result_of(canonical, np.zeros(2), CANONICAL_CASES[name])[0], type)
+
+    assert passes("skew_just_inside") and not passes("skew_just_outside")
+    assert passes("skew_scaled_inside") and not passes("skew_scaled_outside")
+    assert not passes("overflow_skew_2x2") and passes("overflow_sum_2x2")
+
+
+@pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1), None], ids=str)
+def test_canonical_nonfinite_entry_matches_numpy_body(entry, value):
+    w = with_nonfinite(1, (0, 0), value) if entry is None else with_nonfinite(2, entry, value)
+    assert_canonical_same(np.zeros(w.shape[0]), w)
+
+
+@st.composite
+def canonical_inputs(draw):
+    values = st.one_of(anything, st.sampled_from([0.0, -0.0, 1e-12, -1.0, 1.7e308, -1.7e308]))
+    if draw(st.booleans()):
+        return [draw(anything)], [[draw(values)]]
+    a, b, d = draw(values), draw(values), draw(values)
+    how = draw(st.sampled_from(["symmetric", "nudged", "free"]))
+    if how == "symmetric":
+        c = b
+    elif how == "nudged":
+        c = b + draw(st.floats(-2e-9, 2e-9)) * max(1.0, abs(a), abs(b), abs(d))
+    else:
+        c = draw(values)
+    return [draw(anything), draw(anything)], [[a, b], [c, d]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(canonical_inputs())
+def test_canonical_matches_numpy_body_random(args):
+    assert_canonical_same(*args)
+
+
+def reference_spd_inverse(m, floor=EIG_FLOOR):
+    """The eigendecomposition body of ``spd_inverse``."""
+    w, q = floored_eigh(m, floor)
+    return symmetrize((q / w) @ q.T)
+
+
+def reference_moments(xi, w):
+    """``GaussianCanonical._moments`` through ``floored_eigh``, as for d >= 2."""
+    w_, q = floored_eigh(as_matrix(w))
+    qw = q / w_
+    return qw @ (q.T @ as_vector(xi)), symmetrize(qw @ q.T)
+
+
+def moments(xi, w):
+    g = GaussianCanonical(xi, w)
+    return g.mean_vector(), g.covariance_matrix()
+
+
+TINY = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, EIG_FLOOR, np.nextafter(EIG_FLOOR, 0.0),
+        np.nextafter(EIG_FLOOR, 1.0), 1e-13, 0.5 * EIG_FLOOR]
+SCALARS = st.one_of(anything, st.sampled_from(TINY), st.sampled_from([-v for v in TINY]))
+
+
+@settings(max_examples=500, deadline=None)
+@example(1.0, EIG_FLOOR)
+@example(-0.0, 3.0)
+@given(SCALARS, st.sampled_from([EIG_FLOOR, 1e-6, 5e-324, 0.0, -0.0, -1.0, -np.inf, np.nan]))
+def test_spd_inverse_1x1_matches_numpy_body(a, floor):
+    m = np.array([[a]])
+    assert result_of(spd_inverse, m, floor) == result_of(reference_spd_inverse, m, floor)
+
+
+@settings(max_examples=500, deadline=None)
+@example(-0.0, 1.0)  # the matmul sums from +0.0, so the mean is +0.0
+@example(-5e-324, 3.7)  # the product underflows to -0.0
+@example(np.inf, 0.0)
+@example(1e300, 1e-13)  # overflows past the floor
+@example(1.0, 1.7e308)  # the precision overflows to inf
+@given(SCALARS, SCALARS.filter(lambda x: abs(x) < np.inf))
+def test_canonical_moments_1x1_match_numpy_body(xi, p):
+    assert result_of(moments, [xi], [[p]]) == result_of(reference_moments, [xi], [[0.5 * (p + p)]])
+
+
+def reference_gaussian_product(a, b):
+    """``product`` of two Gaussians with the numpy PSD test of d >= 3."""
+    w = a.precision_matrix() + b.precision_matrix()
+    xi = a.weighted_mean_vector() + b.weighted_mean_vector()
+    if float(np.min(sym_eigvals(w))) < -1e-9:
+        raise DistributionError("product precision is not positive semi-definite")
+    return reference_canonical(xi, w)
+
+
+def gaussian_product(a, b):
+    out = product(a, b)
+    return out.weighted_mean, out.precision
+
+
+def assert_product_same(wa, wb):
+    n = len(wa)
+    a, b = GaussianCanonical(np.ones(n), wa), GaussianCanonical(np.full(n, 2.0), wb)
+    assert result_of(gaussian_product, a, b) == result_of(reference_gaussian_product, a, b)
+
+
+PRODUCT_CASES = {
+    "psd_1x1": ([[1.0]], [[0.0]]),
+    "psd_edge_1x1": ([[-1e-9]], [[0.0]]),
+    "negative_1x1": ([[-2e-9]], [[0.0]]),
+    "overflow_1x1": ([[1e308]], [[1e308]]),  # inf precision, rejected by the constructor
+    "psd_2x2": ([[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    "indefinite_2x2": ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    "psd_edge_2x2": ([[1.0, 0.0], [0.0, -1e-9]], [[0.0, 0.0], [0.0, 0.0]]),
+    "negative_2x2": ([[1.0, 0.0], [0.0, -2e-9]], [[0.0, 0.0], [0.0, 0.0]]),
+    # the sum [[-1.5e308, 0], [0, 6e307]] has lo = -inf and hi = -inf / -inf
+    # = NaN: np.min is NaN, so the test passes
+    "nan_eig_negative_lo": ([[-0.75e308, 0.0], [0.0, 3e307]], [[-0.75e308, 0.0], [0.0, 3e307]]),
+    # the sum [[1e308, 0], [0, -1e308]] has hi = inf and lo = -inf / inf = NaN
+    "nan_eig_lo": ([[5e307, 0.0], [0.0, -5e307]], [[5e307, 0.0], [0.0, -5e307]]),
+    "overflow_negative_2x2": ([[-1.5e308, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    "overflow_2x2": ([[1e308, 1e308], [1e308, 1e308]], [[1e308, 1e308], [1e308, 1e308]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+def test_product_psd_test_matches_numpy_body(name):
+    assert_product_same(*PRODUCT_CASES[name])
+
+
+def test_product_nan_eigenvalue_passes_the_psd_test():
+    # a NaN eigenvalue passes as np.min lets it through, even beside a
+    # negative one; the finite entries then construct
+    for name in ("nan_eig_negative_lo", "nan_eig_lo"):
+        wa, wb = PRODUCT_CASES[name]
+        a, b = GaussianCanonical(np.zeros(2), wa), GaussianCanonical(np.zeros(2), wb)
+        with np.errstate(all="ignore"):
+            eigs = sym_eigvals(a.precision + b.precision)
+            assert np.isnan(eigs).any() and np.isfinite(a.precision + b.precision).all()
+            assert product(a, b).dim == 2
+    wa, wb = PRODUCT_CASES["negative_2x2"]
+    with pytest.raises(DistributionError, match="not positive semi-definite"):
+        product(GaussianCanonical(np.zeros(2), wa), GaussianCanonical(np.zeros(2), wb))
+
+
+@st.composite
+def symmetric_pairs(draw):
+    values = st.one_of(finite, st.sampled_from([0.0, -0.0, -1e-9, -2e-9, 1e308, -1e308, 1.7e308]))
+    n = draw(st.sampled_from([1, 2]))
+
+    def one():
+        if n == 1:
+            return [[draw(values)]]
+        b = draw(values)
+        return [[draw(values), b], [b, draw(values)]]
+
+    return one(), one()
+
+
+@settings(max_examples=500, deadline=None)
+@given(symmetric_pairs())
+def test_product_psd_test_matches_numpy_body_random(pair):
+    assert_product_same(*pair)
