@@ -103,10 +103,11 @@ def sym_eigvals(m: np.ndarray) -> np.ndarray:
 
 def spd_inverse(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     if m.shape[0] == 1 and floor > 0.0:
-        # q = [[1]], so (q / w) @ q.T and its symmetrization round once; a
-        # positive floor leaves no zero divisor and no -0.0 for the matmul's
-        # +0.0 start to flip
-        return np.array([[1.0 / max(float(m[0, 0]), floor)]])
+        # q = [[1]], so (q / w) @ q.T rounds once; a positive floor leaves no
+        # zero divisor and no -0.0 for the matmul's +0.0 start to flip. The
+        # symmetrization 0.5 * (x + x) is x, unless x + x overflows to inf.
+        x = 1.0 / max(float(m[0, 0]), floor)
+        return np.array([[0.5 * (x + x)]])
     w, q = floored_eigh(m, floor)
     return symmetrize((q / w) @ q.T)
 

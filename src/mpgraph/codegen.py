@@ -37,37 +37,53 @@ class InterpretError(RuntimeError):
     pass
 
 
-def _canon_constants(constants: dict) -> dict:
-    out = {}
-    for key, value in (constants or {}).items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        elif isinstance(value, (np.floating, np.integer)):
-            out[key] = float(value)
-        else:
-            out[key] = value
-    return out
+_NOT_CANONICAL = (np.ndarray, tuple, np.floating, np.integer)
+
+
+def _canon_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return float(value)
+    return value
+
+
+def _canon_constants(constants: dict | None) -> dict:
+    """``constants`` as the listing reads them back: arrays and tuples as
+    lists, numpy scalars as floats. A dict that holds none of those is
+    returned itself, so an instruction shares its schedule step's dict."""
+    if constants is None:
+        return {}
+    for value in constants.values():
+        if isinstance(value, _NOT_CANONICAL):
+            return {key: _canon_value(value) for key, value in constants.items()}
+    return constants
 
 
 class Instruction:
     """One pure step: a rule application, a marginal product, a two-slice
-    joint, or a free-energy contribution."""
+    joint, or a free-energy contribution. ``slots`` is a tuple; a schedule
+    step's tuple is shared, not copied."""
+
+    __slots__ = ("opcode", "output", "slots", "rule_id", "constants", "extra", "writes_site", "label")
 
     def __init__(self, opcode, output, slots, rule_id=None, constants=None, extra=None,
                  writes_site=None, label=""):
         self.opcode = opcode  # rule | product | joint | average_energy | entropy
         self.output = output  # ("msg", i) | ("marginal", key) | ("F",)
-        self.slots = list(slots)
+        self.slots = tuple(slots)
         self.rule_id = rule_id
-        self.constants = _canon_constants(constants or {})
+        self.constants = _canon_constants(constants)
         self.extra = extra
         self.writes_site = writes_site
         self.label = label
 
     def __eq__(self, other):
-        return isinstance(other, Instruction) and vars(self) == vars(other)
+        return isinstance(other, Instruction) and all(
+            getattr(self, field) == getattr(other, field) for field in self.__slots__
+        )
 
 
 class AlgorithmIR:
@@ -81,7 +97,10 @@ class AlgorithmIR:
         self.data_slots: list[tuple[str, int]] = data_slots
 
     def __eq__(self, other):
-        return isinstance(other, AlgorithmIR) and vars(self) == vars(other)
+        return isinstance(other, AlgorithmIR) and (
+            (self.steps, self.free_energy, self.site_inits, self.data_slots)
+            == (other.steps, other.free_energy, other.site_inits, other.data_slots)
+        )
 
 
 def compile_program(schedules: dict[str, Schedule], fe_program: FreeEnergyProgram | None) -> AlgorithmIR:
@@ -122,11 +141,15 @@ def compile_program(schedules: dict[str, Schedule], fe_program: FreeEnergyProgra
 
     fe_instructions: list[Instruction] = []
     if fe_program is not None:
+        # terms that share a constants dict share its copy with the kind added
+        constants: dict[tuple[int, str], dict] = {}
         for term in fe_program.energies:
             note_slots(term.slots)
+            key = (id(term.constants), term.kind)
+            if key not in constants:
+                constants[key] = dict(term.constants, kind=term.kind)
             fe_instructions.append(
-                Instruction("average_energy", ("F",), term.slots, None,
-                            dict(term.constants, kind=term.kind), label=term.label)
+                Instruction("average_energy", ("F",), term.slots, None, constants[key], label=term.label)
             )
         for key, weight in fe_program.entropies:
             fe_instructions.append(
@@ -196,12 +219,14 @@ def _split_args(text: str) -> list[str]:
     return [a.strip() for a in args]
 
 
-def call_text(head: str, slots, constants=None, extra=None, writes_site=None, label="") -> str:
+def call_text(head: str, slots, constants=None, extra=None, writes_site=None, label="",
+              encode=canonical_json) -> str:
     """One call line of a listing:
-    ``head(slots) [with constants] [@ extra] [-> site[...]] [# label]``."""
+    ``head(slots) [with constants] [@ extra] [-> site[...]] [# label]``;
+    ``encode`` writes the constants (``canonical_json`` or a memo of it)."""
     text = f"{head}({', '.join(slot_text(s) for s in slots)})"
     if constants:
-        text += " with " + canonical_json(constants)
+        text += " with " + encode(constants)
     if extra:
         text += f" @ {slot_text(extra)}"
     if writes_site:
@@ -249,7 +274,17 @@ def render_schedules(schedules: dict[str, Schedule]) -> str:
 def render(ir: AlgorithmIR) -> str:
     """Deterministic source listing of the compiled program, and the IR's
     one serialization: re-rendering an identical IR yields byte-identical
-    text, and ``parse_listing`` reads it back to an equal IR."""
+    text, and ``parse_listing`` reads it back to an equal IR. Equal
+    constants are encoded once per call."""
+    encoded: dict[str, str] = {}  # repr of a constants dict -> its canonical JSON
+
+    def encode(constants: dict) -> str:
+        key = repr(constants)
+        text = encoded.get(key)
+        if text is None:
+            text = encoded[key] = canonical_json(constants)
+        return text
+
     lines = []
     for site, init in sorted(ir.site_inits.items()):
         lines.append(f"declare site[{site}] = {canonical_json(init.to_json())}")
@@ -258,28 +293,29 @@ def render(ir: AlgorithmIR) -> str:
     for fid, program in ir.steps:
         lines.append(f"step {fid}:")
         for ins in program:
-            lines.append("  " + _render_instruction(ins))
+            lines.append("  " + _render_instruction(ins, encode))
         lines.append("end")
     if ir.free_energy:
         lines.append("free_energy:")
         for ins in ir.free_energy:
-            lines.append("  " + _render_instruction(ins))
+            lines.append("  " + _render_instruction(ins, encode))
         lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-def _render_instruction(ins: Instruction) -> str:
+def _render_instruction(ins: Instruction, encode) -> str:
     if ins.opcode == "rule":
         return call_text(f"msg[{ins.output[1]}] <- {ins.rule_id}", ins.slots, ins.constants,
-                         ins.extra, ins.writes_site, ins.label)
+                         ins.extra, ins.writes_site, ins.label, encode)
     if ins.opcode == "product":
         return f"q[{ins.output[1]}] <- {' * '.join(slot_text(s) for s in ins.slots)}"
     if ins.opcode == "joint":
-        return call_text(f"q[{ins.output[1]}] <- joint {ins.rule_id}", ins.slots, ins.constants)
+        return call_text(f"q[{ins.output[1]}] <- joint {ins.rule_id}", ins.slots, ins.constants,
+                         encode=encode)
     if ins.opcode == "average_energy":
         consts = dict(ins.constants)
         kind = consts.pop("kind")
-        return call_text(f"F += averageEnergy[{kind}]", ins.slots, consts, label=ins.label)
+        return call_text(f"F += averageEnergy[{kind}]", ins.slots, consts, label=ins.label, encode=encode)
     if ins.opcode == "entropy":
         return call_text(f"F -= {ins.constants.get('weight', 1.0)!r} * entropy", ins.slots)
     raise CompileError(f"unknown opcode {ins.opcode!r}")

@@ -519,6 +519,16 @@ def from_json(obj: dict) -> Distribution:
         raise DistributionError(f"unknown distribution type {kind!r}")
     if not isinstance(params, dict):
         raise DistributionError(f"'params' of {kind} must be an object, got {type(params).__name__}")
+    # The constructors, on the hot path, leave some parameters unchecked
+    # for finiteness (a Gamma shape, a Gaussian mean, a point mass), so a
+    # value read from outside is checked here, key by key.
+    for key, value in params.items():
+        try:
+            finite = np.isfinite(np.asarray(value, dtype=float)).all()
+        except (TypeError, ValueError):
+            continue  # not numbers: the constructor names the fault
+        if not finite:
+            raise DistributionError(f"'params' of {kind}: {key!r} must be finite")
     try:
         return cls(**params)
     except (TypeError, ValueError) as exc:

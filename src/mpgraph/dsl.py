@@ -231,10 +231,8 @@ class _Parser:
                 raise ModelParseError(f"Nonlinear expects (input, g) with g one of {known}", kind_tok.line)
             constants["g"] = args[1]
             args = args[:1]
-        if kind in NODE_KINDS:
-            roles = NODE_KINDS[kind].role_names(1 + len(args))
-        else:
-            roles = [role for role, _ in self.graph.composites[kind].interface_map]
+        declared = NODE_KINDS[kind] if kind in NODE_KINDS else self.graph.composites[kind].kind
+        roles = declared.role_names(1 + len(args))
         if len(roles) != 1 + len(args):
             raise ModelParseError(
                 f"{kind_tok.value} expects {len(roles) - 1} arguments, got {len(args)}",

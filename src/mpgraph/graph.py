@@ -41,17 +41,23 @@ class NodeKind:
         self.deterministic = deterministic
         self.variadic = variadic
         self.required_constants = tuple(required_constants)
+        self._role_names: dict[int, tuple[str, ...]] = {}
 
-    def role_names(self, arity: int) -> list[str]:
-        if not self.variadic:
-            return list(self.roles)
-        # gaussian_mixture: out, selector, then (mean_k, precision_k) pairs
-        names = list(self.roles)
-        k = 1
-        while len(names) < arity:
-            names += [f"mean_{k}", f"precision_{k}"]
-            k += 1
-        return names[:arity]
+    def role_names(self, arity: int) -> tuple[str, ...]:
+        """The interface roles of a node of this kind with ``arity``
+        interfaces; built once per arity and shared."""
+        names = self._role_names.get(arity)
+        if names is None:
+            names = list(self.roles)
+            if self.variadic:
+                # gaussian_mixture: out, selector, then (mean_k, precision_k) pairs
+                k = 1
+                while len(names) < arity:
+                    names += [f"mean_{k}", f"precision_{k}"]
+                    k += 1
+                names = names[:arity]
+            names = self._role_names[arity] = tuple(names)
+        return names
 
     def check_arity(self, arity: int):
         if self.variadic:
@@ -100,14 +106,21 @@ STOCHASTIC_KINDS = {
 
 
 class Node:
+    __slots__ = ("id", "kind", "interfaces", "constants", "_roles")
+
     def __init__(self, node_id: int, kind: str, arity: int, constants: dict | None = None):
         self.id = node_id
         self.kind = kind
         self.interfaces: list[int | None] = [None] * arity
         self.constants = constants or {}
+        self._roles: tuple[str, ...] | None = None
 
-    def roles(self, graph: "FactorGraph") -> list[str]:
-        return graph.kind_of(self).role_names(len(self.interfaces))
+    def roles(self, graph: "FactorGraph") -> tuple[str, ...]:
+        """The node's interface roles; looked up on first use (a node's
+        kind and arity never change)."""
+        if self._roles is None:
+            self._roles = graph.kind_of(self).role_names(len(self.interfaces))
+        return self._roles
 
     def __repr__(self):
         return f"Node({self.id}, {self.kind})"
@@ -117,6 +130,8 @@ class Edge:
     """One variable segment. tail/head are (node_id, interface) sites; the
     tail-to-head orientation is the generative direction and is purely
     notational."""
+
+    __slots__ = ("id", "variable", "tail", "head")
 
     def __init__(self, edge_id: int, variable: str):
         self.id = edge_id
@@ -143,6 +158,7 @@ class CompositeDefinition:
         self.name = name
         self.subgraph = subgraph
         self.interface_map = list(interface_map)  # (role, boundary variable)
+        self.kind = NodeKind(name, [role for role, _ in self.interface_map])
 
 
 class FactorGraph:
@@ -157,11 +173,11 @@ class FactorGraph:
     # -- lookups ------------------------------------------------------------
 
     def kind_of(self, node: Node) -> NodeKind:
-        if node.kind in NODE_KINDS:
-            return NODE_KINDS[node.kind]
+        kind = NODE_KINDS.get(node.kind)
+        if kind is not None:
+            return kind
         if node.kind in self.composites:
-            comp = self.composites[node.kind]
-            return NodeKind(node.kind, [role for role, _ in comp.interface_map])
+            return self.composites[node.kind].kind
         raise GraphError(f"unknown node kind {node.kind!r}")
 
     def variable_edges(self, name: str) -> list[Edge]:
@@ -431,7 +447,10 @@ class FactorGraph:
 
 
 class Support:
-    """Family plus shape of a variable: what kind of belief can live on it."""
+    """Family plus shape of a variable: what kind of belief can live on it.
+    A value, never changed once made, so equal supports may be shared."""
+
+    __slots__ = ("family", "shape")
 
     def __init__(self, family: str, shape: tuple[int, ...]):
         self.family = family
@@ -449,8 +468,14 @@ class Support:
 
 
 def infer_supports(graph: FactorGraph) -> dict[str, Support]:
-    """Propagate variable supports from constants, priors and gain shapes."""
+    """Propagate variable supports from constants, priors and gain shapes.
+    Variables with equal supports share one ``Support``."""
     supports: dict[str, Support] = {}
+    shared: dict[tuple, Support] = {}
+
+    def share(sup: Support) -> Support:
+        return shared.setdefault((sup.family, sup.shape), sup)
+
     producer: dict[str, Node] = {}  # the node whose out site (interface 0) holds the variable
     for edge in graph.edges:
         if edge.tail is not None and edge.tail[1] == 0:
@@ -461,10 +486,10 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
         if node.kind == "clamp":
             edge = graph.edges[node.interfaces[0]]
             if "value" in node.constants:
-                supports.setdefault(edge.variable, _support_of_value(node.constants["value"]))
+                supports.setdefault(edge.variable, share(_support_of_value(node.constants["value"])))
             else:
                 dims = node.constants.get("dims", ())
-                supports.setdefault(edge.variable, Support("gaussian", dims or ()))
+                supports.setdefault(edge.variable, share(Support("gaussian", dims or ())))
 
     def derive(node: Node):
         """Generator: yields the input variable (None if unconnected) of each
@@ -536,7 +561,7 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
                     pending.discard(top)
                     value = done.value
                     if value is not None:
-                        supports[top] = value
+                        supports[top] = share(value)
             else:
                 return value
 
@@ -554,7 +579,7 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
                 continue
             role = roles[idx]
             if role in ("precision", "rate", "shape", "dof") or role.startswith("precision_"):
-                supports[var] = Support("gamma", ())
+                supports[var] = share(Support("gamma", ()))
     return supports
 
 

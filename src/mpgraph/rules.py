@@ -194,12 +194,14 @@ class Rule:
 
 
 class RuleRegistry:
-    """Immutable-after-freeze collection of rules with deterministic lookup."""
+    """Immutable-after-freeze collection of rules with deterministic lookup.
+    Successful lookups are memoized until the next ``register``."""
 
     def __init__(self):
         self._rules: list[Rule] = []
         self._by_id: dict[str, Rule] = {}
         self._frozen = False
+        self._memo: dict[tuple, Rule] = {}
 
     def register(self, rule: Rule) -> Rule:
         if self._frozen:
@@ -208,6 +210,7 @@ class RuleRegistry:
             raise RuleError(f"duplicate rule id {rule.id}")
         self._rules.append(rule)
         self._by_id[rule.id] = rule
+        self._memo.clear()
         return rule
 
     def freeze(self) -> "RuleRegistry":
@@ -217,7 +220,12 @@ class RuleRegistry:
     def lookup(self, kind: str, role: str, query_slots, flavor: str | None = None) -> Rule:
         """Most specific applicable rule; deterministic tie-break by
         registration order. An indexed role such as ``mean_2`` is served by
-        the rule registered for its role class ``mean``."""
+        the rule registered for its role class ``mean``. A failed query is
+        not memoized, so it scans (and raises) again."""
+        key = (kind, role, tuple(query_slots), flavor)
+        found = self._memo.get(key)
+        if found is not None:
+            return found
         stem, index = _split_role(role)
         best, best_score = None, -1
         for rule in self._rules:
@@ -235,6 +243,7 @@ class RuleRegistry:
             raise RuleUnavailable(
                 f"no rule for node kind {kind!r}, interface {role!r}, offered signature ({offered})"
             )
+        self._memo[key] = best
         return best
 
     def by_id(self, rule_id: str) -> Rule:

@@ -223,12 +223,14 @@ def analyze_mean_side(graph: FactorGraph, node: Node, out_dim: int) -> MeanSideI
 class MeanSides(dict):
     """``analyze_mean_side`` per node id, computed on first use. One table
     serves one factorization analysis, so each node's mean side is walked
-    once; a failed analysis is not stored and raises again on the next use."""
+    once; a failed analysis is not stored and raises again on the next use.
+    It also lays out the constants that read a mean side (``layout``)."""
 
     def __init__(self, graph: FactorGraph, supports: dict[str, Support]):
         super().__init__()
         self.graph = graph
         self.supports = supports
+        self.constants: dict[tuple, dict] = {}  # see ``layout``
 
     def __missing__(self, node_id: int) -> MeanSideInfo:
         node = self.graph.nodes[node_id]
@@ -236,6 +238,34 @@ class MeanSides(dict):
         out_dim = 1 if node.kind == "probit" else support_of(out_var, self.supports).dim
         info = self[node_id] = analyze_mean_side(self.graph, node, out_dim)
         return info
+
+    def layout(self, info: MeanSideInfo, leaf_slot, joint_leaf: str | None = None, **extra):
+        """Leaf slots and constants of an update or energy term that reads
+        the mean side ``info`` through its leaves' beliefs: ``leaf_slot(v)``
+        per leaf, in walk order, with one gain each, and the offset.
+        ``joint_leaf`` is read through its chain's two-slice joint instead:
+        its gain comes first and it gets no slot. ``extra`` constants follow
+        the gains. Equal constants are built once per analysis and shared,
+        read only, by every update and term that records them."""
+        gains = [info.leaves[joint_leaf]] if joint_leaf is not None else []
+        slots = []
+        for v, g in info.leaves.items():
+            if v != joint_leaf:
+                gains.append(g)
+                slots.append(leaf_slot(v))
+        if info.nonlinear is not None and len(info.leaves) != 1:
+            raise SchedulingError(f"unsupported nonlinear composition at node {info.node_id}")
+        offset = info.offset
+        key = (tuple((g.shape, g.tobytes()) for g in gains), tuple(extra.items()), info.nonlinear,
+               None if offset is None else (offset.shape, offset.tobytes()))
+        constants = self.constants.get(key)
+        if constants is None:
+            constants = self.constants[key] = {"gains": [g.tolist() for g in gains], **extra}
+            if info.nonlinear is not None:
+                constants["g"] = info.nonlinear
+            if offset is not None:
+                constants["offset"] = offset.tolist()
+        return slots, constants
 
 
 def affine_subtree(graph: FactorGraph, root_edge: int, root_site, out_dim: int, node_id) -> MeanSideInfo:
@@ -279,29 +309,6 @@ def affine_subtree(graph: FactorGraph, root_edge: int, root_site, out_dim: int, 
         for idx in range(len(src.interfaces) - 1, 0, -1):
             stack.append((src.interfaces[idx], (src.id, idx), gain))
     return info
-
-
-def affine_layout(info: MeanSideInfo, leaf_slot, joint_leaf: str | None = None, **extra):
-    """Leaf slots and constants of an update or energy term that reads the
-    mean side ``info`` through its leaves' beliefs: ``leaf_slot(v)`` per leaf,
-    in walk order, with one gain each, and the offset. ``joint_leaf`` is read
-    through its chain's two-slice joint instead: its gain comes first and it
-    gets no slot. ``extra`` constants follow the gains."""
-    gains, slots = [], []
-    if joint_leaf is not None:
-        gains.append(info.leaves[joint_leaf].tolist())
-    for v, g in info.leaves.items():
-        if v != joint_leaf:
-            gains.append(g.tolist())
-            slots.append(leaf_slot(v))
-    constants = {"gains": gains, **extra}
-    if info.nonlinear is not None:
-        if len(info.leaves) != 1:
-            raise SchedulingError(f"unsupported nonlinear composition at node {info.node_id}")
-        constants["g"] = info.nonlinear
-    if info.offset is not None:
-        constants["offset"] = info.offset.tolist()
-    return slots, constants
 
 
 def marginal_slot(var: str):
@@ -418,9 +425,11 @@ def slot_type(slot, entries: list, supports: dict[str, Support]) -> type | None:
 
 
 class ScheduleEntry:
+    __slots__ = ("rule_id", "slots", "out_variant", "constants", "edge_label", "extra", "writes_site")
+
     def __init__(self, rule_id, slots, out_variant, constants, edge_label, extra=None, writes_site=None):
         self.rule_id = rule_id
-        self.slots = slots  # aligned with rule signature; tagged tuples
+        self.slots = tuple(slots)  # aligned with rule signature; tagged tuples
         self.out_variant = out_variant  # variant class name (annotation)
         self.constants = constants
         self.edge_label = edge_label  # (variable, direction) for listings
@@ -428,22 +437,26 @@ class ScheduleEntry:
         self.writes_site = writes_site
 
     def referenced_entries(self):
-        for slot in list(self.slots) + ([self.extra] if self.extra else []):
+        for slot in (*self.slots, self.extra) if self.extra else self.slots:
             if slot and slot[0] == "entry":
                 yield slot[1]
 
 
 class MarginalStep:
+    __slots__ = ("key", "inputs")
+
     def __init__(self, key, inputs):
         self.key = key
         self.inputs = inputs  # entry slot refs
 
 
 class JointStep:
+    __slots__ = ("key", "rule_id", "slots", "constants")
+
     def __init__(self, key, rule_id, slots, constants):
         self.key = key
         self.rule_id = rule_id
-        self.slots = slots
+        self.slots = tuple(slots)
         self.constants = constants
 
 
@@ -462,9 +475,11 @@ class Schedule:
 
 
 class FreeEnergyTerm:
+    __slots__ = ("kind", "slots", "constants", "label")
+
     def __init__(self, kind, slots, constants=None, label=""):
         self.kind = kind
-        self.slots = slots
+        self.slots = tuple(slots)
         self.constants = constants or {}
         self.label = label
 
@@ -503,7 +518,7 @@ class _FactorScheduler:
         types (None for a void slot)."""
         types = [None if k == VOID else slot_type(s, self.schedule.entries, self.supports)
                  for s, k in zip(slots, kinds)]
-        return self.registry.lookup(kind, role, list(zip(kinds, types))), types
+        return self.registry.lookup(kind, role, tuple(zip(kinds, types))), types
 
     def emit_entry(self, rule, types, slots, constants, label, extra=None, writes_site=None):
         """Append an entry applying a ``lookup`` result to ``slots``; its
@@ -632,7 +647,7 @@ class _FactorScheduler:
             fam = self.owner.get(leaf)
             if fam is None or fam == self.factor_id:
                 return None
-        slots, constants = affine_layout(info, marginal_slot)
+        slots, constants = self.mean_sides.layout(info, marginal_slot)
         slots.append(("void",))
         found = self.lookup("gaussian_affine", "transport", slots, [MARGINAL] * (len(slots) - 1) + [VOID])
         slot = self.emit_entry(*found, slots, constants, (edge.variable, direction))
@@ -695,7 +710,7 @@ class _FactorScheduler:
         else:
             kind, extra = "gaussian_affine", {"joint": sec is not None, "out_dim": out_dim}
         out_slot = self.out_belief_slot(node, sec)
-        leaf_slots, constants = affine_layout(info, marginal_slot, sec and sec.leaf_var, **extra)
+        leaf_slots, constants = self.mean_sides.layout(info, marginal_slot, sec and sec.leaf_var, **extra)
         slots = [out_slot, *leaf_slots, ("void",)]
         found = self.lookup(kind, "precision", slots, [MARGINAL] * (len(slots) - 1) + [VOID])
         prec_role = "precision" if "precision" in roles else "variance"
@@ -783,7 +798,7 @@ class _FactorScheduler:
                 kind, constants = "transition", {}
             else:
                 leaf_ref = self.require(*sec.mean_info.leaf_edges[sec.leaf_var])
-                leaf_slots, constants = affine_layout(sec.mean_info, marginal_slot, sec.leaf_var)
+                leaf_slots, constants = self.mean_sides.layout(sec.mean_info, marginal_slot, sec.leaf_var)
                 prec_slot, _ = self.inbound_slot(node, node.roles(self.graph).index("precision"))
                 slots = [out_side, leaf_ref, *leaf_slots, prec_slot]
                 kind = "gaussian_affine"
@@ -950,7 +965,7 @@ def schedule_free_energy(
             if info.nonlinear is not None or len(info.leaves) != 1:
                 raise SchedulingError(f"unsupported probit composition at node {node.id}")
             out_slot = belief_slot(out_var)
-            leaf_slots, constants = affine_layout(info, belief_slot)
+            leaf_slots, constants = mean_sides.layout(info, belief_slot)
             energies.append(FreeEnergyTerm("probit_affine", [out_slot, *leaf_slots], constants,
                                            f"node{node.id}:probit"))
             continue
@@ -973,7 +988,7 @@ def schedule_free_energy(
         else:
             kind, label, extra = "gaussian_affine", "gaussian", {"joint": sec is not None}
             out_slot = ("marginal", joint_key(sec.leaf_var, sec.out_var)) if sec else belief_slot(out_var)
-        leaf_slots, constants = affine_layout(info, belief_slot, sec and sec.leaf_var, **extra)
+        leaf_slots, constants = mean_sides.layout(info, belief_slot, sec and sec.leaf_var, **extra)
         energies.append(FreeEnergyTerm(kind, [out_slot, *leaf_slots, prec_slot], constants,
                                        f"node{node.id}:{label}"))
 

@@ -167,6 +167,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {init}, key 'A': ") and "must be finite" in err
 
+    @pytest.mark.parametrize("params, key", [
+        ('"shape": Infinity, "rate": 1.0', "shape"),
+        ('"shape": 1.0, "rate": NaN', "rate"),
+    ])
+    def test_non_finite_gamma_init_names_the_file_and_key(self, rw_files, tmp_path, params, key, capsys):
+        # an infinite shape used to construct and exit 3 deep in the run
+        model, data = rw_files
+        init = tmp_path / "init.json"
+        init.write_text('{"w": {"type": "Gamma", "params": {%s}}}' % params)
+        assert main(["infer", str(model), str(data), "--const", "T=3", "--init", str(init),
+                     "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {init}, key 'w': ") and f"'{key}' must be finite" in err
+
     @pytest.mark.parametrize("command", ["compile", "infer", "stream"])
     @pytest.mark.parametrize("item", ["T", "T=", "T=four", "=4"])
     def test_malformed_const_names_the_item(self, rw_files, command, item, capsys):

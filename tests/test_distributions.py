@@ -358,6 +358,23 @@ class TestJsonAndVague:
             from_json(obj)
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("Gamma", {"shape": math.inf, "rate": 1.0}, "shape"),
+        ("Gamma", {"shape": 1.0, "rate": math.nan}, "rate"),
+        ("Wishart", {"scale": [[1.0]], "dof": math.nan}, "dof"),
+        ("Wishart", {"scale": [[1.0]], "dof": math.inf}, "dof"),
+        ("Wishart", {"scale": [[math.inf]], "dof": 2.0}, "scale"),
+        ("GaussianMeanVariance", {"mean": [math.nan], "covariance": [[1.0]]}, "mean"),
+        ("GaussianMeanPrecision", {"mean": [0.0, -math.inf], "precision": [[1.0, 0.0], [0.0, 1.0]]}, "mean"),
+        ("GaussianCanonical", {"weighted_mean": [math.inf], "precision": [[1.0]]}, "weighted_mean"),
+        ("PointMass", {"value": math.nan}, "value"),
+        ("PointMass", {"value": [[1.0, math.inf]]}, "value"),
+    ])
+    def test_non_finite_parameter_names_the_key(self, kind, params, key):
+        # the constructors accept these (they are on the hot path); the reader must not
+        with pytest.raises(DistributionError, match=f"'params' of {kind}: '{key}' must be finite"):
+            from_json({"type": kind, "params": params})
+
     def test_vague_defaults(self):
         g = vague("gaussian", 2)
         assert g.covariance[0, 0] == 1e12

@@ -542,3 +542,29 @@ class TestCompileModel:
             for key in want.marginals:
                 assert got.marginals[key].to_json() == want.marginals[key].to_json(), key
         assert render(program.ir) == listing
+
+    def test_compiled_walk_stays_within_its_allocation_budget(self):
+        # Objects the cyclic collector tracks, kept alive by one compiled
+        # README random walk at T=200 (graph, analysis, schedules, free-energy
+        # program and IR), per instruction: 7.27 when every instruction and
+        # schedule step held its slots and constants in fresh lists and dicts,
+        # 3.80 with slot tuples and constants shared. The collector's full
+        # passes walk all of them, so this bounds their cost.
+        import gc
+
+        from mpgraph.engine import compile_model
+        from test_cli import RW_MODEL
+
+        def compiled(T):
+            graph = parse_model(RW_MODEL, {"T": T})
+            return compile_model(graph, default_factorization(graph))
+
+        compiled(3)  # the registry's memo and other first-use tables
+        gc.collect()
+        before = len(gc.get_objects())
+        program = compiled(200)
+        gc.collect()
+        retained = len(gc.get_objects()) - before
+        instructions = sum(len(p) for _, p in program.ir.steps) + len(program.ir.free_energy)
+        assert instructions == 4009
+        assert retained / instructions < 4.0

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from mpgraph.cli import main
-from mpgraph.codegen import compile_program, parse_listing, render, render_schedules
+from mpgraph.codegen import Instruction, compile_program, parse_listing, render, render_schedules
 from mpgraph.dsl import parse_model
 from mpgraph.engine import run_inference
 from mpgraph.models import (
@@ -131,6 +131,29 @@ def test_library_listings_match_golden(name):
 def test_golden_algorithm_listing_parses_back_to_itself(name):
     text = (GOLDEN / f"{name}.algorithm.txt").read_text()
     assert render(parse_listing(text)) == text
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_slotted_ir_round_trips_field_by_field(name):
+    _, ir = MODELS[name]()
+    back = parse_listing(render(ir))
+    assert back == ir
+    assert (back.site_inits, back.data_slots) == (ir.site_inits, ir.data_slots)
+    assert all(type(index) is int for _, index in back.data_slots)
+    programs = [*ir.steps, ("free_energy", ir.free_energy)]
+    parsed = [*back.steps, ("free_energy", back.free_energy)]
+    assert [fid for fid, _ in parsed] == [fid for fid, _ in programs]
+    for (_, want), (_, got) in zip(programs, parsed):
+        assert len(got) == len(want)
+        for a, b in zip(want, got):
+            for field in Instruction.__slots__:
+                assert getattr(b, field) == getattr(a, field), field
+            assert type(a.slots) is type(b.slots) is tuple
+            assert not hasattr(a, "__dict__") and not hasattr(b, "__dict__")
+    # a data index 1 and a data index "1" render alike but stay different
+    ins = Instruction("rule", ("msg", 0), [("data", ("y", 1))], "r")
+    assert ins != Instruction("rule", ("msg", 0), [("data", ("y", "1"))], "r")
+    assert ins == Instruction("rule", ("msg", 0), (("data", ("y", 1)),), "r")
 
 
 def test_compile_command_writes_golden_listings(tmp_path):

@@ -363,6 +363,7 @@ SCALARS = st.one_of(anything, st.sampled_from(TINY), st.sampled_from([-v for v i
 @settings(max_examples=500, deadline=None)
 @example(1.0, EIG_FLOOR)
 @example(-0.0, 3.0)
+@example(1.1125369292536007e-308, 5e-324)  # 1 / a = 2**1023, whose symmetrization overflows
 @given(SCALARS, st.sampled_from([EIG_FLOOR, 1e-6, 5e-324, 0.0, -0.0, -1.0, -np.inf, np.nan]))
 def test_spd_inverse_1x1_matches_numpy_body(a, floor):
     m = np.array([[a]])

@@ -5,6 +5,7 @@ from mpgraph.distributions import (
     Categorical,
     Dirichlet,
     Gamma,
+    GaussianBase,
     GaussianMeanPrecision,
     GaussianMeanVariance,
     PointMass,
@@ -13,15 +14,23 @@ from mpgraph.distributions import (
     differential_entropy,
     product,
 )
+from mpgraph.dsl import parse_model
+from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
 from mpgraph.rules import (
     CAVITY,
     MARGINAL,
     MESSAGE,
     VOID,
+    Rule,
+    RuleRegistry,
     RuleUnavailable,
+    Slot,
+    build_default_registry,
     default_registry,
     make_gain_equality_rule,
 )
+from mpgraph.scheduler import default_factorization, schedule_vmp
+from test_cli import RW_MODEL
 
 REG = default_registry()
 
@@ -461,6 +470,91 @@ class TestLookup:
         r2 = run("equality", "3", q((MESSAGE, a), (MESSAGE, b), (VOID, None)), [a, b, None])
         assert np.array_equal(r1.dist.weighted_mean, r2.dist.weighted_mean)
         assert np.array_equal(r1.dist.precision, r2.dist.precision)
+
+
+class RecordingRegistry:
+    """Forwards the registry's public calls, recording every lookup query."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = []
+
+    def lookup(self, kind, role, query_slots, flavor=None):
+        self.queries.append((kind, role, tuple(query_slots), flavor))
+        return self.inner.lookup(kind, role, query_slots, flavor)
+
+    def by_id(self, rule_id):
+        return self.inner.by_id(rule_id)
+
+    def has_rules_for(self, kind):
+        return self.inner.has_rules_for(kind)
+
+
+def bundled_queries() -> list:
+    """Every distinct lookup the bundled models and the README walk make."""
+    recorder = RecordingRegistry(default_registry())
+    walk = parse_model(RW_MODEL, {"T": 3})
+    for (graph, rf), damping in [
+        ((walk, default_factorization(walk)), None),
+        (RandomWalkModel().build(3), None),
+        (LgssmModel().build(3), None),
+        (LgssmModel(nonlinear=True).build(3), None),
+        (ProbitSsmModel().build(3), 0.5),
+        (ProbitSsmModel().build(3), None),
+        (HmgmModel(K=3).build(3), None),
+        (Co2Model().build(3), None),
+    ]:
+        schedule_vmp(graph, rf, registry=recorder, ep_damping=damping)
+    return list(dict.fromkeys(recorder.queries))
+
+
+def toy_rule(role, family):
+    return Rule("toy", role, "sum-product", [Slot(MESSAGE, family), Slot(VOID)],
+                lambda inbound, constants: inbound[0], lambda types, constants: GaussianMeanVariance)
+
+
+class TestLookupMemo:
+    def test_memoized_lookup_is_the_fresh_scan(self):
+        queries = bundled_queries()
+        assert len(queries) > 20
+
+        def outcome(registry, kind, role, query_slots, flavor):
+            try:
+                return registry.lookup(kind, role, query_slots, flavor).id
+            except RuleUnavailable as exc:
+                return str(exc)
+
+        for kind, role, query_slots, _ in queries:
+            for flavor in (None, "sum-product", "variational", "expectation-propagation"):
+                query = (kind, role, query_slots, flavor)
+                memoized = [outcome(REG, *query) for _ in range(2)]  # the second from the memo
+                # a registry built afresh has an empty memo, so this one scans
+                assert memoized == [outcome(build_default_registry(), *query)] * 2, query
+        first = REG.lookup(*queries[0])
+        assert REG.lookup(*queries[0]) is first
+
+    def test_failed_lookup_is_not_memoized(self):
+        query = ("probit", "out", [(VOID, None), (MESSAGE, GaussianMeanVariance)])
+        with pytest.raises(RuleUnavailable) as first:
+            REG.lookup(*query)
+        with pytest.raises(RuleUnavailable) as again:
+            REG.lookup(*query)
+        assert str(again.value) == str(first.value)
+        assert "offered signature (void[none], message[GaussianMeanVariance])" in str(first.value)
+
+    def test_registering_a_rule_clears_the_memo(self):
+        reg = RuleRegistry()
+        generic = reg.register(toy_rule("out", GaussianBase))
+        query = ("toy", "out", [(MESSAGE, GaussianMeanVariance), (VOID, None)])
+        assert reg.lookup(*query) is generic
+        specific = reg.register(toy_rule("out", GaussianMeanVariance))
+        assert reg.lookup(*query) is specific
+        with pytest.raises(RuleUnavailable):
+            reg.lookup("toy", "in", query[2])
+        late = reg.register(toy_rule("in", GaussianBase))
+        assert reg.lookup("toy", "in", query[2]) is late
+        reg.freeze()
+        assert reg.lookup(*query) is specific
 
 
 class TestCoordinateDescent:
