@@ -82,11 +82,20 @@ def _write_data_csv(ys: np.ndarray, path: Path, name: str = "y"):
         writer.writerows(rows)
 
 
-def _json_object(path: str) -> dict:
-    """The JSON object an input file holds; anything else exits 1 naming the file."""
+def _read_text(path: str) -> str:
+    """An input file's UTF-8 text; an unreadable file exits 1 naming it."""
     try:
-        obj = json.loads(Path(path).read_text())
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}", 1) from None
+
+
+def _json_object(path: str) -> dict:
+    """The JSON object an input file holds; anything else, nesting too deep
+    to decode included, exits 1 naming the file."""
+    try:
+        obj = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: {exc}", 1) from None
     if not isinstance(obj, dict):
         raise CliError(f"{path}: expected a JSON object, got {type(obj).__name__}", 1)
@@ -126,9 +135,11 @@ def ingest(path: str, placeholder: str = "y") -> dict:
         if not table:
             raise CliError(f"{path}: no data series", 1)
         return table
-    with p.open() as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with p.open(encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise CliError(f"{path}: {exc}", 1) from None
     if len(rows) < 2:
         raise CliError(f"{path}: no CSV data rows after the header", 1)
     header, body = rows[0], rows[1:]
@@ -153,22 +164,25 @@ def ingest(path: str, placeholder: str = "y") -> dict:
     return {placeholder: arr}
 
 
-def _check_data(graph: FactorGraph, data: dict):
+def _check_data(graph: FactorGraph, data: dict, path: str):
+    """A data table that does not fit the model's placeholders exits 1 naming its file."""
     for ph in graph.placeholders:
         if ph.name not in data:
-            raise CliError(f"data table is missing placeholder {ph.name!r}", 1)
+            raise CliError(f"{path}: data table is missing placeholder {ph.name!r}", 1)
         series = np.asarray(data[ph.name])
         if ph.index > len(series):
             raise CliError(
-                f"data for {ph.name!r} has {len(series)} entries but the model "
+                f"{path}: data for {ph.name!r} has {len(series)} entries but the model "
                 f"references index {ph.index}", 1,
             )
         row = np.atleast_1d(series[ph.index - 1])
         want = int(np.prod(ph.dims)) if ph.dims else 1
         if row.size != want:
             raise CliError(
-                f"datum {ph.name}[{ph.index}] has {row.size} values, expected {want}", 1,
+                f"{path}: datum {ph.name}[{ph.index}] has {row.size} values, expected {want}", 1,
             )
+        if row.ndim > max(len(ph.dims), 1):
+            raise CliError(f"{path}: datum {ph.name}[{ph.index}] has shape {row.shape}, expected {ph.dims}", 1)
 
 
 def _constants(args) -> dict:
@@ -186,7 +200,7 @@ def _constants(args) -> dict:
 
 
 def _load_model(args) -> tuple[FactorGraph, RecognitionFactorization]:
-    graph = parse_model(Path(args.model).read_text(), _constants(args))
+    graph = parse_model(_read_text(args.model), _constants(args))
     problems = graph.validate()
     if problems:
         raise SchedulingError("; ".join(problems))
@@ -230,7 +244,7 @@ def cmd_compile(args) -> int:
 def cmd_infer(args) -> int:
     graph, rf = _load_model(args)
     data = ingest(args.data, _placeholder_name(graph))
-    _check_data(graph, data)
+    _check_data(graph, data, args.data)
     overrides = None
     if args.init:
         overrides = {k: _parse_entry(args.init, dist_from_json, v, k) for k, v in _json_object(args.init).items()}
@@ -273,13 +287,13 @@ def cmd_stream(args) -> int:
     size = args.batch_size
     if size < 1:
         raise CliError(f"--batch-size must be at least 1, got {size}", 1)
-    template = DslStreamingTemplate(Path(args.model).read_text(), _constants(args))
+    template = DslStreamingTemplate(_read_text(args.model), _constants(args))
     data = ingest(args.data, _placeholder_name(template.build(size, {})[0]))
     length = max(len(series) for series in data.values())
     batches = [{k: v[i: i + size] for k, v in data.items()} for i in range(0, length, size)]
     for batch in batches:
         # the graph streaming_update builds for a batch has its first series' length
-        _check_data(template.build(len(next(iter(batch.values()))), {})[0], batch)
+        _check_data(template.build(len(next(iter(batch.values()))), {})[0], batch, args.data)
     results = streaming_update(template, batches, iters_per_batch=args.iters, tol=args.tol)
     seed = _seed_of(args)
     out = _outdir(args)

@@ -25,8 +25,9 @@ import re
 import numpy as np
 
 from .distributions import Distribution, PointMass, differential_entropy, from_json, product
+from .graph import energy_function
 from .rules import RuleRegistry, default_registry
-from .scheduler import FreeEnergyProgram, MarginalStep, Schedule, eval_energy_term
+from .scheduler import FreeEnergyProgram, MarginalStep, Schedule
 
 
 class CompileError(ValueError):
@@ -65,7 +66,9 @@ def _canon_constants(constants: dict | None) -> dict:
 class Instruction:
     """One pure step: a rule application, a marginal product, a two-slice
     joint, or a free-energy contribution. ``slots`` is a tuple; a schedule
-    step's tuple is shared, not copied."""
+    step's tuple is shared, not copied. ``rule_id`` names what the
+    instruction applies: a rule (rule, joint) or an energy term
+    (average_energy)."""
 
     __slots__ = ("opcode", "output", "slots", "rule_id", "constants", "extra", "writes_site", "label")
 
@@ -141,15 +144,10 @@ def compile_program(schedules: dict[str, Schedule], fe_program: FreeEnergyProgra
 
     fe_instructions: list[Instruction] = []
     if fe_program is not None:
-        # terms that share a constants dict share its copy with the kind added
-        constants: dict[tuple[int, str], dict] = {}
         for term in fe_program.energies:
             note_slots(term.slots)
-            key = (id(term.constants), term.kind)
-            if key not in constants:
-                constants[key] = dict(term.constants, kind=term.kind)
             fe_instructions.append(
-                Instruction("average_energy", ("F",), term.slots, None, constants[key], label=term.label)
+                Instruction("average_energy", ("F",), term.slots, term.kind, term.constants, label=term.label)
             )
         for key, weight in fe_program.entropies:
             fe_instructions.append(
@@ -313,9 +311,8 @@ def _render_instruction(ins: Instruction, encode) -> str:
         return call_text(f"q[{ins.output[1]}] <- joint {ins.rule_id}", ins.slots, ins.constants,
                          encode=encode)
     if ins.opcode == "average_energy":
-        consts = dict(ins.constants)
-        kind = consts.pop("kind")
-        return call_text(f"F += averageEnergy[{kind}]", ins.slots, consts, label=ins.label, encode=encode)
+        return call_text(f"F += averageEnergy[{ins.rule_id}]", ins.slots, ins.constants, label=ins.label,
+                         encode=encode)
     if ins.opcode == "entropy":
         return call_text(f"F -= {ins.constants.get('weight', 1.0)!r} * entropy", ins.slots)
     raise CompileError(f"unknown opcode {ins.opcode!r}")
@@ -333,8 +330,8 @@ def _parse_instruction(line: str) -> Instruction:
     slots = [_slot_parse(a) for a in _split_args(call["slots"])]
     constants = json.loads(call["constants"]) if call["constants"] else {}
     if head.startswith("F += averageEnergy["):
-        return Instruction("average_energy", ("F",), slots, None,
-                           dict(constants, kind=head[len("F += averageEnergy["):-1]), label=label)
+        return Instruction("average_energy", ("F",), slots, head[len("F += averageEnergy["):-1], constants,
+                           label=label)
     if head.startswith("F -= ") and head.endswith(" * entropy"):
         return Instruction("entropy", ("F",), slots, None, {"weight": float(head[5:-len(" * entropy")])})
     target, _, rule_id = head.partition(" <- ")
@@ -391,6 +388,7 @@ class Executor:
         self.sites: dict[str, Distribution] = dict(site_inits)
         self.messages: dict[str, list] = {fid: [None] * n for fid, n in message_counts.items()}
         self._rules = {rule_id: self.registry.by_id(rule_id) for rule_id in dict.fromkeys(rule_ids)}
+        self._energies: dict = {}  # energy term -> its average energy, found on first use
 
     def resolve(self, slot, fid, data, marginals):
         """The value a slot reads: a message, marginal, datum, constant or
@@ -454,7 +452,8 @@ class Executor:
                 if kind == "entropy":
                     value = -(constants.get("weight", 1.0) * differential_entropy(qs[0]))
                 else:
-                    value = eval_energy_term(kind, qs, constants)
+                    energy = self._energies.get(kind) or self._energies.setdefault(kind, energy_function(kind))
+                    value = energy(qs, constants)
             except Exception as exc:
                 raise InterpretError(f"free-energy term {pos} ({label}): {exc}") from exc
             yield label, value
@@ -483,14 +482,11 @@ class Interpreter(Executor):
             {fid: sum(1 for ins in prog if ins.opcode == "rule") for fid, prog in ir.steps},
             [ins.rule_id for _, prog in ir.steps for ins in prog if ins.rule_id],
         )
-        self._energy_terms = []
-        for ins in ir.free_energy:
-            if ins.opcode == "average_energy":
-                constants = dict(ins.constants)
-                kind = constants.pop("kind")
-                self._energy_terms.append((ins.label or kind, kind, ins.slots, constants))
-            else:
-                self._energy_terms.append((ins.label or ins.opcode, "entropy", ins.slots, ins.constants))
+        self._energy_terms = [
+            (ins.label or ins.rule_id, ins.rule_id, ins.slots, ins.constants) if ins.opcode == "average_energy"
+            else (ins.label or ins.opcode, "entropy", ins.slots, ins.constants)
+            for ins in ir.free_energy
+        ]
 
     def run_step(self, fid: str, data, marginals):
         for pos, ins in enumerate(self._programs[fid]):

@@ -984,33 +984,28 @@ def _energy_gaussian_nonlinear(qs, constants) -> float:
     return 0.5 * (LOG_2PI - expected_logdet_precision(q_prec, 1) + w * s)
 
 
+def _energy_probit_affine(qs, constants) -> float:
+    """Probit energy of a datum given a leaf belief pushed through the
+    recorded gain and offset."""
+    datum, q_x = qs
+    return _energy_probit(datum, affine_transport(q_x, constants["gains"][0], constants.get("offset")))
+
+
+def _energy_gaussian_nonlinear_affine(qs, constants) -> float:
+    """``_energy_gaussian_nonlinear`` with the argument of g an affine map of
+    the leaf belief."""
+    q_out, q_x, q_prec = qs
+    q_r = affine_transport(q_x, constants["gains"][0], constants.get("offset"))
+    return _energy_gaussian_nonlinear([q_out, q_r, q_prec], {"g": constants["g"]})
+
+
 def average_energy(kind: str, qs, constants: dict | None = None) -> float:
     """Expected negative log node function under the given beliefs.
 
-    ``qs`` follows the node kind's interface order (out first). Structured
-    recognition factors may pass a joint belief where documented per kind.
+    ``kind`` names a node kind or a free-energy term that a node kind
+    declares (``NodeKind.energies``); ``qs`` follows that kind's interface
+    order (out first) or the term's slot layout.
     """
-    qs = list(qs)
-    if kind == "gaussian_mean_precision":
-        return _energy_gaussian_mean_precision(*qs)
-    if kind == "gaussian_mean_variance":
-        return _energy_gaussian_mean_variance(*qs)
-    if kind == "gamma":
-        return _energy_gamma(*qs)
-    if kind == "wishart":
-        return _energy_wishart(*qs)
-    if kind == "dirichlet":
-        return _energy_dirichlet(*qs)
-    if kind == "categorical":
-        return _energy_categorical(*qs)
-    if kind == "transition":
-        return _energy_transition(qs)
-    if kind == "gaussian_mixture":
-        return _energy_gaussian_mixture(qs)
-    if kind == "probit":
-        return _energy_probit(*qs)
-    if kind == "gaussian_affine":
-        return _energy_gaussian_affine(qs, constants or {})
-    if kind == "gaussian_nonlinear":
-        return _energy_gaussian_nonlinear(qs, constants or {})
-    raise DistributionError(f"average energy unsupported for node kind {kind!r}")
+    from .graph import energy_function  # the node-kind records import this module
+
+    return energy_function(kind)(list(qs), constants or {})

@@ -26,23 +26,11 @@ import re
 
 import numpy as np
 
-from .graph import NODE_KINDS, NONLINEAR_FUNCTIONS, FactorGraph, GraphError, infer_supports
+from .graph import NODE_KINDS, FactorGraph, GraphError, NodeKind, infer_supports
 
-KIND_ALIASES = {
-    "GaussianMeanVariance": "gaussian_mean_variance",
-    "GaussianMeanPrecision": "gaussian_mean_precision",
-    "Gamma": "gamma",
-    "Wishart": "wishart",
-    "Dirichlet": "dirichlet",
-    "Categorical": "categorical",
-    "Transition": "transition",
-    "GaussianMixture": "gaussian_mixture",
-    "Addition": "addition",
-    "Gain": "gain",
-    "Equality": "equality",
-    "Nonlinear": "nonlinear",
-    "Probit": "probit",
-}
+# Loops are unrolled by recursion, two Python frames per level; deeper nesting
+# is rejected before it can exhaust the interpreter's recursion limit.
+MAX_LOOP_DEPTH = 100
 
 
 class ModelParseError(ValueError):
@@ -102,6 +90,7 @@ class _Parser:
         self.graph = FactorGraph()
         self.lets: dict[str, np.ndarray | float] = dict(constants)
         self.declared: set[str] = set()
+        self.kinds = {kind.dsl: kind for kind in NODE_KINDS.values() if kind.dsl}
 
     # -- token helpers --------------------------------------------------
 
@@ -174,6 +163,8 @@ class _Parser:
             tok = self.next()
             if tok.value == "{":
                 depth += 1
+                if depth > MAX_LOOP_DEPTH:
+                    raise ModelParseError(f"loops nested more than {MAX_LOOP_DEPTH} deep", tok.line, tok.pos)
             elif tok.value == "}":
                 depth -= 1
         body_end = self.i - 1
@@ -205,34 +196,27 @@ class _Parser:
         out = self.variable_ref(env, declare=True)
         self.expect("~")
         kind_tok = self.next()
-        kind = KIND_ALIASES.get(kind_tok.value, kind_tok.value)
-        if kind not in NODE_KINDS and kind not in self.graph.composites:
+        kind = self.kinds.get(kind_tok.value)
+        if kind is None:
             raise ModelParseError(f"unknown node kind {kind_tok.value!r}", kind_tok.line, kind_tok.pos)
         self.expect("(")
         args = []
         if self.peek() is not None and self.peek().value != ")":
-            args.append(self.argument(env, kind, len(args)))
+            args.append(self.argument(env))
             while self.peek() is not None and self.peek().value == ",":
                 self.next()
-                args.append(self.argument(env, kind, len(args)))
+                args.append(self.argument(env))
         self.expect(")")
         self.build_node(kind, out, args, kind_tok)
 
-    def build_node(self, kind: str, out: str, args: list, kind_tok: _Token):
+    def build_node(self, kind: NodeKind, out: str, args: list, kind_tok: _Token):
         constants = {}
-        if kind == "gain":
-            if len(args) != 2 or not isinstance(args[1], (np.ndarray, float)):
-                raise ModelParseError("Gain expects (input, constant matrix)", kind_tok.line)
-            constants["matrix"] = np.atleast_2d(np.asarray(args[1], dtype=float))
-            args = args[:1]
-        elif kind == "nonlinear":
-            if len(args) != 2 or not isinstance(args[1], str) or args[1] not in NONLINEAR_FUNCTIONS:
-                known = sorted(NONLINEAR_FUNCTIONS)
-                raise ModelParseError(f"Nonlinear expects (input, g) with g one of {known}", kind_tok.line)
-            constants["g"] = args[1]
-            args = args[:1]
-        declared = NODE_KINDS[kind] if kind in NODE_KINDS else self.graph.composites[kind].kind
-        roles = declared.role_names(1 + len(args))
+        if kind.parse_constants is not None:
+            try:
+                args, constants = kind.parse_constants(args)
+            except ValueError as exc:
+                raise ModelParseError(str(exc), kind_tok.line) from None
+        roles = kind.role_names(1 + len(args))
         if len(roles) != 1 + len(args):
             raise ModelParseError(
                 f"{kind_tok.value} expects {len(roles) - 1} arguments, got {len(args)}",
@@ -244,7 +228,7 @@ class _Parser:
                 raise ModelParseError(f"undeclared variable {arg!r}", kind_tok.line)
             connections[role] = arg
         try:
-            self.graph.add_node(kind, connections, constants)
+            self.graph.add_node(kind.name, connections, constants)
         except GraphError as exc:
             raise ModelParseError(str(exc), kind_tok.line) from None
 
@@ -281,7 +265,9 @@ class _Parser:
             else:
                 raise ModelParseError(f"bad index expression at {tok.value!r}", tok.line, tok.pos)
 
-    def argument(self, env: dict, kind: str, position: int):
+    def argument(self, env: dict):
+        """A number, literal or ``let`` constant, or else a name (a variable,
+        or a constant such as Nonlinear's g that the kind parses)."""
         tok = self.current()
         if tok.kind == "number":
             self.next()
@@ -292,9 +278,6 @@ class _Parser:
             if tok.value in self.lets:
                 self.next()
                 return self.lets[tok.value]
-            if kind == "nonlinear" and position == 1:
-                self.next()
-                return tok.value
             return self.variable_ref(env)
         self.error(f"bad argument {tok.value!r}")
 
@@ -374,39 +357,18 @@ class _Parser:
     def _check_dimensions(self):
         supports = infer_supports(self.graph)
         for node in self.graph.nodes:
+            check = self.graph.kind_of(node).check
+            if check is None:
+                continue
             roles = node.roles(self.graph)
-            shapes = []
+            dims = {}
             for idx, edge_id in enumerate(node.interfaces):
-                if edge_id is None:
-                    continue
-                var = self.graph.edges[edge_id].variable
-                sup = supports.get(var)
-                shapes.append((roles[idx], sup.shape if sup else None))
-            by_role = dict(shapes)
-            if node.kind in ("gaussian_mean_variance", "gaussian_mean_precision"):
-                out, mean = by_role.get("out"), by_role.get("mean")
-                if out is not None and mean is not None and out != mean:
-                    raise ModelParseError(
-                        f"node {node.id}: out dims {out} do not match mean dims {mean}"
-                    )
-                cov = by_role.get("variance", by_role.get("precision"))
-                if out not in (None, ()) and cov not in (None, ()):
-                    if cov != (out[0], out[0]):
-                        raise ModelParseError(
-                            f"node {node.id}: precision/variance dims {cov} do not match state dims {out}"
-                        )
-            elif node.kind == "gain":
-                a = np.atleast_2d(node.constants["matrix"])
-                inp = by_role.get("in")
-                in_dim = (inp[0] if inp else 1) if inp is not None else None
-                if in_dim is not None and a.shape[1] != in_dim:
-                    raise ModelParseError(
-                        f"node {node.id}: gain matrix has {a.shape[1]} columns but input has dim {in_dim}"
-                    )
-            elif node.kind == "addition":
-                a, b = by_role.get("in1"), by_role.get("in2")
-                if a is not None and b is not None and a != b:
-                    raise ModelParseError(f"node {node.id}: addition input dims differ: {a} vs {b}")
+                if edge_id is not None:
+                    sup = supports.get(self.graph.edges[edge_id].variable)
+                    dims[roles[idx]] = sup.shape if sup else None
+            problem = check(node, dims)
+            if problem:
+                raise ModelParseError(problem)
 
 
 def _integer(value, tok: _Token) -> int:

@@ -16,6 +16,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from . import distributions as dist
 from ._linalg import as_matrix
 
 
@@ -33,14 +34,42 @@ NONLINEAR_FUNCTIONS = {
 
 
 class NodeKind:
-    """Declared factor kind: ordered interface roles plus arity policy."""
+    """One factor kind: everything the pipeline reads about it, in one record.
 
-    def __init__(self, name, roles, deterministic=False, variadic=False, required_constants=()):
+    - ``roles``: interface roles, out first; a ``variadic`` kind repeats
+      ``(mean_k, precision_k)`` pairs after them;
+    - ``dsl``: the kind's name in the model language;
+    - ``required_constants``, and ``parse_constants(args) -> (args,
+      constants)`` that splits them off the model-language arguments
+      (``ValueError`` with a message);
+    - ``check(node, dims) -> message | None``: the model language's dimension
+      check, given each connected role's shape (None when unknown);
+    - ``support(node)``: a generator that yields each role whose input
+      support it needs, receives it (None when unknown) and returns the out
+      variable's support;
+    - ``energy(node, layout) -> (term, slots, constants, label)``: the node's
+      free-energy term, laid out through a ``scheduler.TermLayout``; the
+      kinds with an energy are the stochastic ones;
+    - ``energies``: ``{term: f(qs, constants)}``, the average energy of each
+      term the kind answers for (``distributions.average_energy``);
+    - ``prior``: ``(family, params)``, the posterior family the kind takes as
+      a prior and, given one, the value of each clamped parameter role.
+    """
+
+    def __init__(self, name, roles, *, variadic=False, dsl=None, required_constants=(),
+                 parse_constants=None, check=None, support=None, energy=None, energies=None,
+                 prior=None):
         self.name = name
         self.roles = tuple(roles)
-        self.deterministic = deterministic
         self.variadic = variadic
+        self.dsl = dsl
         self.required_constants = tuple(required_constants)
+        self.parse_constants = parse_constants
+        self.check = check
+        self.support = support
+        self.energy = energy
+        self.energies = energies or {}
+        self.prior = prior
         self._role_names: dict[int, tuple[str, ...]] = {}
 
     def role_names(self, arity: int) -> tuple[str, ...]:
@@ -69,40 +98,8 @@ class NodeKind:
             raise GraphError(f"{self.name} expects {len(self.roles)} interfaces, got {arity}")
 
 
+# The one table of node kinds, filled at the end of this module.
 NODE_KINDS: dict[str, NodeKind] = {}
-
-
-def _register(kind: NodeKind) -> NodeKind:
-    NODE_KINDS[kind.name] = kind
-    return kind
-
-
-_register(NodeKind("gaussian_mean_variance", ("out", "mean", "variance")))
-_register(NodeKind("gaussian_mean_precision", ("out", "mean", "precision")))
-_register(NodeKind("gamma", ("out", "shape", "rate")))
-_register(NodeKind("wishart", ("out", "scale", "dof")))
-_register(NodeKind("dirichlet", ("out", "concentration")))
-_register(NodeKind("categorical", ("out", "p")))
-_register(NodeKind("transition", ("out", "in", "matrix")))
-_register(NodeKind("gaussian_mixture", ("out", "selector"), variadic=True))
-_register(NodeKind("addition", ("out", "in1", "in2"), deterministic=True))
-_register(NodeKind("gain", ("out", "in"), deterministic=True, required_constants=("matrix",)))
-_register(NodeKind("equality", ("1", "2", "3"), deterministic=True))
-_register(NodeKind("nonlinear", ("out", "in"), deterministic=True, required_constants=("g",)))
-_register(NodeKind("probit", ("out", "in")))
-_register(NodeKind("clamp", ("out",)))
-
-STOCHASTIC_KINDS = {
-    "gaussian_mean_variance",
-    "gaussian_mean_precision",
-    "gamma",
-    "wishart",
-    "dirichlet",
-    "categorical",
-    "transition",
-    "gaussian_mixture",
-    "probit",
-}
 
 
 class Node:
@@ -480,7 +477,7 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
     for edge in graph.edges:
         if edge.tail is not None and edge.tail[1] == 0:
             node = graph.node_at(edge.tail)
-            if node.kind != "equality":
+            if graph.kind_of(node).support is not None:
                 producer[edge.variable] = node
     for node in graph.nodes:
         if node.kind == "clamp":
@@ -491,56 +488,19 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
                 dims = node.constants.get("dims", ())
                 supports.setdefault(edge.variable, share(Support("gaussian", dims or ())))
 
-    def derive(node: Node):
-        """Generator: yields the input variable (None if unconnected) of each
-        role whose support it needs, receives that support (or None), and
-        returns the node's output support (or None)."""
-        roles = node.roles(graph)
-
-        def input_var(role: str) -> str | None:
-            edge_id = node.interfaces[roles.index(role)]
-            return None if edge_id is None else graph.edges[edge_id].variable
-
-        if node.kind in ("gaussian_mean_variance", "gaussian_mean_precision"):
-            mean = yield input_var(roles[1])
-            return Support("gaussian", mean.shape if mean else ())
-        if node.kind == "gamma":
-            return Support("gamma", ())
-        if node.kind == "wishart":
-            scale = yield input_var("scale")
-            return Support("wishart", scale.shape if scale else (1, 1))
-        if node.kind == "dirichlet":
-            conc = yield input_var("concentration")
-            return Support("dirichlet", conc.shape if conc else ())
-        if node.kind == "categorical":
-            p = yield input_var("p")
-            return Support("categorical", (p.shape[0] if p and p.shape else 2,))
-        if node.kind == "transition":
-            mat = yield input_var("matrix")
-            prev = yield input_var("in")
-            k = mat.shape[0] if mat and mat.shape else (prev.shape[0] if prev else 2)
-            return Support("categorical", (k,))
-        if node.kind == "gaussian_mixture":
-            m1 = yield input_var("mean_1")
-            return Support("gaussian", m1.shape if m1 else ())
-        if node.kind == "gain":
-            a = as_matrix(node.constants["matrix"])
-            return Support("gaussian", (a.shape[0],) if a.shape[0] > 1 else ())
-        if node.kind == "addition":
-            s = (yield input_var("in1")) or (yield input_var("in2"))
-            return Support("gaussian", s.shape if s else ())
-        if node.kind == "nonlinear":
-            return Support("gaussian", ())
-        if node.kind == "probit":
-            return Support("binary", ())
-        return None
+    def input_var(node: Node, role: str) -> str | None:
+        """The variable on ``node``'s ``role`` interface (None if unconnected)."""
+        edge_id = node.interfaces[node.roles(graph).index(role)]
+        return None if edge_id is None else graph.edges[edge_id].variable
 
     def resolve(var: str) -> Support | None:
         """A variable's support, derived from its producer's inputs first.
-        The suspended derivations wait on an explicit stack, so a chain of
-        any length runs in a fixed number of Python frames; a variable met
-        again while its own derivation is pending counts as unknown."""
-        stack: list = []  # (variable, suspended derive generator), innermost last
+        Each producer's ``NodeKind.support`` generator is suspended on an
+        explicit stack while the support of an input it asked for is found,
+        so a chain of any length runs in a fixed number of Python frames; a
+        variable met again while its own derivation is pending counts as
+        unknown."""
+        stack: list = []  # (variable, its producer, suspended support generator), innermost last
         pending: set[str] = set()
         while True:
             if var in supports:
@@ -548,13 +508,14 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
             elif var in pending or var not in producer:  # also an unconnected input (None)
                 value = None
             else:
-                stack.append((var, derive(producer[var])))
+                node = producer[var]
+                stack.append((var, node, graph.kind_of(node).support(node)))
                 pending.add(var)
                 value = None  # starts the new generator
             while stack:
-                top, gen = stack[-1]
+                top, node, gen = stack[-1]
                 try:
-                    var = gen.send(value)
+                    var = input_var(node, gen.send(value))
                     break
                 except StopIteration as done:
                     stack.pop()
@@ -588,3 +549,186 @@ def _support_of_value(value: np.ndarray) -> Support:
     if arr.ndim == 0:
         return Support("point", ())
     return Support("point", arr.shape)
+
+
+# ---------------------------------------------------------------------------
+# Node kinds
+# ---------------------------------------------------------------------------
+
+
+def energy_function(term: str):
+    """The average energy ``f(qs, constants)`` of ``term``, from the record
+    that declares it."""
+    for kind in NODE_KINDS.values():
+        if term in kind.energies:
+            return kind.energies[term]
+    raise dist.DistributionError(f"average energy unsupported for node kind {term!r}")
+
+
+def _unpacked(energy):
+    """``energy(*qs)`` as an average energy of ``(qs, constants)``."""
+    return lambda qs, constants: energy(*qs)
+
+
+def _fixed(family: str):
+    """Support derivation of a scalar ``family`` that needs no input."""
+    def support(node):
+        return Support(family, ())
+        yield  # a generator, as every support derivation is
+
+    return support
+
+
+def _shaped_like(role: str, family: str, default: tuple = ()):
+    """Support derivation: ``family`` in the shape of the ``role`` input."""
+    def support(node):
+        sup = yield role
+        return Support(family, sup.shape if sup else default)
+
+    return support
+
+
+def _categorical_support(node):
+    p = yield "p"
+    return Support("categorical", (p.shape[0] if p and p.shape else 2,))
+
+
+def _transition_support(node):
+    mat = yield "matrix"
+    prev = yield "in"
+    return Support("categorical", (mat.shape[0] if mat and mat.shape else (prev.shape[0] if prev else 2),))
+
+
+def _addition_support(node):
+    s = (yield "in1") or (yield "in2")
+    return Support("gaussian", s.shape if s else ())
+
+
+def _gain_support(node):
+    a = as_matrix(node.constants["matrix"])
+    return Support("gaussian", (a.shape[0],) if a.shape[0] > 1 else ())
+    yield  # a generator, as every support derivation is
+
+
+def _gain_constants(args):
+    if len(args) != 2 or not isinstance(args[1], (np.ndarray, float)):
+        raise ValueError("Gain expects (input, constant matrix)")
+    return args[:1], {"matrix": np.atleast_2d(np.asarray(args[1], dtype=float))}
+
+
+def _nonlinear_constants(args):
+    if len(args) != 2 or not isinstance(args[1], str) or args[1] not in NONLINEAR_FUNCTIONS:
+        raise ValueError(f"Nonlinear expects (input, g) with g one of {sorted(NONLINEAR_FUNCTIONS)}")
+    return args[:1], {"g": args[1]}
+
+
+def _gaussian_dims(node, dims):
+    out, mean = dims.get("out"), dims.get("mean")
+    if out is not None and mean is not None and out != mean:
+        return f"node {node.id}: out dims {out} do not match mean dims {mean}"
+    cov = dims.get("variance", dims.get("precision"))
+    if out not in (None, ()) and cov not in (None, ()) and cov != (out[0], out[0]):
+        return f"node {node.id}: precision/variance dims {cov} do not match state dims {out}"
+    return None
+
+
+def _gain_dims(node, dims):
+    inp = dims.get("in")
+    in_dim = (inp[0] if inp else 1) if inp is not None else None
+    columns = np.atleast_2d(node.constants["matrix"]).shape[1]
+    if in_dim is not None and columns != in_dim:
+        return f"node {node.id}: gain matrix has {columns} columns but input has dim {in_dim}"
+    return None
+
+
+def _addition_dims(node, dims):
+    a, b = dims.get("in1"), dims.get("in2")
+    if a is not None and b is not None and a != b:
+        return f"node {node.id}: addition input dims differ: {a} vs {b}"
+    return None
+
+
+def _interface_term(term: str, label: str | None = None):
+    """Energy layout: ``term`` over the beliefs of every interface, in order."""
+    def energy(node, layout):
+        return term, layout.beliefs(node), {}, label or term
+
+    return energy
+
+
+def _transition_term(node, layout):
+    """The beliefs of every interface; in a chain, the link's two-slice joint
+    in place of the out and in beliefs."""
+    link = layout.links.get(node.id)
+    if link is None:
+        return "transition", layout.beliefs(node), {}, "transition"
+    return "transition", [layout.joint(link), layout.belief_at(node, "matrix")], {}, "transition"
+
+
+def _gaussian_term(node, layout):
+    """The out belief (the chain link's two-slice joint in a chain), a slot
+    per mean-side leaf with its gain, then the precision belief."""
+    info = layout.mean_sides[node.id]
+    precision = layout.belief_at(node, "precision")
+    link = layout.links.get(node.id)
+    if info.nonlinear is not None:
+        out = layout.belief_at(node, "out")
+        leaves, constants = layout.mean_sides.layout(info, layout.belief)
+        return "gaussian_nonlinear_affine", [out, *leaves, precision], constants, "gaussian_nonlinear"
+    out = layout.joint(link) if link is not None else layout.belief_at(node, "out")
+    leaves, constants = layout.mean_sides.layout(info, layout.belief, link and link.leaf_var,
+                                                 joint=link is not None)
+    return "gaussian_affine", [out, *leaves, precision], constants, "gaussian"
+
+
+def _probit_term(node, layout):
+    """The datum belief and the one mean-side leaf with its gain."""
+    info = layout.mean_sides[node.id]
+    if info.nonlinear is not None or len(info.leaves) != 1:
+        raise layout.error(f"unsupported probit composition at node {node.id}")
+    out = layout.belief_at(node, "out")
+    leaves, constants = layout.mean_sides.layout(info, layout.belief)
+    return "probit_affine", [out, *leaves], constants, "probit"
+
+
+NODE_KINDS.update((kind.name, kind) for kind in (
+    NodeKind("gaussian_mean_variance", ("out", "mean", "variance"), dsl="GaussianMeanVariance",
+             check=_gaussian_dims, support=_shaped_like("mean", "gaussian"),
+             energy=_interface_term("gaussian_mean_variance", "gaussian_mv"),
+             energies={"gaussian_mean_variance": _unpacked(dist._energy_gaussian_mean_variance)},
+             prior=(dist.GaussianBase, lambda q: {"mean": q.mean_vector(), "variance": q.covariance_matrix()})),
+    NodeKind("gaussian_mean_precision", ("out", "mean", "precision"), dsl="GaussianMeanPrecision",
+             check=_gaussian_dims, support=_shaped_like("mean", "gaussian"), energy=_gaussian_term,
+             energies={"gaussian_mean_precision": _unpacked(dist._energy_gaussian_mean_precision),
+                       "gaussian_affine": dist._energy_gaussian_affine,
+                       "gaussian_nonlinear": dist._energy_gaussian_nonlinear,
+                       "gaussian_nonlinear_affine": dist._energy_gaussian_nonlinear_affine},
+             prior=(dist.GaussianBase, lambda q: {"mean": q.mean_vector(), "precision": q.precision_matrix()})),
+    NodeKind("gamma", ("out", "shape", "rate"), dsl="Gamma", support=_fixed("gamma"),
+             energy=_interface_term("gamma"), energies={"gamma": _unpacked(dist._energy_gamma)},
+             prior=(dist.Gamma, lambda q: {"shape": q.shape, "rate": q.rate})),
+    NodeKind("wishart", ("out", "scale", "dof"), dsl="Wishart", support=_shaped_like("scale", "wishart", (1, 1)),
+             energy=_interface_term("wishart"), energies={"wishart": _unpacked(dist._energy_wishart)},
+             prior=(dist.Wishart, lambda q: {"scale": q.scale, "dof": q.dof})),
+    NodeKind("dirichlet", ("out", "concentration"), dsl="Dirichlet",
+             support=_shaped_like("concentration", "dirichlet"),
+             energy=_interface_term("dirichlet"), energies={"dirichlet": _unpacked(dist._energy_dirichlet)},
+             prior=(dist.Dirichlet, lambda q: {"concentration": q.concentration})),
+    NodeKind("categorical", ("out", "p"), dsl="Categorical", support=_categorical_support,
+             energy=_interface_term("categorical"), energies={"categorical": _unpacked(dist._energy_categorical)},
+             prior=(dist.Categorical, lambda q: {"p": q.probabilities})),
+    NodeKind("transition", ("out", "in", "matrix"), dsl="Transition", support=_transition_support,
+             energy=_transition_term, energies={"transition": lambda qs, constants: dist._energy_transition(qs)}),
+    NodeKind("gaussian_mixture", ("out", "selector"), variadic=True, dsl="GaussianMixture",
+             support=_shaped_like("mean_1", "gaussian"), energy=_interface_term("gaussian_mixture", "mixture"),
+             energies={"gaussian_mixture": lambda qs, constants: dist._energy_gaussian_mixture(qs)}),
+    NodeKind("addition", ("out", "in1", "in2"), dsl="Addition", check=_addition_dims, support=_addition_support),
+    NodeKind("gain", ("out", "in"), dsl="Gain", required_constants=("matrix",), parse_constants=_gain_constants,
+             check=_gain_dims, support=_gain_support),
+    NodeKind("equality", ("1", "2", "3"), dsl="Equality"),
+    NodeKind("nonlinear", ("out", "in"), dsl="Nonlinear", required_constants=("g",),
+             parse_constants=_nonlinear_constants, support=_fixed("gaussian")),
+    NodeKind("probit", ("out", "in"), dsl="Probit", support=_fixed("binary"), energy=_probit_term,
+             energies={"probit": _unpacked(dist._energy_probit), "probit_affine": dist._energy_probit_affine}),
+    NodeKind("clamp", ("out",)),
+))

@@ -13,10 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import (
-    Categorical,
     Dirichlet,
     Gamma,
-    GaussianBase,
     GaussianMeanVariance,
     Wishart,
 )
@@ -31,23 +29,11 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-# Per producer kind: the posterior family it takes as a prior, and that
-# posterior's value for each clamped parameter role.
-_PRIOR_ROLES = {
-    "gaussian_mean_variance": (GaussianBase, lambda q: {"mean": q.mean_vector(), "variance": q.covariance_matrix()}),
-    "gaussian_mean_precision": (GaussianBase, lambda q: {"mean": q.mean_vector(), "precision": q.precision_matrix()}),
-    "gamma": (Gamma, lambda q: {"shape": q.shape, "rate": q.rate}),
-    "wishart": (Wishart, lambda q: {"scale": q.scale, "dof": q.dof}),
-    "dirichlet": (Dirichlet, lambda q: {"concentration": q.concentration}),
-    "categorical": (Categorical, lambda q: {"p": q.probabilities}),
-}
-
-
 def apply_priors(graph: FactorGraph, priors: dict) -> None:
     """Write each prior distribution into the clamped parameters of its
-    variable's producing node. An unknown variable, a family the node does not
-    accept, or a parameter that is not clamped raises ``SchedulingError``
-    naming the variable."""
+    variable's producing node, laid out by its kind's ``NodeKind.prior``. An
+    unknown variable, a family the node does not accept, or a parameter that
+    is not clamped raises ``SchedulingError`` naming the variable."""
     for var, dist in priors.items():
         producer = None
         for edge in graph.variable_edges(var):
@@ -58,7 +44,7 @@ def apply_priors(graph: FactorGraph, priors: dict) -> None:
                     break
         if producer is None:
             raise SchedulingError(f"streaming: no prior node found for {var!r}")
-        family, params = _PRIOR_ROLES.get(producer.kind, (None, None))
+        family, params = graph.kind_of(producer).prior or (None, None)
         if family is None or not isinstance(dist, family):
             raise SchedulingError(
                 f"streaming: posterior {dist.variant} is not accepted as a prior "

@@ -726,6 +726,8 @@ def _marg(fams=None):
 
 
 def build_default_registry() -> RuleRegistry:
+    """A fresh registry of the built-in rules, not frozen: rules for new node
+    kinds may be registered on it without reaching ``default_registry()``."""
     reg = RuleRegistry()
 
     def add(kind, role, flavor, slots, fn, out_type, needs_previous=False):
@@ -851,7 +853,7 @@ def build_default_registry() -> RuleRegistry:
     add("gaussian_affine", "precision", "variational", [Repeat([_marg()], 1), Slot(VOID)],
         _gaussian_affine_precision, _precision_out_type)
 
-    return reg.freeze()
+    return reg
 
 
 def make_gain_equality_rule(kind_name: str, b_row) -> Rule:
@@ -874,7 +876,8 @@ _DEFAULT_REGISTRY: RuleRegistry | None = None
 
 
 def default_registry() -> RuleRegistry:
+    """The shared registry of the built-in rules, frozen."""
     global _DEFAULT_REGISTRY
     if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = build_default_registry()
+        _DEFAULT_REGISTRY = build_default_registry().freeze()
     return _DEFAULT_REGISTRY

@@ -32,11 +32,9 @@ from .distributions import (
     GaussianCanonical,
     PointMass,
     _VARIANTS,
-    affine_transport,
-    average_energy,
     vague,
 )
-from .graph import STOCHASTIC_KINDS, FactorGraph, Node, Support, infer_supports
+from .graph import FactorGraph, Node, Support, infer_supports
 from .rules import (
     CAVITY,
     MARGINAL,
@@ -150,8 +148,7 @@ def latent_stochastic_variables(graph: FactorGraph, supports=None) -> list[str]:
             continue
         if edge.tail is None:
             continue
-        producer = graph.node_at(edge.tail)
-        if producer.kind in STOCHASTIC_KINDS and edge.tail[1] == 0:
+        if edge.tail[1] == 0 and graph.kind_of(graph.node_at(edge.tail)).energy is not None:
             names[edge.variable] = None
     return list(names)
 
@@ -918,79 +915,53 @@ def infer_types(graph: FactorGraph, schedules, registry: RuleRegistry | None = N
 # ---------------------------------------------------------------------------
 
 
+class TermLayout:
+    """What a node kind's energy layout (``NodeKind.energy``) reads of one
+    factorization: the slot holding each variable's belief, the mean sides
+    and the chain links."""
+
+    error = SchedulingError
+
+    def __init__(self, facts: Factorization):
+        self.graph, _, self.owner, self.mean_sides, self.links = facts
+        self.clamps = clamped_variables(self.graph)
+
+    def belief(self, var: str):
+        if var in self.owner:
+            return ("marginal", var)
+        if var in self.clamps:
+            return clamp_slot(self.clamps[var])
+        raise SchedulingError(f"no belief available for variable {var!r}")
+
+    def belief_at(self, node: Node, role: str):
+        """The belief slot of the variable on ``node``'s ``role`` interface."""
+        return self.belief(self.graph.edges[node.interfaces[node.roles(self.graph).index(role)]].variable)
+
+    def beliefs(self, node: Node) -> list:
+        """The belief slots of all of ``node``'s interfaces, in order."""
+        return [self.belief(self.graph.edges[e].variable) for e in node.interfaces]
+
+    def joint(self, link: Section):
+        """The two-slice joint belief of a chain link."""
+        return ("marginal", joint_key(link.leaf_var, link.out_var))
+
+
 def schedule_free_energy(
     graph: FactorGraph | Factorization,
     rf: RecognitionFactorization,
     registry: RuleRegistry | None = None,
 ) -> FreeEnergyProgram:
     """F = sum of node average energies minus recognition entropy, with the
-    structured chain entropy expanded through the two-slice identity."""
-    graph, _, owner, mean_sides, links = analyze_factorization(graph, rf, registry or default_registry())
-    clamps = clamped_variables(graph)
-
-    def belief_slot(var: str):
-        if var in owner:
-            return ("marginal", var)
-        if var in clamps:
-            return clamp_slot(clamps[var])
-        raise SchedulingError(f"no belief available for variable {var!r}")
-
+    structured chain entropy expanded through the two-slice identity. Each
+    stochastic node's energy term is laid out by its kind's record."""
+    facts = analyze_factorization(graph, rf, registry or default_registry())
+    graph, links, layout = facts.graph, facts.links, TermLayout(facts)
     energies: list[FreeEnergyTerm] = []
     for node in graph.nodes:
-        if node.kind not in STOCHASTIC_KINDS:
-            continue
-        roles = node.roles(graph)
-        out_var = graph.edges[node.interfaces[0]].variable
-        if node.kind in ("gamma", "wishart", "dirichlet", "categorical"):
-            slots = [belief_slot(out_var)]
-            for idx in range(1, len(node.interfaces)):
-                slots.append(belief_slot(graph.edges[node.interfaces[idx]].variable))
-            energies.append(FreeEnergyTerm(node.kind, slots, {}, f"node{node.id}:{node.kind}"))
-            continue
-        if node.kind == "transition":
-            in_var = graph.edges[node.interfaces[roles.index("in")]].variable
-            t_slot = belief_slot(graph.edges[node.interfaces[roles.index("matrix")]].variable)
-            if node.id in links:
-                slots = [("marginal", joint_key(in_var, out_var)), t_slot]
-            else:
-                slots = [belief_slot(out_var), belief_slot(in_var), t_slot]
-            energies.append(FreeEnergyTerm("transition", slots, {}, f"node{node.id}:transition"))
-            continue
-        if node.kind == "gaussian_mixture":
-            slots = [belief_slot(graph.edges[e].variable) for e in node.interfaces]
-            energies.append(FreeEnergyTerm("gaussian_mixture", slots, {}, f"node{node.id}:mixture"))
-            continue
-        if node.kind == "probit":
-            info = mean_sides[node.id]
-            if info.nonlinear is not None or len(info.leaves) != 1:
-                raise SchedulingError(f"unsupported probit composition at node {node.id}")
-            out_slot = belief_slot(out_var)
-            leaf_slots, constants = mean_sides.layout(info, belief_slot)
-            energies.append(FreeEnergyTerm("probit_affine", [out_slot, *leaf_slots], constants,
-                                           f"node{node.id}:probit"))
-            continue
-        # gaussian nodes
-        info = mean_sides[node.id]
-        prec_role = "precision" if "precision" in roles else "variance"
-        prec_slot = belief_slot(graph.edges[node.interfaces[roles.index(prec_role)]].variable)
-        if node.kind == "gaussian_mean_variance":
-            mean_idx = roles.index("mean")
-            mean_slot = belief_slot(graph.edges[node.interfaces[mean_idx]].variable)
-            energies.append(FreeEnergyTerm(
-                "gaussian_mean_variance", [belief_slot(out_var), mean_slot, prec_slot],
-                {}, f"node{node.id}:gaussian_mv",
-            ))
-            continue
-        sec = links.get(node.id)
-        if info.nonlinear is not None:
-            kind, label, extra = "gaussian_nonlinear_affine", "gaussian_nonlinear", {}
-            out_slot = belief_slot(out_var)
-        else:
-            kind, label, extra = "gaussian_affine", "gaussian", {"joint": sec is not None}
-            out_slot = ("marginal", joint_key(sec.leaf_var, sec.out_var)) if sec else belief_slot(out_var)
-        leaf_slots, constants = mean_sides.layout(info, belief_slot, sec and sec.leaf_var, **extra)
-        energies.append(FreeEnergyTerm(kind, [out_slot, *leaf_slots, prec_slot], constants,
-                                       f"node{node.id}:{label}"))
+        energy = graph.kind_of(node).energy
+        if energy is not None:
+            term, slots, constants, label = energy(node, layout)
+            energies.append(FreeEnergyTerm(term, slots, constants, f"node{node.id}:{label}"))
 
     entropies: list[tuple[str, float]] = []
     for fid, fvars in rf.factors:
@@ -1008,20 +979,3 @@ def schedule_free_energy(
             if v in succ and v in pred:
                 entropies.append((v, -1.0))
     return FreeEnergyProgram(energies, entropies)
-
-
-def _affine_scalar_transport(q, constants):
-    return affine_transport(q, constants["gains"][0], constants.get("offset"))
-
-
-def eval_energy_term(kind: str, qs, constants) -> float:
-    """Evaluate one free-energy energy term; the *_affine variants first
-    project the leaf belief through the recorded gains."""
-    if kind == "probit_affine":
-        datum, q_x = qs
-        return average_energy("probit", [datum, _affine_scalar_transport(q_x, constants)])
-    if kind == "gaussian_nonlinear_affine":
-        q_out, q_x, q_prec = qs
-        q_r = _affine_scalar_transport(q_x, constants)
-        return average_energy("gaussian_nonlinear", [q_out, q_r, q_prec], {"g": constants["g"]})
-    return average_energy(kind, qs, constants)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgraph.cli import CliError, ingest, main
-from mpgraph.dsl import KIND_ALIASES, ModelParseError, parse_model
+from mpgraph.dsl import MAX_LOOP_DEPTH, ModelParseError, parse_model
+from mpgraph.graph import NODE_KINDS
 
 ONE_NODE_MODEL = """
 x ~ GaussianMeanVariance(0.0, 1.0)
@@ -107,6 +108,10 @@ class TestIngest:
         assert info.value.code == 1
 
 
+# A JSON object nested past the interpreter's recursion limit.
+DEEP_JSON = '{"y": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_parse_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -118,6 +123,25 @@ class TestExitCodes:
         data = tmp_path / "d.csv"
         data.write_text("y\n1.0\n")
         assert main(["infer", str(bad), str(data)]) == 1
+
+    @pytest.mark.parametrize("command", ["compile", "infer", "stream"])
+    def test_model_file_not_utf8_names_it(self, rw_files, tmp_path, command, capsys):
+        _, data = rw_files
+        model = tmp_path / "bad.mp"
+        model.write_bytes(RW_MODEL.encode() + b"\xff\n")
+        args = [str(model)] if command == "compile" else [str(model), str(data)]
+        assert main([command, *args, "--const", "T=3", "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and "can't decode byte 0xff" in err
+
+    def test_deep_loop_nesting_is_a_parse_error(self, tmp_path, capsys):
+        model = tmp_path / "deep.mp"
+        model.write_text("for i in 1:1 {\n" * 3000 + "x ~ Gamma(1.0, 1.0)\n" + "}\n" * 3000)
+        assert main(["compile", str(model), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line {MAX_LOOP_DEPTH + 1}, token 7: loops nested more than {MAX_LOOP_DEPTH} deep\n"
+        shallow = "for i in 1:1 {\n" * MAX_LOOP_DEPTH + "x ~ Gamma(1.0, 1.0)\n" + "}\n" * MAX_LOOP_DEPTH
+        assert parse_model(shallow).variables() == ["x", "_gamma0_shape", "_gamma0_rate"]
 
     def test_rule_unavailable_is_scheduling_error(self, tmp_path, capsys):
         model = tmp_path / "m.mp"
@@ -198,12 +222,22 @@ class TestExitCodes:
         ("--init", "init.json", '{"w": {"type": "Gamma", "params": {"alpha": 1.0, "rate": 1.0}}}', "key 'w'"),
         ("--factorization", "rf.json", '{"factors": [{"id": "X"}]}', "'variables'"),
         ("--init", "init.json", '{"w": {"type": "Beta", "params": {}}}', "key 'w'"),
+        ("data", "d.json", DEEP_JSON, "maximum recursion depth"),
+        ("--init", "init.json", DEEP_JSON, "maximum recursion depth"),
+        ("--factorization", "rf.json", DEEP_JSON, "maximum recursion depth"),
+        ("data", "d.csv", b"y\n1.0\xff\n", "can't decode byte 0xff"),
+        ("data", "d.json", b'{"y": [1.0]}\xff', "can't decode byte 0xff"),
+        ("data", "d.json", '{"z": [1.0, 2.0, 3.0]}', "missing placeholder 'y'"),
+        ("data", "d.json", '{"y": [[[1.0]], [[2.0]], [[3.0]]]}', "has shape (1, 1), expected ()"),
+        ("data", "d.csv", "y\n" + "1" * 200_000 + "\n", "field larger than field limit"),
     ], ids=["header-only-csv", "json-list", "json-scalar-series", "init-without-params",
-            "init-wrong-parameter", "factor-without-variables", "init-unknown-type"])
+            "init-wrong-parameter", "factor-without-variables", "init-unknown-type", "deep-json-data",
+            "deep-json-init", "deep-json-factorization", "csv-not-utf8", "json-not-utf8",
+            "json-without-placeholder", "json-datum-nested-too-deep", "csv-field-too-large"])
     def test_malformed_input_file_names_it(self, rw_files, tmp_path, option, name, content, where, capsys):
         model, data = rw_files
         path = tmp_path / name
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         if option == "data":
             args = [str(model), str(path)]
         else:
@@ -227,7 +261,8 @@ class TestExitCodes:
 
 
 # The model language's tokens, numbers small or out of float range.
-TOKENS = ["let", "for", "in", "observe", "x", "y", "t", "T", "A", "softplus", *KIND_ALIASES,
+TOKENS = ["let", "for", "in", "observe", "x", "y", "t", "T", "A", "softplus",
+          *(kind.dsl for kind in NODE_KINDS.values() if kind.dsl),
           "0", "1", "3", "0.5", "-1", "1e400", "-1e400",
           "::", "~", "=", "(", ")", "[", "]", "{", "}", ",", ":"]
 # Statements of the forms RW_MODEL lacks, spaced so that words are tokens.
@@ -286,6 +321,51 @@ class TestParseErrorContract:
         with pytest.raises(ModelParseError) as err:
             parse_model(text)
         assert str(err.value) == where
+
+
+# Valid data files for ONE_NODE_MODEL's placeholder y, and near misses.
+DATA_FILES = [b"y\n0.5\n", b"y\n0.5\n-1.5\n", b"y1,y2\n1,2\n", b'{"y": [0.5]}', b'{"y": [[0.5], [2]]}',
+              b'{"y": [0.5], "z": [[1, 2]]}', b'{"y": [[[0.5]]]}']
+
+
+@st.composite
+def data_file_bytes(draw):
+    """Arbitrary bytes, or a data file with bytes replaced, dropped or added."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    content = bytearray(draw(st.sampled_from(DATA_FILES)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(content)))
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        byte = draw(st.sampled_from(list(b"[]{},.:-\"\n0123456789eyz") + [0, 0xff, 0xc3]))
+        if edit == "add":
+            content.insert(at, byte)
+        elif at < len(content):
+            if edit == "drop":
+                del content[at]
+            else:
+                content[at] = byte
+    return bytes(content)
+
+
+class TestDataFileContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([".csv", ".json"]), data_file_bytes())
+    def test_data_file_bytes_infer_or_exit_1_naming_the_file(self, suffix, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "m.mp"
+            model.write_text(ONE_NODE_MODEL)
+            data = Path(tmp) / f"d{suffix}"
+            data.write_bytes(content)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["infer", str(model), str(data), "--iters", "2", "-o", str(Path(tmp) / "out")])
+            err = err.getvalue()
+            assert code in (0, 1, 3) and "Traceback" not in err
+            if code == 1:
+                assert err.startswith(f"error: {data}: ")
+            if code == 3:  # only a finite datum whose square overflows fails the run
+                assert err.startswith("numerical error: ") and np.max(np.abs(ingest(str(data))["y"])) > 1e150
 
 
 class TestInfer:
@@ -404,7 +484,7 @@ class TestStreamCommand:
         data = tmp_path / "flat.csv"
         data.write_text("y\n" + "\n".join(["0.5"] * 8) + "\n")
         assert main(["stream", str(model), str(data), "--batch-size", "4"]) == 1
-        assert "datum y[1] has 1 values, expected 2" in capsys.readouterr().err
+        assert f"{data}: datum y[1] has 1 values, expected 2" in capsys.readouterr().err
 
 
 class TestSeedEnv:

@@ -114,7 +114,7 @@ class TestRenderListing:
         g, rf = conjugate_toy()
         ir = compile_program(schedule_vmp(g, rf), schedule_free_energy(g, rf))
         other = parse_listing(render(ir))
-        other.free_energy[0].constants["kind"] = "gamma"
+        other.free_energy[0].rule_id = "gamma"
         assert render(other) != render(ir)
 
     def test_equality_compares_fields_not_text(self):

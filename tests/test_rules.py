@@ -22,6 +22,7 @@ from mpgraph.rules import (
     MESSAGE,
     VOID,
     Rule,
+    RuleError,
     RuleRegistry,
     RuleUnavailable,
     Slot,
@@ -555,6 +556,20 @@ class TestLookupMemo:
         assert reg.lookup("toy", "in", query[2]) is late
         reg.freeze()
         assert reg.lookup(*query) is specific
+
+
+class TestDefaultRegistry:
+    def test_the_shared_registry_is_frozen(self):
+        with pytest.raises(RuleError, match="frozen"):
+            default_registry().register(toy_rule("out", GaussianBase))
+
+    def test_a_fresh_registry_takes_rules_the_shared_one_does_not(self):
+        fresh = build_default_registry()
+        rule = fresh.register(toy_rule("out", GaussianBase))
+        assert fresh.by_id(rule.id) is rule and fresh.has_rules_for("toy")
+        assert default_registry() is REG and not REG.has_rules_for("toy")
+        with pytest.raises(RuleUnavailable):
+            REG.by_id(rule.id)
 
 
 class TestCoordinateDescent:
