@@ -241,17 +241,25 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _load_init(path: str) -> dict:
+    """The ``--init`` file's marginals; a malformed entry exits 1 naming the
+    file and the key."""
+    return {k: _parse_entry(path, dist_from_json, v, k) for k, v in _json_object(path).items()}
+
+
+def _check_init(path: str, graph, rf, overrides: dict):
+    # the library's override check, so a bad key or family names the file
+    _parse_entry(path, lambda table: init_marginals(graph, rf, table), overrides)
+
+
 def cmd_infer(args) -> int:
     graph, rf = _load_model(args)
     data = ingest(args.data, _placeholder_name(graph))
     _check_data(graph, data, args.data)
-    overrides = None
-    if args.init:
-        overrides = {k: _parse_entry(args.init, dist_from_json, v, k) for k, v in _json_object(args.init).items()}
+    overrides = _load_init(args.init) if args.init else None
     program = compile_model(graph, rf)
     if overrides is not None:
-        # the library's override check, so a bad key or family names the file
-        _parse_entry(args.init, lambda table: init_marginals(program.factorization, rf, table), overrides)
+        _check_init(args.init, program.factorization, rf, overrides)
     result = program.run(data, overrides, max_iters=args.iters, tol=args.tol, seed=_seed_of(args))
     out = _outdir(args)
     _json_dump(result.to_json(), out / "result.json")
@@ -294,7 +302,12 @@ def cmd_stream(args) -> int:
     for batch in batches:
         # the graph streaming_update builds for a batch has its first series' length
         _check_data(template.build(len(next(iter(batch.values()))), {})[0], batch, args.data)
-    results = streaming_update(template, batches, iters_per_batch=args.iters, tol=args.tol)
+    overrides = None
+    if args.init:  # initial marginals of the first batch, as ``infer --init``
+        overrides = _load_init(args.init)
+        _check_init(args.init, *template.build(len(next(iter(batches[0].values()))), {}), overrides)
+    results = streaming_update(template, batches, iters_per_batch=args.iters, tol=args.tol,
+                               overrides_fn=lambda batch, priors: overrides if batch is batches[0] else None)
     seed = _seed_of(args)
     out = _outdir(args)
     for i, result in enumerate(results):
@@ -491,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=24)
     p.add_argument("--iters", type=int, default=25)
     p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--init")
     p.add_argument("--const", action="append", metavar="NAME=VALUE")
     p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output")

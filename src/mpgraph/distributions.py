@@ -3,11 +3,15 @@
 Every message and marginal in the engine carries one of these variants as its
 payload. Instances are immutable after construction (backing arrays are
 frozen), so they can be shared freely between threads; all operations here are
-pure functions. Derived Gaussian forms (the precision of a mean-variance
-value, the covariance of a mean-precision value, the mean and covariance of a
-canonical value) are computed on first use and cached as read-only arrays. The
-lazy fill is idempotent: two threads that race on it store equal values, so
-sharing stays safe.
+pure functions. Derived forms are computed on first use and cached on the
+value: the precision of a mean-variance Gaussian, the covariance of a
+mean-precision one, the mean and covariance of a canonical one, and the
+expectations a precision or probability belief hands to every time slice
+that reads it (E[w] and E[log w] of a Gamma; E[W], E[W]^-1 and E[log|W|] of
+a Wishart; E[log p] of a Dirichlet). Caching is safe because the value is
+immutable: a cached entry is its parameters' expression evaluated once,
+arrays are stored read-only, and the lazy fill is idempotent (two threads
+that race on it store equal values).
 
 Gaussian values come in three interconvertible parameterizations. Products of
 colliding messages are fused in the canonical (weighted-mean, precision) form,
@@ -318,12 +322,21 @@ class Gamma(Distribution):
             raise DistributionError(f"Gamma parameters must be positive, got a={a}, b={b}")
         self.shape = a
         self.rate = b
+        self._expected_log = self._mean_matrix = None
 
     def mean_scalar(self) -> float:
         return self.shape / self.rate
 
+    def mean_matrix(self) -> np.ndarray:
+        """E[w] as a read-only 1x1 matrix, the precision a Gaussian reads."""
+        if self._mean_matrix is None:
+            self._mean_matrix = _freeze_owned(np.array([[self.mean_scalar()]]))
+        return self._mean_matrix
+
     def expected_log(self) -> float:
-        return float(digamma(self.shape)) - np.log(self.rate)
+        if self._expected_log is None:
+            self._expected_log = float(digamma(self.shape)) - np.log(self.rate)
+        return self._expected_log
 
     def entropy(self) -> float:
         a, b = self.shape, self.rate
@@ -351,18 +364,29 @@ class Wishart(Distribution):
             raise DistributionError(f"Wishart dof must exceed dim-1, got nu={nu}, d={d}")
         self.scale = _freeze_owned(v)
         self.dof = nu
+        self._mean_matrix = self._expected_logdet = self._mean_inverse = None
 
     @property
     def dim(self) -> int:
         return self.scale.shape[0]
 
     def mean_matrix(self) -> np.ndarray:
-        return self.dof * self.scale
+        if self._mean_matrix is None:
+            self._mean_matrix = _freeze_owned(self.dof * self.scale)
+        return self._mean_matrix
+
+    def mean_inverse(self) -> np.ndarray:
+        """E[W]^-1, the covariance a Gaussian with this precision adds."""
+        if self._mean_inverse is None:
+            self._mean_inverse = _freeze_owned(spd_inverse(self.mean_matrix()))
+        return self._mean_inverse
 
     def expected_logdet(self) -> float:
-        d, nu = self.dim, self.dof
-        mvdig = float(np.sum(digamma(0.5 * (nu + 1.0 - np.arange(1, d + 1)))))
-        return mvdig + d * np.log(2.0) + spd_logdet(self.scale)
+        if self._expected_logdet is None:
+            d, nu = self.dim, self.dof
+            mvdig = float(np.sum(digamma(0.5 * (nu + 1.0 - np.arange(1, d + 1)))))
+            self._expected_logdet = mvdig + d * np.log(2.0) + spd_logdet(self.scale)
+        return self._expected_logdet
 
     def entropy(self) -> float:
         d, nu = self.dim, self.dof
@@ -396,6 +420,7 @@ class Dirichlet(Distribution):
         if not (a < math.inf).all():  # NaN fails the comparison as well
             raise DistributionError("Dirichlet concentration entries must be finite")
         self.concentration = _freeze(a)
+        self._expected_logprobs = None
 
     @property
     def is_matrix(self) -> bool:
@@ -406,9 +431,11 @@ class Dirichlet(Distribution):
         return a / np.sum(a, axis=0, keepdims=True) if self.is_matrix else a / np.sum(a)
 
     def expected_logprobs(self) -> np.ndarray:
-        a = self.concentration
-        total = np.sum(a, axis=0, keepdims=True) if self.is_matrix else np.sum(a)
-        return digamma(a) - digamma(total)
+        if self._expected_logprobs is None:
+            a = self.concentration
+            total = np.sum(a, axis=0, keepdims=True) if self.is_matrix else np.sum(a)
+            self._expected_logprobs = _freeze_owned(digamma(a) - digamma(total))
+        return self._expected_logprobs
 
     def entropy(self) -> float:
         a = self.concentration if self.is_matrix else self.concentration[:, None]
@@ -751,11 +778,16 @@ def differential_entropy(d: Distribution) -> float:
 def expected_precision(q: Distribution, dim: int) -> np.ndarray:
     if isinstance(q, PointMass):
         return as_matrix(q.value) if dim > 1 or q.value.ndim == 2 else np.array([[float(q.value)]])
-    if isinstance(q, Gamma):
-        return np.array([[q.mean_scalar()]])
-    if isinstance(q, Wishart):
+    if isinstance(q, (Gamma, Wishart)):
         return q.mean_matrix()
     raise IncompatibleSupport(f"{q.variant} cannot act as a precision belief")
+
+
+def expected_covariance(q: Distribution, dim: int) -> np.ndarray:
+    """E[W]^-1 of a precision belief; cached on a Wishart."""
+    if isinstance(q, Wishart):
+        return q.mean_inverse()
+    return spd_inverse(expected_precision(q, dim))
 
 
 def expected_logdet_precision(q: Distribution, dim: int) -> float:
@@ -800,13 +832,20 @@ def _energy_gaussian_mean_precision(q_out, q_mean, q_prec) -> float:
     return 0.5 * (d * LOG_2PI - expected_logdet_precision(q_prec, d) + float(np.trace(w @ s)))
 
 
-def _energy_gaussian_mean_variance(q_out, q_mean, q_var) -> float:
+def _fixed_variance(q_var) -> np.ndarray:
     if not isinstance(q_var, PointMass):
         raise IncompatibleSupport("variance-parameterized energy needs a fixed variance")
-    v = as_matrix(q_var.value)
-    s = _gaussian_quadratic(q_out, q_mean)
+    return as_matrix(q_var.value)
+
+
+def _variance_energy(v: np.ndarray, s: np.ndarray) -> float:
     d = s.shape[0]
     return 0.5 * (d * LOG_2PI + spd_logdet(v) + float(np.trace(spd_solve(v, s))))
+
+
+def _energy_gaussian_mean_variance(q_out, q_mean, q_var) -> float:
+    v = _fixed_variance(q_var)
+    return _variance_energy(v, _gaussian_quadratic(q_out, q_mean))
 
 
 def _energy_gamma(q_out, q_shape, q_rate) -> float:
@@ -967,6 +1006,13 @@ def _energy_gaussian_affine(qs, constants) -> float:
     do = s.shape[0]
     w = expected_precision(q_prec, do)
     return 0.5 * (do * LOG_2PI - expected_logdet_precision(q_prec, do) + float(np.trace(w @ s)))
+
+
+def _energy_gaussian_affine_variance(qs, constants) -> float:
+    """``_energy_gaussian_affine`` with a fixed variance in place of the
+    precision belief."""
+    v = _fixed_variance(qs[-1])
+    return _variance_energy(v, affine_residual_scatter(qs[:-1], constants))
 
 
 def _energy_gaussian_nonlinear(qs, constants) -> float:

@@ -226,6 +226,8 @@ class _Parser:
         for role, arg in zip(roles[1:], args):
             if isinstance(arg, str) and arg not in self.declared:
                 raise ModelParseError(f"undeclared variable {arg!r}", kind_tok.line)
+            if isinstance(arg, str) and arg == out:
+                raise ModelParseError(f"variable {out!r} is an input of the node that produces it", kind_tok.line)
             connections[role] = arg
         try:
             self.graph.add_node(kind.name, connections, constants)

@@ -648,6 +648,13 @@ def _addition_dims(node, dims):
     return None
 
 
+def _scalar_input_dims(node, dims):
+    shape = dims.get("in")
+    if shape not in (None, (), (1,)):
+        return f"node {node.id}: {node.kind} input dims {shape}, expected a scalar"
+    return None
+
+
 def _interface_term(term: str, label: str | None = None):
     """Energy layout: ``term`` over the beliefs of every interface, in order."""
     def energy(node, layout):
@@ -681,6 +688,18 @@ def _gaussian_term(node, layout):
     return "gaussian_affine", [out, *leaves, precision], constants, "gaussian"
 
 
+def _gaussian_variance_term(node, layout):
+    """The beliefs of every interface; in a chain, laid out as
+    ``_gaussian_term`` lays out a link, with the fixed variance last."""
+    link = layout.links.get(node.id)
+    if link is None:
+        return "gaussian_mean_variance", layout.beliefs(node), {}, "gaussian_mv"
+    leaves, constants = layout.mean_sides.layout(layout.mean_sides[node.id], layout.belief, link.leaf_var,
+                                                 joint=True)
+    variance = layout.belief_at(node, "variance")
+    return "gaussian_affine_variance", [layout.joint(link), *leaves, variance], constants, "gaussian_mv"
+
+
 def _probit_term(node, layout):
     """The datum belief and the one mean-side leaf with its gain."""
     info = layout.mean_sides[node.id]
@@ -694,8 +713,9 @@ def _probit_term(node, layout):
 NODE_KINDS.update((kind.name, kind) for kind in (
     NodeKind("gaussian_mean_variance", ("out", "mean", "variance"), dsl="GaussianMeanVariance",
              check=_gaussian_dims, support=_shaped_like("mean", "gaussian"),
-             energy=_interface_term("gaussian_mean_variance", "gaussian_mv"),
-             energies={"gaussian_mean_variance": _unpacked(dist._energy_gaussian_mean_variance)},
+             energy=_gaussian_variance_term,
+             energies={"gaussian_mean_variance": _unpacked(dist._energy_gaussian_mean_variance),
+                       "gaussian_affine_variance": dist._energy_gaussian_affine_variance},
              prior=(dist.GaussianBase, lambda q: {"mean": q.mean_vector(), "variance": q.covariance_matrix()})),
     NodeKind("gaussian_mean_precision", ("out", "mean", "precision"), dsl="GaussianMeanPrecision",
              check=_gaussian_dims, support=_shaped_like("mean", "gaussian"), energy=_gaussian_term,
@@ -727,8 +747,9 @@ NODE_KINDS.update((kind.name, kind) for kind in (
              check=_gain_dims, support=_gain_support),
     NodeKind("equality", ("1", "2", "3"), dsl="Equality"),
     NodeKind("nonlinear", ("out", "in"), dsl="Nonlinear", required_constants=("g",),
-             parse_constants=_nonlinear_constants, support=_fixed("gaussian")),
-    NodeKind("probit", ("out", "in"), dsl="Probit", support=_fixed("binary"), energy=_probit_term,
+             parse_constants=_nonlinear_constants, check=_scalar_input_dims, support=_fixed("gaussian")),
+    NodeKind("probit", ("out", "in"), dsl="Probit", check=_scalar_input_dims, support=_fixed("binary"),
+             energy=_probit_term,
              energies={"probit": _unpacked(dist._energy_probit), "probit_affine": dist._energy_probit_affine}),
     NodeKind("clamp", ("out",)),
 ))

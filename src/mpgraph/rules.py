@@ -36,6 +36,7 @@ from .distributions import (
     Wishart,
     affine_residual_scatter,
     affine_transport,
+    expected_covariance,
     expected_logdet_precision,
     expected_precision,
     mean_and_cov,
@@ -304,15 +305,13 @@ def _equality_sp(inbound, constants):
 def _gaussian_forward(inbound, constants):
     _, q_mean, q_prec = inbound
     m, v = mean_and_cov(q_mean)
-    w = expected_precision(q_prec, m.shape[0])
-    return GaussianMeanVariance(m, v + spd_inverse(w))
+    return GaussianMeanVariance(m, v + expected_covariance(q_prec, m.shape[0]))
 
 
 def _gaussian_backward_mean(inbound, constants):
     q_out, _, q_prec = inbound
     m, v = mean_and_cov(q_out)
-    w = expected_precision(q_prec, m.shape[0])
-    return GaussianMeanVariance(m, v + spd_inverse(w))
+    return GaussianMeanVariance(m, v + expected_covariance(q_prec, m.shape[0]))
 
 
 def _gaussian_vmp_out(inbound, constants):
@@ -345,6 +344,12 @@ def _gaussian_mv_backward_mean(inbound, constants):
     q_out, _, q_var = inbound
     m, v = mean_and_cov(q_out)
     return GaussianMeanVariance(m, v + as_matrix(q_var.value))
+
+
+def _gaussian_mv_vmp(inbound, constants):
+    # the void slot is out or mean; the other is a marginal, read for its mean
+    q_other = inbound[1] if inbound[0] is None else inbound[0]
+    return GaussianMeanVariance(moment(q_other, "mean"), as_matrix(inbound[2].value))
 
 
 def _prior_emission(cls, param_names):
@@ -632,6 +637,12 @@ def _joint_gaussian_chain(inbound, constants):
     return GaussianMeanVariance(cov @ xi, symmetrize(cov))
 
 
+def _joint_gaussian_variance_chain(inbound, constants):
+    """``_joint_gaussian_chain`` for x_out ~ N(F x_prev + c, V), V fixed."""
+    *rest, q_var = inbound
+    return _joint_gaussian_chain([*rest, PointMass(spd_inverse(as_matrix(q_var.value)))], constants)
+
+
 def _joint_categorical_chain(inbound, constants):
     """Two-slice joint for a Transition section; rows index x_out."""
     msg_out_side, msg_leaf, q_t = _strip_void(inbound)
@@ -750,6 +761,10 @@ def build_default_registry() -> RuleRegistry:
         _gaussian_vmp_out, _static(GaussianMeanPrecision))
     add(gk, "mean", "variational", [_marg(GAUSSIAN_LIKE), Slot(VOID), _marg(PRECISION_LIKE)],
         _gaussian_vmp_mean, _static(GaussianMeanPrecision))
+    add(gk, "out", "variational", [Slot(VOID), _marg(GAUSSIAN_LIKE), _msg(PointMass)],
+        _gaussian_vmp_out, _static(GaussianMeanPrecision))
+    add(gk, "mean", "variational", [_marg(GAUSSIAN_LIKE), Slot(VOID), _msg(PointMass)],
+        _gaussian_vmp_mean, _static(GaussianMeanPrecision))
     add(gk, "precision", "variational", [_marg(GAUSSIAN_LIKE), _marg(GAUSSIAN_LIKE), Slot(VOID)],
         _gaussian_vmp_precision, _precision_out_type)
 
@@ -758,6 +773,10 @@ def build_default_registry() -> RuleRegistry:
         _gaussian_mv_forward, _static(GaussianMeanVariance))
     add(gv, "mean", "sum-product", [_msg(GAUSSIAN_LIKE), Slot(VOID), _msg(PointMass)],
         _gaussian_mv_backward_mean, _static(GaussianMeanVariance))
+    add(gv, "out", "variational", [Slot(VOID), _marg(GAUSSIAN_LIKE), _msg(PointMass)],
+        _gaussian_mv_vmp, _static(GaussianMeanVariance))
+    add(gv, "mean", "variational", [_marg(GAUSSIAN_LIKE), Slot(VOID), _msg(PointMass)],
+        _gaussian_mv_vmp, _static(GaussianMeanVariance))
 
     add("gamma", "out", "sum-product", [Slot(VOID), _msg(PointMass), _msg(PointMass)],
         _prior_emission(Gamma, ("shape", "rate")), _static(Gamma))
@@ -833,10 +852,14 @@ def build_default_registry() -> RuleRegistry:
         _probit_ep, _static(GaussianCanonical), needs_previous=True)
 
     # Structured-chain joint: out-side message, leaf message, any number of
-    # offset marginals, precision marginal.
+    # offset marginals, precision marginal (a fixed variance for a
+    # GaussianMeanVariance link).
     add("gaussian_affine", "joint", "variational",
         [_msg(GAUSSIAN_LIKE), _msg(GAUSSIAN_LIKE), Repeat([_marg()], 0), _marg(PRECISION_LIKE)],
         _joint_gaussian_chain, _static(GaussianMeanVariance))
+    add("gaussian_affine_variance", "joint", "variational",
+        [_msg(GAUSSIAN_LIKE), _msg(GAUSSIAN_LIKE), Repeat([_marg()], 0), _marg(PointMass)],
+        _joint_gaussian_variance_chain, _static(GaussianMeanVariance))
     add("transition", "joint", "variational",
         [_msg(CATEGORICAL_LIKE), _msg(CATEGORICAL_LIKE), _marg((Dirichlet, PointMass))],
         _joint_categorical_chain, _static(Categorical))

@@ -176,12 +176,14 @@ def default_factorization(graph: FactorGraph) -> RecognitionFactorization:
         if v in used:
             continue
         if v in succ or v in pred:
-            start = v
-            while start in pred and pred[start] not in used and pred[start] != start:
+            start, seen = v, {v}  # a cyclic chain is walked once round
+            while start in pred and pred[start] not in used and pred[start] not in seen:
                 start = pred[start]
-            chain = [start]
-            while chain[-1] in succ:
+                seen.add(start)
+            chain, seen = [start], {start}
+            while chain[-1] in succ and succ[chain[-1]] not in seen:
                 chain.append(succ[chain[-1]])
+                seen.add(chain[-1])
             chains.append((f"X{len(chains)}" if chains else "X", chain))
             used.update(chain)
         else:
@@ -796,9 +798,11 @@ class _FactorScheduler:
             else:
                 leaf_ref = self.require(*sec.mean_info.leaf_edges[sec.leaf_var])
                 leaf_slots, constants = self.mean_sides.layout(sec.mean_info, marginal_slot, sec.leaf_var)
-                prec_slot, _ = self.inbound_slot(node, node.roles(self.graph).index("precision"))
+                roles = node.roles(self.graph)
+                variance = "variance" in roles
+                prec_slot, _ = self.inbound_slot(node, roles.index("variance" if variance else "precision"))
                 slots = [out_side, leaf_ref, *leaf_slots, prec_slot]
-                kind = "gaussian_affine"
+                kind = "gaussian_affine_variance" if variance else "gaussian_affine"
             rule, _ = self.lookup(kind, "joint", slots, [MESSAGE, MESSAGE] + [MARGINAL] * (len(slots) - 2))
             self.schedule.marginal_steps.append(
                 JointStep(joint_key(sec.leaf_var, sec.out_var), rule.id, slots, constants)

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import re
+import signal
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgraph.cli import CliError, ingest, main
+from mpgraph.distributions import from_json
 from mpgraph.dsl import MAX_LOOP_DEPTH, ModelParseError, parse_model
 from mpgraph.graph import NODE_KINDS
 
@@ -368,6 +371,124 @@ class TestDataFileContract:
                 assert err.startswith("numerical error: ") and np.max(np.abs(ingest(str(data))["y"])) > 1e150
 
 
+# Constants of the mixed-kind models below: ordinary, degenerate (zero,
+# negative, indefinite) and extreme values, scalar or 2-D.
+SCALARS = ["1.0", "0.5", "100.0", "1e12", "0.0", "-1.0", "1e-300", "1e300"]
+MATRICES = ["[[1.0, 0.0], [0.0, 1.0]]", "[[2.0, 0.5], [0.5, 1.0]]", "[[1.0, 2.0], [2.0, 1.0]]"]
+VECTORS = ["[0.0, 0.0]", "[1.0, -1.0]"]
+GAUSSIAN_KINDS = ["GaussianMeanVariance", "GaussianMeanPrecision"]
+
+
+@st.composite
+def mixed_kind_models(draw):
+    """A small model mixing node kinds: Gaussian, Gamma or Wishart and
+    Dirichlet priors, a Gaussian state chain and an HMM chain, Addition, Gain
+    and Nonlinear mean sides, and a Gaussian, Probit or mixture observation;
+    with its data table and T."""
+    two = draw(st.booleans())
+    chance = lambda p: draw(st.integers(0, 99)) < 100 * p
+    const_g = lambda: draw(st.sampled_from(VECTORS if two else SCALARS))
+    const_p = lambda: draw(st.sampled_from(MATRICES if two else SCALARS))
+    pick = lambda pool, const: draw(st.sampled_from(pool)) if pool and chance(0.75) else const()
+    lines, loop, gaussians, precisions = [], [], [], []
+    for name in ("a", "b"):
+        if chance(0.6):
+            lines.append(f"{name} ~ {draw(st.sampled_from(GAUSSIAN_KINDS))}({const_g()}, {const_p()})")
+            gaussians.append(name)
+    if chance(0.6):
+        if two or chance(0.3):
+            scale = draw(st.sampled_from(MATRICES)) if two else "[[1.0]]"
+            lines.append(f"W ~ Wishart({scale}, {draw(st.sampled_from(['3.0', '2.0', '1.0', '0.5']))})")
+            precisions.append("W")
+        else:
+            lines.append(f"w ~ Gamma({draw(st.sampled_from(SCALARS))}, {draw(st.sampled_from(SCALARS))})")
+            precisions.append("w")
+    chain, hmm, categorical = chance(0.6), chance(0.3), False
+    if chain:
+        lines.append(f"x[0] ~ GaussianMeanVariance({const_g()}, {const_p()})")
+    if hmm:
+        lines += [f"A ~ Dirichlet([[1.0, 1.0], [1.0, {draw(st.sampled_from(SCALARS))}]])",
+                  "k[0] ~ Categorical([0.5, 0.5])"]
+    elif chance(0.3):
+        lines.append(f"D ~ Dirichlet([1.0, {draw(st.sampled_from(SCALARS))}])")
+        categorical = True
+    means, previous = list(gaussians), ["x[t-1]"] if chain else []
+    gains = ["2.0"] + (MATRICES if two else ["[[1.0, 0.5]]"]) + ["0.0", "1e300"]
+    for step in range(draw(st.integers(0, 3))):
+        # a source may be the node's own output: a self-loop the model must reject
+        node = draw(st.sampled_from(["Addition", "Gain", "Nonlinear"]))
+        source = pick(means + previous + [f"h{step}[t]"], const_g)
+        other = {"Addition": lambda: pick(means + previous, const_g), "Gain": lambda: draw(st.sampled_from(gains)),
+                 "Nonlinear": lambda: draw(st.sampled_from(["softplus", "exp", "tanh", "identity"]))}[node]()
+        loop.append(f"h{step}[t] ~ {node}({source}, {other})")
+        means.append(f"h{step}[t]")
+    if chain:
+        kind = draw(st.sampled_from(GAUSSIAN_KINDS))
+        precision = pick(precisions, const_p) if kind == "GaussianMeanPrecision" else const_p()
+        loop.append(f"x[t] ~ {kind}({pick(means + previous + ['x[t]'], const_g)}, {precision})")
+        means.append("x[t]")
+    if hmm:
+        loop.append("k[t] ~ Transition(k[t-1], A)")
+    elif categorical:
+        loop.append("k[t] ~ Categorical(D)")
+    observation = draw(st.sampled_from(["GaussianMeanPrecision", "GaussianMeanVariance", "Probit"]
+                                       + (["GaussianMixture"] if hmm or categorical else [])))
+    mean = pick(means, const_g)
+    if observation == "GaussianMeanPrecision":
+        loop.append(f"y[t] ~ GaussianMeanPrecision({mean}, {pick(precisions, const_p)})")
+    elif observation == "GaussianMeanVariance":
+        loop.append(f"y[t] ~ GaussianMeanVariance({mean}, {const_p()})")
+    elif observation == "Probit":
+        loop.append(f"y[t] ~ Probit({mean})")
+    else:
+        components = ", ".join(f"{pick(gaussians, const_g)}, {pick(precisions, const_p)}" for _ in range(2))
+        loop.append(f"y[t] ~ GaussianMixture(k[t], {components})")
+    vector = two and observation != "Probit"
+    loop.append(f"observe y[t] :: {'(2,)' if vector else '()'}")
+    text = "\n".join(lines + ["for t in 1:T {", *("  " + line for line in loop), "}"]) + "\n"
+    T = draw(st.integers(2, 3))
+    values = [1.0, -1.0] if observation == "Probit" and chance(0.8) else [1.0, -1.0, 0.5, 3.0, 1e200]
+    datum = lambda: draw(st.sampled_from(values))
+    return text, {"y": [[datum(), datum()] if vector else datum() for _ in range(T)]}, T
+
+
+class _Hang(BaseException):
+    """Raised by the alarm: no exit-code handler catches it."""
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_kind_models())
+    def test_mixed_kind_models_exit_by_the_contract(self, case):
+        text, data, T = case
+        with tempfile.TemporaryDirectory() as tmp:
+            model, table = Path(tmp) / "m.mp", Path(tmp) / "d.json"
+            model.write_text(text)
+            table.write_text(json.dumps(data))
+            err = io.StringIO()
+
+            def hang(signum, frame):
+                raise _Hang(f"no exit within 30 s:\n{text}")
+
+            previous = signal.signal(signal.SIGALRM, hang)
+            signal.alarm(30)
+            try:
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter("ignore", RuntimeWarning)  # overflow on extreme constants
+                    code = main(["infer", str(model), str(table), "--const", f"T={T}", "--iters", "3",
+                                 "-o", str(Path(tmp) / "out")])
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+        err = err.getvalue()
+        assert "Traceback" not in err
+        prefix = {0: "", 1: "error: ", 2: "scheduling error: ", 3: "numerical error: "}[code]
+        assert err.startswith(prefix), (code, err, text)
+        if code == 3:  # names the step and instruction, or the free-energy term
+            assert re.search(r"step .+, instruction \d+|\(term \d+: ", err), (err, text)
+
+
 class TestInfer:
     def test_one_node_conjugate_posterior(self, tmp_path):
         model = tmp_path / "m.mp"
@@ -457,6 +578,45 @@ class TestStreamCommand:
         batches = [json.loads(f.read_text()) for f in sorted(out.glob("batch_*.json"))]
         assert len(batches) == 2
         assert all(np.all(np.isfinite(b["free_energy"])) for b in batches)
+
+    def test_stream_init_breaks_mixture_symmetry(self, tmp_path):
+        model = tmp_path / "hmm.mp"
+        model.write_text(HMM_MODEL)
+        rng = np.random.default_rng(5)
+        rows = [rng.normal([4.0 * (t % 2), 0.0], 0.5) for t in range(40)]
+        data = tmp_path / "hmm.csv"
+        data.write_text("y1,y2\n" + "\n".join(f"{a},{b}" for a, b in rows) + "\n")
+        means = {"m1": [0.0, 0.0], "m2": [4.0, 0.0]}
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({k: {"type": "GaussianMeanVariance",
+                                        "params": {"mean": m, "covariance": [[1.0, 0.0], [0.0, 1.0]]}}
+                                    for k, m in means.items()}))
+        for args, separated in (([], False), (["--init", str(init)], True)):
+            out = tmp_path / f"stream{len(args)}"
+            assert main(["stream", str(model), str(data), "--batch-size", "20", "--iters", "20",
+                         *args, "-o", str(out)]) == 0
+            batches = [json.loads(f.read_text()) for f in sorted(out.glob("batch_*.json"))]
+            assert len(batches) == 2
+            for b in batches:
+                m1, m2 = (from_json(b["marginals"][k]).mean_vector() for k in ("m1", "m2"))
+                assert (m1.tolist() != m2.tolist()) == separated
+                if separated:
+                    assert abs(m1[0]) < 1.0 and abs(m2[0] - 4.0) < 1.0
+
+    @pytest.mark.parametrize("entry, where", [
+        ('{"zz": {"type": "Gamma", "params": {"shape": 1.0, "rate": 1.0}}}', "unknown variable 'zz'"),
+        ('{"w": {"type": "Gamma"}}', "key 'w'"),
+        ("[1.0]", "expected a JSON object"),
+    ], ids=["unknown-variable", "init-without-params", "json-list"])
+    def test_stream_init_is_checked_as_infer_checks_it(self, rw_files, tmp_path, entry, where, capsys):
+        model, data = rw_files
+        init = tmp_path / "init.json"
+        init.write_text(entry)
+        for command, extra in (("infer", ["--const", "T=20"]), ("stream", ["--batch-size", "5"])):
+            assert main([command, str(model), str(data), *extra, "--init", str(init),
+                         "-o", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {init}") and where in err and "Traceback" not in err
 
     def test_stream_reads_the_models_placeholder(self, rw_files, tmp_path):
         model, data = rw_files

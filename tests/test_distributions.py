@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import digamma
 
-from mpgraph._linalg import spd_inverse, spd_solve
+from mpgraph._linalg import spd_inverse, spd_logdet, spd_solve
 from mpgraph.distributions import (
     Categorical,
     DegenerateEntropy,
@@ -22,11 +23,15 @@ from mpgraph.distributions import (
     Wishart,
     average_energy,
     differential_entropy,
+    expected_covariance,
+    expected_precision,
     from_json,
     moment,
     product,
     vague,
 )
+from mpgraph.engine import run_inference
+from mpgraph.models import HmgmModel, sample_generative
 
 
 class TestProduct:
@@ -140,8 +145,6 @@ class TestMoments:
 
     def test_dirichlet_logprobs(self):
         d = Dirichlet([1.0, 1.0, 1.0])
-        from scipy.special import digamma
-
         np.testing.assert_allclose(moment(d, "logprobs"), digamma(1.0) - digamma(3.0))
 
     def test_categorical_mean_is_p(self):
@@ -445,7 +448,81 @@ DERIVED = {
 }
 
 
+# each precision or probability belief with its cached expectations and the
+# expression each must equal bit for bit (the uncached bodies)
+EXPECTATIONS = {
+    "gamma": (lambda rng: Gamma(rng.uniform(0.5, 5.0), rng.uniform(0.1, 3.0)), lambda q: {
+        "expected_log": float(digamma(q.shape)) - np.log(q.rate),
+        "mean_matrix": np.array([[q.shape / q.rate]]),
+    }),
+    **{f"wishart-{d}": (lambda rng, d=d: Wishart(_random_spd(rng, d), d + rng.uniform(0.5, 4.0)), lambda q: {
+        "mean_matrix": q.dof * q.scale,
+        "mean_inverse": spd_inverse(q.dof * q.scale),
+        "expected_logdet": float(np.sum(digamma(0.5 * (q.dof + 1.0 - np.arange(1, q.dim + 1)))))
+        + q.dim * np.log(2.0) + spd_logdet(q.scale),
+    }) for d in (1, 2, 3)},
+    "dirichlet-vector": (lambda rng: Dirichlet(rng.uniform(0.1, 5.0, size=4)), lambda q: {
+        "expected_logprobs": digamma(q.concentration) - digamma(np.sum(q.concentration)),
+    }),
+    "dirichlet-matrix": (lambda rng: Dirichlet(rng.uniform(0.1, 5.0, size=(3, 3))), lambda q: {
+        "expected_logprobs": digamma(q.concentration)
+        - digamma(np.sum(q.concentration, axis=0, keepdims=True)),
+    }),
+}
+
+
 class TestDerivedForms:
+    @pytest.mark.parametrize("name", sorted(EXPECTATIONS))
+    def test_expectations_cached_read_only_and_bit_equal(self, name):
+        make, expected = EXPECTATIONS[name]
+        q = make(np.random.default_rng(7))
+        for method, want in expected(q).items():
+            got = getattr(q, method)()
+            assert getattr(q, method)() is got, method
+            want = np.asarray(want)
+            assert np.shape(got) == want.shape and np.asarray(got).tobytes() == want.tobytes(), method
+            if isinstance(got, np.ndarray):
+                with pytest.raises(ValueError):
+                    got[(0,) * got.ndim] = 0.0
+            else:
+                assert isinstance(got, float), method  # immutable
+
+    @pytest.mark.parametrize("q, dim", [
+        (Gamma(2.0, 3.0), 1), (Wishart(np.array([[2.0, 0.3], [0.3, 1.0]]), 4.0), 2),
+        (PointMass(0.5), 1), (PointMass(np.array([[2.0, 0.3], [0.3, 1.0]])), 2),
+    ], ids=["gamma", "wishart", "point-scalar", "point-matrix"])
+    def test_expected_covariance_inverts_the_expected_precision(self, q, dim):
+        got = expected_covariance(q, dim)
+        assert got.tobytes() == spd_inverse(expected_precision(q, dim)).tobytes()
+        if isinstance(q, Wishart):
+            assert got is q.mean_inverse() is expected_covariance(q, dim)
+
+    def test_one_log_determinant_per_wishart_belief(self, monkeypatch):
+        """One hmgm run computes each Wishart belief's E[log|W|] once, however
+        many time slices read it."""
+        import sys
+
+        import mpgraph.distributions as distributions
+
+        beliefs = []  # kept alive, so that ids are not reused
+        counts: dict[int, int] = {}
+        plain = distributions.spd_logdet
+
+        def counted(m, *args):
+            caller = sys._getframe(1)
+            if caller.f_code is Wishart.expected_logdet.__code__:
+                q = caller.f_locals["self"]
+                beliefs.append(q)
+                counts[id(q)] = counts.get(id(q), 0) + 1
+            return plain(m, *args)
+
+        monkeypatch.setattr(distributions, "spd_logdet", counted)
+        model = HmgmModel(K=3)
+        data, _ = sample_generative("hmgm", seed=1, T=30)
+        run_inference(*model.build(30), data, model.initial_marginals(30, data), max_iters=20, tol=1e-6)
+        assert len(counts) >= 6  # three components' W over several iterations
+        assert max(counts.values()) == 1
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("form", sorted(DERIVED))
     def test_cached_read_only_and_bit_equal(self, form, dim):

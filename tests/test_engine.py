@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mpgraph.distributions import Gamma, GaussianMeanVariance, PointMass
+from mpgraph.distributions import Gamma, GaussianMeanVariance, PointMass, mean_and_cov
 from mpgraph.engine import (
     DirectExecutor,
     NumericalError,
@@ -324,6 +324,61 @@ class TestAllObserved:
         executor = DirectExecutor(schedule_vmp(g, rf), fe)
         value = free_energy(executor, {"y": np.array([0.3])}, {})
         assert value == pytest.approx(-norm.logpdf(0.3), abs=1e-12)
+
+
+# Walks linked by "{link}": a GaussianMeanVariance node and the same link
+# with GaussianMeanPrecision and the inverse matrix.
+VARIANCE_WALKS = {
+    "scalar": ("""
+x[0] ~ GaussianMeanVariance(0.0, 100.0)
+for t in 1:T {
+  x[t] ~ {link}
+  y[t] ~ GaussianMeanPrecision(x[t], 1.0)
+  observe y[t] :: ()
+}
+""", "GaussianMeanVariance(x[t-1], 1.0)", "GaussianMeanPrecision(x[t-1], 1.0)", ()),
+    "drift": ("""
+x[0] ~ GaussianMeanVariance(0.0, 100.0)
+d ~ GaussianMeanVariance(0.0, 100.0)
+for t in 1:T {
+  m[t] ~ Addition(x[t-1], d)
+  x[t] ~ {link}
+  y[t] ~ GaussianMeanPrecision(x[t], 2.0)
+  observe y[t] :: ()
+}
+""", "GaussianMeanVariance(m[t], 4.0)", "GaussianMeanPrecision(m[t], 0.25)", ()),
+    "two-dim": ("""
+x[0] ~ GaussianMeanVariance([0.0, 0.0], [[100.0, 0.0], [0.0, 100.0]])
+for t in 1:T {
+  x[t] ~ {link}
+  y[t] ~ GaussianMeanPrecision(x[t], [[1.0, 0.0], [0.0, 1.0]])
+  observe y[t] :: (2,)
+}
+""", "GaussianMeanVariance(x[t-1], [[2.0, 0.0], [0.0, 0.5]])",
+        "GaussianMeanPrecision(x[t-1], [[0.5, 0.0], [0.0, 2.0]])", (2,)),
+}
+
+
+class TestVarianceChain:
+    """A state chain linked by GaussianMeanVariance nodes infers like the
+    same chain linked by GaussianMeanPrecision nodes."""
+
+    @pytest.mark.parametrize("name", sorted(VARIANCE_WALKS))
+    def test_matches_precision_walk(self, name):
+        source, variance_link, precision_link, shape = VARIANCE_WALKS[name]
+        data = {"y": np.random.default_rng(4).normal(size=(7, *shape))}
+        results = []
+        for link in (variance_link, precision_link):
+            g = parse_model(source.replace("{link}", link), {"T": 7})
+            rf = default_factorization(g)
+            assert rf.factors[0][1] == [f"x[{t}]" for t in range(8)]  # one chain factor
+            results.append(run_inference(g, rf, data, max_iters=8, tol=0))
+        mv, mp = results
+        assert mv.free_energy_trace == pytest.approx(mp.free_energy_trace, rel=1e-12)
+        assert mv.marginals.keys() == mp.marginals.keys()
+        for key, q in mp.marginals.items():
+            for got, want in zip(mean_and_cov(mv.marginals[key]), mean_and_cov(q)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def leaf_sum_model(n_leaves: int) -> str:

@@ -15,6 +15,7 @@ from mpgraph.graph import (
 )
 from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
 from test_cli import RW_MODEL
+from mpgraph.scheduler import default_factorization
 
 
 def build_four_factor_chain():
@@ -82,6 +83,17 @@ class TestBuilder:
         g.add_node("gamma", {"out": "w", "shape": 1.0, "rate": 1.0})
         with pytest.raises(GraphError):
             g.add_node("gamma", {"out": "w", "shape": 2.0, "rate": 1.0})
+
+    @pytest.mark.parametrize("links", [[("x", "x")], [("x", "y"), ("y", "x")]], ids=["self-loop", "two-cycle"])
+    def test_default_factorization_of_a_cyclic_chain_ends(self, links):
+        # the chain walk used to follow such a cycle forever
+        g = FactorGraph()
+        for out, mean in links:
+            g.add_node("gaussian_mean_precision", {"out": out, "mean": mean, "precision": 1.0})
+        g.add_node("gaussian_mean_precision", {"out": "y0", "mean": "x", "precision": 1.0})
+        g.observe("y0", "y", 1, ())
+        rf = default_factorization(g)
+        assert sorted(v for _, fvars in rf.factors for v in fvars) == sorted({v for link in links for v in link})
 
 
 class TestValidate:
@@ -223,6 +235,19 @@ for t in 1:T {
         bad = "x ~ GaussianMeanVariance([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])"
         with pytest.raises((ModelParseError, ValueError)):
             parse_model(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("x[0] ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:2 {\n  x[t] ~ GaussianMeanPrecision(x[t], 1.0)\n}",
+         "line 3: variable 'x[1]' is an input of the node that produces it"),
+        ("x ~ GaussianMeanVariance([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])\ny ~ Nonlinear(x, tanh)",
+         "node 3: nonlinear input dims (2,), expected a scalar"),
+        ("x ~ GaussianMeanVariance([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])\ny ~ Probit(x)",
+         "node 3: probit input dims (2,), expected a scalar"),
+    ], ids=["self-loop", "vector-nonlinear", "vector-probit"])
+    def test_model_errors_found_by_the_exit_code_fuzz(self, text, message):
+        with pytest.raises(ModelParseError) as err:
+            parse_model(text)
+        assert str(err.value) == message
 
     def test_loop_constant_from_cli(self):
         g = parse_model("x[0] ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:T {\n  x[t] ~ GaussianMeanPrecision(x[t-1], 1.0)\n}\n", {"T": 4})
