@@ -9,7 +9,9 @@ eigenvalues, exact 1x1 closed forms). Each such float path runs the same tests
 in the same order, raises the same exceptions with the same text and returns
 the same bits as the numpy body it stands in for; ``tests/test_linalg.py``
 compares them. Matrix products stay in numpy at every size: a 2x2 ``@`` and
-``a*b + c*d`` on floats round differently in the last bit.
+``a*b + c*d`` on floats round differently in the last bit. ``spd_logdets``
+takes the log-determinants of a stack of matrices at once (the free energy's
+Gaussian entropies), each with the bits its matrix gets alone.
 """
 
 from __future__ import annotations
@@ -117,9 +119,37 @@ def spd_solve(m: np.ndarray, rhs: np.ndarray, floor: float = EIG_FLOOR) -> np.nd
     return (q / w) @ (q.T @ rhs)
 
 
+def _eigvals_2x2_stacked(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """``_eigvals_2x2`` elementwise over arrays: the same operations in the
+    same order, so each element gets the bits of the float version."""
+    half = 0.5 * (a + c)
+    r = np.hypot(0.5 * (a - c), b)
+    det = a * c - b * b
+    up = half >= 0.0  # False for NaN, as in the float version
+    big = np.where(up, half + r, half - r)  # hi if up, else lo
+    small = np.where(big != 0.0, det / big, np.where(up, half - r, half + r))
+    return np.where(up, small, big), np.where(up, big, small)
+
+
+def spd_logdets(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
+    """log det of each matrix of a stack ``(n, d, d)``, eigenvalues floored
+    at ``floor``: ``floored_eigh`` stacked, each element with the bits a
+    matrix of its own gets (closed-form eigenvalues for d = 2, LAPACK's
+    ``eigh`` per matrix above)."""
+    d = m.shape[-1]
+    if d == 1:
+        w = m[:, 0, :]
+    elif d == 2:
+        with np.errstate(all="ignore"):  # the float version never warns
+            lo, hi = _eigvals_2x2_stacked(m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1])
+        w = np.stack([lo, hi], axis=-1)
+    else:
+        w = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))[0]
+    return np.sum(np.log(np.maximum(w, floor)), axis=-1)
+
+
 def spd_logdet(m: np.ndarray, floor: float = EIG_FLOOR) -> float:
-    w, _ = floored_eigh(m, floor)
-    return float(np.sum(np.log(w)))
+    return float(spd_logdets(m[None], floor)[0])
 
 
 def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12):

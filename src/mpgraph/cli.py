@@ -183,6 +183,15 @@ def _check_data(graph: FactorGraph, data: dict, path: str):
             )
         if row.ndim > max(len(ph.dims), 1):
             raise CliError(f"{path}: datum {ph.name}[{ph.index}] has shape {row.shape}, expected {ph.dims}", 1)
+    binary = {graph.edges[node.interfaces[0]].variable for node in graph.nodes if node.kind == "probit"}
+    for node in graph.nodes:
+        if "placeholder" in node.constants and graph.edges[node.interfaces[0]].variable in binary:
+            name, index = node.constants["placeholder"], node.constants["index"]
+            row = np.atleast_1d(np.asarray(data[name])[index - 1])
+            bad = row[(row != 1.0) & (row != -1.0)]
+            if bad.size:
+                raise CliError(f"{path}: datum {name}[{index}] is {float(bad[0])!r}, but a Probit observation "
+                               "is +1 or -1", 1)
 
 
 def _constants(args) -> dict:

@@ -10,8 +10,9 @@ line forms. ``parse_listing(render(ir)) == ir`` holds field by field.
 The IR is interpreted rather than transpiled: one instruction per schedule
 entry or marginal/energy step, executed against a message array (slots are
 reused across iterations), a marginal table, persistent EP site slots, and a
-data table. That storage and the one slot resolver live in ``Executor``,
-which ``Interpreter`` and ``engine.DirectExecutor`` share; the two differ
+data table. That storage, the one slot resolver and the free-energy
+evaluation (by term kind, see ``group_terms``) live in ``Executor``, which
+``Interpreter`` and ``engine.DirectExecutor`` share; the two differ
 only in the program they walk (instructions here, schedules and the
 free-energy program there), so interpretation is bit-identical to direct
 schedule execution as long as instructions mirror schedule steps one for one.
@@ -24,7 +25,15 @@ import re
 
 import numpy as np
 
-from .distributions import Distribution, PointMass, differential_entropy, from_json, product
+from .distributions import (
+    BatchEnergy,
+    Distribution,
+    DistributionError,
+    PointMass,
+    from_json,
+    negative_entropy,
+    product,
+)
 from .graph import energy_function
 from .rules import RuleRegistry, default_registry
 from .scheduler import FreeEnergyProgram, MarginalStep, Schedule
@@ -376,19 +385,95 @@ def parse_listing(text: str) -> AlgorithmIR:
 # ---------------------------------------------------------------------------
 
 
+class _TermGroup:
+    """Free-energy terms evaluated together: their program positions, their
+    slots and the one energy and constants they share. ``stacks`` is
+    whether to try one batched evaluation; it is cleared when one failed
+    although every term evaluates on its own (terms over beliefs of
+    different sizes), which changes no value, since a term has the same
+    bits either way."""
+
+    __slots__ = ("energy", "constants", "positions", "slots", "stacks")
+
+    def __init__(self, energy, constants):
+        self.energy = energy
+        self.constants = constants
+        self.positions: list[int] = []
+        self.slots: list[tuple] = []
+        self.stacks = isinstance(energy, BatchEnergy)
+
+
+def _constants_key(value):
+    """A hashable stand-in for a constants value that compares as it does."""
+    if isinstance(value, dict):
+        return tuple(sorted((key, _constants_key(v)) for key, v in value.items()))
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return tuple(_constants_key(v) for v in value)
+    return value
+
+
+def _unknown_energy(kind: str):
+    """An energy that fails when evaluated, as the lookup of ``kind`` does."""
+    def energy(qs, constants):
+        return energy_function(kind)(qs, constants)
+
+    return energy
+
+
+def group_terms(terms) -> list[_TermGroup]:
+    """The terms ``(label, kind, slots, constants)`` of a free-energy program
+    in the groups ``Executor`` evaluates: one per batched energy
+    (``distributions.BatchEnergy``) and equal constants, so that entropies
+    group by weight; a term of any other energy is a group of its own."""
+    groups: dict = {}
+    keys: dict[int, object] = {}  # id of a constants dict -> its key; equal dicts are often shared
+    for pos, (_, kind, slots, constants) in enumerate(terms):
+        if kind == "entropy":
+            energy = negative_entropy
+        else:
+            try:
+                energy = energy_function(kind)
+            except DistributionError:
+                energy = _unknown_energy(kind)
+        if isinstance(energy, BatchEnergy):
+            key = keys.get(id(constants))
+            if key is None:
+                key = keys[id(constants)] = _constants_key(constants)
+            key = (kind, key)
+        else:
+            key = pos
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = _TermGroup(energy, constants)
+        group.positions.append(pos)
+        group.slots.append(slots)
+    return list(groups.values())
+
+
 class Executor:
     """Run-time storage shared by ``Interpreter`` and ``engine.DirectExecutor``:
-    per-step message arrays, the EP site store (distributions) and the one
-    slot resolver. A subclass walks its own program in ``run_step`` and
-    ``energy_terms``, reading and writing only through the methods here.
-    Concurrent runs must not share an executor."""
+    per-step message arrays, the EP site store (distributions), the one slot
+    resolver and the free-energy evaluation. A subclass walks its own program
+    in ``run_step``, reading and writing only through the methods here, and
+    hands its free-energy terms ``(label, kind, slots, constants)`` over in
+    program order.
 
-    def __init__(self, registry, site_inits, message_counts, rule_ids):
+    F is evaluated by term kind: the terms are grouped once, here
+    (``group_terms``), and each group of a batched energy runs as one stacked
+    evaluation over all its time slices; the values are summed in program
+    order. A datum's point mass is built on its first read in an iteration
+    and shared by the rules and F; each ``run_iteration`` reads the table
+    afresh, and so does a read of another table. Concurrent runs must not
+    share an executor."""
+
+    def __init__(self, registry, site_inits, message_counts, rule_ids, energy_terms):
         self.registry = registry or default_registry()
         self.sites: dict[str, Distribution] = dict(site_inits)
         self.messages: dict[str, list] = {fid: [None] * n for fid, n in message_counts.items()}
         self._rules = {rule_id: self.registry.by_id(rule_id) for rule_id in dict.fromkeys(rule_ids)}
-        self._energies: dict = {}  # energy term -> its average energy, found on first use
+        self.energy_terms = list(energy_terms)
+        self._groups = group_terms(self.energy_terms)
+        self._data = self._points = None  # the data table read this iteration, and its point masses
 
     def resolve(self, slot, fid, data, marginals):
         """The value a slot reads: a message, marginal, datum, constant or
@@ -402,12 +487,17 @@ class Executor:
             except KeyError:
                 raise InterpretError(f"marginal {slot[1]!r} missing from the table") from None
         if tag == "data":
-            name, index = slot[1]
-            try:
-                value = data[name][index - 1]
-            except (KeyError, IndexError):
-                raise InterpretError(f"missing data slot {name}[{index}]") from None
-            return PointMass(value)
+            if data is not self._data:
+                self._data, self._points = data, {}
+            point = self._points.get(slot[1])
+            if point is None:
+                name, index = slot[1]
+                try:
+                    value = data[name][index - 1]
+                except (KeyError, IndexError):
+                    raise InterpretError(f"missing data slot {name}[{index}]") from None
+                point = self._points[slot[1]] = PointMass(value)
+            return point
         if tag == "const":
             return slot[1]
         if tag == "site":
@@ -438,29 +528,65 @@ class Executor:
         return self._rules[step.rule_id].apply(inbound, step.constants).dist
 
     def run_iteration(self, data, marginals):
+        self._data = None
         for fid in self.messages:
             self.run_step(fid, data, marginals)
         return marginals
 
+    def _term_values(self, data, marginals):
+        """Each free-energy term's signed contribution to F, in program
+        order, and ``(position, exception)`` of the first term in program
+        order that fails (None if none does). A group that fails is
+        evaluated again term by term, to find the term at fault."""
+        values: list = [None] * len(self.energy_terms)
+        failure = None
+        for group in self._groups:
+            if group.stacks:
+                try:
+                    columns = [[self.resolve(s, None, data, marginals) for s in column]
+                               for column in zip(*group.slots)]
+                    batch = group.energy.batch(columns, group.constants)
+                    batch = np.broadcast_to(batch, (len(group.positions),)).tolist()
+                except Exception:
+                    pass
+                else:
+                    for pos, value in zip(group.positions, batch):
+                        values[pos] = value
+                    continue
+            first = failure
+            for pos, slots in zip(group.positions, group.slots):
+                if failure is not None and pos > failure[0]:
+                    break
+                try:
+                    values[pos] = group.energy([self.resolve(s, None, data, marginals) for s in slots],
+                                               group.constants)
+                except Exception as exc:
+                    failure = (pos, exc)
+            if failure is first and all(values[pos] is not None for pos in group.positions):
+                group.stacks = False
+        return values, failure
+
+    def _term_error(self, failure) -> InterpretError:
+        pos, exc = failure
+        return InterpretError(f"free-energy term {pos} ({self.energy_terms[pos][0]}): {exc}")
+
     def free_energy_terms(self, data, marginals):
         """Yield ``(label, signed contribution to F)`` per free-energy term,
-        in program order. ``energy_terms`` yields ``(label, kind, slots,
-        constants)``; kind ``entropy`` is a weighted marginal entropy."""
-        for pos, (label, kind, slots, constants) in enumerate(self.energy_terms()):
-            try:
-                qs = [self.resolve(s, None, data, marginals) for s in slots]
-                if kind == "entropy":
-                    value = -(constants.get("weight", 1.0) * differential_entropy(qs[0]))
-                else:
-                    energy = self._energies.get(kind) or self._energies.setdefault(kind, energy_function(kind))
-                    value = energy(qs, constants)
-            except Exception as exc:
-                raise InterpretError(f"free-energy term {pos} ({label}): {exc}") from exc
-            yield label, value
+        in program order; a term that fails raises, naming its position and
+        label, after the values before it."""
+        values, failure = self._term_values(data, marginals)
+        for pos, (label, *_) in enumerate(self.energy_terms):
+            if failure is not None and pos == failure[0]:
+                raise self._term_error(failure) from failure[1]
+            yield label, values[pos]
 
     def free_energy(self, data, marginals) -> float:
+        """F: the terms' values summed in program order."""
+        values, failure = self._term_values(data, marginals)
+        if failure is not None:
+            raise self._term_error(failure) from failure[1]
         total = 0.0
-        for _, value in self.free_energy_terms(data, marginals):
+        for value in values:
             total += value
         return total
 
@@ -481,12 +607,10 @@ class Interpreter(Executor):
             registry, ir.site_inits,
             {fid: sum(1 for ins in prog if ins.opcode == "rule") for fid, prog in ir.steps},
             [ins.rule_id for _, prog in ir.steps for ins in prog if ins.rule_id],
+            [(ins.label or ins.rule_id, ins.rule_id, ins.slots, ins.constants) if ins.opcode == "average_energy"
+             else (ins.label or ins.opcode, "entropy", ins.slots, ins.constants)
+             for ins in ir.free_energy],
         )
-        self._energy_terms = [
-            (ins.label or ins.rule_id, ins.rule_id, ins.slots, ins.constants) if ins.opcode == "average_energy"
-            else (ins.label or ins.opcode, "entropy", ins.slots, ins.constants)
-            for ins in ir.free_energy
-        ]
 
     def run_step(self, fid: str, data, marginals):
         for pos, ins in enumerate(self._programs[fid]):
@@ -502,6 +626,3 @@ class Interpreter(Executor):
             except Exception as exc:
                 raise step_error(fid, pos, ins.opcode, ins.output, exc) from exc
         return marginals
-
-    def energy_terms(self):
-        return self._energy_terms

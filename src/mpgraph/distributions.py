@@ -7,11 +7,11 @@ pure functions. Derived forms are computed on first use and cached on the
 value: the precision of a mean-variance Gaussian, the covariance of a
 mean-precision one, the mean and covariance of a canonical one, and the
 expectations a precision or probability belief hands to every time slice
-that reads it (E[w] and E[log w] of a Gamma; E[W], E[W]^-1 and E[log|W|] of
-a Wishart; E[log p] of a Dirichlet). Caching is safe because the value is
-immutable: a cached entry is its parameters' expression evaluated once,
-arrays are stored read-only, and the lazy fill is idempotent (two threads
-that race on it store equal values).
+that reads it (E[w], E[w]^-1 and E[log w] of a Gamma; E[W], E[W]^-1 and
+E[log|W|] of a Wishart; E[log p] of a Dirichlet). Caching is safe because the
+value is immutable: a cached entry is its parameters' expression evaluated
+once, arrays are stored read-only, and the lazy fill is idempotent (two
+threads that race on it store equal values).
 
 Gaussian values come in three interconvertible parameterizations. Products of
 colliding messages are fused in the canonical (weighted-mean, precision) form,
@@ -25,6 +25,12 @@ finiteness and symmetry tests, the product's semi-definiteness test and the
 branch raises the same exceptions with the same text and gives the same bits
 as the numpy body it stands in for, which still runs for d >= 3; so F traces
 and listings do not depend on which branch ran.
+
+The average energies of the Gaussian, mixture, probit and transition terms
+and the Gaussian and categorical entropies are batch functions
+(``BatchEnergy``): one stacked evaluation gives every time slice's value,
+each with the bits it gets evaluated alone, which is how a single term is
+evaluated too.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from ._linalg import (
     floored_eigh,
     spd_inverse,
     spd_logdet,
+    spd_logdets,
     spd_solve,
     sym_eigvals,
     symmetrize,
@@ -151,8 +158,7 @@ class GaussianBase(Distribution):
         return GaussianCanonical(self.weighted_mean_vector(), self.precision_matrix())
 
     def entropy(self) -> float:
-        d = self.dim
-        return 0.5 * (d * (LOG_2PI + 1.0) + spd_logdet(self.covariance_matrix()))
+        return float(gaussian_entropies(self.covariance_matrix()[None])[0])
 
     def log_density(self, x) -> float:
         x = as_vector(x)
@@ -322,7 +328,7 @@ class Gamma(Distribution):
             raise DistributionError(f"Gamma parameters must be positive, got a={a}, b={b}")
         self.shape = a
         self.rate = b
-        self._expected_log = self._mean_matrix = None
+        self._expected_log = self._mean_matrix = self._mean_inverse = None
 
     def mean_scalar(self) -> float:
         return self.shape / self.rate
@@ -332,6 +338,13 @@ class Gamma(Distribution):
         if self._mean_matrix is None:
             self._mean_matrix = _freeze_owned(np.array([[self.mean_scalar()]]))
         return self._mean_matrix
+
+    def mean_inverse(self) -> np.ndarray:
+        """E[w]^-1 as a read-only 1x1 matrix, the variance a Gaussian with
+        this precision adds."""
+        if self._mean_inverse is None:
+            self._mean_inverse = _freeze_owned(spd_inverse(self.mean_matrix()))
+        return self._mean_inverse
 
     def expected_log(self) -> float:
         if self._expected_log is None:
@@ -485,9 +498,7 @@ class Categorical(Distribution):
         return self.probabilities
 
     def entropy(self) -> float:
-        p = self.probabilities
-        nz = p[p > 0.0]
-        return float(-np.sum(nz * np.log(nz)))
+        return float(categorical_entropies(self.probabilities[None])[0])
 
     def log_density(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -761,6 +772,32 @@ def moment(d: Distribution, which: str):
     raise UnsupportedMoment(f"moment {which!r} undefined for {d.variant}")
 
 
+def gaussian_entropies(covariances: np.ndarray) -> np.ndarray:
+    """Entropies of the Gaussians with the covariances of a stack ``(n, d, d)``."""
+    d = covariances.shape[-1]
+    return 0.5 * (d * (LOG_2PI + 1.0) + spd_logdets(covariances))
+
+
+def _sums_where_positive(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The sum of ``x`` over the entries where ``p`` is positive, for each
+    matrix of a stack: one row sum where every entry is (the additions the
+    masked sum makes, in its order), the masked sum elsewhere."""
+    x = x.reshape(len(x), -1)
+    p = np.broadcast_to(p, (len(x), *p.shape[1:])).reshape(len(x), -1)
+    positive = p > 0.0
+    sums = np.sum(x, axis=1)
+    for i in np.flatnonzero(~positive.all(axis=1)):
+        sums[i] = np.sum(x[i][positive[i]])
+    return sums
+
+
+def categorical_entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropies of the categoricals with the probability tables of
+    a stack."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 is left out
+        return -_sums_where_positive(p, p * np.log(p))
+
+
 def differential_entropy(d: Distribution) -> float:
     """Entropy in nats (Shannon entropy for Categorical)."""
     if isinstance(d, PointMass):
@@ -784,8 +821,8 @@ def expected_precision(q: Distribution, dim: int) -> np.ndarray:
 
 
 def expected_covariance(q: Distribution, dim: int) -> np.ndarray:
-    """E[W]^-1 of a precision belief; cached on a Wishart."""
-    if isinstance(q, Wishart):
+    """E[W]^-1 of a precision belief; cached on a Gamma or Wishart."""
+    if isinstance(q, (Gamma, Wishart)):
         return q.mean_inverse()
     return spd_inverse(expected_precision(q, dim))
 
@@ -814,38 +851,233 @@ def mean_and_cov(q: Distribution) -> tuple[np.ndarray, np.ndarray]:
 # Average energies: E_q[-log f] per node kind
 # ---------------------------------------------------------------------------
 
+
+class BatchEnergy:
+    """An average energy evaluated for many terms of one kind at once.
+
+    ``batch(columns, constants)`` reads one column per slot of the terms'
+    layout (that slot's belief in every term, in term order) and returns the
+    terms' energies as an array; the terms share ``constants``. Every step
+    is elementwise over the batch (stacked ``@`` and ``eigh``, ufuncs,
+    per-row dot products), so a term's energy has the same bits in a batch
+    of any size. Called like a per-term energy, ``f(qs, constants)``, it
+    evaluates a batch of one; used as a decorator, it makes a batch function
+    a node kind's average energy (``graph.NodeKind.energies``)."""
+
+    __slots__ = ("batch",)
+
+    def __init__(self, batch: Callable[[list, dict], np.ndarray]):
+        self.batch = batch
+
+    def __call__(self, qs, constants) -> float:
+        return float(self.batch([[q] for q in qs], constants)[0])
+
+
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
-def _gaussian_quadratic(q_out, q_mean) -> np.ndarray:
+def _stacked(column, fn) -> list:
+    """``fn(q)``, a tuple of arrays, for each belief of ``column``, stacked
+    on a leading batch axis. A column that holds one belief throughout (a
+    parameter every time slice reads) is evaluated once, on an axis of
+    length one that broadcasts."""
+    first = column[0]
+    if len(column) == 1 or all(q is first for q in column):
+        return [np.asarray(x)[None] for x in fn(first)]
+    return [np.array(x) for x in zip(*map(fn, column))]
+
+
+def _apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``g @ x`` for a vector or each row of a stack of them, one
+    matrix-vector product per vector."""
+    return (g @ x[..., None])[..., 0]
+
+
+def _scatters(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``s + outer(r, r)``, for one residual or each of a stack."""
+    return s + r[..., :, None] * r[..., None, :]
+
+
+def _quadratics(out_column, mean_column) -> np.ndarray:
     """E[(x - m)(x - m)^T] under independent beliefs over x and m."""
-    mx, vx = mean_and_cov(q_out)
-    mm, vm = mean_and_cov(q_mean)
-    r = mx - mm
-    return vx + vm + np.outer(r, r)
+    mx, vx = _stacked(out_column, mean_and_cov)
+    mm, vm = _stacked(mean_column, mean_and_cov)
+    return _scatters(mx - mm, vx + vm)
 
 
-def _energy_gaussian_mean_precision(q_out, q_mean, q_prec) -> float:
-    s = _gaussian_quadratic(q_out, q_mean)
-    d = s.shape[0]
-    w = expected_precision(q_prec, d)
-    return 0.5 * (d * LOG_2PI - expected_logdet_precision(q_prec, d) + float(np.trace(w @ s)))
+def _affine_scatter(moments, constants) -> np.ndarray:
+    """E[(out - sum_i G_i v_i - c)(...)^T] for a Gaussian node whose mean side
+    is a composition of gain and addition nodes, from the mean and
+    covariance of each belief in slot order: one term's, or each stacked
+    over a batch of terms.
+
+    With ``joint=True`` the first belief is a joint Gaussian over
+    (leaf_0, out), so the cross-covariance between the chain states enters
+    the scatter; remaining leaves are independent. Otherwise the first belief
+    is the out belief (or an observed value) and all leaves are
+    independent."""
+    gains = [as_matrix(g) for g in constants.get("gains", [])]
+    m, v = moments[0]
+    if constants.get("joint", False):
+        g0, rest, leaves = gains[0], gains[1:], moments[1:len(gains)]
+        dl = g0.shape[1]
+        g_lo = g0 @ v[..., :dl, dl:]
+        r = m[..., dl:] - _apply(g0, m[..., :dl])
+        s = v[..., dl:, dl:] - g_lo - g_lo.swapaxes(-1, -2) + g0 @ v[..., :dl, :dl] @ g0.T
+    else:
+        rest, leaves = gains, moments[1:1 + len(gains)]
+        r, s = m, v
+    offset = constants.get("offset")
+    if offset is not None:
+        r = r - as_vector(offset)
+    for g, (ml, vl) in zip(rest, leaves):
+        r = r - _apply(g, ml)
+        s = s + g @ vl @ g.T
+    return _scatters(r, s)
 
 
-def _fixed_variance(q_var) -> np.ndarray:
+def affine_residual_scatter(qs, constants) -> np.ndarray:
+    """``_affine_scatter`` of one term's beliefs (Gaussian or observed)."""
+    return _affine_scatter([mean_and_cov(q) for q in qs], constants)
+
+
+def _affine_scatters(columns, constants) -> np.ndarray:
+    """``_affine_scatter`` of a batch of terms, stacked."""
+    return _affine_scatter([_stacked(column, mean_and_cov) for column in columns], constants)
+
+
+def _precision_energies(prec_column, s: np.ndarray) -> np.ndarray:
+    """0.5 (d log 2pi - E[log|W|] + tr(E[W] S)) per term."""
+    d = s.shape[-1]
+    w, logdet = _stacked(prec_column, lambda q: (expected_precision(q, d), expected_logdet_precision(q, d)))
+    return 0.5 * (d * LOG_2PI - logdet + np.trace(w @ s, axis1=1, axis2=2))
+
+
+def _fixed_variance(q_var) -> list:
+    """``q / w``, ``q`` and log det of a fixed variance, from one floored
+    eigendecomposition; the bits ``spd_solve`` and ``spd_logdet`` give."""
     if not isinstance(q_var, PointMass):
         raise IncompatibleSupport("variance-parameterized energy needs a fixed variance")
-    return as_matrix(q_var.value)
+    w, q = floored_eigh(as_matrix(q_var.value))
+    return q / w, q, np.sum(np.log(w))
 
 
-def _variance_energy(v: np.ndarray, s: np.ndarray) -> float:
-    d = s.shape[0]
-    return 0.5 * (d * LOG_2PI + spd_logdet(v) + float(np.trace(spd_solve(v, s))))
+def _variance_energies(variances: list, s: np.ndarray) -> np.ndarray:
+    """0.5 (d log 2pi + log|V| + tr(V^-1 S)) per term."""
+    qw, q, logdet = variances
+    solved = qw @ (q.transpose(0, 2, 1) @ s)
+    return 0.5 * (s.shape[-1] * LOG_2PI + logdet + np.trace(solved, axis1=1, axis2=2))
 
 
-def _energy_gaussian_mean_variance(q_out, q_mean, q_var) -> float:
-    v = _fixed_variance(q_var)
-    return _variance_energy(v, _gaussian_quadratic(q_out, q_mean))
+@BatchEnergy
+def _energy_gaussian_mean_precision(columns, constants) -> np.ndarray:
+    return _precision_energies(columns[2], _quadratics(columns[0], columns[1]))
+
+
+@BatchEnergy
+def _energy_gaussian_mean_variance(columns, constants) -> np.ndarray:
+    variances = _stacked(columns[2], _fixed_variance)
+    return _variance_energies(variances, _quadratics(columns[0], columns[1]))
+
+
+@BatchEnergy
+def _energy_gaussian_affine(columns, constants) -> np.ndarray:
+    return _precision_energies(columns[-1], _affine_scatters(columns[:-1], constants))
+
+
+@BatchEnergy
+def _energy_gaussian_affine_variance(columns, constants) -> np.ndarray:
+    """``_energy_gaussian_affine`` with a fixed variance in place of the
+    precision belief."""
+    variances = _stacked(columns[-1], _fixed_variance)
+    return _variance_energies(variances, _affine_scatters(columns[:-1], constants))
+
+
+@BatchEnergy
+def _energy_gaussian_mixture(columns, constants) -> np.ndarray:
+    """sum_k E[z_k] E[-log N(out | m_k, W_k^-1)]; a component whose
+    responsibility is zero in a term is not evaluated for it."""
+    out, comps = columns[0], columns[2:]
+    if len(comps) < 4 or len(comps) % 2 != 0:
+        raise IncompatibleSupport("mixture energy needs K >= 2 (mean, precision) pairs")
+    k = len(comps) // 2
+    resp = np.array([np.asarray(moment(q, "mean"), dtype=float) for q in columns[1]])
+    if resp.shape[1:] != (k,):
+        raise IncompatibleSupport("selector size does not match component count")
+    total = np.zeros(len(out))
+    for i in range(k):
+        rows = np.flatnonzero(resp[:, i] != 0.0)
+        if rows.size:
+            out_i, mean_i, prec_i = ([column[j] for j in rows] for column in (out, *comps[2 * i:2 * i + 2]))
+            total[rows] += resp[rows, i] * _precision_energies(prec_i, _quadratics(out_i, mean_i))
+    return total
+
+
+def _probit_datum(q) -> float:
+    if not isinstance(q, PointMass):
+        raise IncompatibleSupport("probit energy needs an observed +/-1 datum")
+    y = float(q.value)
+    if y not in (1.0, -1.0):
+        raise DistributionError("probit datum must be +1 or -1")
+    return y
+
+
+@BatchEnergy
+def _energy_probit_affine(columns, constants) -> np.ndarray:
+    """E[-log Phi(y r)] of each datum y, with r the leaf belief pushed through
+    the recorded gain and offset: 64-point Gauss-Hermite quadrature over a
+    Gaussian r, the closed form at an observed one."""
+    data, leaves = columns
+    g = as_matrix(constants["gains"][0])
+    if g.shape[0] != 1:
+        raise IncompatibleSupport("expected a scalar belief")
+    offset = constants.get("offset")
+    m, v = _stacked(leaves, mean_and_cov)
+    r = (_apply(g, m) + (0.0 if offset is None else as_vector(offset)))[:, 0]
+    var = (g @ v @ g.T)[:, 0, 0]
+    # the checks a GaussianMeanVariance over r runs on its 1x1 covariance
+    point = _stacked(leaves, lambda q: (isinstance(q, PointMass),))[0]
+    if (~point & ~np.isfinite(var)).any():
+        raise DistributionError("covariance has a non-finite entry")
+    negative = ~point & (var < -1e-12 * np.maximum(1.0, np.abs(var)))
+    if negative.any():
+        raise DistributionError(f"covariance must be positive semi-definite (min eig {var[negative][0]:.3e})")
+    y = _stacked(data, lambda q: (_probit_datum(q),))[0]
+    var = 0.5 * (var + var)
+    pts = r[:, None] + np.sqrt(2.0 * var)[:, None] * _GH_NODES
+    vals = -log_ndtr(y[:, None] * pts)
+    quadrature = np.array([np.dot(_GH_WEIGHTS, row) for row in vals]) / np.sqrt(np.pi)
+    return np.where(point, -log_ndtr(y * r), quadrature)
+
+
+@BatchEnergy
+def _energy_probit(columns, constants) -> np.ndarray:
+    """``_energy_probit_affine`` with the input belief read as it is."""
+    return _energy_probit_affine.batch(columns, {"gains": [[[1.0]]]})
+
+
+@BatchEnergy
+def negative_entropy(columns, constants) -> np.ndarray:
+    """-weight H[q] of each belief, the entropy terms of F: Gaussians are
+    stacked per dimension and categoricals per table shape, beliefs of the
+    other families taken one by one."""
+    qs = columns[0]
+    h = np.empty(len(qs))
+    stacks: dict[tuple, list[int]] = {}  # (family, size) -> rows
+    for i, q in enumerate(qs):
+        if isinstance(q, GaussianBase):
+            stacks.setdefault((gaussian_entropies, q.dim), []).append(i)
+        elif isinstance(q, Categorical):
+            stacks.setdefault((categorical_entropies, q.probabilities.shape), []).append(i)
+        else:
+            h[i] = differential_entropy(q)
+    for (entropies, _), rows in stacks.items():
+        h[rows] = entropies(np.array([_entropy_operand(qs[i]) for i in rows]))
+    return -(constants.get("weight", 1.0) * h)
+
+
+def _entropy_operand(q) -> np.ndarray:
+    return q.covariance_matrix() if isinstance(q, GaussianBase) else q.probabilities
 
 
 def _energy_gamma(q_out, q_shape, q_rate) -> float:
@@ -894,39 +1126,21 @@ def _energy_categorical(q_out, q_p) -> float:
     return float(-np.sum(e_z[mask] * e_logp[mask]))
 
 
-def _energy_transition(qs) -> float:
+@BatchEnergy
+def _energy_transition(columns, constants) -> np.ndarray:
     """E[-log Cat(x_t | T x_{t-1})]: either a joint two-slice belief (matrix
     Categorical, rows index x_t) or independent out/in beliefs, plus q(T)."""
-    if len(qs) == 2:
-        q_joint, q_t = qs
-        j = np.asarray(moment(q_joint, "mean"), dtype=float)
-        if j.ndim != 2:
+    (j,) = _stacked(columns[0], lambda q: (np.asarray(moment(q, "mean"), dtype=float),))
+    if len(columns) == 2:
+        if j.ndim != 3:
             raise IncompatibleSupport("transition energy needs a two-slice joint")
     else:
-        q_out, q_in, q_t = qs
-        j = np.outer(moment(q_out, "mean"), moment(q_in, "mean"))
-    e_logt = np.asarray(moment(q_t, "logprobs"), dtype=float)
-    if e_logt.shape != j.shape:
+        (p_in,) = _stacked(columns[1], lambda q: (np.asarray(moment(q, "mean"), dtype=float),))
+        j = j[:, :, None] * p_in[:, None, :]
+    (e_logt,) = _stacked(columns[-1], lambda q: (np.asarray(moment(q, "logprobs"), dtype=float),))
+    if e_logt.shape[1:] != j.shape[1:]:
         raise IncompatibleSupport("transition energy shape mismatch")
-    return float(-np.sum((j * e_logt)[j > 0.0]))
-
-
-def _energy_gaussian_mixture(qs) -> float:
-    q_out, q_sel = qs[0], qs[1]
-    comps = qs[2:]
-    if len(comps) < 4 or len(comps) % 2 != 0:
-        raise IncompatibleSupport("mixture energy needs K >= 2 (mean, precision) pairs")
-    resp = np.asarray(moment(q_sel, "mean"), dtype=float)
-    k = len(comps) // 2
-    if resp.shape != (k,):
-        raise IncompatibleSupport("selector size does not match component count")
-    total = 0.0
-    for i in range(k):
-        q_m, q_w = comps[2 * i], comps[2 * i + 1]
-        if resp[i] == 0.0:
-            continue
-        total += resp[i] * _energy_gaussian_mean_precision(q_out, q_m, q_w)
-    return float(total)
+    return -_sums_where_positive(j, j * e_logt)
 
 
 def _scalar_gaussian(q) -> tuple[float, float]:
@@ -934,20 +1148,6 @@ def _scalar_gaussian(q) -> tuple[float, float]:
     if m.shape[0] != 1:
         raise IncompatibleSupport("expected a scalar belief")
     return float(m[0]), float(v[0, 0])
-
-
-def _energy_probit(q_datum, q_input) -> float:
-    if not isinstance(q_datum, PointMass):
-        raise IncompatibleSupport("probit energy needs an observed +/-1 datum")
-    y = float(q_datum.value)
-    if y not in (1.0, -1.0):
-        raise DistributionError("probit datum must be +1 or -1")
-    if isinstance(q_input, PointMass):
-        return float(-log_ndtr(y * float(q_input.value)))
-    m, v = _scalar_gaussian(q_input)
-    pts = m + np.sqrt(2.0 * v) * _GH_NODES
-    vals = -log_ndtr(y * pts)
-    return float(np.dot(_GH_WEIGHTS, vals) / np.sqrt(np.pi))
 
 
 def affine_transport(q: Distribution, gain, offset=None) -> Distribution:
@@ -959,60 +1159,6 @@ def affine_transport(q: Distribution, gain, offset=None) -> Distribution:
         return PointMass(v[0] if v.shape[0] == 1 else v)
     m, v = mean_and_cov(q)
     return GaussianMeanVariance(g @ m + c, g @ v @ g.T)
-
-
-def affine_residual_scatter(qs, constants) -> np.ndarray:
-    """E[(out - sum_i G_i v_i - c)(...)^T] for a Gaussian node whose mean side
-    is a composition of gain and addition nodes.
-
-    With ``joint=True`` the first belief is a joint Gaussian over
-    (leaf_0, out), so the cross-covariance between the chain states enters the
-    scatter; remaining leaves are independent. Otherwise qs[0] is the out
-    belief (or an observed value) and all leaves are independent.
-    """
-    gains = [as_matrix(g) for g in constants.get("gains", [])]
-    joint = bool(constants.get("joint", False))
-    if joint:
-        q_joint = qs[0]
-        leaves = qs[1 : len(gains)]
-        mj, vj = mean_and_cov(q_joint)
-        g0 = gains[0]
-        dl = g0.shape[1]
-        mu_l, mu_o = mj[:dl], mj[dl:]
-        v_ll, v_lo, v_oo = vj[:dl, :dl], vj[:dl, dl:], vj[dl:, dl:]
-        r = mu_o - g0 @ mu_l
-        s = v_oo - g0 @ v_lo - (g0 @ v_lo).T + g0 @ v_ll @ g0.T
-        rest = gains[1:]
-    else:
-        q_out = qs[0]
-        leaves = qs[1 : 1 + len(gains)]
-        mo, vo = mean_and_cov(q_out)
-        r = mo.copy()
-        s = vo
-        rest = gains
-    offset = constants.get("offset")
-    if offset is not None:
-        r = r - as_vector(offset)
-    for g, q_leaf in zip(rest, leaves):
-        ml, vl = mean_and_cov(q_leaf)
-        r = r - g @ ml
-        s = s + g @ vl @ g.T
-    return s + np.outer(r, r)
-
-
-def _energy_gaussian_affine(qs, constants) -> float:
-    s = affine_residual_scatter(qs[:-1], constants)
-    q_prec = qs[-1]
-    do = s.shape[0]
-    w = expected_precision(q_prec, do)
-    return 0.5 * (do * LOG_2PI - expected_logdet_precision(q_prec, do) + float(np.trace(w @ s)))
-
-
-def _energy_gaussian_affine_variance(qs, constants) -> float:
-    """``_energy_gaussian_affine`` with a fixed variance in place of the
-    precision belief."""
-    v = _fixed_variance(qs[-1])
-    return _variance_energy(v, affine_residual_scatter(qs[:-1], constants))
 
 
 def _energy_gaussian_nonlinear(qs, constants) -> float:
@@ -1028,13 +1174,6 @@ def _energy_gaussian_nonlinear(qs, constants) -> float:
     s = float(vo[0, 0]) + g_prime(mr) ** 2 * vr + r * r
     w = float(expected_precision(q_prec, 1)[0, 0])
     return 0.5 * (LOG_2PI - expected_logdet_precision(q_prec, 1) + w * s)
-
-
-def _energy_probit_affine(qs, constants) -> float:
-    """Probit energy of a datum given a leaf belief pushed through the
-    recorded gain and offset."""
-    datum, q_x = qs
-    return _energy_probit(datum, affine_transport(q_x, constants["gains"][0], constants.get("offset")))
 
 
 def _energy_gaussian_nonlinear_affine(qs, constants) -> float:

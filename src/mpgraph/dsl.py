@@ -229,6 +229,12 @@ class _Parser:
             if isinstance(arg, str) and arg == out:
                 raise ModelParseError(f"variable {out!r} is an input of the node that produces it", kind_tok.line)
             connections[role] = arg
+        if kind.check_values is not None:
+            try:
+                kind.check_values({role: np.asarray(arg, dtype=float) for role, arg in connections.items()
+                                   if not isinstance(arg, str)})
+            except (TypeError, ValueError) as exc:
+                raise ModelParseError(f"{kind_tok.value}: {exc}", kind_tok.line) from None
         try:
             self.graph.add_node(kind.name, connections, constants)
         except GraphError as exc:

@@ -133,8 +133,12 @@ class DirectExecutor(Executor):
         rule_ids = [e.rule_id for s in schedules.values() for e in s.entries]
         rule_ids += [st.rule_id for s in schedules.values() for st in s.marginal_steps
                      if not isinstance(st, MarginalStep)]
+        terms = [] if fe_program is None else [
+            *((term.label or term.kind, term.kind, term.slots, term.constants) for term in fe_program.energies),
+            *(("entropy", "entropy", [("marginal", key)], {"weight": weight}) for key, weight in fe_program.entropies),
+        ]
         super().__init__(registry, sites, {fid: len(s.entries) for fid, s in schedules.items()},
-                         rule_ids)
+                         rule_ids, terms)
 
     def run_step(self, fid, data, marginals):
         schedule = self.schedules[fid]
@@ -154,14 +158,6 @@ class DirectExecutor(Executor):
                 raise step_error(fid, pos, "product" if is_product else "joint",
                                  ("marginal", step.key), exc) from exc
         return marginals
-
-    def energy_terms(self):
-        if self.fe_program is None:
-            return
-        for term in self.fe_program.energies:
-            yield term.label or term.kind, term.kind, term.slots, term.constants
-        for key, weight in self.fe_program.entropies:
-            yield "entropy", "entropy", [("marginal", key)], {"weight": weight}
 
 
 # ---------------------------------------------------------------------------

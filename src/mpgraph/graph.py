@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import distributions as dist
-from ._linalg import as_matrix
+from ._linalg import as_matrix, check_spd
 
 
 class GraphError(ValueError):
@@ -44,6 +44,10 @@ class NodeKind:
       (``ValueError`` with a message);
     - ``check(node, dims) -> message | None``: the model language's dimension
       check, given each connected role's shape (None when unknown);
+    - ``check_values(values)``: the model language's check of the parameters
+      written as numbers, given each such role's value: the constraint the
+      distribution constructor puts on that parameter (``ValueError`` or
+      ``TypeError`` with its message);
     - ``support(node)``: a generator that yields each role whose input
       support it needs, receives it (None when unknown) and returns the out
       variable's support;
@@ -57,8 +61,8 @@ class NodeKind:
     """
 
     def __init__(self, name, roles, *, variadic=False, dsl=None, required_constants=(),
-                 parse_constants=None, check=None, support=None, energy=None, energies=None,
-                 prior=None):
+                 parse_constants=None, check=None, check_values=None, support=None, energy=None,
+                 energies=None, prior=None):
         self.name = name
         self.roles = tuple(roles)
         self.variadic = variadic
@@ -66,6 +70,7 @@ class NodeKind:
         self.required_constants = tuple(required_constants)
         self.parse_constants = parse_constants
         self.check = check
+        self.check_values = check_values
         self.support = support
         self.energy = energy
         self.energies = energies or {}
@@ -655,6 +660,28 @@ def _scalar_input_dims(node, dims):
     return None
 
 
+def _psd_values(prefix: str):
+    """check_values: a role whose name starts with ``prefix`` holds a
+    positive semi-definite matrix."""
+    def check(values):
+        for role, value in values.items():
+            if role.startswith(prefix):
+                check_spd(value, role)
+
+    return check
+
+
+def _constructed(family, **neutral):
+    """check_values: ``family`` built from the roles ``neutral`` names, in
+    order, each at its value when written as a number and at its neutral
+    value when it is a variable; the constructor raises for a bad one."""
+    def check(values):
+        if values.keys() & neutral.keys():
+            family(*(values.get(role, value) for role, value in neutral.items()))
+
+    return check
+
+
 def _interface_term(term: str, label: str | None = None):
     """Energy layout: ``term`` over the beliefs of every interface, in order."""
     def energy(node, layout):
@@ -712,36 +739,47 @@ def _probit_term(node, layout):
 
 NODE_KINDS.update((kind.name, kind) for kind in (
     NodeKind("gaussian_mean_variance", ("out", "mean", "variance"), dsl="GaussianMeanVariance",
-             check=_gaussian_dims, support=_shaped_like("mean", "gaussian"),
+             check=_gaussian_dims, check_values=_psd_values("variance"),
+             support=_shaped_like("mean", "gaussian"),
              energy=_gaussian_variance_term,
-             energies={"gaussian_mean_variance": _unpacked(dist._energy_gaussian_mean_variance),
+             energies={"gaussian_mean_variance": dist._energy_gaussian_mean_variance,
                        "gaussian_affine_variance": dist._energy_gaussian_affine_variance},
              prior=(dist.GaussianBase, lambda q: {"mean": q.mean_vector(), "variance": q.covariance_matrix()})),
     NodeKind("gaussian_mean_precision", ("out", "mean", "precision"), dsl="GaussianMeanPrecision",
-             check=_gaussian_dims, support=_shaped_like("mean", "gaussian"), energy=_gaussian_term,
-             energies={"gaussian_mean_precision": _unpacked(dist._energy_gaussian_mean_precision),
+             check=_gaussian_dims, check_values=_psd_values("precision"),
+             support=_shaped_like("mean", "gaussian"),
+             energy=_gaussian_term,
+             energies={"gaussian_mean_precision": dist._energy_gaussian_mean_precision,
                        "gaussian_affine": dist._energy_gaussian_affine,
                        "gaussian_nonlinear": dist._energy_gaussian_nonlinear,
                        "gaussian_nonlinear_affine": dist._energy_gaussian_nonlinear_affine},
              prior=(dist.GaussianBase, lambda q: {"mean": q.mean_vector(), "precision": q.precision_matrix()})),
-    NodeKind("gamma", ("out", "shape", "rate"), dsl="Gamma", support=_fixed("gamma"),
+    NodeKind("gamma", ("out", "shape", "rate"), dsl="Gamma",
+             check_values=_constructed(dist.Gamma, shape=1.0, rate=1.0),
+             support=_fixed("gamma"),
              energy=_interface_term("gamma"), energies={"gamma": _unpacked(dist._energy_gamma)},
              prior=(dist.Gamma, lambda q: {"shape": q.shape, "rate": q.rate})),
-    NodeKind("wishart", ("out", "scale", "dof"), dsl="Wishart", support=_shaped_like("scale", "wishart", (1, 1)),
+    NodeKind("wishart", ("out", "scale", "dof"), dsl="Wishart",
+             check_values=_constructed(dist.Wishart, scale=1.0, dof=math.inf),
+             support=_shaped_like("scale", "wishart", (1, 1)),
              energy=_interface_term("wishart"), energies={"wishart": _unpacked(dist._energy_wishart)},
              prior=(dist.Wishart, lambda q: {"scale": q.scale, "dof": q.dof})),
     NodeKind("dirichlet", ("out", "concentration"), dsl="Dirichlet",
+             check_values=_constructed(dist.Dirichlet, concentration=None),
              support=_shaped_like("concentration", "dirichlet"),
              energy=_interface_term("dirichlet"), energies={"dirichlet": _unpacked(dist._energy_dirichlet)},
              prior=(dist.Dirichlet, lambda q: {"concentration": q.concentration})),
-    NodeKind("categorical", ("out", "p"), dsl="Categorical", support=_categorical_support,
+    NodeKind("categorical", ("out", "p"), dsl="Categorical",
+             check_values=_constructed(dist.Categorical, p=None),
+             support=_categorical_support,
              energy=_interface_term("categorical"), energies={"categorical": _unpacked(dist._energy_categorical)},
              prior=(dist.Categorical, lambda q: {"p": q.probabilities})),
     NodeKind("transition", ("out", "in", "matrix"), dsl="Transition", support=_transition_support,
-             energy=_transition_term, energies={"transition": lambda qs, constants: dist._energy_transition(qs)}),
+             energy=_transition_term, energies={"transition": dist._energy_transition}),
     NodeKind("gaussian_mixture", ("out", "selector"), variadic=True, dsl="GaussianMixture",
-             support=_shaped_like("mean_1", "gaussian"), energy=_interface_term("gaussian_mixture", "mixture"),
-             energies={"gaussian_mixture": lambda qs, constants: dist._energy_gaussian_mixture(qs)}),
+             check_values=_psd_values("precision_"), support=_shaped_like("mean_1", "gaussian"),
+             energy=_interface_term("gaussian_mixture", "mixture"),
+             energies={"gaussian_mixture": dist._energy_gaussian_mixture}),
     NodeKind("addition", ("out", "in1", "in2"), dsl="Addition", check=_addition_dims, support=_addition_support),
     NodeKind("gain", ("out", "in"), dsl="Gain", required_constants=("matrix",), parse_constants=_gain_constants,
              check=_gain_dims, support=_gain_support),
@@ -750,6 +788,6 @@ NODE_KINDS.update((kind.name, kind) for kind in (
              parse_constants=_nonlinear_constants, check=_scalar_input_dims, support=_fixed("gaussian")),
     NodeKind("probit", ("out", "in"), dsl="Probit", check=_scalar_input_dims, support=_fixed("binary"),
              energy=_probit_term,
-             energies={"probit": _unpacked(dist._energy_probit), "probit_affine": dist._energy_probit_affine}),
+             energies={"probit": dist._energy_probit, "probit_affine": dist._energy_probit_affine}),
     NodeKind("clamp", ("out",)),
 ))

@@ -273,16 +273,17 @@ def _gauss_or_point(mean, cov, inputs) -> Distribution:
     return GaussianMeanVariance(mean, symmetrize(as_matrix(cov)))
 
 
-def _precision_message(scatter: np.ndarray, weight: float = 1.0) -> Distribution:
-    """Full-form conjugate increment toward a precision variable.
+def _precision_message(scatter: np.ndarray, constants: dict, weight: float = 1.0) -> Distribution:
+    """Full-form conjugate increment toward a precision variable, in the
+    family ``_precision_family`` picks.
 
-    Scalar: Gamma(1 + w/2, w*S/2), so the Gamma product (a1 + a2 - 1) adds
-    w/2 to the shape per slice. Matrix: Wishart with V^-1 = w*S and
-    dof = d + 1 + w, so the Wishart product (nu1 + nu2 - d - 1) adds exactly
-    w degrees of freedom per slice.
+    Gamma(1 + w/2, w*S/2), so the Gamma product (a1 + a2 - 1) adds w/2 to
+    the shape per slice. Wishart with V^-1 = w*S and dof = d + 1 + w, so the
+    Wishart product (nu1 + nu2 - d - 1) adds exactly w degrees of freedom
+    per slice.
     """
     d = scatter.shape[0]
-    if d == 1:
+    if _precision_family(d, constants) is Gamma:
         rate = max(0.5 * weight * float(scatter[0, 0]), 1e-300)
         return Gamma(1.0 + 0.5 * weight, rate)
     return Wishart(spd_inverse(weight * scatter), d + 1.0 + weight)
@@ -331,7 +332,7 @@ def _gaussian_vmp_precision(inbound, constants):
     mx, vx = mean_and_cov(q_out)
     mm, vm = mean_and_cov(q_mean)
     r = mx - mm
-    return _precision_message(vx + vm + np.outer(r, r))
+    return _precision_message(vx + vm + np.outer(r, r), constants)
 
 
 def _gaussian_mv_forward(inbound, constants):
@@ -525,7 +526,7 @@ def _mixture_toward_precision(inbound, constants):
     my, vy = mean_and_cov(q_out)
     mm, vm = mean_and_cov(q_m)
     r = my - mm
-    return _precision_message(vy + vm + np.outer(r, r), weight=resp)
+    return _precision_message(vy + vm + np.outer(r, r), constants, weight=resp)
 
 
 def _mixture_out(inbound, constants):
@@ -657,7 +658,7 @@ def _joint_categorical_chain(inbound, constants):
 
 
 def _gaussian_affine_precision(inbound, constants):
-    return _precision_message(affine_residual_scatter(_strip_void(inbound), constants))
+    return _precision_message(affine_residual_scatter(_strip_void(inbound), constants), constants)
 
 
 def _affine_belief_transport(inbound, constants):
@@ -688,7 +689,7 @@ def _gaussian_nonlinear_precision(inbound, constants):
     mo, vo = mean_and_cov(q_out)
     resid = float(mo[0]) - g(r0)
     scatter = float(vo[0, 0]) + g_prime(r0) ** 2 * float(vr[0, 0]) + resid * resid
-    return _precision_message(np.array([[scatter]]))
+    return _precision_message(np.array([[scatter]]), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +720,14 @@ def _gain_in_type(in_types, constants):
     return PointMass if present and present[0] is PointMass else GaussianCanonical
 
 
+def _precision_family(dim: int, constants: dict) -> type:
+    """A scalar precision is a Gamma unless its belief is a 1x1 Wishart
+    (the ``family`` constant); a matrix one is a Wishart."""
+    return Gamma if dim == 1 and constants.get("family", "gamma") == "gamma" else Wishart
+
+
 def _precision_out_type(in_types, constants):
-    return Gamma if int(constants.get("out_dim", 1)) == 1 else Wishart
+    return _precision_family(int(constants.get("out_dim", 1)), constants)
 
 
 # ---------------------------------------------------------------------------

@@ -676,6 +676,7 @@ class _FactorScheduler:
         constants = dict(node.constants)
         if role.startswith("precision"):
             constants["out_dim"] = support_of(self.graph.edges[node.interfaces[0]].variable, self.supports).dim
+            constants.update(self.precision_family(self.graph.edges[edge_id].variable))
         extra = None
         if rule.needs_previous and node.kind == "nonlinear":
             # linearization point: the forward inbound on the in interface
@@ -699,22 +700,30 @@ class _FactorScheduler:
         head = out_edge.head if out_edge.head and self.graph.node_at(out_edge.head).kind == "clamp" else out_edge.tail
         return clamp_slot(self.graph.node_at(head))
 
+    def precision_family(self, var: str) -> dict:
+        """The constant that names the family of a precision belief where
+        its dimension does not: a 1x1 Wishart (a scalar precision is a Gamma
+        otherwise)."""
+        sup = support_of(var, self.supports)
+        return {"family": "wishart"} if sup.family == "wishart" and sup.dim == 1 else {}
+
     def emit_precision_update(self, node: Node):
         roles = node.roles(self.graph)
         out_dim = support_of(self.graph.edges[node.interfaces[0]].variable, self.supports).dim
         info = self.mean_sides[node.id]
         sec = self.links.get(node.id)
+        prec_role = "precision" if "precision" in roles else "variance"
+        prec_var = self.graph.edges[node.interfaces[roles.index(prec_role)]].variable
         if info.nonlinear is not None:
             kind, extra = "gaussian_nonlinear", {"out_dim": out_dim}
         else:
             kind, extra = "gaussian_affine", {"joint": sec is not None, "out_dim": out_dim}
+        extra.update(self.precision_family(prec_var))
         out_slot = self.out_belief_slot(node, sec)
         leaf_slots, constants = self.mean_sides.layout(info, marginal_slot, sec and sec.leaf_var, **extra)
         slots = [out_slot, *leaf_slots, ("void",)]
         found = self.lookup(kind, "precision", slots, [MARGINAL] * (len(slots) - 1) + [VOID])
-        prec_role = "precision" if "precision" in roles else "variance"
-        label = (self.graph.edges[node.interfaces[roles.index(prec_role)]].variable, "bwd")
-        return self.emit_entry(*found, slots, constants, label)
+        return self.emit_entry(*found, slots, constants, (prec_var, "bwd"))
 
     def emit_matrix_update(self, node: Node):
         roles = node.roles(self.graph)

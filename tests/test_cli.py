@@ -365,8 +365,8 @@ class TestDataFileContract:
                 code = main(["infer", str(model), str(data), "--iters", "2", "-o", str(Path(tmp) / "out")])
             err = err.getvalue()
             assert code in (0, 1, 3) and "Traceback" not in err
-            if code == 1:
-                assert err.startswith(f"error: {data}: ")
+            if code == 1:  # a malformed JSON series is named by its key, as in the README
+                assert re.match(rf"error: {re.escape(str(data))}(, key '[^']*')?: ", err), err
             if code == 3:  # only a finite datum whose square overflows fails the run
                 assert err.startswith("numerical error: ") and np.max(np.abs(ingest(str(data))["y"])) > 1e150
 
@@ -452,6 +452,28 @@ def mixed_kind_models(draw):
     return text, {"y": [[datum(), datum()] if vector else datum() for _ in range(T)]}, T
 
 
+# Constants a distribution rejects, and a Probit datum other than +1 or -1:
+# each exits 1 naming the model line or the data file.
+BAD_INPUTS = {
+    "gamma-shape": ("w ~ Gamma(-1.0, 0.5)\nfor t in 1:T {\n  y[t] ~ GaussianMeanPrecision(0.5, w)\n"
+                    "  observe y[t] :: ()\n}\n", [0.3, 1.0], "line 1"),
+    "wishart-dof-vector": ("W ~ Wishart([[1.0]], [3.0, 4.0])\nfor t in 1:T {\n  y[t] ~ GaussianMeanPrecision(0.5, W)\n"
+                           "  observe y[t] :: ()\n}\n", [0.3, 1.0], "line 1"),
+    "variance": ("a ~ GaussianMeanVariance(0.5, -1.0)\nfor t in 1:T {\n  y[t] ~ GaussianMeanPrecision(a, 1.0)\n"
+                 "  observe y[t] :: ()\n}\n", [0.3, 1.0], "line 1"),
+    "indefinite-precision": ("a ~ GaussianMeanPrecision([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])\n"
+                             "for t in 1:T {\n  y[t] ~ GaussianMeanPrecision(a, [[1.0, 0.0], [0.0, 1.0]])\n"
+                             "  observe y[t] :: (2,)\n}\n", [[0.3, 1.0], [1.0, -1.0]], "line 1"),
+    "transition-dirichlet": ("a ~ GaussianMeanVariance(0.0, 1.0)\nb ~ GaussianMeanVariance(1.0, 1.0)\n"
+                             "w ~ Gamma(1.0, 1.0)\nv ~ Gamma(1.0, 1.0)\nA ~ Dirichlet([[1.0, 1.0], [1.0, 0.0]])\n"
+                             "k[0] ~ Categorical([0.5, 0.5])\nfor t in 1:T {\n  k[t] ~ Transition(k[t-1], A)\n"
+                             "  y[t] ~ GaussianMixture(k[t], a, w, b, v)\n  observe y[t] :: ()\n}\n",
+                             [0.3, 1.0], "line 5"),
+    "probit-datum": ("a ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:T {\n  y[t] ~ Probit(a)\n"
+                     "  observe y[t] :: ()\n}\n", [1.0, 0.5], "d.json: datum y[2] is 0.5"),
+}
+
+
 class _Hang(BaseException):
     """Raised by the alarm: no exit-code handler catches it."""
 
@@ -487,6 +509,17 @@ class TestExitCodeContract:
         assert err.startswith(prefix), (code, err, text)
         if code == 3:  # names the step and instruction, or the free-energy term
             assert re.search(r"step .+, instruction \d+|\(term \d+: ", err), (err, text)
+
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_bad_constants_and_probit_data_exit_1(self, name, tmp_path, capsys):
+        text, values, where = BAD_INPUTS[name]
+        model, table = tmp_path / "m.mp", tmp_path / "d.json"
+        model.write_text(text)
+        table.write_text(json.dumps({"y": values}))
+        code = main(["infer", str(model), str(table), "--const", "T=2", "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and where in err, err
 
 
 class TestInfer:

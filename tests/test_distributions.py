@@ -454,6 +454,7 @@ EXPECTATIONS = {
     "gamma": (lambda rng: Gamma(rng.uniform(0.5, 5.0), rng.uniform(0.1, 3.0)), lambda q: {
         "expected_log": float(digamma(q.shape)) - np.log(q.rate),
         "mean_matrix": np.array([[q.shape / q.rate]]),
+        "mean_inverse": spd_inverse(np.array([[q.shape / q.rate]])),
     }),
     **{f"wishart-{d}": (lambda rng, d=d: Wishart(_random_spd(rng, d), d + rng.uniform(0.5, 4.0)), lambda q: {
         "mean_matrix": q.dof * q.scale,
@@ -494,7 +495,7 @@ class TestDerivedForms:
     def test_expected_covariance_inverts_the_expected_precision(self, q, dim):
         got = expected_covariance(q, dim)
         assert got.tobytes() == spd_inverse(expected_precision(q, dim)).tobytes()
-        if isinstance(q, Wishart):
+        if isinstance(q, (Gamma, Wishart)):
             assert got is q.mean_inverse() is expected_covariance(q, dim)
 
     def test_one_log_determinant_per_wishart_belief(self, monkeypatch):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mpgraph.distributions import Gamma, GaussianMeanVariance, PointMass, mean_and_cov
+from mpgraph.distributions import Gamma, GaussianMeanVariance, PointMass, mean_and_cov, moment
 from mpgraph.engine import (
     DirectExecutor,
     NumericalError,
@@ -406,6 +406,60 @@ for t in 1:T {
   observe y[t] :: ()
 }
 """
+
+
+# A scalar precision written as a 1x1 Wishart or as the Gamma it equals:
+# Wishart([[v]], nu) is Gamma(nu / 2, 1 / (2 v)).
+SCALAR_PRECISION_MODELS = {
+    "observation": """
+a ~ GaussianMeanVariance(0.0, 100.0)
+W ~ {prior}
+for t in 1:T {{
+  y[t] ~ GaussianMeanPrecision(a, W)
+  observe y[t] :: ()
+}}
+""",
+    "chain": """
+x[0] ~ GaussianMeanVariance(0.0, 100.0)
+W ~ {prior}
+for t in 1:T {{
+  x[t] ~ GaussianMeanPrecision(x[t-1], W)
+  y[t] ~ GaussianMeanPrecision(x[t], 4.0)
+  observe y[t] :: ()
+}}
+""",
+    "mixture": """
+m1 ~ GaussianMeanVariance(-1.0, 100.0)
+m2 ~ GaussianMeanVariance(1.0, 100.0)
+W ~ {prior}
+V ~ Gamma(2.0, 1.0)
+for t in 1:T {{
+  k[t] ~ Categorical([0.5, 0.5])
+  y[t] ~ GaussianMixture(k[t], m1, W, m2, V)
+  observe y[t] :: ()
+}}
+""",
+}
+
+
+class TestScalarWishart:
+    @pytest.mark.parametrize("name", sorted(SCALAR_PRECISION_MODELS))
+    def test_a_1x1_wishart_infers_like_the_gamma_it_equals(self, name):
+        ys = np.array([0.3, -0.5, 1.2, 0.8, -1.4, 0.1])
+        results = []
+        for prior in ("Wishart([[1.0]], 3.0)", "Gamma(1.5, 0.5)"):
+            graph = parse_model(SCALAR_PRECISION_MODELS[name].format(prior=prior), {"T": len(ys)})
+            results.append(run_inference(graph, default_factorization(graph), {"y": ys}, max_iters=10, tol=0.0))
+        wishart, gamma = results
+        q = wishart.marginals["W"]
+        assert q.variant == "Wishart" and gamma.marginals["W"].variant == "Gamma"
+        assert 0.5 * q.dof == pytest.approx(gamma.marginals["W"].shape, rel=1e-10)
+        assert 0.5 / float(q.scale[0, 0]) == pytest.approx(gamma.marginals["W"].rate, rel=1e-10)
+        assert wishart.free_energy_trace == pytest.approx(gamma.free_energy_trace, rel=1e-10)
+        for key, want in gamma.marginals.items():
+            if key != "W":
+                got = wishart.marginals[key]
+                assert np.allclose(moment(got, "mean"), moment(want, "mean"), rtol=1e-10, atol=1e-12), key
 
 
 class TestAffineArity:

@@ -15,6 +15,7 @@ from mpgraph._linalg import (
     check_spd,
     floored_eigh,
     spd_inverse,
+    spd_logdets,
     sym_eigvals,
     symmetrize,
 )
@@ -231,6 +232,40 @@ def test_eigh_2x2_float_arithmetic_is_bit_identical(a, b, c):
         w_ref, q_ref = reference_eigh_2x2(a, b, c)
     assert w.tobytes() == w_ref.tobytes()
     assert q.tobytes() == q_ref.tobytes()
+
+
+@st.composite
+def matrix_stacks(draw):
+    """One to six matrices of one size: symmetric, nudged or free entries
+    (any float for d <= 2, where the closed form runs), some positive
+    definite, near-singular or at EIG_FLOOR."""
+    d = draw(st.integers(1, 4))
+    values = anything if d <= 2 else st.floats(-1e6, 1e6)
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            m = np.array(draw(st.lists(values, min_size=d * d, max_size=d * d))).reshape(d, d)
+            if draw(st.booleans()):
+                m = np.triu(m) + np.triu(m, 1).T
+        else:
+            q, _ = np.linalg.qr(np.array(draw(st.lists(st.floats(-3, 3), min_size=d * d, max_size=d * d)))
+                                .reshape(d, d) + 4.0 * np.eye(d))
+            w = np.array(draw(st.lists(st.sampled_from([1.0, 1e-13, EIG_FLOOR, 0.0, 1e6]), min_size=d,
+                                       max_size=d)))
+            m = (q * w) @ q.T
+        stack.append(m)
+    return np.array(stack)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_stacks())
+def test_stacked_logdets_are_each_matrix_own(stack):
+    with np.errstate(all="ignore"):
+        got = spd_logdets(stack)
+        for m, value in zip(stack, got):
+            want = np.float64(np.sum(np.log(floored_eigh(m)[0])))
+            assert value.tobytes() == want.tobytes() or (np.isnan(value) and np.isnan(want))
+            assert spd_logdets(m[None])[0].tobytes() == value.tobytes()
 
 
 # ---------------------------------------------------------------------------
