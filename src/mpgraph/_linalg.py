@@ -10,8 +10,9 @@ in the same order, raises the same exceptions with the same text and returns
 the same bits as the numpy body it stands in for; ``tests/test_linalg.py``
 compares them. Matrix products stay in numpy at every size: a 2x2 ``@`` and
 ``a*b + c*d`` on floats round differently in the last bit. ``spd_logdets``
-takes the log-determinants of a stack of matrices at once (the free energy's
-Gaussian entropies), each with the bits its matrix gets alone.
+and ``spd_inverses`` take the log-determinants and inverses of a stack of
+matrices at once (the free energy's Gaussian entropies, the messages of a
+batched rule), each with the bits its matrix gets alone.
 """
 
 from __future__ import annotations
@@ -128,7 +129,25 @@ def _eigvals_2x2_stacked(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     up = half >= 0.0  # False for NaN, as in the float version
     big = np.where(up, half + r, half - r)  # hi if up, else lo
     small = np.where(big != 0.0, det / big, np.where(up, half - r, half + r))
-    return np.where(up, small, big), np.where(up, big, small)
+    return np.where(up, small, big), np.where(up, big, small), r
+
+
+def _eigh_2x2_stacked(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """``_eigh_2x2`` elementwise: eigenvalues ``(n, 2)`` and eigenvectors
+    ``(n, 2, 2)``, each element with the bits of the float version; its
+    branches are picked per element by the same tests."""
+    lo, hi, r = _eigvals_2x2_stacked(a, b, c)
+    up = a >= c
+    v0 = np.where(up, hi - c, b)
+    v1 = np.where(up, b, hi - a)
+    norm = np.hypot(v0, v1)
+    u0, u1 = v0 / norm, v1 / norm
+    q = np.stack([-u1, u0, u0, u1], axis=-1).reshape(-1, 2, 2)
+    flat = r == 0.0
+    diagonal = ~flat & (b == 0.0)
+    q[flat | (diagonal & (c >= a))] = np.eye(2)
+    q[diagonal & ~(c >= a)] = [[0.0, 1.0], [1.0, 0.0]]
+    return np.stack([lo, hi], axis=-1), q
 
 
 def spd_logdets(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
@@ -141,11 +160,28 @@ def spd_logdets(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
         w = m[:, 0, :]
     elif d == 2:
         with np.errstate(all="ignore"):  # the float version never warns
-            lo, hi = _eigvals_2x2_stacked(m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1])
+            lo, hi, _ = _eigvals_2x2_stacked(m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1])
         w = np.stack([lo, hi], axis=-1)
     else:
         w = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))[0]
     return np.sum(np.log(np.maximum(w, floor)), axis=-1)
+
+
+def spd_inverses(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
+    """``spd_inverse`` of each matrix of a stack ``(n, d, d)``, each element
+    with the bits a matrix of its own gets: the exact 1x1 closed form, the
+    closed-form 2x2 eigendecomposition, LAPACK's ``eigh`` per matrix above."""
+    d = m.shape[-1]
+    with np.errstate(all="ignore"):  # the float versions never warn
+        if d == 1 and floor > 0.0:
+            x = 1.0 / np.maximum(m, floor)
+            return 0.5 * (x + x)
+        if d == 2:
+            w, q = _eigh_2x2_stacked(m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1])
+        else:
+            w, q = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))
+        x = (q / np.maximum(w, floor)[:, None, :]) @ np.swapaxes(q, -1, -2)
+        return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
 def spd_logdet(m: np.ndarray, floor: float = EIG_FLOOR) -> float:

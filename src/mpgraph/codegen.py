@@ -16,6 +16,8 @@ evaluation (by term kind, see ``group_terms``) live in ``Executor``, which
 only in the program they walk (instructions here, schedules and the
 free-energy program there), so interpretation is bit-identical to direct
 schedule execution as long as instructions mirror schedule steps one for one.
+``Interpreter`` runs a step's independent instructions of one batched rule
+as one call (see ``plan_step``); each message has the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .distributions import (
     product,
 )
 from .graph import energy_function
-from .rules import RuleRegistry, default_registry
+from .rules import Message, RuleRegistry, default_registry
 from .scheduler import FreeEnergyProgram, MarginalStep, Schedule
 
 
@@ -461,10 +463,12 @@ class Executor:
     F is evaluated by term kind: the terms are grouped once, here
     (``group_terms``), and each group of a batched energy runs as one stacked
     evaluation over all its time slices; the values are summed in program
-    order. A datum's point mass is built on its first read in an iteration
-    and shared by the rules and F; each ``run_iteration`` reads the table
-    afresh, and so does a read of another table. Concurrent runs must not
-    share an executor."""
+    order. Messages are not grouped here: ``send`` applies one rule, and a
+    subclass decides whether its steps run instructions alone
+    (``engine.DirectExecutor``) or in groups (``Interpreter``). A datum's
+    point mass is built on its first read in an iteration and shared by the
+    rules and F; each ``run_iteration`` reads the table afresh, and so does
+    a read of another table. Concurrent runs must not share an executor."""
 
     def __init__(self, registry, site_inits, message_counts, rule_ids, energy_terms):
         self.registry = registry or default_registry()
@@ -596,9 +600,121 @@ def step_error(fid, pos, opcode, output, exc) -> InterpretError:
     return InterpretError(f"step {fid}, instruction {pos} ({opcode} -> {output}): {exc}")
 
 
+class _RuleGroup:
+    """Instructions of one step that apply one batched rule with equal
+    constants, run as one call at ``position``, the first one's: their
+    program positions, outputs and slots, and the slots by column."""
+
+    __slots__ = ("position", "opcode", "rule_id", "constants", "positions", "outputs", "slots", "columns")
+
+    def __init__(self, position, ins):
+        self.position = position
+        self.opcode = ins.opcode
+        self.rule_id = ins.rule_id
+        self.constants = ins.constants
+        self.positions: list[int] = []
+        self.outputs: list = []
+        self.slots: list[tuple] = []
+        self.columns: list[tuple] = []
+
+    def add(self, position, ins):
+        self.positions.append(position)
+        self.outputs.append(ins.output[1])
+        self.slots.append(ins.slots)
+
+
+def _location(slot):
+    """What a slot reads that a step instruction may write: a message of the
+    step, a marginal or a site; None for data, constants and void."""
+    tag = slot[0]
+    if tag == "entry":
+        return ("msg", slot[1])
+    if tag in ("marginal", "site"):
+        return slot
+    return None
+
+
+def plan_step(program, batched) -> tuple[list, int]:
+    """The order ``Interpreter`` runs a step program in, and the number of
+    readiness checks planning made (at most one per slot and output of
+    each instruction).
+
+    The plan lists program positions (one instruction each) and
+    ``_RuleGroup`` objects. A rule or joint instruction of a rule that
+    ``batched(rule_id)`` names joins the latest group of its bucket (rule,
+    constants and slot tags equal) when hoisting it to that group's position
+    changes nothing any instruction reads: every input it reads is written
+    by nothing that runs at or after the group's position and before it,
+    and nothing that runs after the group's position and before it reads or
+    writes its output. Otherwise it starts the bucket's next group. Writers
+    of a site and readers of ``extra`` run alone. One pass: each
+    instruction is checked against one group, through the latest position
+    that writes and that reads each location."""
+    wrote: dict = {}  # location -> latest run position of a write
+    read: dict = {}  # location -> latest run position of a read
+    latest: dict = {}  # bucket -> its latest group
+    keys: dict[int, object] = {}  # id of a constants dict -> its key
+    plan: list = []
+    checks = 0
+    for pos, ins in enumerate(program):
+        slots = (*ins.slots, ins.extra) if ins.extra else ins.slots
+        inputs = [loc for loc in map(_location, slots) if loc is not None]
+        out = ins.output
+        at = pos
+        if (ins.opcode in ("rule", "joint") and not ins.extra and not ins.writes_site
+                and batched(ins.rule_id)):
+            key = keys.get(id(ins.constants))
+            if key is None:
+                key = keys[id(ins.constants)] = _constants_key(ins.constants)
+            bucket = (ins.opcode, ins.rule_id, key, tuple(slot[0] for slot in ins.slots))
+            group = latest.get(bucket)
+            if group is not None:
+                start = group.position
+                checks += 2 + len(inputs)
+                if (wrote.get(out, -1) < start and read.get(out, -1) <= start
+                        and all(wrote.get(loc, -1) < start for loc in inputs)):
+                    at = start
+                else:
+                    group = None
+            if group is None:
+                group = latest[bucket] = _RuleGroup(pos, ins)
+                plan.append(group)
+            group.add(pos, ins)
+        else:
+            plan.append(pos)
+        for loc in inputs:
+            if read.get(loc, -1) < at:
+                read[loc] = at
+        if wrote.get(out, -1) < at:
+            wrote[out] = at
+        if ins.writes_site:
+            wrote[("site", ins.writes_site)] = pos
+    for i, item in enumerate(plan):
+        if isinstance(item, _RuleGroup):
+            if len(item.positions) == 1:
+                plan[i] = item.position
+            else:
+                item.columns = list(zip(*item.slots))
+    return plan, checks
+
+
 class Interpreter(Executor):
     """Executes an AlgorithmIR against its own mutable storage. Identical
-    inputs produce bit-identical outputs."""
+    inputs produce bit-identical outputs, the outputs ``DirectExecutor``
+    gives on the schedules the IR was compiled from.
+
+    Each step runs in the order ``plan_step`` gives, planned once here: the
+    independent instructions of a step that apply one batched rule
+    (``rules.BatchRule``) with equal constants, such as the per-slice
+    messages toward a precision or the two-slice joints, run as one call,
+    which computes every message of the group before storing any. A rule
+    without a batch body, a site writer and an EP update run one
+    instruction at a time. If a group raises, the step goes on one
+    instruction at a time from the group's position, so a failure names the
+    instruction ``DirectExecutor`` names; if a group failed although its
+    instructions run alone (beliefs that do not stack), its rule runs one
+    instruction at a time in that step from then on, and the step's other
+    groups stay as they are."""
 
     def __init__(self, ir: AlgorithmIR, registry: RuleRegistry | None = None):
         self.ir = ir
@@ -611,18 +727,64 @@ class Interpreter(Executor):
              else (ins.label or ins.opcode, "entropy", ins.slots, ins.constants)
              for ins in ir.free_energy],
         )
+        self._batched = {rule_id for rule_id, rule in self._rules.items() if getattr(rule, "batch", None)}
+        self._unstacked: set[tuple[str, str]] = set()  # (step, rule id) whose beliefs did not stack
+        self._plans = {fid: plan_step(program, self._batched.__contains__)[0] for fid, program in ir.steps}
+
+    def run_instruction(self, fid, pos, ins, data, marginals):
+        try:
+            if ins.opcode == "rule":
+                self.send(fid, ins.output[1], ins, data, marginals)
+            elif ins.opcode == "product":
+                marginals[ins.output[1]] = self.belief(fid, ins.slots, data, marginals)
+            elif ins.opcode == "joint":
+                marginals[ins.output[1]] = self.joint(fid, ins, data, marginals)
+            else:
+                raise InterpretError(f"opcode {ins.opcode!r} is not executable in a step")
+        except Exception as exc:
+            raise step_error(fid, pos, ins.opcode, ins.output, exc) from exc
+
+    def _column(self, column, fid, data, marginals) -> list:
+        """The values of one slot column of a group. The slots of a column
+        share a tag; a message or marginal that is missing raises, and the
+        step then runs alone, where ``resolve`` names it."""
+        tag = column[0][0]
+        if tag == "marginal":
+            return [marginals[slot[1]] for slot in column]
+        if tag == "entry":
+            messages = self.messages[fid]
+            return [messages[slot[1]].dist for slot in column]
+        return [self.resolve(slot, fid, data, marginals) for slot in column]
+
+    def run_group(self, fid, group: _RuleGroup, data, marginals):
+        """Apply a group's rule to all its instructions at once, then store
+        the outputs."""
+        columns = [self._column(column, fid, data, marginals) for column in group.columns]
+        dists = self._rules[group.rule_id].batch(columns, group.constants)
+        if group.opcode == "rule":
+            messages, rule_id = self.messages[fid], group.rule_id
+            for index, dist in zip(group.outputs, dists):
+                messages[index] = Message(dist, rule_id)
+        else:
+            for key, dist in zip(group.outputs, dists):
+                marginals[key] = dist
 
     def run_step(self, fid: str, data, marginals):
-        for pos, ins in enumerate(self._programs[fid]):
+        program, plan = self._programs[fid], self._plans[fid]
+        for at, item in enumerate(plan):
+            if item.__class__ is int:
+                self.run_instruction(fid, item, program[item], data, marginals)
+                continue
             try:
-                if ins.opcode == "rule":
-                    self.send(fid, ins.output[1], ins, data, marginals)
-                elif ins.opcode == "product":
-                    marginals[ins.output[1]] = self.belief(fid, ins.slots, data, marginals)
-                elif ins.opcode == "joint":
-                    marginals[ins.output[1]] = self.joint(fid, ins, data, marginals)
-                else:
-                    raise InterpretError(f"opcode {ins.opcode!r} is not executable in a step")
-            except Exception as exc:
-                raise step_error(fid, pos, ins.opcode, ins.output, exc) from exc
+                self.run_group(fid, item, data, marginals)
+            except Exception:
+                done = {pos for earlier in plan[:at] if earlier.__class__ is not int
+                        for pos in earlier.positions}
+                for pos in range(item.position, len(program)):
+                    if pos not in done:
+                        self.run_instruction(fid, pos, program[pos], data, marginals)
+                self._unstacked.add((fid, item.rule_id))
+                self._plans[fid] = plan_step(
+                    program, lambda r: r in self._batched and (fid, r) not in self._unstacked)[0]
+                break
         return marginals

@@ -8,10 +8,11 @@ value: the precision of a mean-variance Gaussian, the covariance of a
 mean-precision one, the mean and covariance of a canonical one, and the
 expectations a precision or probability belief hands to every time slice
 that reads it (E[w], E[w]^-1 and E[log w] of a Gamma; E[W], E[W]^-1 and
-E[log|W|] of a Wishart; E[log p] of a Dirichlet). Caching is safe because the
-value is immutable: a cached entry is its parameters' expression evaluated
-once, arrays are stored read-only, and the lazy fill is idempotent (two
-threads that race on it store equal values).
+E[log|W|] of a Wishart; E[log p] of a Dirichlet; the moments of a point mass
+read as a Gaussian). Caching is safe because the value is immutable: a cached
+entry is its parameters' expression evaluated once, arrays are stored
+read-only, and the lazy fill is idempotent (two threads that race on it store
+equal values).
 
 Gaussian values come in three interconvertible parameterizations. Products of
 colliding messages are fused in the canonical (weighted-mean, precision) form,
@@ -513,9 +514,18 @@ class PointMass(Distribution):
 
     def __init__(self, value):
         self.value = _freeze(np.asarray(value, dtype=float))
+        self._moments = None
 
     def mean(self) -> np.ndarray:
         return self.value
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The value as a vector and a zero covariance, read-only: the
+        moments of the point mass read as a Gaussian."""
+        if self._moments is None:
+            v = as_vector(self.value)
+            self._moments = v, _freeze_owned(np.zeros((v.shape[0], v.shape[0])))
+        return self._moments
 
     def _params_json(self):
         v = self.value
@@ -838,10 +848,10 @@ def expected_logdet_precision(q: Distribution, dim: int) -> float:
 
 
 def mean_and_cov(q: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of a Gaussian or vector point mass."""
+    """Mean vector and covariance of a Gaussian or vector point mass, both
+    read-only."""
     if isinstance(q, PointMass):
-        v = as_vector(q.value)
-        return v, np.zeros((v.shape[0], v.shape[0]))
+        return q.moments()
     if isinstance(q, GaussianBase):
         return q.mean_vector(), q.covariance_matrix()
     raise IncompatibleSupport(f"{q.variant} has no Gaussian-style moments")
@@ -934,11 +944,6 @@ def _affine_scatter(moments, constants) -> np.ndarray:
         r = r - _apply(g, ml)
         s = s + g @ vl @ g.T
     return _scatters(r, s)
-
-
-def affine_residual_scatter(qs, constants) -> np.ndarray:
-    """``_affine_scatter`` of one term's beliefs (Gaussian or observed)."""
-    return _affine_scatter([mean_and_cov(q) for q in qs], constants)
 
 
 def _affine_scatters(columns, constants) -> np.ndarray:

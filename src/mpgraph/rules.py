@@ -18,11 +18,12 @@ its role class (``variational:gaussian_mixture:mean:<sig-hash>``).
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from ._linalg import as_matrix, as_vector, spd_inverse, symmetrize
+from ._linalg import as_matrix, as_vector, spd_inverse, spd_inverses, symmetrize
 from .distributions import (
     Categorical,
     Dirichlet,
@@ -34,7 +35,10 @@ from .distributions import (
     GaussianMeanVariance,
     PointMass,
     Wishart,
-    affine_residual_scatter,
+    _affine_scatters,
+    _apply,
+    _scatters,
+    _stacked,
     affine_transport,
     expected_covariance,
     expected_logdet_precision,
@@ -141,13 +145,41 @@ def _split_role(role: str) -> tuple[str, int | None]:
     return role, None
 
 
+class BatchRule:
+    """A rule body that computes the messages of many instructions of one
+    rule at once, as ``distributions.BatchEnergy`` does for energies.
+
+    ``batch(columns, constants)`` reads one column per slot (that slot's
+    inbound value in every instruction, in order; a void slot's column holds
+    None) and returns one distribution per instruction; the instructions
+    share ``constants``. Every step is elementwise over the instructions and
+    each message is built by its family's constructor, so a message has the
+    same bits and passes the same checks in a batch of any size. Called like
+    a per-call body, ``f(inbound, constants)``, it computes a batch of one;
+    used as a decorator, it makes a batch function a rule body."""
+
+    __slots__ = ("batch",)
+
+    def __init__(self, batch: Callable[[list, dict], list]):
+        self.batch = batch
+
+    def __call__(self, inbound, constants):
+        return self.batch([[q] for q in inbound], constants)[0]
+
+
 class Rule:
+    """A registered message rule; ``fn`` is a per-call body or a
+    ``BatchRule``. ``batch`` is the batch body of the latter (None
+    otherwise): ``codegen.Interpreter`` runs a step's independent
+    instructions of such a rule as one call."""
+
     def __init__(self, kind, role, flavor, slots, fn, out_type, needs_previous=False):
         self.kind = kind
         self.role = role  # the role class (``mean``) when the rule is indexed
         self.flavor = flavor
         self.slots = list(slots)  # Slot patterns, at most one of them a Repeat
         self.fn = fn
+        self.batch = fn.batch if isinstance(fn, BatchRule) else None
         self.out_type = out_type  # callable(in_types, constants) -> variant class
         self.needs_previous = needs_previous
         self.group_at = next((i for i, s in enumerate(self.slots) if isinstance(s, Repeat)), None)
@@ -273,24 +305,44 @@ def _gauss_or_point(mean, cov, inputs) -> Distribution:
     return GaussianMeanVariance(mean, symmetrize(as_matrix(cov)))
 
 
-def _precision_message(scatter: np.ndarray, constants: dict, weight: float = 1.0) -> Distribution:
-    """Full-form conjugate increment toward a precision variable, in the
-    family ``_precision_family`` picks.
+def _precision_messages(scatters: np.ndarray, constants: dict, weights=1.0) -> list:
+    """Full-form conjugate increment toward a precision variable from each
+    scatter S of a stack ``(n, d, d)``, with one weight w for all or one per
+    scatter, in the family ``_precision_family`` picks.
 
     Gamma(1 + w/2, w*S/2), so the Gamma product (a1 + a2 - 1) adds w/2 to
     the shape per slice. Wishart with V^-1 = w*S and dof = d + 1 + w, so the
     Wishart product (nu1 + nu2 - d - 1) adds exactly w degrees of freedom
     per slice.
     """
-    d = scatter.shape[0]
+    d = scatters.shape[-1]
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), scatters.shape[:1])
     if _precision_family(d, constants) is Gamma:
-        rate = max(0.5 * weight * float(scatter[0, 0]), 1e-300)
-        return Gamma(1.0 + 0.5 * weight, rate)
-    return Wishart(spd_inverse(weight * scatter), d + 1.0 + weight)
+        with np.errstate(all="ignore"):  # the float version never warns
+            rates = np.maximum(0.5 * weights * scatters[:, 0, 0], 1e-300)
+        return [Gamma(1.0 + 0.5 * w, rate) for w, rate in zip(weights.tolist(), rates.tolist())]
+    scales = spd_inverses(weights[:, None, None] * scatters)
+    return [Wishart(scale, d + 1.0 + w) for w, scale in zip(weights.tolist(), scales)]
 
 
 def _strip_void(inbound) -> list:
     return [q for q in inbound if q is not None]
+
+
+def _rows(stack: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` rows of a stack whose one row may stand for all."""
+    return stack if len(stack) == n else np.broadcast_to(stack, (n, *stack.shape[1:]))
+
+
+def _gaussians(cls, n: int, first: np.ndarray, second: np.ndarray) -> list:
+    """``cls(first[i], second[i])`` for ``n`` messages, from stacks whose one
+    row may stand for all."""
+    first, second = _rows(first, n), _rows(second, n)
+    return [cls(first[i], second[i]) for i in range(n)]
+
+
+def _mean_vector(q) -> tuple:
+    return (as_vector(moment(q, "mean")),)
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +355,34 @@ def _equality_sp(inbound, constants):
     return product(a, b)
 
 
-def _gaussian_forward(inbound, constants):
-    _, q_mean, q_prec = inbound
-    m, v = mean_and_cov(q_mean)
-    return GaussianMeanVariance(m, v + expected_covariance(q_prec, m.shape[0]))
+def _gaussian_spread(at: int) -> BatchRule:
+    """Toward out or mean of a Gaussian node from the message on the other
+    (slot ``at``): its moments, E[W]^-1 added to the covariance."""
+
+    @BatchRule
+    def batch(columns, constants):
+        m, v = _stacked(columns[at], mean_and_cov)
+        (e,) = _stacked(columns[2], lambda q: (expected_covariance(q, m.shape[-1]),))
+        return _gaussians(GaussianMeanVariance, len(columns[at]), m, v + e)
+
+    return batch
 
 
-def _gaussian_backward_mean(inbound, constants):
-    q_out, _, q_prec = inbound
-    m, v = mean_and_cov(q_out)
-    return GaussianMeanVariance(m, v + expected_covariance(q_prec, m.shape[0]))
+def _gaussian_vmp(at: int) -> BatchRule:
+    """Toward out or mean of a Gaussian node from the marginal on the other
+    (slot ``at``): its mean, with precision E[W]."""
+
+    @BatchRule
+    def batch(columns, constants):
+        (m,) = _stacked(columns[at], _mean_vector)
+        (w,) = _stacked(columns[2], lambda q: (expected_precision(q, m.shape[-1]),))
+        return _gaussians(GaussianMeanPrecision, len(columns[at]), m, w)
+
+    return batch
 
 
-def _gaussian_vmp_out(inbound, constants):
-    _, q_mean, q_prec = inbound
-    m = as_vector(moment(q_mean, "mean"))
-    return GaussianMeanPrecision(m, expected_precision(q_prec, m.shape[0]))
-
-
-def _gaussian_vmp_mean(inbound, constants):
-    q_out, _, q_prec = inbound
-    m = as_vector(moment(q_out, "mean"))
-    return GaussianMeanPrecision(m, expected_precision(q_prec, m.shape[0]))
+_gaussian_forward, _gaussian_backward_mean = _gaussian_spread(1), _gaussian_spread(0)
+_gaussian_vmp_out, _gaussian_vmp_mean = _gaussian_vmp(1), _gaussian_vmp(0)
 
 
 def _gaussian_vmp_precision(inbound, constants):
@@ -332,7 +390,7 @@ def _gaussian_vmp_precision(inbound, constants):
     mx, vx = mean_and_cov(q_out)
     mm, vm = mean_and_cov(q_mean)
     r = mx - mm
-    return _precision_message(vx + vm + np.outer(r, r), constants)
+    return _precision_messages((vx + vm + np.outer(r, r))[None], constants)[0]
 
 
 def _gaussian_mv_forward(inbound, constants):
@@ -384,19 +442,21 @@ def _addition_sp(direction):
     return fn
 
 
-def _addition_vmp_shift(direction, marginal_at):
+def _addition_vmp_shift(direction, marginal_at) -> BatchRule:
     # One summand lives in another recognition factor: shift the message by
     # its posterior mean only; the precision is unchanged.
-    def fn(inbound, constants):
-        shift = as_vector(moment(inbound[marginal_at], "mean"))
-        if direction == "out":
-            msg = inbound[2] if marginal_at == 1 else inbound[1]
-            mm, vm = mean_and_cov(msg)
-            return GaussianMeanVariance(mm + shift, vm)
-        mo, vo = mean_and_cov(inbound[0])
-        return GaussianMeanVariance(mo - shift, vo)
+    at = (2 if marginal_at == 1 else 1) if direction == "out" else 0  # the message's slot
 
-    return fn
+    def shifted(m, shift):
+        return m + shift if direction == "out" else m - shift
+
+    @BatchRule
+    def batch(columns, constants):
+        (shift,) = _stacked(columns[marginal_at], _mean_vector)
+        m, v = _stacked(columns[at], mean_and_cov)
+        return _gaussians(GaussianMeanVariance, len(columns[at]), shifted(m, shift), v)
+
+    return batch
 
 
 def _gain_forward(inbound, constants):
@@ -489,44 +549,50 @@ def _mixture_components(inbound):
     return [(comps[2 * i], comps[2 * i + 1]) for i in range(len(comps) // 2)]
 
 
-def _mixture_selector(inbound, constants):
-    q_out = inbound[0]
-    my, vy = mean_and_cov(q_out)
-    d = my.shape[0]
+@BatchRule
+def _mixture_selector(columns, constants):
+    my, vy = _stacked(columns[0], mean_and_cov)
+    d = my.shape[-1]
     logs = []
-    for q_m, q_w in _mixture_components(inbound):
-        mm, vm = mean_and_cov(q_m)
-        r = my - mm
-        quad = vy + vm + np.outer(r, r)
-        logs.append(
-            0.5 * expected_logdet_precision(q_w, d)
-            - 0.5 * d * np.log(2 * np.pi)
-            - 0.5 * float(np.trace(expected_precision(q_w, d) @ quad))
-        )
-    logs = np.asarray(logs)
-    p = np.exp(logs - np.max(logs))
-    return Categorical(p / float(np.sum(p)))
+    for mean_column, prec_column in _mixture_components(columns):
+        mm, vm = _stacked(mean_column, mean_and_cov)
+        quad = _scatters(my - mm, vy + vm)
+        w, logdet = _stacked(prec_column, lambda q: (expected_precision(q, d), expected_logdet_precision(q, d)))
+        logs.append(0.5 * logdet - 0.5 * d * np.log(2 * np.pi) - 0.5 * np.trace(w @ quad, axis1=1, axis2=2))
+    logs = np.stack(np.broadcast_arrays(*logs), axis=1)
+    p = np.ascontiguousarray(_rows(np.exp(logs - np.max(logs, axis=1, keepdims=True)), len(columns[0])))
+    return [Categorical(row / total) for row, total in zip(p, np.sum(p, axis=1).tolist())]
 
 
-def _mixture_toward_mean(inbound, constants):
+def _component(columns) -> tuple[int, int]:
+    """The void slot of a mixture component's update (the same in every
+    instruction of a batch) and the component it belongs to."""
+    at = [column[0] is None for column in columns].index(True)
+    return at, (at - 2) // 2
+
+
+def _responsibilities(selectors, k: int) -> np.ndarray:
+    return np.array([float(np.asarray(moment(q, "mean"))[k]) for q in selectors])
+
+
+@BatchRule
+def _mixture_toward_mean(columns, constants):
     # The void slot is component k's mean; its precision follows it.
-    at = inbound.index(None)
-    q_out, q_sel, q_w = inbound[0], inbound[1], inbound[at + 1]
-    resp = float(np.asarray(moment(q_sel, "mean"))[(at - 2) // 2])
-    my, _ = mean_and_cov(q_out)
-    w = resp * expected_precision(q_w, my.shape[0])
-    return GaussianCanonical(w @ my, w)
+    at, k = _component(columns)
+    my, _ = _stacked(columns[0], mean_and_cov)
+    (w,) = _stacked(columns[at + 1], lambda q: (expected_precision(q, my.shape[-1]),))
+    w = _responsibilities(columns[1], k)[:, None, None] * w
+    return _gaussians(GaussianCanonical, len(columns[0]), _apply(w, my), w)
 
 
-def _mixture_toward_precision(inbound, constants):
+@BatchRule
+def _mixture_toward_precision(columns, constants):
     # The void slot is component k's precision; its mean precedes it.
-    at = inbound.index(None)
-    q_out, q_sel, q_m = inbound[0], inbound[1], inbound[at - 1]
-    resp = float(np.asarray(moment(q_sel, "mean"))[(at - 2) // 2])
-    my, vy = mean_and_cov(q_out)
-    mm, vm = mean_and_cov(q_m)
-    r = my - mm
-    return _precision_message(vy + vm + np.outer(r, r), constants, weight=resp)
+    at, k = _component(columns)
+    my, vy = _stacked(columns[0], mean_and_cov)
+    mm, vm = _stacked(columns[at - 1], mean_and_cov)
+    scatters = _rows(_scatters(my - mm, vy + vm), len(columns[0]))
+    return _precision_messages(scatters, constants, _responsibilities(columns[1], k))
 
 
 def _mixture_out(inbound, constants):
@@ -608,14 +674,14 @@ def _canonical_or_sharp(msg: Distribution, dim: int):
     return msg.weighted_mean_vector(), msg.precision_matrix()
 
 
-def _joint_gaussian_chain(inbound, constants):
+@BatchRule
+def _joint_gaussian_chain(columns, constants):
     """Two-slice joint over (x_prev, x_out) for a Gaussian transition section
     x_out ~ N(F x_prev + c, W^-1), built in canonical form from the forward
     message on the leaf edge and the combined message on the out side."""
-    qs = _strip_void(inbound)
-    msg_out_side, msg_leaf = qs[0], qs[1]
-    offsets = qs[2:-1]
-    q_prec = qs[-1]
+    qs = [column for column in columns if column[0] is not None]
+    out_side, leaf, offsets, prec_column = qs[0], qs[1], qs[2:-1], qs[-1]
+    n = len(leaf)
     gains = [as_matrix(g) for g in constants["gains"]]
     f = gains[0]
     do, dl = f.shape
@@ -623,25 +689,28 @@ def _joint_gaussian_chain(inbound, constants):
     base = constants.get("offset")
     if base is not None:
         c = c + as_vector(base)
-    for g, q in zip(gains[1:], offsets):
-        c = c + as_matrix(g) @ as_vector(moment(q, "mean"))
-    w_hat = expected_precision(q_prec, do)
-    xi_l, w_l = _canonical_or_sharp(msg_leaf, dl)
-    xi_o, w_o = _canonical_or_sharp(msg_out_side, do)
-    prec = np.zeros((dl + do, dl + do))
-    prec[:dl, :dl] = w_l + f.T @ w_hat @ f
-    prec[:dl, dl:] = -f.T @ w_hat
-    prec[dl:, :dl] = -w_hat @ f
-    prec[dl:, dl:] = w_hat + w_o
-    xi = np.concatenate([xi_l - f.T @ (w_hat @ c), xi_o + w_hat @ c])
-    cov = spd_inverse(prec)
-    return GaussianMeanVariance(cov @ xi, symmetrize(cov))
+    for g, column in zip(gains[1:], offsets):
+        c = c + _apply(g, _stacked(column, _mean_vector)[0])
+    (w_hat,) = _stacked(prec_column, lambda q: (expected_precision(q, do),))
+    xi_l, w_l = _stacked(leaf, lambda q: _canonical_or_sharp(q, dl))
+    xi_o, w_o = _stacked(out_side, lambda q: _canonical_or_sharp(q, do))
+    wc = _apply(w_hat, c)
+    prec = np.zeros((n, dl + do, dl + do))
+    prec[:, :dl, :dl] = w_l + f.T @ w_hat @ f
+    prec[:, :dl, dl:] = -f.T @ w_hat
+    prec[:, dl:, :dl] = -w_hat @ f
+    prec[:, dl:, dl:] = w_hat + w_o
+    xi = np.concatenate([_rows(xi_l - _apply(f.T, wc), n), _rows(xi_o + wc, n)], axis=1)
+    cov = spd_inverses(prec)
+    return _gaussians(GaussianMeanVariance, n, _apply(cov, xi), 0.5 * (cov + cov.swapaxes(1, 2)))
 
 
-def _joint_gaussian_variance_chain(inbound, constants):
+@BatchRule
+def _joint_gaussian_variance_chain(columns, constants):
     """``_joint_gaussian_chain`` for x_out ~ N(F x_prev + c, V), V fixed."""
-    *rest, q_var = inbound
-    return _joint_gaussian_chain([*rest, PointMass(spd_inverse(as_matrix(q_var.value)))], constants)
+    *rest, variances = columns
+    inverses = {id(q): PointMass(spd_inverse(as_matrix(q.value))) for q in variances}
+    return _joint_gaussian_chain.batch([*rest, [inverses[id(q)] for q in variances]], constants)
 
 
 def _joint_categorical_chain(inbound, constants):
@@ -657,8 +726,10 @@ def _joint_categorical_chain(inbound, constants):
     return Categorical(j / z)
 
 
-def _gaussian_affine_precision(inbound, constants):
-    return _precision_message(affine_residual_scatter(_strip_void(inbound), constants), constants)
+@BatchRule
+def _gaussian_affine_precision(columns, constants):
+    scatters = _affine_scatters([column for column in columns if column[0] is not None], constants)
+    return _precision_messages(_rows(scatters, len(columns[0])), constants)
 
 
 def _affine_belief_transport(inbound, constants):
@@ -689,7 +760,7 @@ def _gaussian_nonlinear_precision(inbound, constants):
     mo, vo = mean_and_cov(q_out)
     resid = float(mo[0]) - g(r0)
     scatter = float(vo[0, 0]) + g_prime(r0) ** 2 * float(vr[0, 0]) + resid * resid
-    return _precision_message(np.array([[scatter]]), constants)
+    return _precision_messages(np.array([[[scatter]]]), constants)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from mpgraph.distributions import (
     expected_covariance,
     expected_precision,
     from_json,
+    mean_and_cov,
     moment,
     product,
     vague,
@@ -536,6 +537,23 @@ class TestDerivedForms:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
             with pytest.raises(ValueError):
                 got[0] = 0.0
+
+    @pytest.mark.parametrize("value", [0.5, -0.0, [0.25, -1.5], [3.0]], ids=["scalar", "minus-zero", "vector", "one"])
+    def test_point_mass_moments_cached_read_only_and_bit_equal(self, value):
+        """A datum's moments, read by every rule and energy term of its time
+        slice: the value as a vector and a zero covariance, as built on every
+        read before."""
+        q = PointMass(value)
+        m, v = mean_and_cov(q)
+        want = np.asarray(value, dtype=float).reshape(-1)
+        assert m.tobytes() == want.tobytes() and m.shape == want.shape
+        assert v.tobytes() == np.zeros((want.shape[0],) * 2).tobytes() and v.shape == (want.shape[0],) * 2
+        assert mean_and_cov(q)[0] is m and mean_and_cov(q)[1] is v
+        for got in (m, v):
+            with pytest.raises(ValueError):
+                got[(0,) * got.ndim] = 1.0
+        with pytest.raises(ValueError, match="expected a vector"):
+            mean_and_cov(PointMass(np.eye(2)))
 
     @pytest.mark.parametrize(
         "make",

@@ -28,7 +28,7 @@ from mpgraph.distributions import (
     GaussianMeanVariance,
     PointMass,
     Wishart,
-    affine_residual_scatter,
+    _affine_scatters,
     affine_transport,
     differential_entropy,
     expected_logdet_precision,
@@ -304,7 +304,7 @@ class TestBatchedKinds:
             assert same_bits(got, want), (kind, got, want)
         if kind.startswith("gaussian_affine"):  # the scatter the precision update reads, unstacked
             for qs in terms:
-                got, want = affine_residual_scatter(qs[:-1], constants), ref_scatter(qs[:-1], constants)
+                got, want = _affine_scatters([[q] for q in qs[:-1]], constants)[0], ref_scatter(qs[:-1], constants)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_mixture_skips_a_component_of_zero_responsibility(self):

@@ -15,6 +15,7 @@ from mpgraph._linalg import (
     check_spd,
     floored_eigh,
     spd_inverse,
+    spd_inverses,
     spd_logdets,
     sym_eigvals,
     symmetrize,
@@ -266,6 +267,16 @@ def test_stacked_logdets_are_each_matrix_own(stack):
             want = np.float64(np.sum(np.log(floored_eigh(m)[0])))
             assert value.tobytes() == want.tobytes() or (np.isnan(value) and np.isnan(want))
             assert spd_logdets(m[None])[0].tobytes() == value.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_stacks())
+def test_stacked_inverses_are_each_matrix_own(stack):
+    with np.errstate(all="ignore"):
+        got = spd_inverses(stack)
+        assert got.shape == stack.shape
+        for m, inverse in zip(stack, got):
+            assert inverse.tobytes() == spd_inverse(m).tobytes()
 
 
 # ---------------------------------------------------------------------------
