@@ -10,25 +10,29 @@ line forms. ``parse_listing(render(ir)) == ir`` holds field by field.
 The IR is interpreted rather than transpiled: one instruction per schedule
 entry or marginal/energy step, executed against a message array (slots are
 reused across iterations), a marginal table, persistent EP site slots, and a
-data table. That storage, the one slot resolver and the free-energy
-evaluation (by term kind, see ``group_terms``) live in ``Executor``, which
-``Interpreter`` and ``engine.DirectExecutor`` share; the two differ
-only in the program they walk (instructions here, schedules and the
-free-energy program there), so interpretation is bit-identical to direct
+data table. That storage, the one slot resolver and the evaluation of one
+instruction live in ``Executor``, which ``Interpreter`` and
+``engine.DirectExecutor`` share; the two differ only in the program they walk
+(instructions here, schedules and the free-energy program there) and in
+that ``DirectExecutor`` runs every instruction alone. ``Interpreter`` runs
+each step program and the free-energy program in the order one planner
+gives (``plan_step``): a program's independent instructions of one batched
+rule or energy (``distributions.Batch``) run as one call, and a group that
+raises falls back to one instruction at a time. Each message and each term
+has the bits it gets alone, so interpretation is bit-identical to direct
 schedule execution as long as instructions mirror schedule steps one for one.
-``Interpreter`` runs a step's independent instructions of one batched rule
-as one call (see ``plan_step``); each message has the bits it gets alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
 import numpy as np
 
 from .distributions import (
-    BatchEnergy,
+    Batch,
     Distribution,
     DistributionError,
     PointMass,
@@ -387,88 +391,34 @@ def parse_listing(text: str) -> AlgorithmIR:
 # ---------------------------------------------------------------------------
 
 
-class _TermGroup:
-    """Free-energy terms evaluated together: their program positions, their
-    slots and the one energy and constants they share. ``stacks`` is
-    whether to try one batched evaluation; it is cleared when one failed
-    although every term evaluates on its own (terms over beliefs of
-    different sizes), which changes no value, since a term has the same
-    bits either way."""
-
-    __slots__ = ("energy", "constants", "positions", "slots", "stacks")
-
-    def __init__(self, energy, constants):
-        self.energy = energy
-        self.constants = constants
-        self.positions: list[int] = []
-        self.slots: list[tuple] = []
-        self.stacks = isinstance(energy, BatchEnergy)
-
-
-def _constants_key(value):
-    """A hashable stand-in for a constants value that compares as it does."""
-    if isinstance(value, dict):
-        return tuple(sorted((key, _constants_key(v)) for key, v in value.items()))
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return tuple(_constants_key(v) for v in value)
-    return value
-
-
-def _unknown_energy(kind: str):
-    """An energy that fails when evaluated, as the lookup of ``kind`` does."""
-    def energy(qs, constants):
-        return energy_function(kind)(qs, constants)
-
-    return energy
-
-
-def group_terms(terms) -> list[_TermGroup]:
-    """The terms ``(label, kind, slots, constants)`` of a free-energy program
-    in the groups ``Executor`` evaluates: one per batched energy
-    (``distributions.BatchEnergy``) and equal constants, so that entropies
-    group by weight; a term of any other energy is a group of its own."""
-    groups: dict = {}
-    keys: dict[int, object] = {}  # id of a constants dict -> its key; equal dicts are often shared
-    for pos, (_, kind, slots, constants) in enumerate(terms):
-        if kind == "entropy":
-            energy = negative_entropy
-        else:
-            try:
-                energy = energy_function(kind)
-            except DistributionError:
-                energy = _unknown_energy(kind)
-        if isinstance(energy, BatchEnergy):
-            key = keys.get(id(constants))
-            if key is None:
-                key = keys[id(constants)] = _constants_key(constants)
-            key = (kind, key)
-        else:
-            key = pos
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = _TermGroup(energy, constants)
-        group.positions.append(pos)
-        group.slots.append(slots)
-    return list(groups.values())
+def _energy(kind: str):
+    """The average energy of a free-energy term kind (``entropy``: the
+    negative entropy); for an unknown kind, one that fails when evaluated,
+    as the lookup does."""
+    if kind == "entropy":
+        return negative_entropy
+    try:
+        return energy_function(kind)
+    except DistributionError:
+        return lambda qs, constants: energy_function(kind)(qs, constants)
 
 
 class Executor:
     """Run-time storage shared by ``Interpreter`` and ``engine.DirectExecutor``:
     per-step message arrays, the EP site store (distributions), the one slot
-    resolver and the free-energy evaluation. A subclass walks its own program
-    in ``run_step``, reading and writing only through the methods here, and
+    resolver and the evaluation of one instruction (``send``, ``belief`` and
+    ``joint`` in a step, ``term`` in F). A subclass walks its own program in
+    ``run_step``, reading and writing only through the methods here, and
     hands its free-energy terms ``(label, kind, slots, constants)`` over in
     program order.
 
-    F is evaluated by term kind: the terms are grouped once, here
-    (``group_terms``), and each group of a batched energy runs as one stacked
-    evaluation over all its time slices; the values are summed in program
-    order. Messages are not grouped here: ``send`` applies one rule, and a
-    subclass decides whether its steps run instructions alone
-    (``engine.DirectExecutor``) or in groups (``Interpreter``). A datum's
-    point mass is built on its first read in an iteration and shared by the
-    rules and F; each ``run_iteration`` reads the table afresh, and so does
-    a read of another table. Concurrent runs must not share an executor."""
+    Here every message and every F term is evaluated alone, as
+    ``engine.DirectExecutor`` runs them; ``Interpreter`` runs both its step
+    programs and its free-energy program in groups. F is the terms' values
+    summed in program order either way. A datum's point mass is built on
+    its first read in an iteration and shared by the rules and F; each
+    ``run_iteration`` reads the table afresh, and so does a read of another
+    table. Concurrent runs must not share an executor."""
 
     def __init__(self, registry, site_inits, message_counts, rule_ids, energy_terms):
         self.registry = registry or default_registry()
@@ -476,7 +426,7 @@ class Executor:
         self.messages: dict[str, list] = {fid: [None] * n for fid, n in message_counts.items()}
         self._rules = {rule_id: self.registry.by_id(rule_id) for rule_id in dict.fromkeys(rule_ids)}
         self.energy_terms = list(energy_terms)
-        self._groups = group_terms(self.energy_terms)
+        self._energies = {kind: _energy(kind) for kind in dict.fromkeys(term[1] for term in self.energy_terms)}
         self._data = self._points = None  # the data table read this iteration, and its point masses
 
     def resolve(self, slot, fid, data, marginals):
@@ -537,60 +487,32 @@ class Executor:
             self.run_step(fid, data, marginals)
         return marginals
 
-    def _term_values(self, data, marginals):
-        """Each free-energy term's signed contribution to F, in program
-        order, and ``(position, exception)`` of the first term in program
-        order that fails (None if none does). A group that fails is
-        evaluated again term by term, to find the term at fault."""
-        values: list = [None] * len(self.energy_terms)
-        failure = None
-        for group in self._groups:
-            if group.stacks:
-                try:
-                    columns = [[self.resolve(s, None, data, marginals) for s in column]
-                               for column in zip(*group.slots)]
-                    batch = group.energy.batch(columns, group.constants)
-                    batch = np.broadcast_to(batch, (len(group.positions),)).tolist()
-                except Exception:
-                    pass
-                else:
-                    for pos, value in zip(group.positions, batch):
-                        values[pos] = value
-                    continue
-            first = failure
-            for pos, slots in zip(group.positions, group.slots):
-                if failure is not None and pos > failure[0]:
-                    break
-                try:
-                    values[pos] = group.energy([self.resolve(s, None, data, marginals) for s in slots],
-                                               group.constants)
-                except Exception as exc:
-                    failure = (pos, exc)
-            if failure is first and all(values[pos] is not None for pos in group.positions):
-                group.stacks = False
-        return values, failure
+    def term(self, pos, data, marginals) -> float:
+        """Free-energy term ``pos``'s signed contribution to F; a failure
+        raises, naming the term's position and label."""
+        label, kind, slots, constants = self.energy_terms[pos]
+        try:
+            return float(self._energies[kind]([self.resolve(s, None, data, marginals) for s in slots], constants))
+        except Exception as exc:
+            raise InterpretError(f"free-energy term {pos} ({label}): {exc}") from exc
 
-    def _term_error(self, failure) -> InterpretError:
-        pos, exc = failure
-        return InterpretError(f"free-energy term {pos} ({self.energy_terms[pos][0]}): {exc}")
+    def term_values(self, data, marginals):
+        """Yield each free-energy term's signed contribution to F, in program
+        order; a term that fails raises after the values before it."""
+        for pos in range(len(self.energy_terms)):
+            yield self.term(pos, data, marginals)
 
     def free_energy_terms(self, data, marginals):
         """Yield ``(label, signed contribution to F)`` per free-energy term,
         in program order; a term that fails raises, naming its position and
         label, after the values before it."""
-        values, failure = self._term_values(data, marginals)
-        for pos, (label, *_) in enumerate(self.energy_terms):
-            if failure is not None and pos == failure[0]:
-                raise self._term_error(failure) from failure[1]
-            yield label, values[pos]
+        for (label, *_), value in zip(self.energy_terms, self.term_values(data, marginals)):
+            yield label, value
 
     def free_energy(self, data, marginals) -> float:
         """F: the terms' values summed in program order."""
-        values, failure = self._term_values(data, marginals)
-        if failure is not None:
-            raise self._term_error(failure) from failure[1]
         total = 0.0
-        for value in values:
+        for value in self.term_values(data, marginals):
             total += value
         return total
 
@@ -600,31 +522,42 @@ def step_error(fid, pos, opcode, output, exc) -> InterpretError:
     return InterpretError(f"step {fid}, instruction {pos} ({opcode} -> {output}): {exc}")
 
 
-class _RuleGroup:
-    """Instructions of one step that apply one batched rule with equal
-    constants, run as one call at ``position``, the first one's: their
-    program positions, outputs and slots, and the slots by column."""
+class _Group:
+    """Instructions of one program that apply one batched rule or energy
+    (``distributions.Batch``) with equal constants, run as one call at
+    ``position``, the first one's: what they apply (``rule_id``: a rule id
+    or a term kind), their program positions, outputs and slots, and the
+    slots by column."""
 
     __slots__ = ("position", "opcode", "rule_id", "constants", "positions", "outputs", "slots", "columns")
 
-    def __init__(self, position, ins):
+    def __init__(self, position, ins, applies):
         self.position = position
         self.opcode = ins.opcode
-        self.rule_id = ins.rule_id
+        self.rule_id = applies
         self.constants = ins.constants
         self.positions: list[int] = []
         self.outputs: list = []
         self.slots: list[tuple] = []
         self.columns: list[tuple] = []
 
-    def add(self, position, ins):
+    def add(self, position, ins, out):
         self.positions.append(position)
-        self.outputs.append(ins.output[1])
+        self.outputs.append(out[1])
         self.slots.append(ins.slots)
 
 
+def _constants_key(value):
+    """A hashable stand-in for a constants value that compares as it does."""
+    if isinstance(value, dict):
+        return tuple(sorted((key, _constants_key(v)) for key, v in value.items()))
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return tuple(_constants_key(v) for v in value)
+    return value
+
+
 def _location(slot):
-    """What a slot reads that a step instruction may write: a message of the
+    """What a slot reads that an instruction may write: a message of the
     step, a marginal or a site; None for data, constants and void."""
     tag = slot[0]
     if tag == "entry":
@@ -635,21 +568,23 @@ def _location(slot):
 
 
 def plan_step(program, batched) -> tuple[list, int]:
-    """The order ``Interpreter`` runs a step program in, and the number of
-    readiness checks planning made (at most one per slot and output of
-    each instruction).
+    """The order ``Interpreter`` runs a program in (a factor step or the
+    free-energy program), and the number of readiness checks planning made
+    (at most one per slot and output of each instruction).
 
-    The plan lists program positions (one instruction each) and
-    ``_RuleGroup`` objects. A rule or joint instruction of a rule that
-    ``batched(rule_id)`` names joins the latest group of its bucket (rule,
-    constants and slot tags equal) when hoisting it to that group's position
-    changes nothing any instruction reads: every input it reads is written
-    by nothing that runs at or after the group's position and before it,
-    and nothing that runs after the group's position and before it reads or
-    writes its output. Otherwise it starts the bucket's next group. Writers
-    of a site and readers of ``extra`` run alone. One pass: each
-    instruction is checked against one group, through the latest position
-    that writes and that reads each location."""
+    The plan lists program positions (one instruction each) and ``_Group``
+    objects. A rule, joint or free-energy instruction of a rule id or term
+    kind that ``batched`` names (``entropy`` for an entropy term) joins the
+    latest group of its bucket (what it applies, constants and slot tags
+    equal) when hoisting it to that group's position changes nothing any
+    instruction reads: every input it reads is written by nothing that runs
+    at or after the group's position and before it, and nothing that runs
+    after the group's position and before it reads or writes its output.
+    Otherwise it starts the bucket's next group. Each free-energy term has
+    an output of its own (its place in the sum), so the terms of one bucket
+    form one group. Writers of a site and readers of ``extra`` run alone.
+    One pass: each instruction is checked against one group, through the
+    latest position that writes and that reads each location."""
     wrote: dict = {}  # location -> latest run position of a write
     read: dict = {}  # location -> latest run position of a read
     latest: dict = {}  # bucket -> its latest group
@@ -659,14 +594,14 @@ def plan_step(program, batched) -> tuple[list, int]:
     for pos, ins in enumerate(program):
         slots = (*ins.slots, ins.extra) if ins.extra else ins.slots
         inputs = [loc for loc in map(_location, slots) if loc is not None]
-        out = ins.output
+        out = ins.output if ins.output[0] != "F" else ("F", pos)
+        applies = ins.rule_id or ins.opcode
         at = pos
-        if (ins.opcode in ("rule", "joint") and not ins.extra and not ins.writes_site
-                and batched(ins.rule_id)):
+        if ins.opcode != "product" and not ins.extra and not ins.writes_site and batched(applies):
             key = keys.get(id(ins.constants))
             if key is None:
                 key = keys[id(ins.constants)] = _constants_key(ins.constants)
-            bucket = (ins.opcode, ins.rule_id, key, tuple(slot[0] for slot in ins.slots))
+            bucket = (ins.opcode, applies, key, tuple(slot[0] for slot in ins.slots))
             group = latest.get(bucket)
             if group is not None:
                 start = group.position
@@ -677,9 +612,9 @@ def plan_step(program, batched) -> tuple[list, int]:
                 else:
                     group = None
             if group is None:
-                group = latest[bucket] = _RuleGroup(pos, ins)
+                group = latest[bucket] = _Group(pos, ins, applies)
                 plan.append(group)
-            group.add(pos, ins)
+            group.add(pos, ins, out)
         else:
             plan.append(pos)
         for loc in inputs:
@@ -690,7 +625,7 @@ def plan_step(program, batched) -> tuple[list, int]:
         if ins.writes_site:
             wrote[("site", ins.writes_site)] = pos
     for i, item in enumerate(plan):
-        if isinstance(item, _RuleGroup):
+        if isinstance(item, _Group):
             if len(item.positions) == 1:
                 plan[i] = item.position
             else:
@@ -703,22 +638,23 @@ class Interpreter(Executor):
     inputs produce bit-identical outputs, the outputs ``DirectExecutor``
     gives on the schedules the IR was compiled from.
 
-    Each step runs in the order ``plan_step`` gives, planned once here: the
-    independent instructions of a step that apply one batched rule
-    (``rules.BatchRule``) with equal constants, such as the per-slice
-    messages toward a precision or the two-slice joints, run as one call,
-    which computes every message of the group before storing any. A rule
-    without a batch body, a site writer and an EP update run one
-    instruction at a time. If a group raises, the step goes on one
+    Each step program and the free-energy program run in the order
+    ``plan_step`` gives, planned once here: the independent instructions of
+    a program that apply one batched rule or energy (``distributions.Batch``)
+    with equal constants, such as the per-slice messages toward a precision,
+    the two-slice joints or the Gaussian energy terms of a chain, run as one
+    call, which computes every result of the group before storing any. A
+    rule or energy without a batch body, a site writer and an EP update run
+    one instruction at a time. If a group raises, the program goes on one
     instruction at a time from the group's position, so a failure names the
-    instruction ``DirectExecutor`` names; if a group failed although its
-    instructions run alone (beliefs that do not stack), its rule runs one
-    instruction at a time in that step from then on, and the step's other
-    groups stay as they are."""
+    instruction or term ``DirectExecutor`` names, the first in program order;
+    if a group failed although its instructions run alone (beliefs that do
+    not stack), its rule or term kind runs one instruction at a time in
+    that program from then on, and the program's other groups stay as they
+    are."""
 
     def __init__(self, ir: AlgorithmIR, registry: RuleRegistry | None = None):
         self.ir = ir
-        self._programs = dict(ir.steps)
         super().__init__(
             registry, ir.site_inits,
             {fid: sum(1 for ins in prog if ins.opcode == "rule") for fid, prog in ir.steps},
@@ -727,11 +663,23 @@ class Interpreter(Executor):
              else (ins.label or ins.opcode, "entropy", ins.slots, ins.constants)
              for ins in ir.free_energy],
         )
-        self._batched = {rule_id for rule_id, rule in self._rules.items() if getattr(rule, "batch", None)}
-        self._unstacked: set[tuple[str, str]] = set()  # (step, rule id) whose beliefs did not stack
-        self._plans = {fid: plan_step(program, self._batched.__contains__)[0] for fid, program in ir.steps}
+        self._programs = {**dict(ir.steps), None: ir.free_energy}  # None: the free-energy program
+        self._batches = {rule_id: rule.batch for rule_id, rule in self._rules.items()
+                         if getattr(rule, "batch", None)}
+        self._batches.update((kind, energy.batch) for kind, energy in self._energies.items()
+                             if isinstance(energy, Batch))
+        self._unstacked: set[tuple] = set()  # (program, rule id or kind) whose beliefs did not stack
+        self._plans = {key: self._plan(key) for key in self._programs}
+        self.values: list = []  # the free-energy terms' values in the evaluation under way
+
+    def _plan(self, key):
+        return plan_step(self._programs[key],
+                         lambda applies: applies in self._batches and (key, applies) not in self._unstacked)[0]
 
     def run_instruction(self, fid, pos, ins, data, marginals):
+        if fid is None:
+            self.values[pos] = self.term(pos, data, marginals)
+            return
         try:
             if ins.opcode == "rule":
                 self.send(fid, ins.output[1], ins, data, marginals)
@@ -747,7 +695,7 @@ class Interpreter(Executor):
     def _column(self, column, fid, data, marginals) -> list:
         """The values of one slot column of a group. The slots of a column
         share a tag; a message or marginal that is missing raises, and the
-        step then runs alone, where ``resolve`` names it."""
+        program then runs alone, where ``resolve`` names it."""
         tag = column[0][0]
         if tag == "marginal":
             return [marginals[slot[1]] for slot in column]
@@ -756,35 +704,58 @@ class Interpreter(Executor):
             return [messages[slot[1]].dist for slot in column]
         return [self.resolve(slot, fid, data, marginals) for slot in column]
 
-    def run_group(self, fid, group: _RuleGroup, data, marginals):
-        """Apply a group's rule to all its instructions at once, then store
-        the outputs."""
+    def run_group(self, fid, group: _Group, data, marginals):
+        """Apply a group's rule or energy to all its instructions at once,
+        then store the outputs."""
         columns = [self._column(column, fid, data, marginals) for column in group.columns]
-        dists = self._rules[group.rule_id].batch(columns, group.constants)
+        results = self._batches[group.rule_id](columns, group.constants)
         if group.opcode == "rule":
             messages, rule_id = self.messages[fid], group.rule_id
-            for index, dist in zip(group.outputs, dists):
+            for index, dist in zip(group.outputs, results):
                 messages[index] = Message(dist, rule_id)
-        else:
-            for key, dist in zip(group.outputs, dists):
+        elif group.opcode == "joint":
+            for key, dist in zip(group.outputs, results):
                 marginals[key] = dist
+        elif fid is None:
+            values = self.values
+            for pos, value in zip(group.outputs, np.broadcast_to(results, (len(group.outputs),)).tolist()):
+                values[pos] = value
+        else:  # the instructions then run alone, where the step error names the first
+            raise InterpretError(f"opcode {group.opcode!r} is not executable in a step")
 
-    def run_step(self, fid: str, data, marginals):
-        program, plan = self._programs[fid], self._plans[fid]
+    def _run(self, key, data, marginals):
+        """Run program ``key`` (a factor id, or None for the free-energy
+        program) in its plan's order."""
+        program, plan = self._programs[key], self._plans[key]
         for at, item in enumerate(plan):
             if item.__class__ is int:
-                self.run_instruction(fid, item, program[item], data, marginals)
+                self.run_instruction(key, item, program[item], data, marginals)
                 continue
             try:
-                self.run_group(fid, item, data, marginals)
+                self.run_group(key, item, data, marginals)
             except Exception:
                 done = {pos for earlier in plan[:at] if earlier.__class__ is not int
                         for pos in earlier.positions}
                 for pos in range(item.position, len(program)):
                     if pos not in done:
-                        self.run_instruction(fid, pos, program[pos], data, marginals)
-                self._unstacked.add((fid, item.rule_id))
-                self._plans[fid] = plan_step(
-                    program, lambda r: r in self._batched and (fid, r) not in self._unstacked)[0]
+                        self.run_instruction(key, pos, program[pos], data, marginals)
+                self._unstacked.add((key, item.rule_id))
+                self._plans[key] = self._plan(key)
                 break
+
+    def run_step(self, fid: str, data, marginals):
+        self._run(fid, data, marginals)
         return marginals
+
+    def term_values(self, data, marginals):
+        """The free-energy program run in its plan's order; then each term's
+        value in program order, or, after a failure, the values before the
+        failing term and its error."""
+        self.values = values = [None] * len(self.energy_terms)
+        try:
+            self._run(None, data, marginals)
+        except InterpretError:
+            # every term before the failing one has its value
+            yield from itertools.takewhile(lambda value: value is not None, values)
+            raise
+        yield from values

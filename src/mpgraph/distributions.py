@@ -28,10 +28,10 @@ as the numpy body it stands in for, which still runs for d >= 3; so F traces
 and listings do not depend on which branch ran.
 
 The average energies of the Gaussian, mixture, probit and transition terms
-and the Gaussian and categorical entropies are batch functions
-(``BatchEnergy``): one stacked evaluation gives every time slice's value,
-each with the bits it gets evaluated alone, which is how a single term is
-evaluated too.
+and the Gaussian and categorical entropies are batch functions (``Batch``,
+the one wrapper that batched rule bodies use too): one stacked evaluation
+gives every time slice's value, each with the bits it gets evaluated alone,
+which is how a single term is evaluated too.
 """
 
 from __future__ import annotations
@@ -862,25 +862,29 @@ def mean_and_cov(q: Distribution) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-class BatchEnergy:
-    """An average energy evaluated for many terms of one kind at once.
+class Batch:
+    """A rule body or an average energy evaluated for many members (the
+    instructions of one rule, or the terms of one kind) at once.
 
-    ``batch(columns, constants)`` reads one column per slot of the terms'
-    layout (that slot's belief in every term, in term order) and returns the
-    terms' energies as an array; the terms share ``constants``. Every step
-    is elementwise over the batch (stacked ``@`` and ``eigh``, ufuncs,
-    per-row dot products), so a term's energy has the same bits in a batch
-    of any size. Called like a per-term energy, ``f(qs, constants)``, it
-    evaluates a batch of one; used as a decorator, it makes a batch function
-    a node kind's average energy (``graph.NodeKind.energies``)."""
+    ``batch(columns, constants)`` reads one column per slot (that slot's
+    value in every member, in member order; a void slot's column holds None)
+    and returns one result per member: a message's distribution, or an
+    energy, where an array of one value stands for every member; the members
+    share ``constants``. Every step is elementwise over the members (stacked
+    ``@`` and ``eigh``, ufuncs, per-row dot products) and each message is
+    built by its family's constructor, so a result has the same bits and
+    passes the same checks in a batch of any size. Called like a per-call
+    body, ``f(args, constants)``, it evaluates a batch of one; used as a
+    decorator, it makes a batch function a rule body (``rules.Rule.batch``)
+    or a node kind's average energy (``graph.NodeKind.energies``)."""
 
     __slots__ = ("batch",)
 
-    def __init__(self, batch: Callable[[list, dict], np.ndarray]):
+    def __init__(self, batch: Callable[[list, dict], list]):
         self.batch = batch
 
-    def __call__(self, qs, constants) -> float:
-        return float(self.batch([[q] for q in qs], constants)[0])
+    def __call__(self, args, constants):
+        return self.batch([[q] for q in args], constants)[0]
 
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
@@ -974,23 +978,23 @@ def _variance_energies(variances: list, s: np.ndarray) -> np.ndarray:
     return 0.5 * (s.shape[-1] * LOG_2PI + logdet + np.trace(solved, axis1=1, axis2=2))
 
 
-@BatchEnergy
+@Batch
 def _energy_gaussian_mean_precision(columns, constants) -> np.ndarray:
     return _precision_energies(columns[2], _quadratics(columns[0], columns[1]))
 
 
-@BatchEnergy
+@Batch
 def _energy_gaussian_mean_variance(columns, constants) -> np.ndarray:
     variances = _stacked(columns[2], _fixed_variance)
     return _variance_energies(variances, _quadratics(columns[0], columns[1]))
 
 
-@BatchEnergy
+@Batch
 def _energy_gaussian_affine(columns, constants) -> np.ndarray:
     return _precision_energies(columns[-1], _affine_scatters(columns[:-1], constants))
 
 
-@BatchEnergy
+@Batch
 def _energy_gaussian_affine_variance(columns, constants) -> np.ndarray:
     """``_energy_gaussian_affine`` with a fixed variance in place of the
     precision belief."""
@@ -998,7 +1002,7 @@ def _energy_gaussian_affine_variance(columns, constants) -> np.ndarray:
     return _variance_energies(variances, _affine_scatters(columns[:-1], constants))
 
 
-@BatchEnergy
+@Batch
 def _energy_gaussian_mixture(columns, constants) -> np.ndarray:
     """sum_k E[z_k] E[-log N(out | m_k, W_k^-1)]; a component whose
     responsibility is zero in a term is not evaluated for it."""
@@ -1027,7 +1031,7 @@ def _probit_datum(q) -> float:
     return y
 
 
-@BatchEnergy
+@Batch
 def _energy_probit_affine(columns, constants) -> np.ndarray:
     """E[-log Phi(y r)] of each datum y, with r the leaf belief pushed through
     the recorded gain and offset: 64-point Gauss-Hermite quadrature over a
@@ -1055,13 +1059,13 @@ def _energy_probit_affine(columns, constants) -> np.ndarray:
     return np.where(point, -log_ndtr(y * r), quadrature)
 
 
-@BatchEnergy
+@Batch
 def _energy_probit(columns, constants) -> np.ndarray:
     """``_energy_probit_affine`` with the input belief read as it is."""
     return _energy_probit_affine.batch(columns, {"gains": [[[1.0]]]})
 
 
-@BatchEnergy
+@Batch
 def negative_entropy(columns, constants) -> np.ndarray:
     """-weight H[q] of each belief, the entropy terms of F: Gaussians are
     stacked per dimension and categoricals per table shape, beliefs of the
@@ -1131,7 +1135,7 @@ def _energy_categorical(q_out, q_p) -> float:
     return float(-np.sum(e_z[mask] * e_logp[mask]))
 
 
-@BatchEnergy
+@Batch
 def _energy_transition(columns, constants) -> np.ndarray:
     """E[-log Cat(x_t | T x_{t-1})]: either a joint two-slice belief (matrix
     Categorical, rows index x_t) or independent out/in beliefs, plus q(T)."""
@@ -1198,4 +1202,4 @@ def average_energy(kind: str, qs, constants: dict | None = None) -> float:
     """
     from .graph import energy_function  # the node-kind records import this module
 
-    return energy_function(kind)(list(qs), constants or {})
+    return float(energy_function(kind)(list(qs), constants or {}))

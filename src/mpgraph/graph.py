@@ -55,7 +55,9 @@ class NodeKind:
       free-energy term, laid out through a ``scheduler.TermLayout``; the
       kinds with an energy are the stochastic ones;
     - ``energies``: ``{term: f(qs, constants)}``, the average energy of each
-      term the kind answers for (``distributions.average_energy``);
+      term the kind answers for (``distributions.average_energy``): a
+      per-term function, or a ``distributions.Batch`` that ``Interpreter``
+      evaluates for all the terms of one name and constants at once;
     - ``prior``: ``(family, params)``, the posterior family the kind takes as
       a prior and, given one, the value of each clamped parameter role.
     """

@@ -13,18 +13,25 @@ class and voids the group slot of component k.
 Rule identifiers are stable strings ``<flavor>:<kind>:<interface>:<sig-hash>``
 used in schedule listings and message provenance; a variadic rule's id names
 its role class (``variational:gaussian_mixture:mean:<sig-hash>``).
+
+A rule body is a per-call function or a batch function wrapped in
+``distributions.Batch``, the one wrapper the batched average energies use
+too: it computes the messages of many instructions of its rule from one
+column per slot, each with the bits it gets alone, and a call for one
+instruction is a batch of one. ``codegen.Interpreter`` runs a step's
+independent instructions of such a rule as one call.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr
 
 from ._linalg import as_matrix, as_vector, spd_inverse, spd_inverses, symmetrize
 from .distributions import (
+    Batch,
     Categorical,
     Dirichlet,
     Distribution,
@@ -145,31 +152,9 @@ def _split_role(role: str) -> tuple[str, int | None]:
     return role, None
 
 
-class BatchRule:
-    """A rule body that computes the messages of many instructions of one
-    rule at once, as ``distributions.BatchEnergy`` does for energies.
-
-    ``batch(columns, constants)`` reads one column per slot (that slot's
-    inbound value in every instruction, in order; a void slot's column holds
-    None) and returns one distribution per instruction; the instructions
-    share ``constants``. Every step is elementwise over the instructions and
-    each message is built by its family's constructor, so a message has the
-    same bits and passes the same checks in a batch of any size. Called like
-    a per-call body, ``f(inbound, constants)``, it computes a batch of one;
-    used as a decorator, it makes a batch function a rule body."""
-
-    __slots__ = ("batch",)
-
-    def __init__(self, batch: Callable[[list, dict], list]):
-        self.batch = batch
-
-    def __call__(self, inbound, constants):
-        return self.batch([[q] for q in inbound], constants)[0]
-
-
 class Rule:
     """A registered message rule; ``fn`` is a per-call body or a
-    ``BatchRule``. ``batch`` is the batch body of the latter (None
+    ``distributions.Batch``. ``batch`` is the batch body of the latter (None
     otherwise): ``codegen.Interpreter`` runs a step's independent
     instructions of such a rule as one call."""
 
@@ -179,7 +164,7 @@ class Rule:
         self.flavor = flavor
         self.slots = list(slots)  # Slot patterns, at most one of them a Repeat
         self.fn = fn
-        self.batch = fn.batch if isinstance(fn, BatchRule) else None
+        self.batch = fn.batch if isinstance(fn, Batch) else None
         self.out_type = out_type  # callable(in_types, constants) -> variant class
         self.needs_previous = needs_previous
         self.group_at = next((i for i, s in enumerate(self.slots) if isinstance(s, Repeat)), None)
@@ -355,11 +340,11 @@ def _equality_sp(inbound, constants):
     return product(a, b)
 
 
-def _gaussian_spread(at: int) -> BatchRule:
+def _gaussian_spread(at: int) -> Batch:
     """Toward out or mean of a Gaussian node from the message on the other
     (slot ``at``): its moments, E[W]^-1 added to the covariance."""
 
-    @BatchRule
+    @Batch
     def batch(columns, constants):
         m, v = _stacked(columns[at], mean_and_cov)
         (e,) = _stacked(columns[2], lambda q: (expected_covariance(q, m.shape[-1]),))
@@ -368,11 +353,11 @@ def _gaussian_spread(at: int) -> BatchRule:
     return batch
 
 
-def _gaussian_vmp(at: int) -> BatchRule:
+def _gaussian_vmp(at: int) -> Batch:
     """Toward out or mean of a Gaussian node from the marginal on the other
     (slot ``at``): its mean, with precision E[W]."""
 
-    @BatchRule
+    @Batch
     def batch(columns, constants):
         (m,) = _stacked(columns[at], _mean_vector)
         (w,) = _stacked(columns[2], lambda q: (expected_precision(q, m.shape[-1]),))
@@ -442,7 +427,7 @@ def _addition_sp(direction):
     return fn
 
 
-def _addition_vmp_shift(direction, marginal_at) -> BatchRule:
+def _addition_vmp_shift(direction, marginal_at) -> Batch:
     # One summand lives in another recognition factor: shift the message by
     # its posterior mean only; the precision is unchanged.
     at = (2 if marginal_at == 1 else 1) if direction == "out" else 0  # the message's slot
@@ -450,7 +435,7 @@ def _addition_vmp_shift(direction, marginal_at) -> BatchRule:
     def shifted(m, shift):
         return m + shift if direction == "out" else m - shift
 
-    @BatchRule
+    @Batch
     def batch(columns, constants):
         (shift,) = _stacked(columns[marginal_at], _mean_vector)
         m, v = _stacked(columns[at], mean_and_cov)
@@ -549,7 +534,7 @@ def _mixture_components(inbound):
     return [(comps[2 * i], comps[2 * i + 1]) for i in range(len(comps) // 2)]
 
 
-@BatchRule
+@Batch
 def _mixture_selector(columns, constants):
     my, vy = _stacked(columns[0], mean_and_cov)
     d = my.shape[-1]
@@ -557,7 +542,9 @@ def _mixture_selector(columns, constants):
     for mean_column, prec_column in _mixture_components(columns):
         mm, vm = _stacked(mean_column, mean_and_cov)
         quad = _scatters(my - mm, vy + vm)
-        w, logdet = _stacked(prec_column, lambda q: (expected_precision(q, d), expected_logdet_precision(q, d)))
+        # E[log|W|] first, as a per-call body reads them: a belief that is
+        # not a precision fails with the same exception either way
+        logdet, w = _stacked(prec_column, lambda q: (expected_logdet_precision(q, d), expected_precision(q, d)))
         logs.append(0.5 * logdet - 0.5 * d * np.log(2 * np.pi) - 0.5 * np.trace(w @ quad, axis1=1, axis2=2))
     logs = np.stack(np.broadcast_arrays(*logs), axis=1)
     p = np.ascontiguousarray(_rows(np.exp(logs - np.max(logs, axis=1, keepdims=True)), len(columns[0])))
@@ -575,7 +562,7 @@ def _responsibilities(selectors, k: int) -> np.ndarray:
     return np.array([float(np.asarray(moment(q, "mean"))[k]) for q in selectors])
 
 
-@BatchRule
+@Batch
 def _mixture_toward_mean(columns, constants):
     # The void slot is component k's mean; its precision follows it.
     at, k = _component(columns)
@@ -585,7 +572,7 @@ def _mixture_toward_mean(columns, constants):
     return _gaussians(GaussianCanonical, len(columns[0]), _apply(w, my), w)
 
 
-@BatchRule
+@Batch
 def _mixture_toward_precision(columns, constants):
     # The void slot is component k's precision; its mean precedes it.
     at, k = _component(columns)
@@ -674,7 +661,7 @@ def _canonical_or_sharp(msg: Distribution, dim: int):
     return msg.weighted_mean_vector(), msg.precision_matrix()
 
 
-@BatchRule
+@Batch
 def _joint_gaussian_chain(columns, constants):
     """Two-slice joint over (x_prev, x_out) for a Gaussian transition section
     x_out ~ N(F x_prev + c, W^-1), built in canonical form from the forward
@@ -705,7 +692,7 @@ def _joint_gaussian_chain(columns, constants):
     return _gaussians(GaussianMeanVariance, n, _apply(cov, xi), 0.5 * (cov + cov.swapaxes(1, 2)))
 
 
-@BatchRule
+@Batch
 def _joint_gaussian_variance_chain(columns, constants):
     """``_joint_gaussian_chain`` for x_out ~ N(F x_prev + c, V), V fixed."""
     *rest, variances = columns
@@ -726,7 +713,7 @@ def _joint_categorical_chain(inbound, constants):
     return Categorical(j / z)
 
 
-@BatchRule
+@Batch
 def _gaussian_affine_precision(columns, constants):
     scatters = _affine_scatters([column for column in columns if column[0] is not None], constants)
     return _precision_messages(_rows(scatters, len(columns[0])), constants)

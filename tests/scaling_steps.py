@@ -1,14 +1,17 @@
-"""Message-passing cost per step and per rule id on the four bundled models
-at the benchmark's sizes: each step run one instruction at a time (the order
-``engine.DirectExecutor`` walks) against the grouped plan
-``codegen.Interpreter`` runs, where a step's independent instructions of one
-batched rule go through one call.
+"""Interpreter cost per planned program on the four bundled models at the
+benchmark's sizes: each factor step and the free-energy program run one
+instruction at a time (the order ``engine.DirectExecutor`` walks) against
+the grouped plan ``codegen.Interpreter`` runs, where a program's
+independent instructions of one batched rule or energy go through one call.
 
 Each model runs a few iterations first, so the beliefs are the kind a run
-sees. ``step`` rows give milliseconds per run of the step; the other rows
-give microseconds per instruction of a rule id in that step (a group's time
-is shared out over its instructions), and in the grouped column the number
-of calls the instructions took. Each timing is the best of five runs.
+sees. A program's first row gives milliseconds per run of it (``step`` for
+a factor step, ``F`` for the free-energy program, slot resolution
+included); the other rows give microseconds per instruction of a rule id or
+term kind in that program (a group's time is shared out over its
+instructions), and in the grouped column the number of calls the
+instructions took. Rows under 5% of their program's time are left out. Each
+timing is the best of five runs.
 
 A script, not a test (pytest does not collect it, and it asserts no time):
 
@@ -20,12 +23,31 @@ It prints a Markdown table.
 import time
 from collections import defaultdict
 
-from scaling_free_energy import bench_models
-
 from mpgraph.codegen import Interpreter
-from mpgraph.engine import init_marginals
+from mpgraph.engine import compile_model, init_marginals
+from mpgraph.models import Co2Model, HmgmModel, ProbitSsmModel, RandomWalkModel, sample_generative
 
 REPEATS = 5
+
+
+def bench_models():
+    """(name, program, data, initial marginals, iterations run first) at the
+    benchmark's sizes; co2 is one streaming batch of 24."""
+    T = 1600
+    data, _ = sample_generative("random-walk", 1, T=T)
+    yield "random walk T=1600", compile_model(*RandomWalkModel().build(T)), data, \
+        RandomWalkModel().initial_marginals(T), 2
+    T = 96
+    data, _ = sample_generative("probit-ssm", 1, T=T)
+    yield "probit T=96", compile_model(*ProbitSsmModel().build(T), ep_damping=0.5), data, \
+        ProbitSsmModel().initial_marginals(T), 5
+    T, model = 200, HmgmModel(K=3)
+    data, _ = sample_generative("hmgm", 1, T=T)
+    yield "hmgm K=3 T=200", compile_model(*model.build(T)), data, model.initial_marginals(T, data), 5
+    T = 24
+    series, _ = sample_generative("co2-synthetic", 1, T=192)
+    yield "co2 batch of 24", compile_model(*Co2Model().build(T)), {"y": series["y"][:T]}, \
+        Co2Model().initial_marginals(T), 5
 
 
 def best(fn) -> float:
@@ -37,53 +59,81 @@ def best(fn) -> float:
     return min(times)
 
 
-def per_rule(runner, fid, data, marginals, grouped: bool) -> dict:
-    """rule id -> [instructions, calls, seconds] over one run of the step,
-    best of ``REPEATS``."""
-    program, plan = runner._programs[fid], runner._plans[fid]
-    items = plan if grouped else range(len(program))
+def run(runner, key, data, marginals, grouped: bool):
+    """One run of program ``key`` (a factor id, None for F): in its plan's
+    order, or one instruction at a time."""
+    runner.values = [None] * len(runner.energy_terms)
+    if grouped:
+        runner._run(key, data, marginals)
+        return
+    for pos, ins in enumerate(runner._programs[key]):
+        runner.run_instruction(key, pos, ins, data, marginals)
+
+
+def per_key(runner, key, data, marginals, grouped: bool) -> dict:
+    """rule id or term kind -> [instructions, calls, seconds] over one run
+    of program ``key``, best of ``REPEATS``."""
+    program = runner._programs[key]
+    items = runner._plans[key] if grouped else range(len(program))
     rows: dict = defaultdict(lambda: [0, 0, float("inf")])
-    for _ in range(REPEATS):
+    for repeat in range(REPEATS):
+        runner.values = [None] * len(runner.energy_terms)
         spent: dict = defaultdict(float)
         for item in items:
             start = time.perf_counter()
             if item.__class__ is int:
-                runner.run_instruction(fid, item, program[item], data, marginals)
-                key, count = program[item].rule_id or program[item].opcode, 1
+                runner.run_instruction(key, item, program[item], data, marginals)
+                applies, count = program[item].rule_id or program[item].opcode, 1
             else:
-                runner.run_group(fid, item, data, marginals)
-                key, count = item.rule_id, len(item.positions)
-            spent[key] += time.perf_counter() - start
-            if _ == 0:
-                rows[key][0] += count
-                rows[key][1] += 1
-        for key, seconds in spent.items():
-            rows[key][2] = min(rows[key][2], seconds)
+                runner.run_group(key, item, data, marginals)
+                applies, count = item.rule_id, len(item.positions)
+            spent[applies] += time.perf_counter() - start
+            if repeat == 0:
+                rows[applies][0] += count
+                rows[applies][1] += 1
+        for applies, seconds in spent.items():
+            rows[applies][2] = min(rows[applies][2], seconds)
+    return rows
+
+
+def program_rows(runner, data, marginals) -> list:
+    """``(program, applies, instructions, one at a time s, grouped s,
+    grouped calls)`` for each planned program of ``runner`` (each factor
+    step, then F): first the whole program (``applies`` None, calls the
+    plan's length), then each rule id or term kind, slowest alone first."""
+    rows = []
+    for key, program in runner._programs.items():
+        name = "F" if key is None else key
+        alone = best(lambda: run(runner, key, data, marginals, grouped=False))
+        grouped = best(lambda: run(runner, key, data, marginals, grouped=True))
+        rows.append((name, None, len(program), alone, grouped, len(runner._plans[key])))
+        singles = per_key(runner, key, data, marginals, False)
+        batches = per_key(runner, key, data, marginals, True)
+        for applies, (n, _, seconds) in sorted(singles.items(), key=lambda item: -item[1][2]):
+            _, calls, batched = batches[applies]
+            rows.append((name, applies, n, seconds, batched, calls))
     return rows
 
 
 def main():
-    print("| model | step | rule id | instructions | one at a time | grouped (calls) | speed-up |")
+    print("| model | program | rule id or term kind | instructions | one at a time | grouped (calls) | speed-up |")
     print("|---|---|---|---|---|---|---|")
     for name, program, data, overrides, iterations in bench_models():
         runner = Interpreter(program.ir)
         marginals = init_marginals(program.factorization, program.rf, overrides)
         for _ in range(iterations):
             runner.run_iteration(data, marginals)
-        for fid, steps in program.ir.steps:
-            alone = best(lambda: [runner.run_instruction(fid, pos, ins, data, marginals)
-                                  for pos, ins in enumerate(steps)])
-            grouped = best(lambda: runner.run_step(fid, data, marginals))
-            print(f"| {name} | {fid} | step (ms) | {len(steps)} | {alone * 1e3:.2f} | {grouped * 1e3:.2f} | "
-                  f"{alone / grouped:.2f}x |")
-            singles = per_rule(runner, fid, data, marginals, grouped=False)
-            batches = per_rule(runner, fid, data, marginals, grouped=True)
-            for key, (n, _, seconds) in sorted(singles.items(), key=lambda item: -item[1][2]):
-                if seconds < 0.05 * alone:
-                    continue
-                _, calls, batched = batches[key]
-                print(f"| {name} | {fid} | {key} | {n} | {seconds / n * 1e6:.1f} µs | "
-                      f"{batched / n * 1e6:.1f} µs ({calls}) | {seconds / batched:.1f}x |", flush=True)
+        runner.free_energy(data, marginals)  # derived forms are cached once
+        total = {}
+        for key, applies, n, alone, grouped, calls in program_rows(runner, data, marginals):
+            if applies is None:
+                total[key] = alone
+                kind = "F" if key == "F" else "step"
+                print(f"| {name} | {key} | {kind} (ms) | {n} | {alone * 1e3:.2f} | {grouped * 1e3:.2f} | "
+                      f"{alone / grouped:.2f}x |")
+            elif alone >= 0.05 * total[key]:
+                print(f"| {name} | {key} | {applies} | {n} | {alone / n * 1e6:.1f} µs | "
+                      f"{grouped / n * 1e6:.1f} µs ({calls}) | {alone / grouped:.1f}x |", flush=True)
 
 
 if __name__ == "__main__":

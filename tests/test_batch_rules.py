@@ -1,4 +1,4 @@
-"""Batched rule bodies (``rules.BatchRule``): a batch of T messages against T
+"""Batched rule bodies (``distributions.Batch``): a batch of T messages against T
 batches of one (the rule's per-call form), and against the per-call bodies
 the batched ones replaced, kept here as the reference, bit for bit."""
 

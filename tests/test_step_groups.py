@@ -1,24 +1,27 @@
 """How ``Interpreter`` runs a step: the groups ``plan_step`` forms on
 hand-built programs, planning cost on a long chain, the grouped run against
 one instruction at a time and ``DirectExecutor``, error location inside a
-group, and grouping through rule proxies."""
+group, the fallback of a group that does not stack (in a step and in the
+free-energy program), and grouping through rule proxies."""
 
 import numpy as np
 import pytest
+import scaling_steps
 
 from mpgraph.codegen import (
     AlgorithmIR,
     Instruction,
     Interpreter,
     InterpretError,
-    _RuleGroup,
+    _Group,
     compile_program,
     plan_step,
 )
-from mpgraph.distributions import PointMass
+from mpgraph.distributions import Batch, PointMass
 from mpgraph.engine import DirectExecutor, compile_model, init_marginals, iterate
+from mpgraph.graph import NODE_KINDS, NodeKind
 from mpgraph.models import ProbitSsmModel, RandomWalkModel, sample_generative
-from mpgraph.rules import MARGINAL, MESSAGE, VOID, BatchRule, Rule, RuleRegistry, Slot, default_registry
+from mpgraph.rules import MARGINAL, MESSAGE, VOID, Rule, RuleRegistry, Slot, default_registry
 from mpgraph.scheduler import schedule_free_energy, schedule_vmp
 
 # ---------------------------------------------------------------------------
@@ -40,7 +43,7 @@ def toy_registry(batch=_plus_batch):
     ``batch``."""
     reg = RuleRegistry()
     rules = {}
-    for name, fn in (("B", BatchRule(batch)), ("C", BatchRule(_plus_batch)), ("S", _plus)):
+    for name, fn in (("B", Batch(batch)), ("C", Batch(_plus_batch)), ("S", _plus)):
         for kind in (MESSAGE, MARGINAL):
             rules[name, kind] = reg.register(Rule(f"toy{name}", kind, "sum-product", [Slot(kind), Slot(VOID)],
                                                   fn, lambda *_: PointMass))
@@ -60,7 +63,7 @@ def rule(rules, name, pos, source, joint=False, **extra):
 
 def shape(plan):
     """A plan with each group written as the list of its positions."""
-    return [item.positions if isinstance(item, _RuleGroup) else item for item in plan]
+    return [item.positions if isinstance(item, _Group) else item for item in plan]
 
 
 def batched_in(reg):
@@ -174,7 +177,7 @@ class TestPlan:
         for _, steps in program.steps:
             plan, n = plan_step(steps, batched_in(default_registry()))
             total, checks = total + len(steps), checks + n
-            sizes += [len(item.positions) for item in plan if isinstance(item, _RuleGroup)]
+            sizes += [len(item.positions) for item in plan if isinstance(item, _Group)]
         assert checks <= 4 * total
         # the joints, the observation messages and the d, w and u leaves
         assert sorted(sizes)[-6:] == [T] * 6
@@ -209,25 +212,55 @@ class TestGroupedRuns:
         assert errors[0] == errors[1]
         assert errors[0].startswith("step X, instruction ") and "non-finite" in errors[0]
 
-    def test_a_group_that_fails_only_batched_runs_its_rule_alone_in_that_step(self):
+    @pytest.mark.parametrize("program", ["step", "free-energy"])
+    def test_a_group_that_fails_only_batched_runs_its_rule_alone_in_that_step(self, program, monkeypatch):
+        # B's batch body refuses more than one member: B's rule in step X,
+        # or B's energy in the free-energy program
         def refuse(columns, constants):
             if len(columns[0]) > 1:
                 raise ValueError("beliefs do not stack")
             return _plus_batch(columns, constants)
 
-        reg, rules = toy_registry(refuse)
-        program = [rule(rules, "B", 0, "a"), rule(rules, "C", 1, "a"), rule(rules, "S", 2, 0),
-                   rule(rules, "B", 3, "b"), rule(rules, "C", 4, "b")]
-        runner = Interpreter(AlgorithmIR([("X", program), ("Y", list(program))], [], {}, []), reg)
-        assert shape(runner._plans["X"]) == shape(runner._plans["Y"]) == [[0, 3], [1, 4], 2]
+        def energy(batch):
+            return Batch(lambda columns, constants: np.array([float(q.value) for q in batch(columns, constants)]))
+
+        failing = "X" if program == "step" else None
+        reg, rules = toy_registry(refuse if failing else _plus_batch)
+        monkeypatch.setitem(NODE_KINDS, "toy", NodeKind("toy", ("out",), energies={
+            "toyB": energy(_plus_batch if failing else refuse), "toyC": energy(_plus_batch),
+            "toyS": lambda qs, constants: float(_plus(qs, constants).value)}))
+        sources = [("B", "a"), ("C", "a"), ("S", 0), ("B", "b"), ("C", "b")]
+        steps = [rule(rules, name, pos, source) for pos, (name, source) in enumerate(sources)]
+        terms = [Instruction("average_energy", ("F",), [("marginal", "a" if source == 0 else source)], f"toy{name}")
+                 for name, source in sources]
+        runner = Interpreter(AlgorithmIR([("X", steps), ("Y", list(steps))], terms, {}, []), reg)
+        grouped = [[0, 3], [1, 4], 2]
+        assert shape(runner._plans["X"]) == shape(runner._plans["Y"]) == shape(runner._plans[None]) == grouped
         table = {"a": PointMass(1.0), "b": PointMass(2.0)}
-        runner.run_step("X", {}, table)
-        assert [float(m.dist.value) for m in runner.messages["X"]] == [2.0, 2.0, 3.0, 3.0, 3.0]
-        # only the rule whose beliefs did not stack, and only in this step
-        assert shape(runner._plans["X"]) == [0, [1, 4], 2, 3]
-        assert shape(runner._plans["Y"]) == [[0, 3], [1, 4], 2]
-        runner.run_step("X", {}, table)
-        assert [float(m.dist.value) for m in runner.messages["X"]] == [2.0, 2.0, 3.0, 3.0, 3.0]
+        for _ in range(2):
+            runner.run_step("X", {}, table)
+            assert [float(m.dist.value) for m in runner.messages["X"]] == [2.0, 2.0, 3.0, 3.0, 3.0]
+            assert [value for _, value in runner.free_energy_terms({}, table)] == [2.0, 2.0, 2.0, 3.0, 3.0]
+            assert runner.free_energy({}, table) == 12.0
+            # only the rule or kind whose beliefs did not stack, and only in its program
+            for key in ("X", "Y", None):
+                assert shape(runner._plans[key]) == ([0, [1, 4], 2, 3] if key == failing else grouped)
+
+    @pytest.mark.parametrize("terms", [1, 2])
+    def test_a_free_energy_term_in_a_step_is_a_located_step_error(self, terms, monkeypatch):
+        # a step holding one term, or two that plan_step groups; the term's
+        # kind is also a rule id, so the executor accepts the step
+        reg, rules = toy_registry()
+        kind = rules["B", MARGINAL].id
+        monkeypatch.setitem(NODE_KINDS, "toy", NodeKind("toy", ("out",), energies={
+            kind: Batch(lambda columns, constants: np.array([float(q.value) for q in columns[0]]))}))
+        term = Instruction("average_energy", ("F",), [("marginal", "a")], kind)
+        steps = [rule(rules, "S", 0, "a"), *[term] * terms]
+        runner = Interpreter(AlgorithmIR([("X", steps)], [term], {}, []), reg)
+        assert shape(runner._plans["X"]) == ([0, 1] if terms == 1 else [0, [1, 2]])
+        with pytest.raises(InterpretError, match=r"^step X, instruction 1 \(average_energy -> \('F',\)\): "
+                                                 r"opcode 'average_energy' is not executable in a step$"):
+            runner.run_step("X", {}, {"a": PointMass(1.0)})
 
     def test_grouping_works_through_rule_proxies(self):
         class Proxy:  # forwards attributes, as a timing proxy does
@@ -247,7 +280,7 @@ class TestGroupedRuns:
         graph, rf, schedules, fe, data, overrides = walk()
         ir = compile_program(schedules, fe)
         proxied = Interpreter(ir, Registry())
-        assert any(isinstance(item, _RuleGroup) for plan in proxied._plans.values() for item in plan)
+        assert any(isinstance(item, _Group) for plan in proxied._plans.values() for item in plan)
         runs = [iterate(runner, data, init_marginals(graph, rf, overrides), max_iters=4, tol=0.0)
                 for runner in (proxied, Interpreter(ir), DirectExecutor(schedules, fe))]
         for run in runs[1:]:
@@ -266,3 +299,30 @@ class TestGroupedRuns:
         assert runs[0].free_energy_trace == runs[1].free_energy_trace
         assert {k: v.to_json() for k, v in runs[0].marginals.items()} == \
             {k: v.to_json() for k, v in runs[1].marginals.items()}
+
+
+def test_the_scaling_script_times_every_planned_program(monkeypatch, capsys):
+    # tests/scaling_steps.py reads the planner's internals (``_programs``,
+    # ``_plans``, ``run_group``): a small walk, one repeat
+    T = 8
+    model, program = RandomWalkModel(), compile_model(*RandomWalkModel().build(T))
+    data, _ = sample_generative("random-walk", 2, T=T)
+    runner = Interpreter(program.ir)
+    marginals = init_marginals(program.factorization, program.rf, model.initial_marginals(T))
+    runner.run_iteration(data, marginals)
+    monkeypatch.setattr(scaling_steps, "REPEATS", 1)
+    rows = scaling_steps.program_rows(runner, data, marginals)
+    sizes = {fid: len(steps) for fid, steps in program.ir.steps} | {"F": len(program.ir.free_energy)}
+    assert [(name, n) for name, applies, n, *_ in rows if applies is None] == list(sizes.items())
+    for name, size in sizes.items():
+        rules = [row for row in rows if row[0] == name and row[1] is not None]
+        assert sum(n for _, _, n, *_ in rules) == size
+        assert all(alone > 0 and grouped > 0 and 1 <= calls <= n for _, _, n, alone, grouped, calls in rules)
+    assert any(calls < n for name, _, n, _, _, calls in rows if name == "F")
+    assert any(calls < n for name, _, n, _, _, calls in rows if name != "F")
+    monkeypatch.setattr(scaling_steps, "bench_models", lambda: iter([("walk", program, data,
+                                                                      model.initial_marginals(T), 1)]))
+    scaling_steps.main()
+    table = capsys.readouterr().out.splitlines()
+    assert sum(" step (ms) " in line for line in table) == len(program.ir.steps)
+    assert sum(" F (ms) " in line for line in table) == 1
