@@ -8,11 +8,18 @@ and the 1x1 ``spd_inverse`` work on Python floats for d <= 2 (analytic 2x2
 eigenvalues, exact 1x1 closed forms). Each such float path runs the same tests
 in the same order, raises the same exceptions with the same text and returns
 the same bits as the numpy body it stands in for; ``tests/test_linalg.py``
-compares them. Matrix products stay in numpy at every size: a 2x2 ``@`` and
-``a*b + c*d`` on floats round differently in the last bit. ``spd_logdets``
-and ``spd_inverses`` take the log-determinants and inverses of a stack of
-matrices at once (the free energy's Gaussian entropies, the messages of a
-batched rule), each with the bits its matrix gets alone.
+compares them. ``check_spd_1x1`` and ``inverse_1x1`` are those 1x1 bodies on
+a Python float, which the one-dimensional Gaussians of ``distributions``
+keep their parameters in: each step is the one correctly rounded operation
+the 1x1 array expression performs (``0.5 * (x + x)`` for the
+symmetrization, ``max(x, floor)`` for the floor, and ``p * m + 0.0`` for a
+1x1 matrix-vector product, which sums from +0.0), so a float and a 1x1
+array give the same bits. Products of 2x2 and larger matrices stay in
+numpy: a 2x2 ``@`` and ``a*b + c*d`` on floats round differently in the
+last bit. ``spd_logdets`` and ``spd_inverses`` take the log-determinants
+and inverses of a stack of matrices at once (the free energy's Gaussian
+entropies, the messages of a batched rule), each with the bits its matrix
+gets alone.
 """
 
 from __future__ import annotations
@@ -104,13 +111,20 @@ def sym_eigvals(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(m))
 
 
+def inverse_1x1(a: float, floor: float = EIG_FLOOR) -> float:
+    """``spd_inverse`` of the 1x1 matrix [[a]] on a Python float; ``floor``
+    must be positive."""
+    # q = [[1]], so (q / w) @ q.T rounds once; a positive floor leaves no
+    # zero divisor and no -0.0 for the matmul's +0.0 start to flip. The
+    # symmetrization 0.5 * (x + x) is x, unless x + x overflows to inf.
+    # The divisor is max(a, floor), as ``max`` picks it (a NaN stays).
+    x = 1.0 / (floor if floor > a else a)
+    return 0.5 * (x + x)
+
+
 def spd_inverse(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
     if m.shape[0] == 1 and floor > 0.0:
-        # q = [[1]], so (q / w) @ q.T rounds once; a positive floor leaves no
-        # zero divisor and no -0.0 for the matmul's +0.0 start to flip. The
-        # symmetrization 0.5 * (x + x) is x, unless x + x overflows to inf.
-        x = 1.0 / max(float(m[0, 0]), floor)
-        return np.array([[0.5 * (x + x)]])
+        return np.array([[inverse_1x1(float(m[0, 0]), floor)]])
     w, q = floored_eigh(m, floor)
     return symmetrize((q / w) @ q.T)
 
@@ -220,19 +234,13 @@ def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.n
     in ``np.max`` and ``np.min``, and of two equal eigenvalues (0.0 and -0.0)
     the minimum is the second, as ``np.min`` picks it."""
     if m.shape[0] == 1:
-        a = float(m[0, 0])
-        if not math.isfinite(a):
-            raise ValueError(f"{name} has a non-finite entry")
-        if not 0.0 <= tol * max(1.0, abs(a)):
-            raise ValueError(f"{name} is not symmetric within {tol}")
-        lo = hi = a
-    else:
-        (a, b), (c, d) = m.tolist()
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-            raise ValueError(f"{name} has a non-finite entry")
-        if not abs(b - c) <= tol * max(1.0, abs(a), abs(b), abs(c), abs(d)):
-            raise ValueError(f"{name} is not symmetric within {tol}")
-        lo, hi, _ = _eigvals_2x2(a, 0.5 * (b + c), d)
+        return np.array([[check_spd_1x1(float(m[0, 0]), name, strict, tol)]])
+    (a, b), (c, d) = m.tolist()
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise ValueError(f"{name} has a non-finite entry")
+    if not abs(b - c) <= tol * max(1.0, abs(a), abs(b), abs(c), abs(d)):
+        raise ValueError(f"{name} is not symmetric within {tol}")
+    lo, hi, _ = _eigvals_2x2(a, 0.5 * (b + c), d)
     if lo != lo or hi != hi:
         low, bound = float("nan"), -tol
     else:
@@ -242,6 +250,22 @@ def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.n
             raise ValueError(f"{name} must be positive definite (min eig {low:.3e})")
     elif lo < bound or hi < bound:
         raise ValueError(f"{name} must be positive semi-definite (min eig {low:.3e})")
-    if m.shape[0] == 1:
-        return np.array([[0.5 * (a + a)]])
     return np.array([[0.5 * (a + a), 0.5 * (b + c)], [0.5 * (c + b), 0.5 * (d + d)]])
+
+
+def check_spd_1x1(a: float, name: str, strict: bool = False, tol: float = 1e-12) -> float:
+    """``check_spd`` of the 1x1 matrix [[a]] on a Python float: the tests of
+    ``_check_spd_small`` with the one eigenvalue ``a``; returns the
+    symmetrized entry."""
+    if not math.isfinite(a):
+        raise ValueError(f"{name} has a non-finite entry")
+    size = abs(a)
+    scale = tol * (size if size > 1.0 else 1.0)  # -scale is the bound -tol * max(1, |a|)
+    if not 0.0 <= scale:
+        raise ValueError(f"{name} is not symmetric within {tol}")
+    if strict:
+        if a <= 0.0:
+            raise ValueError(f"{name} must be positive definite (min eig {a:.3e})")
+    elif a < -scale:
+        raise ValueError(f"{name} must be positive semi-definite (min eig {a:.3e})")
+    return 0.5 * (a + a)

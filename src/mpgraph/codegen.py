@@ -415,10 +415,12 @@ class Executor:
     Here every message and every F term is evaluated alone, as
     ``engine.DirectExecutor`` runs them; ``Interpreter`` runs both its step
     programs and its free-energy program in groups. F is the terms' values
-    summed in program order either way. A datum's point mass is built on
-    its first read in an iteration and shared by the rules and F; each
-    ``run_iteration`` reads the table afresh, and so does a read of another
-    table. Concurrent runs must not share an executor."""
+    summed in program order either way. A datum's value is read from the
+    table on its first read in an iteration, and its point mass is shared by
+    the rules and F; each ``run_iteration`` reads the table afresh, and so
+    does a read of another table. The point mass is kept across iterations
+    while the value read has the shape and bits it was built from.
+    Concurrent runs must not share an executor."""
 
     def __init__(self, registry, site_inits, message_counts, rule_ids, energy_terms):
         self.registry = registry or default_registry()
@@ -427,7 +429,9 @@ class Executor:
         self._rules = {rule_id: self.registry.by_id(rule_id) for rule_id in dict.fromkeys(rule_ids)}
         self.energy_terms = list(energy_terms)
         self._energies = {kind: _energy(kind) for kind in dict.fromkeys(term[1] for term in self.energy_terms)}
-        self._data = self._points = None  # the data table read this iteration, and its point masses
+        self._data = None  # the data table read in this iteration
+        self._fresh: dict = {}  # data slot -> its point mass, read in this iteration
+        self._points: dict = {}  # data slot -> (its value's shape and bytes, its point mass)
 
     def resolve(self, slot, fid, data, marginals):
         """The value a slot reads: a message, marginal, datum, constant or
@@ -442,15 +446,20 @@ class Executor:
                 raise InterpretError(f"marginal {slot[1]!r} missing from the table") from None
         if tag == "data":
             if data is not self._data:
-                self._data, self._points = data, {}
-            point = self._points.get(slot[1])
+                self._data, self._fresh = data, {}
+            point = self._fresh.get(slot[1])
             if point is None:
                 name, index = slot[1]
                 try:
                     value = data[name][index - 1]
                 except (KeyError, IndexError):
                     raise InterpretError(f"missing data slot {name}[{index}]") from None
-                point = self._points[slot[1]] = PointMass(value)
+                value = np.asarray(value, dtype=float)
+                bits = value.shape, value.tobytes()
+                kept = self._points.get(slot[1])
+                if kept is None or kept[0] != bits:
+                    kept = self._points[slot[1]] = bits, PointMass(value)
+                point = self._fresh[slot[1]] = kept[1]
             return point
         if tag == "const":
             return slot[1]

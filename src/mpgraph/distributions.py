@@ -20,9 +20,12 @@ and conversion back to moment form is deferred until a mean or covariance is
 actually requested. Before any inversion, symmetric matrices get their
 eigenvalues floored at 1e-12.
 
-Most Gaussians in a run have d = 1 or 2, so the canonical constructor's
-finiteness and symmetry tests, the product's semi-definiteness test and the
-1x1 canonical moments run on Python floats there (see ``_linalg``). Each float
+Most Gaussians in a run have d = 1 or 2. A one-dimensional Gaussian keeps
+its parameters as Python floats and builds its arrays only when they are
+read, so a chain of scalar messages (a rule's moments, a product's canonical
+sum, the constructor's checks) runs on floats without a numpy array; for
+d = 2 the canonical constructor's finiteness and symmetry tests and the
+product's semi-definiteness test run on floats (see ``_linalg``). Each float
 branch raises the same exceptions with the same text and gives the same bits
 as the numpy body it stands in for, which still runs for d >= 3; so F traces
 and listings do not depend on which branch ran.
@@ -48,7 +51,9 @@ from ._linalg import (
     as_matrix,
     as_vector,
     check_spd,
+    check_spd_1x1,
     floored_eigh,
+    inverse_1x1,
     spd_inverse,
     spd_logdet,
     spd_logdets,
@@ -127,11 +132,19 @@ class Distribution:
 
 
 class GaussianBase(Distribution):
-    """Shared moment accessors for the three Gaussian parameterizations."""
+    """Shared moment accessors for the three Gaussian parameterizations.
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    ``dim`` is the dimension d. For d = 1 a Gaussian keeps its two
+    parameters as Python floats, and ``scalar_moments`` and
+    ``scalar_canonical`` read its two parameterizations as floats. A value
+    built from floats builds its read-only arrays (the attributes ``mean``,
+    ``covariance``, ``precision``, ``weighted_mean`` and what the accessors
+    return) only when they are read; one built from arrays keeps them. Each
+    float is the one correctly rounded operation the 1x1 array expression
+    performs (see ``_linalg``), so the arrays, ``to_json`` and ``==`` do not
+    depend on how the value was built."""
+
+    dim: int
 
     def mean_vector(self) -> np.ndarray:
         raise NotImplementedError
@@ -144,6 +157,14 @@ class GaussianBase(Distribution):
 
     def weighted_mean_vector(self) -> np.ndarray:
         return self.precision_matrix() @ self.mean_vector()
+
+    def scalar_moments(self) -> tuple[float, float]:
+        """(mean, variance) as Python floats; d = 1 only."""
+        raise NotImplementedError
+
+    def scalar_canonical(self) -> tuple[float, float]:
+        """(weighted mean, precision) as Python floats; d = 1 only."""
+        raise NotImplementedError
 
     def second_moment(self) -> np.ndarray:
         m = self.mean_vector()
@@ -169,21 +190,63 @@ class GaussianBase(Distribution):
         return -0.5 * (self.dim * LOG_2PI + spd_logdet(v) + quad)
 
 
+def _checked_scalar(a: float, name: str) -> float:
+    """``_checked_spd`` of the 1x1 matrix [[a]], on a float."""
+    try:
+        return check_spd_1x1(a, name)
+    except ValueError as exc:
+        raise DistributionError(str(exc)) from None
+
+
+def _vector(x: float) -> np.ndarray:
+    return _freeze_owned(np.array([x]))
+
+
+def _matrix(x: float) -> np.ndarray:
+    return _freeze_owned(np.array([[x]]))
+
+
+class _cached:
+    """An attribute computed on first read and kept on the instance, where
+    a constructor may also set it: ``functools.cached_property`` without its
+    lock, which costs a microsecond per first read. The value is immutable
+    and computing it again gives the same bits, so two threads that race
+    store equal values."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, q, owner=None):
+        if q is None:
+            return self
+        value = q.__dict__[self.name] = self.compute(q)
+        return value
+
+
 class GaussianMeanVariance(GaussianBase):
+    """Moment form (m, V); for d = 1, m and V are also Python floats."""
+
     variant = "GaussianMeanVariance"
 
     def __init__(self, mean, covariance):
+        if mean.__class__ is float and covariance.__class__ is float:
+            self.dim, self._m, self._v = 1, mean, _checked_scalar(covariance, "covariance")
+            return
         m = as_vector(mean)
         v = _checked_spd(as_matrix(covariance), "covariance")
         if v.shape[0] != m.shape[0]:
             raise DistributionError("mean/covariance dimension mismatch")
-        self.mean = _freeze(m)
-        self.covariance = _freeze_owned(v)
-        self._precision = None
+        self.dim, self.mean, self.covariance = m.shape[0], _freeze(m), _freeze_owned(v)
+        if self.dim == 1:
+            self._m, self._v = m.item(), v.item()
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+    # built from the floats of a value built from floats
+    mean = _cached(lambda q: _vector(q._m))
+    covariance = _cached(lambda q: _matrix(q._v))
+    _precision = None
 
     def mean_vector(self):
         return self.mean
@@ -193,42 +256,63 @@ class GaussianMeanVariance(GaussianBase):
 
     def precision_matrix(self):
         if self._precision is None:
-            self._precision = _freeze_owned(spd_inverse(self.covariance))
+            self._precision = _matrix(inverse_1x1(self._v)) if self.dim == 1 \
+                else _freeze_owned(spd_inverse(self.covariance))
         return self._precision
+
+    def scalar_moments(self):
+        return self._m, self._v
+
+    def scalar_canonical(self):
+        p = inverse_1x1(self._v)
+        return p * self._m + 0.0, p
 
     def _params_json(self):
         return {"mean": self.mean.tolist(), "covariance": self.covariance.tolist()}
 
 
 class GaussianMeanPrecision(GaussianBase):
+    """Precision form (m, W); for d = 1, m and W are also Python floats."""
+
     variant = "GaussianMeanPrecision"
 
     def __init__(self, mean, precision):
+        if mean.__class__ is float and precision.__class__ is float:
+            self.dim, self._m, self._p = 1, mean, _checked_scalar(precision, "precision")
+            return
         m = as_vector(mean)
         w = _checked_spd(as_matrix(precision), "precision")
         if w.shape[0] != m.shape[0]:
             raise DistributionError("mean/precision dimension mismatch")
-        self.mean = _freeze(m)
-        self.precision = _freeze_owned(w)
-        self._covariance = None
+        self.dim, self.mean, self.precision = m.shape[0], _freeze(m), _freeze_owned(w)
+        if self.dim == 1:
+            self._m, self._p = m.item(), w.item()
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+    # built from the floats of a value built from floats
+    mean = _cached(lambda q: _vector(q._m))
+    precision = _cached(lambda q: _matrix(q._p))
+    _covariance = None
 
     def mean_vector(self):
         return self.mean
 
     def covariance_matrix(self):
         if self._covariance is None:
-            self._covariance = _freeze_owned(spd_inverse(self.precision))
+            self._covariance = _matrix(inverse_1x1(self._p)) if self.dim == 1 \
+                else _freeze_owned(spd_inverse(self.precision))
         return self._covariance
 
     def precision_matrix(self):
         return self.precision
 
     def weighted_mean_vector(self):
-        return self.precision @ self.mean
+        return self.precision @ self.mean if self.dim != 1 else np.array([self._p * self._m + 0.0])
+
+    def scalar_moments(self):
+        return self._m, inverse_1x1(self._p)
+
+    def scalar_canonical(self):
+        return self._p * self._m + 0.0, self._p
 
     def _params_json(self):
         return {"mean": self.mean.tolist(), "precision": self.precision.tolist()}
@@ -239,12 +323,19 @@ class GaussianCanonical(GaussianBase):
 
     The precision may be singular; it is floored only when moments are
     requested, so rank-deficient messages (e.g. out of a dot-product gain)
-    survive until they collide with an informative message.
+    survive until they collide with an informative message. For d = 1, xi
+    and W are also Python floats, and so are the moments.
     """
 
     variant = "GaussianCanonical"
+    _mean = _covariance = _v = None  # the moments, as arrays and (for d = 1) floats, once computed
 
     def __init__(self, weighted_mean, precision):
+        if weighted_mean.__class__ is float and precision.__class__ is float:
+            if not math.isfinite(precision):
+                raise DistributionError("precision has a non-finite entry")
+            self.dim, self._xi, self._p = 1, weighted_mean, 0.5 * (precision + precision)
+            return
         xi = as_vector(weighted_mean)
         w = as_matrix(precision)
         if w.shape[0] != w.shape[1] or w.shape[0] != xi.shape[0]:
@@ -254,7 +345,8 @@ class GaussianCanonical(GaussianBase):
             a = float(w[0, 0])
             if not math.isfinite(a):
                 raise DistributionError("precision has a non-finite entry")
-            w = np.array([[0.5 * (a + a)]])
+            self._xi, self._p = xi.item(), 0.5 * (a + a)
+            w = np.array([[self._p]])
         elif n == 2:  # |b - c| is the largest entry of |w - w.T|
             (a, b), (c, d) = w.tolist()
             if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
@@ -269,24 +361,33 @@ class GaussianCanonical(GaussianBase):
             if w.size and float(np.max(np.abs(w - w.T))) > 1e-9 * max(1.0, top):
                 raise DistributionError("precision is not symmetric")
             w = symmetrize(w)
-        self.weighted_mean = _freeze(xi)
-        self.precision = _freeze_owned(w)
-        self._mean = self._covariance = None
+        self.dim, self.weighted_mean, self.precision = n, _freeze(xi), _freeze_owned(w)
 
-    @property
-    def dim(self) -> int:
-        return self.weighted_mean.shape[0]
+    # built from the floats of a value built from floats
+    weighted_mean = _cached(lambda q: _vector(q._xi))
+    precision = _cached(lambda q: _matrix(q._p))
+
+    def scalar_moments(self):
+        # spd_solve and spd_inverse with q = [[1]]: each product rounds
+        # once, and the matmul sums from +0.0, which turns a -0.0 mean into
+        # +0.0, as "+ 0.0" does; the covariance is never above 1 / EIG_FLOOR,
+        # so its symmetrization is exact
+        if self._v is None:
+            p = self._p
+            inv = 1.0 / (EIG_FLOOR if EIG_FLOOR > p else p)  # max(p, EIG_FLOOR); a NaN stays
+            self._m, self._v = inv * self._xi + 0.0, inv
+        return self._m, self._v
+
+    def scalar_canonical(self):
+        return self._xi, self._p
 
     def _moments(self):
         # one floored eigendecomposition serves both moments; the expressions
-        # are those of spd_solve and spd_inverse, so the bits are theirs. For
-        # d = 1 (q = [[1]]) each product rounds once; a matmul sums from +0.0,
-        # so it turns a -0.0 mean into +0.0, and so does "+ 0.0".
+        # are those of spd_solve and spd_inverse, so the bits are theirs
         if self._covariance is None:
             if self.dim == 1:
-                inv = 1.0 / max(float(self.precision[0, 0]), EIG_FLOOR)
-                self._mean = _freeze_owned(np.array([inv * float(self.weighted_mean[0]) + 0.0]))
-                self._covariance = _freeze_owned(np.array([[inv]]))
+                m, v = self.scalar_moments()
+                self._mean, self._covariance = _vector(m), _matrix(v)
             else:
                 w, q = floored_eigh(self.precision)
                 qw = q / w
@@ -329,22 +430,28 @@ class Gamma(Distribution):
             raise DistributionError(f"Gamma parameters must be positive, got a={a}, b={b}")
         self.shape = a
         self.rate = b
-        self._expected_log = self._mean_matrix = self._mean_inverse = None
+        self._expected_log = self._inverse = self._mean_matrix = self._mean_inverse = None
 
     def mean_scalar(self) -> float:
+        """E[w], the precision a Gaussian reads."""
         return self.shape / self.rate
 
+    def inverse_mean_scalar(self) -> float:
+        """E[w]^-1, the variance a Gaussian with this precision adds."""
+        if self._inverse is None:
+            self._inverse = inverse_1x1(self.mean_scalar())
+        return self._inverse
+
     def mean_matrix(self) -> np.ndarray:
-        """E[w] as a read-only 1x1 matrix, the precision a Gaussian reads."""
+        """E[w] as a read-only 1x1 matrix."""
         if self._mean_matrix is None:
-            self._mean_matrix = _freeze_owned(np.array([[self.mean_scalar()]]))
+            self._mean_matrix = _matrix(self.mean_scalar())
         return self._mean_matrix
 
     def mean_inverse(self) -> np.ndarray:
-        """E[w]^-1 as a read-only 1x1 matrix, the variance a Gaussian with
-        this precision adds."""
+        """E[w]^-1 as a read-only 1x1 matrix."""
         if self._mean_inverse is None:
-            self._mean_inverse = _freeze_owned(spd_inverse(self.mean_matrix()))
+            self._mean_inverse = _matrix(self.inverse_mean_scalar())
         return self._mean_inverse
 
     def expected_log(self) -> float:
@@ -657,11 +764,16 @@ def product(a: Distribution, b: Distribution) -> Distribution:
     if isinstance(a, GaussianBase) and isinstance(b, GaussianBase):
         if a.dim != b.dim:
             raise IncompatibleSupport(f"Gaussian dimension mismatch: {a.dim} vs {b.dim}")
+        if a.dim == 1:
+            xa, wa = a.scalar_canonical()
+            xb, wb = b.scalar_canonical()
+            w = wa + wb
+            if w < -1e-9:
+                raise DistributionError("product precision is not positive semi-definite")
+            return GaussianCanonical(xa + xb, w)
         w = a.precision_matrix() + b.precision_matrix()
         xi = a.weighted_mean_vector() + b.weighted_mean_vector()
-        if a.dim == 1:
-            negative = float(w[0, 0]) < -1e-9
-        elif a.dim == 2:  # a NaN eigenvalue passes, as it passes np.min
+        if a.dim == 2:  # a NaN eigenvalue passes, as it passes np.min
             (w00, w01), (w10, w11) = w.tolist()
             lo, hi, _ = _eigvals_2x2(w00, 0.5 * (w01 + w10), w11)
             negative = (lo < -1e-9 or hi < -1e-9) and lo == lo and hi == hi
@@ -857,6 +969,48 @@ def mean_and_cov(q: Distribution) -> tuple[np.ndarray, np.ndarray]:
     raise IncompatibleSupport(f"{q.variant} has no Gaussian-style moments")
 
 
+# The readings above as Python floats, for the beliefs where each array is a
+# 1-vector or a 1x1 matrix whatever the dimension asked for; None for any
+# other belief, whose arrays the caller then reads.
+
+
+def _scalar_moments(q) -> tuple[float, float] | None:
+    """``mean_and_cov(q)`` of a one-dimensional Gaussian or a point mass on
+    one number."""
+    if isinstance(q, GaussianBase):
+        return q.scalar_moments() if q.dim == 1 else None
+    if isinstance(q, PointMass) and q.value.size == 1 and q.value.ndim < 2:
+        return q.value.item(), 0.0
+    return None
+
+
+def _scalar_mean(q) -> tuple[float] | None:
+    """The mean of a one-dimensional Gaussian or a point mass on one number."""
+    if isinstance(q, GaussianBase):
+        return q.scalar_moments()[:1] if q.dim == 1 else None
+    if isinstance(q, PointMass) and q.value.size == 1 and q.value.ndim < 2:
+        return (q.value.item(),)
+    return None
+
+
+def _scalar_precision(q) -> tuple[float] | None:
+    """``expected_precision(q, d)`` of a Gamma or a scalar point mass."""
+    if isinstance(q, Gamma):
+        return (q.mean_scalar(),)
+    if isinstance(q, PointMass) and q.value.ndim == 0:
+        return (q.value.item(),)
+    return None
+
+
+def _scalar_covariance(q) -> tuple[float] | None:
+    """``expected_covariance(q, d)`` of a Gamma or a scalar point mass."""
+    if isinstance(q, Gamma):
+        return (q.inverse_mean_scalar(),)
+    if isinstance(q, PointMass) and q.value.ndim == 0:
+        return (inverse_1x1(q.value.item()),)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Average energies: E_q[-log f] per node kind
 # ---------------------------------------------------------------------------
@@ -890,15 +1044,37 @@ class Batch:
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 
 
-def _stacked(column, fn) -> list:
+def _stacked(column, fn, scalar=None, ndims=()) -> list:
     """``fn(q)``, a tuple of arrays, for each belief of ``column``, stacked
     on a leading batch axis. A column that holds one belief throughout (a
     parameter every time slice reads) is evaluated once, on an axis of
-    length one that broadcasts."""
+    length one that broadcasts.
+
+    ``scalar(q)``, if given, is ``fn(q)`` as Python floats where each array
+    is a 1-vector or a 1x1 matrix (None elsewhere), and ``ndims`` gives each
+    array's rank: beliefs that all have floats are stacked from them, so no
+    array of a member is built."""
     first = column[0]
     if len(column) == 1 or all(q is first for q in column):
         return [np.asarray(x)[None] for x in fn(first)]
+    if scalar is not None and scalar(first) is not None:
+        rows = list(map(scalar, column))
+        if None not in rows:
+            stack = np.array(list(zip(*rows)))  # one contiguous row per array
+            return [stack[i].reshape(-1, *(1,) * ndim) for i, ndim in enumerate(ndims)]
     return [np.array(x) for x in zip(*map(fn, column))]
+
+
+def _column(column, fn, scalar, ndims) -> tuple | list:
+    """``_stacked`` for a body whose arithmetic also takes floats: a column
+    that holds one belief with floats throughout (the one member of a batch
+    of one) gives them as they are, and they broadcast as the axis of length
+    one does."""
+    first = column[0]
+    if len(column) == 1 or all(q is first for q in column):
+        x = scalar(first)
+        return x if x is not None else [np.asarray(a)[None] for a in fn(first)]
+    return _stacked(column, fn, scalar, ndims)
 
 
 def _apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -914,8 +1090,8 @@ def _scatters(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _quadratics(out_column, mean_column) -> np.ndarray:
     """E[(x - m)(x - m)^T] under independent beliefs over x and m."""
-    mx, vx = _stacked(out_column, mean_and_cov)
-    mm, vm = _stacked(mean_column, mean_and_cov)
+    mx, vx = _stacked(out_column, mean_and_cov, _scalar_moments, (1, 2))
+    mm, vm = _stacked(mean_column, mean_and_cov, _scalar_moments, (1, 2))
     return _scatters(mx - mm, vx + vm)
 
 
@@ -952,7 +1128,8 @@ def _affine_scatter(moments, constants) -> np.ndarray:
 
 def _affine_scatters(columns, constants) -> np.ndarray:
     """``_affine_scatter`` of a batch of terms, stacked."""
-    return _affine_scatter([_stacked(column, mean_and_cov) for column in columns], constants)
+    return _affine_scatter([_stacked(column, mean_and_cov, _scalar_moments, (1, 2)) for column in columns],
+                           constants)
 
 
 def _precision_energies(prec_column, s: np.ndarray) -> np.ndarray:
@@ -1085,8 +1262,10 @@ def negative_entropy(columns, constants) -> np.ndarray:
     return -(constants.get("weight", 1.0) * h)
 
 
-def _entropy_operand(q) -> np.ndarray:
-    return q.covariance_matrix() if isinstance(q, GaussianBase) else q.probabilities
+def _entropy_operand(q):
+    if isinstance(q, GaussianBase):
+        return [[q.scalar_moments()[1]]] if q.dim == 1 else q.covariance_matrix()
+    return q.probabilities
 
 
 def _energy_gamma(q_out, q_shape, q_rate) -> float:

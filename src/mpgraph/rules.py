@@ -44,6 +44,11 @@ from .distributions import (
     Wishart,
     _affine_scatters,
     _apply,
+    _column,
+    _scalar_covariance,
+    _scalar_mean,
+    _scalar_moments,
+    _scalar_precision,
     _scatters,
     _stacked,
     affine_transport,
@@ -287,7 +292,22 @@ def _gauss_or_point(mean, cov, inputs) -> Distribution:
     if all(isinstance(x, PointMass) for x in inputs):
         v = as_vector(mean)
         return PointMass(v[0] if v.shape[0] == 1 else v)
+    if cov.__class__ is float:
+        return GaussianMeanVariance(mean, 0.5 * (cov + cov))
     return GaussianMeanVariance(mean, symmetrize(as_matrix(cov)))
+
+
+def _moments(q) -> tuple:
+    """The mean and covariance of a Gaussian or vector point mass, as
+    floats where ``_scalar_moments`` gives them."""
+    return _scalar_moments(q) or mean_and_cov(q)
+
+
+def _variance(q):
+    """The fixed variance a point mass holds, as a matrix, or as a float
+    where that matrix is 1x1."""
+    v = q.value
+    return v.item() if v.size == 1 and v.ndim in (0, 2) else as_matrix(v)
 
 
 def _precision_messages(scatters: np.ndarray, constants: dict, weights=1.0) -> list:
@@ -319,15 +339,32 @@ def _rows(stack: np.ndarray, n: int) -> np.ndarray:
     return stack if len(stack) == n else np.broadcast_to(stack, (n, *stack.shape[1:]))
 
 
-def _gaussians(cls, n: int, first: np.ndarray, second: np.ndarray) -> list:
-    """``cls(first[i], second[i])`` for ``n`` messages, from stacks whose one
-    row may stand for all."""
-    first, second = _rows(first, n), _rows(second, n)
+def _members(x, n: int):
+    """The ``n`` members' parameters in ``x``, by member: a stack whose one
+    row may stand for all, or a float that stands for all. A 1-vector or 1x1
+    matrix is its entry as a float."""
+    if x.__class__ is float:
+        return [x] * n
+    x = _rows(x, n)
+    return x.reshape(n).tolist() if x.size == n else x
+
+
+def _gaussians(cls, n: int, first, second) -> list:
+    """``cls`` of each member's two parameters, for ``n`` messages (see
+    ``_members``)."""
+    if n == 1 and first.__class__ is float and second.__class__ is float:
+        return [cls(first, second)]
+    first, second = _members(first, n), _members(second, n)
     return [cls(first[i], second[i]) for i in range(n)]
 
 
 def _mean_vector(q) -> tuple:
     return (as_vector(moment(q, "mean")),)
+
+
+def _size(x) -> int:
+    """The dimension of the vectors of a stack, or 1 for a float."""
+    return 1 if x.__class__ is float else x.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +383,8 @@ def _gaussian_spread(at: int) -> Batch:
 
     @Batch
     def batch(columns, constants):
-        m, v = _stacked(columns[at], mean_and_cov)
-        (e,) = _stacked(columns[2], lambda q: (expected_covariance(q, m.shape[-1]),))
+        m, v = _column(columns[at], mean_and_cov, _scalar_moments, (1, 2))
+        (e,) = _column(columns[2], lambda q: (expected_covariance(q, _size(m)),), _scalar_covariance, (2,))
         return _gaussians(GaussianMeanVariance, len(columns[at]), m, v + e)
 
     return batch
@@ -359,8 +396,8 @@ def _gaussian_vmp(at: int) -> Batch:
 
     @Batch
     def batch(columns, constants):
-        (m,) = _stacked(columns[at], _mean_vector)
-        (w,) = _stacked(columns[2], lambda q: (expected_precision(q, m.shape[-1]),))
+        (m,) = _column(columns[at], _mean_vector, _scalar_mean, (1,))
+        (w,) = _column(columns[2], lambda q: (expected_precision(q, _size(m)),), _scalar_precision, (2,))
         return _gaussians(GaussianMeanPrecision, len(columns[at]), m, w)
 
     return batch
@@ -380,20 +417,21 @@ def _gaussian_vmp_precision(inbound, constants):
 
 def _gaussian_mv_forward(inbound, constants):
     _, q_mean, q_var = inbound
-    m, v = mean_and_cov(q_mean)
-    return GaussianMeanVariance(m, v + as_matrix(q_var.value))
+    m, v = _moments(q_mean)
+    return GaussianMeanVariance(m, v + _variance(q_var))
 
 
 def _gaussian_mv_backward_mean(inbound, constants):
     q_out, _, q_var = inbound
-    m, v = mean_and_cov(q_out)
-    return GaussianMeanVariance(m, v + as_matrix(q_var.value))
+    m, v = _moments(q_out)
+    return GaussianMeanVariance(m, v + _variance(q_var))
 
 
 def _gaussian_mv_vmp(inbound, constants):
     # the void slot is out or mean; the other is a marginal, read for its mean
     q_other = inbound[1] if inbound[0] is None else inbound[0]
-    return GaussianMeanVariance(moment(q_other, "mean"), as_matrix(inbound[2].value))
+    (m,) = _scalar_mean(q_other) or (moment(q_other, "mean"),)
+    return GaussianMeanVariance(m, _variance(inbound[2]))
 
 
 def _prior_emission(cls, param_names):
@@ -415,13 +453,13 @@ def _addition_sp(direction):
     def fn(inbound, constants):
         if direction == "out":
             a, b = inbound[1], inbound[2]
-            ma, va = mean_and_cov(a)
-            mb, vb = mean_and_cov(b)
+            ma, va = _moments(a)
+            mb, vb = _moments(b)
             return _gauss_or_point(ma + mb, va + vb, (a, b))
         other = inbound[2] if direction == "in1" else inbound[1]
         out = inbound[0]
-        mo, vo = mean_and_cov(out)
-        mb, vb = mean_and_cov(other)
+        mo, vo = _moments(out)
+        mb, vb = _moments(other)
         return _gauss_or_point(mo - mb, vo + vb, (out, other))
 
     return fn
@@ -437,8 +475,8 @@ def _addition_vmp_shift(direction, marginal_at) -> Batch:
 
     @Batch
     def batch(columns, constants):
-        (shift,) = _stacked(columns[marginal_at], _mean_vector)
-        m, v = _stacked(columns[at], mean_and_cov)
+        (shift,) = _column(columns[marginal_at], _mean_vector, _scalar_mean, (1,))
+        m, v = _column(columns[at], mean_and_cov, _scalar_moments, (1, 2))
         return _gaussians(GaussianMeanVariance, len(columns[at]), shifted(m, shift), v)
 
     return batch
@@ -661,6 +699,15 @@ def _canonical_or_sharp(msg: Distribution, dim: int):
     return msg.weighted_mean_vector(), msg.precision_matrix()
 
 
+def _scalar_canonical_or_sharp(msg) -> tuple[float, float] | None:
+    """``_canonical_or_sharp(msg, 1)`` as floats, for a one-dimensional
+    Gaussian or a point mass on one number; None for any other message."""
+    if isinstance(msg, GaussianBase):
+        return msg.scalar_canonical() if msg.dim == 1 else None
+    moments = _scalar_moments(msg)
+    return None if moments is None else (1e12 * moments[0] + 0.0, 1e12)
+
+
 @Batch
 def _joint_gaussian_chain(columns, constants):
     """Two-slice joint over (x_prev, x_out) for a Gaussian transition section
@@ -679,8 +726,10 @@ def _joint_gaussian_chain(columns, constants):
     for g, column in zip(gains[1:], offsets):
         c = c + _apply(g, _stacked(column, _mean_vector)[0])
     (w_hat,) = _stacked(prec_column, lambda q: (expected_precision(q, do),))
-    xi_l, w_l = _stacked(leaf, lambda q: _canonical_or_sharp(q, dl))
-    xi_o, w_o = _stacked(out_side, lambda q: _canonical_or_sharp(q, do))
+    xi_l, w_l = _stacked(leaf, lambda q: _canonical_or_sharp(q, dl),
+                         _scalar_canonical_or_sharp if dl == 1 else None, (1, 2))
+    xi_o, w_o = _stacked(out_side, lambda q: _canonical_or_sharp(q, do),
+                         _scalar_canonical_or_sharp if do == 1 else None, (1, 2))
     wc = _apply(w_hat, c)
     prec = np.zeros((n, dl + do, dl + do))
     prec[:, :dl, :dl] = w_l + f.T @ w_hat @ f

@@ -10,24 +10,35 @@ a factor step, ``F`` for the free-energy program, slot resolution
 included); the other rows give microseconds per instruction of a rule id or
 term kind in that program (a group's time is shared out over its
 instructions), and in the grouped column the number of calls the
-instructions took. Rows under 5% of their program's time are left out. Each
-timing is the best of five runs.
+instructions took. A row under 5% of its program's time in both columns is
+left out. Each timing is the best of five runs.
+
+A second table gives the per-object floor under a one-dimensional message, in
+microseconds (``timeit``): building a 1-D ``GaussianMeanVariance`` and a
+``GaussianCanonical`` from floats, a 1-D ``product``, and the walk's
+``variational:addition:out`` rule applied alone (``Rule.apply``, as the
+interpreter runs a lone instruction), called as a batch of one, and per
+member in batches of 10 and 100.
 
 A script, not a test (pytest does not collect it, and it asserts no time):
 
     PYTHONPATH=src python tests/scaling_steps.py
 
-It prints a Markdown table.
+It prints two Markdown tables.
 """
 
 import time
+import timeit
 from collections import defaultdict
 
 from mpgraph.codegen import Interpreter
+from mpgraph.distributions import GaussianCanonical, GaussianMeanVariance, product
 from mpgraph.engine import compile_model, init_marginals
 from mpgraph.models import Co2Model, HmgmModel, ProbitSsmModel, RandomWalkModel, sample_generative
+from mpgraph.rules import MARGINAL, MESSAGE, VOID, default_registry
 
 REPEATS = 5
+NUMBER = 2000  # calls per timing of the floor table
 
 
 def bench_models():
@@ -115,6 +126,26 @@ def program_rows(runner, data, marginals) -> list:
     return rows
 
 
+def floor_rows() -> list:
+    """``(what, microseconds per object or message)`` for the floor table."""
+    msg, shift = GaussianMeanVariance(0.25, 2.0), GaussianCanonical(1.5, 4.0)
+    rule = default_registry().lookup("addition", "out", [(VOID, None), (MESSAGE, GaussianMeanVariance),
+                                                         (MARGINAL, GaussianCanonical)], "variational")
+
+    def micros(fn, per=1) -> float:
+        return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER / per * 1e6
+
+    rows = [("1-D GaussianMeanVariance from floats", micros(lambda: GaussianMeanVariance(0.25, 2.0))),
+            ("1-D GaussianCanonical from floats", micros(lambda: GaussianCanonical(0.5, 3.0))),
+            ("1-D product", micros(lambda: product(msg, shift))),
+            (f"{rule.id} alone (Rule.apply)", micros(lambda: rule.apply([None, msg, shift], {}))),
+            (f"{rule.id} as a batch of one", micros(lambda: rule.batch([[None], [msg], [shift]], {})))]
+    for n in (10, 100):
+        columns = [[None] * n, [GaussianMeanVariance(0.25 + i, 2.0) for i in range(n)], [shift] * n]
+        rows.append((f"{rule.id} per member, batch of {n}", micros(lambda: rule.batch(columns, {}), n)))
+    return rows
+
+
 def main():
     print("| model | program | rule id or term kind | instructions | one at a time | grouped (calls) | speed-up |")
     print("|---|---|---|---|---|---|---|")
@@ -127,13 +158,19 @@ def main():
         total = {}
         for key, applies, n, alone, grouped, calls in program_rows(runner, data, marginals):
             if applies is None:
-                total[key] = alone
+                total[key] = alone, grouped
                 kind = "F" if key == "F" else "step"
                 print(f"| {name} | {key} | {kind} (ms) | {n} | {alone * 1e3:.2f} | {grouped * 1e3:.2f} | "
                       f"{alone / grouped:.2f}x |")
-            elif alone >= 0.05 * total[key]:
+            elif alone >= 0.05 * total[key][0] or grouped >= 0.05 * total[key][1]:
                 print(f"| {name} | {key} | {applies} | {n} | {alone / n * 1e6:.1f} µs | "
                       f"{grouped / n * 1e6:.1f} µs ({calls}) | {alone / grouped:.1f}x |", flush=True)
+
+    print()
+    print("| per-object floor | µs |")
+    print("|---|---|")
+    for what, micros in floor_rows():
+        print(f"| {what} | {micros:.2f} |")
 
 
 if __name__ == "__main__":
