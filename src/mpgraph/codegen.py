@@ -19,7 +19,9 @@ each step program and the free-energy program in the order one planner
 gives (``plan_step``): a program's independent instructions of one batched
 rule or energy (``distributions.Batch``) run as one call, and a group that
 raises falls back to one instruction at a time. Each message and each term
-has the bits it gets alone, so interpretation is bit-identical to direct
+has the bits it gets alone, and a marginal multiplied in one pass
+(``distributions.product_all``) has the bits of the pairwise fold
+``DirectExecutor`` runs, so interpretation is bit-identical to direct
 schedule execution as long as instructions mirror schedule steps one for one.
 """
 
@@ -39,6 +41,7 @@ from .distributions import (
     from_json,
     negative_entropy,
     product,
+    product_all,
 )
 from .graph import energy_function
 from .rules import Message, RuleRegistry, default_registry
@@ -479,7 +482,8 @@ class Executor:
             self.sites[step.writes_site] = msg.dist
 
     def belief(self, fid, slots, data, marginals) -> Distribution:
-        """The product of the messages in ``slots``."""
+        """The product of the messages in ``slots``, ``product`` folded left
+        to right."""
         out = self.resolve(slots[0], fid, data, marginals)
         for slot in slots[1:]:
             out = product(out, self.resolve(slot, fid, data, marginals))
@@ -684,6 +688,14 @@ class Interpreter(Executor):
     def _plan(self, key):
         return plan_step(self._programs[key],
                          lambda applies: applies in self._batches and (key, applies) not in self._unstacked)[0]
+
+    def belief(self, fid, slots, data, marginals) -> Distribution:
+        """``Executor.belief`` in one pass over the messages (``product_all``);
+        two messages, as a chain's marginals have, go to ``product`` at once."""
+        resolve = self.resolve
+        if len(slots) == 2:
+            return product(resolve(slots[0], fid, data, marginals), resolve(slots[1], fid, data, marginals))
+        return product_all([resolve(slot, fid, data, marginals) for slot in slots])
 
     def run_instruction(self, fid, pos, ins, data, marginals):
         if fid is None:

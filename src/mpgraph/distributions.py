@@ -48,6 +48,7 @@ from scipy.special import digamma, gammaln, log_ndtr, multigammaln
 from ._linalg import (
     EIG_FLOOR,
     _eigvals_2x2,
+    _eigvals_2x2_stacked,
     as_matrix,
     as_vector,
     check_spd,
@@ -55,6 +56,7 @@ from ._linalg import (
     floored_eigh,
     inverse_1x1,
     spd_inverse,
+    spd_inverses,
     spd_logdet,
     spd_logdets,
     spd_solve,
@@ -474,15 +476,21 @@ class Gamma(Distribution):
         return {"shape": self.shape, "rate": self.rate}
 
 
+def _wishart_parameters(scale, dof) -> tuple[np.ndarray, float]:
+    """A Wishart's scale, checked and symmetrized, and its dof, checked."""
+    v = _checked_spd(as_matrix(scale), "Wishart scale", strict=True)
+    nu = float(dof)
+    d = v.shape[0]
+    if nu <= d - 1:
+        raise DistributionError(f"Wishart dof must exceed dim-1, got nu={nu}, d={d}")
+    return v, nu
+
+
 class Wishart(Distribution):
     variant = "Wishart"
 
     def __init__(self, scale, dof):
-        v = _checked_spd(as_matrix(scale), "Wishart scale", strict=True)
-        nu = float(dof)
-        d = v.shape[0]
-        if nu <= d - 1:
-            raise DistributionError(f"Wishart dof must exceed dim-1, got nu={nu}, d={d}")
+        v, nu = _wishart_parameters(scale, dof)
         self.scale = _freeze_owned(v)
         self.dof = nu
         self._mean_matrix = self._expected_logdet = self._mean_inverse = None
@@ -813,6 +821,117 @@ def product(a: Distribution, b: Distribution) -> Distribution:
     raise IncompatibleSupport(f"cannot multiply {a.variant} with {b.variant}")
 
 
+def product_all(qs: list) -> Distribution:
+    """The product of all the distributions of ``qs``: ``product`` folded
+    left to right, with the bits, the checks and the errors of the fold.
+
+    Gaussian, Gamma, Dirichlet and Wishart members of one size are
+    multiplied in one pass over running natural parameters: each partial
+    product the fold would build is computed and checked, but not built.
+    Gaussians sum their precisions and weighted means (on Python floats for
+    d = 1, stacked for d >= 2, where the partial precisions' symmetrization
+    must leave them as they are and their semi-definiteness is tested
+    stacked); Gammas and Dirichlets sum their parameters less one. A Wishart
+    product inverts each partial sum of inverse scales, one after the other,
+    and feeds the checked scale on; the members' inverses are taken as one
+    stack, and each partial scale runs the constructor's checks. Two
+    members, point masses, categoricals, mixed families or sizes, and a
+    Gaussian, Gamma or Dirichlet partial product that fails its checks go
+    through the fold itself; so a failure raises the fold's error at the
+    fold's member."""
+    first, out = qs[0], None
+    if len(qs) > 2:
+        if isinstance(first, GaussianBase):
+            out = _gaussian_product_all(qs) if first.dim == 1 else _gaussian_product_all_stacked(qs)
+        elif first.__class__ is Gamma:
+            out = _gamma_product_all(qs)
+        elif first.__class__ is Dirichlet:
+            out = _dirichlet_product_all(qs)
+        elif first.__class__ is Wishart:
+            out = _wishart_product_all(qs)
+    if out is not None:
+        return out
+    for q in qs[1:]:
+        first = product(first, q)
+    return first
+
+
+def _gaussian_product_all(qs) -> Distribution | None:
+    """``product_all`` of one-dimensional Gaussians, on floats: the
+    precision is checked and symmetrized after each addition, as the
+    product and the canonical constructor do it."""
+    xi, p = qs[0].scalar_canonical()
+    for q in qs[1:]:
+        if not (isinstance(q, GaussianBase) and q.dim == 1):
+            return None
+        x, w = q.scalar_canonical()
+        w = p + w
+        if not (w >= -1e-9 and math.isfinite(w)):
+            return None
+        xi, p = xi + x, 0.5 * (w + w)
+    return GaussianCanonical(xi, w)
+
+
+def _gaussian_product_all_stacked(qs) -> Distribution | None:
+    """``product_all`` of Gaussians of one dimension d >= 2. The running
+    sums are cumulative sums (``np.add.accumulate`` adds in order) as long
+    as symmetrizing each partial precision, which the canonical constructor
+    does, leaves its bits as they are."""
+    d = qs[0].dim
+    if not all(isinstance(q, GaussianBase) and q.dim == d for q in qs):
+        return None
+    w = np.add.accumulate(np.array([q.precision_matrix() for q in qs]), axis=0)[1:]
+    xi = np.add.accumulate(np.array([q.weighted_mean_vector() for q in qs]), axis=0)[-1]
+    with np.errstate(all="ignore"):
+        sym = 0.5 * (w + w.swapaxes(1, 2))
+        if not (np.isfinite(w).all() and np.array_equal(sym.view(np.int64), w.view(np.int64))):
+            return None
+        if d == 2:  # a NaN eigenvalue passes, as it passes the product's test
+            lo, hi, _ = _eigvals_2x2_stacked(w[:, 0, 0], sym[:, 0, 1], w[:, 1, 1])
+            negative = ((lo < -1e-9) | (hi < -1e-9)) & (lo == lo) & (hi == hi)
+        else:
+            negative = np.min(np.linalg.eigvalsh(sym), axis=1) < -1e-9
+    if negative.any():
+        return None
+    return GaussianCanonical(xi, w[-1])
+
+
+def _gamma_product_all(qs) -> Distribution | None:
+    shape, rate = qs[0].shape, qs[0].rate
+    for q in qs[1:]:
+        if q.__class__ is not Gamma:
+            return None
+        shape, rate = shape + q.shape - 1.0, rate + q.rate
+        if not (shape > 0.0 and rate > 0.0):
+            return None
+    return Gamma(shape, rate)
+
+
+def _dirichlet_product_all(qs) -> Distribution | None:
+    shape = qs[0].concentration.shape
+    if not all(q.__class__ is Dirichlet and q.concentration.shape == shape for q in qs):
+        return None
+    a = np.array([q.concentration for q in qs])
+    for k in range(1, len(a)):  # in place: row k becomes partial product k
+        np.subtract(np.add(a[k - 1], a[k], out=a[k]), 1.0, out=a[k])
+    partials = a[1:]
+    if not ((partials > 0.0).all() and (partials < math.inf).all()):
+        return None
+    return Dirichlet(a[-1])
+
+
+def _wishart_product_all(qs) -> Distribution | None:
+    d = qs[0].dim
+    if not all(q.__class__ is Wishart and q.dim == d for q in qs):
+        return None
+    inverses = spd_inverses(np.array([q.scale for q in qs]))
+    running, dof = inverses[0], qs[0].dof
+    for k in range(1, len(qs) - 1):
+        v, dof = _wishart_parameters(spd_inverse(running + inverses[k]), dof + qs[k].dof - d - 1.0)
+        running = spd_inverse(v)
+    return Wishart(spd_inverse(running + inverses[-1]), dof + qs[-1].dof - d - 1.0)
+
+
 def _check_point_support(pm: PointMass, other: Distribution):
     v = pm.value
     if isinstance(other, GaussianBase):
@@ -1063,6 +1182,17 @@ def _stacked(column, fn, scalar=None, ndims=()) -> list:
             stack = np.array(list(zip(*rows)))  # one contiguous row per array
             return [stack[i].reshape(-1, *(1,) * ndim) for i, ndim in enumerate(ndims)]
     return [np.array(x) for x in zip(*map(fn, column))]
+
+
+def _floats(q) -> bool:
+    """Whether a batch body whose arithmetic also takes floats reads its
+    columns with ``_column``: its first member ``q`` is a one-dimensional
+    Gaussian or a point mass on one number. A body asks once per call and
+    otherwise reads its columns with ``_stacked``, so a batch of one d >= 2
+    message pays for no float probe."""
+    if isinstance(q, GaussianBase):
+        return q.dim == 1
+    return isinstance(q, PointMass) and q.value.size == 1 and q.value.ndim < 2
 
 
 def _column(column, fn, scalar, ndims) -> tuple | list:

@@ -25,6 +25,7 @@ independent instructions of such a rule as one call.
 from __future__ import annotations
 
 import hashlib
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -45,6 +46,7 @@ from .distributions import (
     _affine_scatters,
     _apply,
     _column,
+    _floats,
     _scalar_covariance,
     _scalar_mean,
     _scalar_moments,
@@ -80,15 +82,20 @@ class RuleUnavailable(LookupError):
     """No registered rule matches the query; carries a readable diagnostic."""
 
 
+_NO_INFO = MappingProxyType({})
+
+
 class Message:
-    """A distribution annotated with the rule that produced it."""
+    """A distribution annotated with the rule that produced it, and what the
+    rule reported (``info``; a read-only empty mapping, shared, when it
+    reported nothing)."""
 
     __slots__ = ("dist", "rule_id", "info")
 
     def __init__(self, dist: Distribution, rule_id: str, info: dict | None = None):
         self.dist = dist
         self.rule_id = rule_id
-        self.info = info or {}
+        self.info = info or _NO_INFO
 
     def __repr__(self):
         return f"Message({self.dist!r}, rule={self.rule_id})"
@@ -349,12 +356,16 @@ def _members(x, n: int):
     return x.reshape(n).tolist() if x.size == n else x
 
 
-def _gaussians(cls, n: int, first, second) -> list:
+def _gaussians(cls, n: int, first, second, floats: bool = True) -> list:
     """``cls`` of each member's two parameters, for ``n`` messages (see
-    ``_members``)."""
-    if n == 1 and first.__class__ is float and second.__class__ is float:
+    ``_members``); stacks by row alone on a body's array path (``floats``
+    False, see ``distributions._floats``)."""
+    if not floats:
+        first, second = _rows(first, n), _rows(second, n)
+    elif n == 1 and first.__class__ is float and second.__class__ is float:
         return [cls(first, second)]
-    first, second = _members(first, n), _members(second, n)
+    else:
+        first, second = _members(first, n), _members(second, n)
     return [cls(first[i], second[i]) for i in range(n)]
 
 
@@ -383,9 +394,11 @@ def _gaussian_spread(at: int) -> Batch:
 
     @Batch
     def batch(columns, constants):
-        m, v = _column(columns[at], mean_and_cov, _scalar_moments, (1, 2))
-        (e,) = _column(columns[2], lambda q: (expected_covariance(q, _size(m)),), _scalar_covariance, (2,))
-        return _gaussians(GaussianMeanVariance, len(columns[at]), m, v + e)
+        floats = _floats(columns[at][0])
+        read = _column if floats else _stacked
+        m, v = read(columns[at], mean_and_cov, _scalar_moments, (1, 2))
+        (e,) = read(columns[2], lambda q: (expected_covariance(q, _size(m)),), _scalar_covariance, (2,))
+        return _gaussians(GaussianMeanVariance, len(columns[at]), m, v + e, floats)
 
     return batch
 
@@ -396,9 +409,11 @@ def _gaussian_vmp(at: int) -> Batch:
 
     @Batch
     def batch(columns, constants):
-        (m,) = _column(columns[at], _mean_vector, _scalar_mean, (1,))
-        (w,) = _column(columns[2], lambda q: (expected_precision(q, _size(m)),), _scalar_precision, (2,))
-        return _gaussians(GaussianMeanPrecision, len(columns[at]), m, w)
+        floats = _floats(columns[at][0])
+        read = _column if floats else _stacked
+        (m,) = read(columns[at], _mean_vector, _scalar_mean, (1,))
+        (w,) = read(columns[2], lambda q: (expected_precision(q, _size(m)),), _scalar_precision, (2,))
+        return _gaussians(GaussianMeanPrecision, len(columns[at]), m, w, floats)
 
     return batch
 
@@ -475,9 +490,11 @@ def _addition_vmp_shift(direction, marginal_at) -> Batch:
 
     @Batch
     def batch(columns, constants):
-        (shift,) = _column(columns[marginal_at], _mean_vector, _scalar_mean, (1,))
-        m, v = _column(columns[at], mean_and_cov, _scalar_moments, (1, 2))
-        return _gaussians(GaussianMeanVariance, len(columns[at]), shifted(m, shift), v)
+        floats = _floats(columns[at][0])
+        read = _column if floats else _stacked
+        (shift,) = read(columns[marginal_at], _mean_vector, _scalar_mean, (1,))
+        m, v = read(columns[at], mean_and_cov, _scalar_moments, (1, 2))
+        return _gaussians(GaussianMeanVariance, len(columns[at]), shifted(m, shift), v, floats)
 
     return batch
 

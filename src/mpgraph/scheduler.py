@@ -6,7 +6,9 @@ dependencies, plus marginal-combination steps. Variational schedules are
 generated per recognition factor: edges inside a factor carry messages,
 edges owned by other factors are read through their current marginals, and
 state-sequence factors are swept forward (filtering) then backward
-(smoothing) before their single and two-slice marginals are combined.
+(smoothing) before their single and two-slice marginals are combined. A
+mean-field factor's marginal is one product of all its inbound messages, in
+the order its equality chain would fold them.
 
 EP messages (probit sites) introduce circular dependencies; they are held in
 persistent site slots initialized to an uninformative Gaussian, read during
@@ -495,9 +497,10 @@ class FreeEnergyProgram:
 
 
 class _FactorScheduler:
-    def __init__(self, facts: Factorization, factor_id, factor_vars, registry, ep_damping=None):
+    def __init__(self, facts: Factorization, factor_id, factor_vars, registry, ep_damping=None, fold=True):
         # owner: var -> factor id (stochastic latents only); links: the
         # chain links of every factor, by node id
+        self.facts = facts
         self.graph, self.supports, self.owner, self.mean_sides, self.links = facts
         self.factor_id = factor_id
         self.factor_vars = list(factor_vars)
@@ -509,6 +512,8 @@ class _FactorScheduler:
         self.ep_damping = ep_damping
         self.site_nodes: list[tuple[Node, int]] = []
         self.belief_entries: set[int] = set()
+        self.fold = fold  # a mean-field marginal is one product of its inbound messages
+        self.folded: list[tuple[int, str]] = []  # the partial products it stands in for
 
     # -- slot helpers -----------------------------------------------------
 
@@ -744,17 +749,20 @@ class _FactorScheduler:
         return self.graph.variable_edges(var)[-1].id
 
     def build(self) -> Schedule:
+        """The factor's schedule. A chain factor is swept forward, then
+        backward, and each variable's marginal is the product of the two
+        messages on its last edge. A mean-field factor's marginal is the
+        product of all its inbound messages (``product_inputs``), unless
+        another message reads a partial product of the variable's equality
+        chain; then it is scheduled as a chain's is, the folds as entries."""
         order, chain = chain_order(self.factor_id, self.factor_vars, self.links)
-        fwd_refs: dict[str, tuple] = {}
-        bwd_refs: dict[str, tuple] = {}
-        for var in order:
-            fwd_refs[var] = self.require(self.frontier(var), "fwd")
-        for var in reversed(order):
-            edge = self.graph.edges[self.frontier(var)]
-            if edge.head is None:
-                bwd_refs[var] = None
-            else:
-                bwd_refs[var] = self.require(self.frontier(var), "bwd")
+        if chain or not self.fold:
+            inputs = {var: [self.require(self.frontier(var), "fwd")] for var in order}
+            for var in reversed(order):
+                if self.graph.edges[self.frontier(var)].head is not None:
+                    inputs[var].append(self.require(self.frontier(var), "bwd"))
+        else:
+            inputs = {var: self.product_inputs(var) for var in order}
         # Site refreshes: the cavity (collision of everything except the
         # node's own contribution) is available once both passes are done.
         for node, in_edge_id in self.site_nodes:
@@ -775,13 +783,42 @@ class _FactorScheduler:
                 slots = [out_side, ("void",)]
                 self.emit_entry(*self.lookup("nonlinear", "in", slots, [MESSAGE, VOID]), slots,
                                 dict(node.constants), (in_edge.variable, "bwd"), extra=lin_ref, writes_site=site)
+        if any(key in self.memo for key in self.folded):
+            return _FactorScheduler(self.facts, self.factor_id, self.factor_vars, self.registry,
+                                    self.ep_damping, fold=False).build()
         for var in order:
-            inputs = [fwd_refs[var]]
-            if bwd_refs.get(var) is not None:
-                inputs.append(bwd_refs[var])
-            self.schedule.marginal_steps.append(MarginalStep(var, inputs))
+            self.schedule.marginal_steps.append(MarginalStep(var, inputs[var]))
         self.emit_joints(chain)
         return self.schedule
+
+    def product_inputs(self, var: str) -> list:
+        """The slots of the messages whose product is ``var``'s marginal, in
+        the order the equality chain on the variable folds them: the message
+        into the chain's first link, each link's other inbound message, first
+        link first, and the message back along the variable's last edge.
+
+        The chain is walked up from the last edge, without emitting its
+        partial products (the messages between links), which
+        ``self.folded`` records: a fold is the product of its first and
+        second inbound messages, in interface order, and the walk goes on
+        through the first while that comes out of an equality node too."""
+        edge_id = self.frontier(var)
+        key, readers = (edge_id, "fwd"), []
+        while key not in self.memo:
+            edge = self.graph.edges[key[0]]
+            source = edge.tail if key[1] == "fwd" else edge.head
+            if source is None or self.graph.node_at(source).kind != "equality":
+                break
+            node = self.graph.node_at(source)
+            first, second = (self.inbound(node, i) for i in range(3) if i != source[1])
+            self.folded.append(key)
+            readers.append(second)
+            key = first
+        slots = [self.require(*key)]
+        slots.extend(self.require(*target) for target in reversed(readers))
+        if self.graph.edges[edge_id].head is not None:
+            slots.append(self.require(edge_id, "bwd"))
+        return slots
 
     def require_toward(self, node: Node, edge_id: int):
         """Message on the edge flowing toward the given node."""

@@ -18,7 +18,11 @@ microseconds (``timeit``): building a 1-D ``GaussianMeanVariance`` and a
 ``GaussianCanonical`` from floats, a 1-D ``product``, and the walk's
 ``variational:addition:out`` rule applied alone (``Rule.apply``, as the
 interpreter runs a lone instruction), called as a batch of one, and per
-member in batches of 10 and 100.
+member in batches of 10 and 100. Its last rows give the microseconds per
+member of a product of 200 messages, as a parameter marginal multiplies them
+(2-D Gaussians, 2x2 Wisharts, 3x3 Dirichlets and Gammas, drawn from a fixed
+seed): the pairwise ``product`` folded left to right (``Executor.belief``),
+and ``product_all``'s one pass (``Interpreter.belief``).
 
 A script, not a test (pytest does not collect it, and it asserts no time):
 
@@ -31,14 +35,25 @@ import time
 import timeit
 from collections import defaultdict
 
+import numpy as np
+
 from mpgraph.codegen import Interpreter
-from mpgraph.distributions import GaussianCanonical, GaussianMeanVariance, product
+from mpgraph.distributions import (
+    Dirichlet,
+    Gamma,
+    GaussianCanonical,
+    GaussianMeanVariance,
+    Wishart,
+    product,
+    product_all,
+)
 from mpgraph.engine import compile_model, init_marginals
 from mpgraph.models import Co2Model, HmgmModel, ProbitSsmModel, RandomWalkModel, sample_generative
 from mpgraph.rules import MARGINAL, MESSAGE, VOID, default_registry
 
 REPEATS = 5
 NUMBER = 2000  # calls per timing of the floor table
+MEMBERS = 200  # messages per product of the floor table
 
 
 def bench_models():
@@ -143,7 +158,32 @@ def floor_rows() -> list:
     for n in (10, 100):
         columns = [[None] * n, [GaussianMeanVariance(0.25 + i, 2.0) for i in range(n)], [shift] * n]
         rows.append((f"{rule.id} per member, batch of {n}", micros(lambda: rule.batch(columns, {}), n)))
+    for family, qs in product_members().items():
+        def fold():
+            out = qs[0]
+            for q in qs[1:]:
+                out = product(out, q)
+            return out
+
+        for how, fn in (("pairwise fold", fold), ("product_all", lambda: product_all(qs))):
+            seconds = min(timeit.repeat(fn, number=max(1, NUMBER // MEMBERS), repeat=REPEATS))
+            rows.append((f"{family}, {MEMBERS} messages: {how} per member",
+                         seconds / max(1, NUMBER // MEMBERS) / (MEMBERS - 1) * 1e6))
     return rows
+
+
+def product_members() -> dict:
+    """``MEMBERS`` messages of each family a parameter marginal multiplies."""
+    rng = np.random.default_rng(1)
+
+    def spd(d):
+        g = rng.normal(size=(d, d))
+        return g @ g.T + 0.1 * np.eye(d)
+
+    return {"2-D Gaussian": [GaussianCanonical(rng.normal(size=2), spd(2)) for _ in range(MEMBERS)],
+            "2x2 Wishart": [Wishart(spd(2), 3.0 + rng.uniform()) for _ in range(MEMBERS)],
+            "3x3 Dirichlet": [Dirichlet(1.0 + rng.uniform(size=(3, 3))) for _ in range(MEMBERS)],
+            "Gamma": [Gamma(1.5, rng.uniform(0.1, 2.0)) for _ in range(MEMBERS)]}
 
 
 def main():

@@ -3,11 +3,14 @@ for eight models, from the library and from ``mpgraph compile``, and the free
 energy trace (one ``repr`` per iteration) of three inference runs.
 
 The files under ``tests/golden/`` are the contract. Regenerate them only for
-an intended listing or numerical change:
+an intended listing change, and the free-energy traces only for an intended
+numerical change:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py             # listings only
+    PYTHONPATH=src python tests/test_golden.py --traces    # listings and traces
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,10 +177,19 @@ def test_free_energy_trace_matches_golden(name):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-if __name__ == "__main__":
+def write_goldens(traces: bool):
+    """Rewrite the listing goldens, and the trace goldens if ``traces``."""
     GOLDEN.mkdir(exist_ok=True)
     for name in MODELS:
         for suffix, text in listings(name).items():
             (GOLDEN / f"{name}.{suffix}").write_text(text)
-    for name in TRACES:
-        (GOLDEN / f"{name}.ftrace.txt").write_text(trace_text(name))
+    if traces:
+        for name in TRACES:
+            (GOLDEN / f"{name}.ftrace.txt").write_text(trace_text(name))
+
+
+if __name__ == "__main__":
+    unknown = [arg for arg in sys.argv[1:] if arg != "--traces"]
+    if unknown:
+        sys.exit(f"usage: {sys.argv[0]} [--traces]; unknown arguments {unknown}")
+    write_goldens("--traces" in sys.argv[1:])

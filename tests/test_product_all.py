@@ -1,0 +1,218 @@
+"""``distributions.product_all``, the n-ary product the interpreter runs for a
+marginal, against the left fold of the pairwise ``product`` it stands in
+for (``Executor.belief``): the same class and parameter bits, or the same
+exception type and text. Members are Gaussians of one to three dimensions
+(built from floats and from arrays, in all three forms), Gammas, Wisharts of
+one to three dimensions, vector and matrix Dirichlets, categoricals and
+absorbing point masses; draws include partial products that fail their
+checks."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from mpgraph.distributions import (
+    Categorical,
+    Dirichlet,
+    DistributionError,
+    Gamma,
+    GaussianCanonical,
+    GaussianMeanPrecision,
+    GaussianMeanVariance,
+    PointMass,
+    Wishart,
+    product,
+    product_all,
+)
+
+
+def fold(qs):
+    out = qs[0]
+    for q in qs[1:]:
+        out = product(out, q)
+    return out
+
+
+def outcome(qs, multiply):
+    """The class and parameter bits of ``multiply(qs)``, or the exception
+    type and text it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            q = multiply(qs)
+        except Exception as exc:  # the type and text are what is compared
+            return type(exc), str(exc)
+    return type(q), [(key, np.asarray(value, dtype=float).tobytes()) for key, value in q._params_json().items()]
+
+
+def assert_fold_bits(qs):
+    want = outcome(qs, fold)
+    assert outcome(qs, product_all) == want
+    return want
+
+
+# ---------------------------------------------------------------------------
+# Members
+# ---------------------------------------------------------------------------
+
+ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-12, 5e-324, 1e300, -1e300]))
+
+
+def build(make, *args):
+    """``make(*args)``, or None where the constructor rejects the draw."""
+    try:
+        with np.errstate(all="ignore"):
+            return make(*args)
+    except DistributionError:
+        return None
+
+
+@st.composite
+def gaussians(draw, d: int, floats: bool):
+    """A Gaussian of dimension ``d`` in one of its three forms, or None when
+    the draw does not construct; for d = 1 built from floats or from arrays."""
+    form = draw(st.sampled_from([GaussianMeanVariance, GaussianMeanPrecision, GaussianCanonical]))
+    mean = draw(st.lists(ENTRIES, min_size=d, max_size=d))
+    if form is GaussianCanonical:  # any symmetric precision: sums may be indefinite
+        raw = np.array(draw(st.lists(ENTRIES, min_size=d * d, max_size=d * d))).reshape(d, d)
+        matrix = np.tril(raw) + np.tril(raw, -1).T
+    else:
+        g = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d * d, max_size=d * d))).reshape(d, d)
+        matrix = g @ g.T + draw(st.sampled_from([0.0, 1e-3, 1.0])) * np.eye(d)
+    if floats:
+        return build(form, float(mean[0]), float(matrix[0, 0]))
+    return build(form, np.array(mean), matrix)
+
+
+@st.composite
+def wisharts(draw, d: int):
+    g = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d * d, max_size=d * d))).reshape(d, d)
+    scale = g @ g.T + draw(st.sampled_from([1e-6, 1e-2, 1.0])) * np.eye(d)
+    return build(Wishart, scale, draw(st.floats(d - 1.0 + 1e-3, d + 5.0)))
+
+
+CASES = {
+    "gaussian 1-D floats": gaussians(1, True),
+    "gaussian 1-D arrays": gaussians(1, False),
+    "gaussian 2-D": gaussians(2, False),
+    "gaussian 3-D": gaussians(3, False),
+    "gamma": st.builds(lambda a, b: build(Gamma, a, b), st.floats(0.05, 4.0), st.floats(1e-6, 1e3)),
+    "wishart 1x1": wisharts(1),
+    "wishart 2x2": wisharts(2),
+    "wishart 3x3": wisharts(3),
+    "dirichlet vector": st.builds(lambda a: build(Dirichlet, a),
+                                  st.lists(st.floats(0.05, 4.0), min_size=3, max_size=3)),
+    "dirichlet matrix": st.builds(lambda a: build(Dirichlet, np.reshape(a, (3, 2))),
+                                  st.lists(st.floats(0.05, 4.0), min_size=6, max_size=6)),
+    "categorical": st.builds(lambda p: build(Categorical, np.array(p) / sum(p)) if sum(p) > 0 else None,
+                             st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0]), min_size=3, max_size=3)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.data(), st.integers(1, 9))
+def test_product_all_is_the_pairwise_fold(case, data, n):
+    qs = [q for q in data.draw(st.lists(CASES[case], min_size=n, max_size=n)) if q is not None]
+    if qs:
+        assert_fold_bits(qs)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_product_all_is_the_pairwise_fold_on_long_products(case):
+    # a parameter marginal multiplies one message per time slice
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.large_base_example, HealthCheck.data_too_large])
+    @given(st.lists(CASES[case], min_size=40, max_size=60))
+    def check(qs):
+        qs = [q for q in qs if q is not None]
+        if qs:
+            assert_fold_bits(qs)
+
+    check()
+
+
+ONE_PASS = {
+    "gaussian 1-D": [GaussianMeanVariance(0.5 * t, 1.0 + t) for t in range(30)],
+    "gaussian 2-D": [GaussianMeanPrecision([0.5 * t, 1.0], [[2.0, 0.3], [0.3, 1.0 + t]]) for t in range(30)],
+    "gaussian 3-D": [GaussianMeanVariance([0.5 * t, 1.0, -2.0], (1.0 + t) * np.eye(3) + 0.1) for t in range(30)],
+    "gamma": [Gamma(1.0 + 0.5 * t, 0.1 + t) for t in range(30)],
+    "wishart 2x2": [Wishart([[1.0 + t, 0.2], [0.2, 2.0]], 3.0 + t) for t in range(30)],
+    "dirichlet matrix": [Dirichlet(np.full((3, 3), 1.0 + 0.1 * t)) for t in range(30)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PASS))
+def test_valid_members_are_multiplied_in_one_pass(case, monkeypatch):
+    # no partial product is built: the pairwise product is not called
+    qs = ONE_PASS[case]
+    want = outcome(qs, fold)
+    assert want[0] is not DistributionError
+
+    def pairwise(a, b):
+        raise AssertionError("product_all fell back to the pairwise fold")
+
+    monkeypatch.setattr("mpgraph.distributions.product", pairwise)
+    assert outcome(qs, product_all) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(gaussians(2, False), min_size=2, max_size=6), st.integers(0, 6), st.booleans())
+def test_a_point_mass_absorbs_as_in_the_fold(qs, at, fits):
+    qs = [q for q in qs if q is not None]
+    point = PointMass([0.5, -1.0] if fits else [0.5, -1.0, 2.0])  # a 3-vector does not fit
+    qs.insert(min(at, len(qs)), point)
+    assert_fold_bits(qs)
+
+
+def test_a_point_mass_absorbs_a_long_product():
+    qs = [GaussianMeanVariance([0.0, 1.0], np.eye(2)) for _ in range(5)]
+    assert assert_fold_bits(qs[:2] + [PointMass([0.5, -1.0])] + qs)[0] is PointMass
+    assert assert_fold_bits(qs + [PointMass([0.5, -1.0, 2.0])])[0] is not PointMass
+
+
+# ---------------------------------------------------------------------------
+# Failing partial products
+# ---------------------------------------------------------------------------
+
+
+@example([1.0, 0.5, 0.25, 0.2, 3.0])  # the third partial's shape is -0.05
+@given(st.lists(st.floats(0.01, 2.0), min_size=3, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_a_non_positive_gamma_shape_fails_as_in_the_fold(shapes):
+    qs = [Gamma(a, 1.0) for a in shapes]
+    want = assert_fold_bits(qs)
+    if np.cumsum(np.array(shapes) - 1.0)[1:].min() + 1.0 < -1e-9:
+        assert want == (DistributionError, "Gamma product has non-positive shape")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_indefinite_gaussian_partial_fails_as_in_the_fold(d):
+    # the running precision is 2, 1, -1, 5: the third member's partial fails
+    qs = [GaussianCanonical(1.0, w) if d == 1 else GaussianCanonical(np.ones(d), w * np.eye(d))
+          for w in (1.0, 1.0, -1.0, -2.0, 6.0)]
+    assert assert_fold_bits(qs) == (DistributionError, "product precision is not positive semi-definite")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_overflowing_gaussian_partial_fails_as_in_the_fold(d):
+    # the second partial's symmetrization 0.5 * (w + w) overflows to inf, so
+    # the third partial is not finite
+    huge = 0.75 * 2.0 ** 1023
+    qs = [GaussianCanonical(1.0, w) if d == 1 else GaussianCanonical(np.ones(d), w * np.eye(d))
+          for w in (1.0, huge, huge, 1.0)]
+    want = assert_fold_bits(qs)
+    if d < 3:  # LAPACK's eigenvalues of an infinite matrix fail in the fold, and so here
+        assert want == (DistributionError, "precision has a non-finite entry")
+
+
+def test_a_wishart_partial_fails_its_dof_check_as_in_the_fold():
+    qs = [Wishart(np.eye(2), dof) for dof in (3.0, 1.2, 1.5, 1.1, 4.0)]  # dof 1.2, then -0.3
+    kind, text = assert_fold_bits(qs)
+    assert kind is DistributionError and text.startswith("Wishart dof must exceed dim-1, got nu=-0.29")
+
+
+def test_mixed_families_fail_as_in_the_fold():
+    qs = [Gamma(2.0, 1.0), Gamma(2.0, 1.0), Dirichlet([1.0, 2.0]), Gamma(2.0, 1.0)]
+    assert assert_fold_bits(qs)[0] is not Gamma
+    qs = [GaussianCanonical(1.0, 1.0), GaussianCanonical(1.0, 1.0), GaussianCanonical([1.0, 0.0], np.eye(2))]
+    assert assert_fold_bits(qs)[0] is not GaussianCanonical

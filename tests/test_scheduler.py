@@ -10,9 +10,13 @@ from mpgraph.codegen import compile_program, render_schedule, render_schedules
 from mpgraph.dsl import parse_model
 from mpgraph.graph import FactorGraph
 from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
+from mpgraph.rules import default_registry
 from mpgraph.scheduler import (
+    JointStep,
     RecognitionFactorization,
     SchedulingError,
+    _FactorScheduler,
+    analyze_factorization,
     default_factorization,
     infer_types,
     schedule_free_energy,
@@ -290,3 +294,99 @@ class TestStackSafety:
         assert limit == after == 1000
         assert instructions > 8000 and entries > 2 * 8000
         assert chain == 8001 and descending > 8000
+
+
+def _unfolded(graph, rf, ep_damping=None):
+    """The schedules with every marginal taken from the two messages on its
+    variable's last edge, the equality chains folded by entries."""
+    registry = default_registry()
+    facts = analyze_factorization(graph, rf, registry)
+    return {fid: _FactorScheduler(facts, fid, fvars, registry, ep_damping, fold=False).build()
+            for fid, fvars in rf.factors}
+
+
+def _is_fold(entry) -> bool:
+    return entry.rule_id.startswith("sum-product:equality:")
+
+
+MEAN_FIELD_MODELS = {
+    "walk": lambda: (*_walk(6), {}),
+    "hmgm": lambda: (*HmgmModel(K=3).build(5), {}),
+    "probit": lambda: (*ProbitSsmModel().build(4), {"ep_damping": 0.5}),
+    "co2": lambda: (*Co2Model().build(4), {}),
+}
+
+
+def _walk(T):
+    graph = parse_model(RW_MODEL, {"T": T})
+    return graph, default_factorization(graph)
+
+
+class TestMeanFieldProducts:
+    @pytest.mark.parametrize("name", sorted(MEAN_FIELD_MODELS))
+    def test_a_mean_field_marginal_is_one_product_in_fold_order(self, name):
+        graph, rf, options = MEAN_FIELD_MODELS[name]()
+        folded, unfolded = schedule_vmp(graph, rf, **options), _unfolded(graph, rf, **options)
+        mean_field = 0
+        for fid, fvars in rf.factors:
+            got, want = folded[fid], unfolded[fid]
+            if any(isinstance(step, JointStep) for step in want.marginal_steps):
+                assert render_schedule(got) == render_schedule(want)  # chain steps as they were
+                continue
+            mean_field += 1
+            assert not any(_is_fold(entry) for entry in got.entries)
+            (step,) = got.marginal_steps
+            # the other entries, renumbered, in their order
+            kept = [i for i, entry in enumerate(want.entries) if not _is_fold(entry)]
+            number = {("entry", old): ("entry", new) for new, old in enumerate(kept)}
+            assert len(got.entries) == len(kept)
+            for entry, old in zip(got.entries, kept):
+                was = want.entries[old]
+                assert (entry.rule_id, entry.edge_label) == (was.rule_id, was.edge_label)
+                assert entry.slots == tuple(number.get(slot, slot) for slot in was.slots)
+
+            def leaves(slot):  # a fold's left operand, then its right one
+                if slot[0] == "entry" and _is_fold(want.entries[slot[1]]):
+                    first, second = (s for s in want.entries[slot[1]].slots if s[0] != "void")
+                    return leaves(first) + [second]
+                return [slot]
+
+            (was,) = want.marginal_steps
+            order = [leaf for slot in was.inputs[:1] for leaf in leaves(slot)] + was.inputs[1:]
+            assert step.key == was.key and len(step.inputs) > 2
+            assert step.inputs == [number.get(slot, slot) for slot in order]
+        assert mean_field >= 1
+
+    def test_partial_products_read_by_other_messages_keep_their_folds(self):
+        # an EP site's cavity on a mean-field variable reads the partial
+        # products of its equality chain
+        graph = parse_model("""
+x ~ GaussianMeanVariance(0.0, 1.0)
+for t in 1:T {
+  y[t] ~ Probit(x)
+  observe y[t] :: ()
+}
+""", {"T": 3})
+        rf = default_factorization(graph)
+        assert rf.factors == [("x", ["x"])]
+        got, want = schedule_vmp(graph, rf, ep_damping=0.5), _unfolded(graph, rf, ep_damping=0.5)
+        assert render_schedules(got) == render_schedules(want)
+        assert sum(_is_fold(entry) for entry in got["x"].entries) == 5
+
+    def test_the_message_stack_does_not_grow_with_the_parameter_chains(self, monkeypatch):
+        # the suspended ``emit`` generators waiting in ``require``, at most
+        deepest = [0]
+        opened = _FactorScheduler._open
+
+        def counting(self, key, stack):
+            deepest[0] = max(deepest[0], len(stack))
+            return opened(self, key, stack)
+
+        monkeypatch.setattr(_FactorScheduler, "_open", counting)
+        depths = []
+        for T in (10, 200):
+            deepest[0] = 0
+            schedule_vmp(*_walk(T))
+            schedule_vmp(*HmgmModel(K=3).build(T))
+            depths.append(deepest[0])
+        assert depths[0] == depths[1] <= 3
