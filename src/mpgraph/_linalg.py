@@ -19,7 +19,8 @@ numpy: a 2x2 ``@`` and ``a*b + c*d`` on floats round differently in the
 last bit. ``spd_logdets`` and ``spd_inverses`` take the log-determinants
 and inverses of a stack of matrices at once (the free energy's Gaussian
 entropies, the messages of a batched rule), each with the bits its matrix
-gets alone.
+gets alone, and ``check_spd_stacked`` runs ``check_spd``'s tests on a
+stack at once (the Gaussians of a batched rule's group).
 """
 
 from __future__ import annotations
@@ -223,6 +224,42 @@ def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12
     elif np.any(w < bound):
         raise ValueError(f"{name} must be positive semi-definite (min eig {w.min():.3e})")
     return symmetrize(m)
+
+
+def check_spd_stacked(m: np.ndarray, tol: float = 1e-12) -> np.ndarray | None:
+    """``check_spd`` (not strict) of each matrix of a stack ``(n, d, d)``,
+    d >= 2, in one pass: the symmetrized stack, each matrix with the bits
+    ``check_spd`` returns for it, if every matrix passes; None if any fails,
+    so the caller checks them one at a time and raises ``check_spd``'s error
+    at the first. The predicates are ``check_spd``'s: finiteness, symmetry
+    within ``tol`` (for d = 2 the largest skew is |b - c|), then
+    semi-definiteness from the eigenvalues ``check_spd`` computes
+    (``_eigvals_2x2_stacked`` on the raw diagonal for d = 2, LAPACK's
+    ``eigvalsh`` of each symmetrized matrix above), against the same bounds:
+    a NaN eigenvalue fails no comparison, and it leaves the bound at -tol."""
+    d = m.shape[-1]
+    with np.errstate(all="ignore"):  # the float version never warns
+        if not np.isfinite(m).all():
+            return None
+        sym = 0.5 * (m + np.swapaxes(m, -1, -2))
+        top = np.max(np.abs(m), axis=(1, 2))
+        if not (np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(1, 2)) <= tol * np.maximum(1.0, top)).all():
+            return None
+        if d == 2:
+            lo, hi, _ = _eigvals_2x2_stacked(m[:, 0, 0], sym[:, 0, 1], m[:, 1, 1])
+            w = np.stack([lo, hi], axis=-1)
+            big = np.maximum(np.abs(lo), np.abs(hi))  # max(1, |lo|, |hi|) where neither is NaN
+            scale = np.where((lo != lo) | (hi != hi), 1.0, np.maximum(1.0, big))
+        else:
+            try:
+                w = np.linalg.eigvalsh(sym)
+            except np.linalg.LinAlgError:  # which one's eigenvalues did not converge is for check_spd to say
+                return None
+            big = np.max(np.abs(w), axis=1)
+            scale = np.where(big > 1.0, big, 1.0)  # max(1.0, big), as Python's max picks it
+        if (w < (-tol * scale)[:, None]).any():
+            return None
+    return sym
 
 
 def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.ndarray:

@@ -170,6 +170,8 @@ def _check_data(graph: FactorGraph, data: dict, path: str):
         if ph.name not in data:
             raise CliError(f"{path}: data table is missing placeholder {ph.name!r}", 1)
         series = np.asarray(data[ph.name])
+        if ph.index < 1:
+            raise CliError(f"{path}: the model references {ph.name}[{ph.index}], but data series are 1-based", 1)
         if ph.index > len(series):
             raise CliError(
                 f"{path}: data for {ph.name!r} has {len(series)} entries but the model "

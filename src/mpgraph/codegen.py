@@ -44,7 +44,7 @@ from .distributions import (
     product_all,
 )
 from .graph import energy_function
-from .rules import Message, RuleRegistry, default_registry
+from .rules import RuleRegistry, default_registry
 from .scheduler import FreeEnergyProgram, MarginalStep, Schedule
 
 
@@ -408,12 +408,12 @@ def _energy(kind: str):
 
 class Executor:
     """Run-time storage shared by ``Interpreter`` and ``engine.DirectExecutor``:
-    per-step message arrays, the EP site store (distributions), the one slot
-    resolver and the evaluation of one instruction (``send``, ``belief`` and
-    ``joint`` in a step, ``term`` in F). A subclass walks its own program in
-    ``run_step``, reading and writing only through the methods here, and
-    hands its free-energy terms ``(label, kind, slots, constants)`` over in
-    program order.
+    per-step message arrays (each message's distribution), the EP site store
+    (distributions), the one slot resolver and the evaluation of one
+    instruction (``send``, ``belief`` and ``joint`` in a step, ``term`` in
+    F). A subclass walks its own program in ``run_step``, reading and
+    writing only through the methods here, and hands its free-energy terms
+    ``(label, kind, slots, constants)`` over in program order.
 
     Here every message and every F term is evaluated alone, as
     ``engine.DirectExecutor`` runs them; ``Interpreter`` runs both its step
@@ -441,7 +441,7 @@ class Executor:
         site; None for a void slot."""
         tag = slot[0]
         if tag == "entry":
-            return self.messages[fid][slot[1]].dist
+            return self.messages[fid][slot[1]]
         if tag == "marginal":
             try:
                 return marginals[slot[1]]
@@ -454,6 +454,8 @@ class Executor:
             if point is None:
                 name, index = slot[1]
                 try:
+                    if index < 1:  # data series are 1-based; index 0 would read the last entry
+                        raise IndexError
                     value = data[name][index - 1]
                 except (KeyError, IndexError):
                     raise InterpretError(f"missing data slot {name}[{index}]") from None
@@ -472,14 +474,14 @@ class Executor:
 
     def send(self, fid, index, step, data, marginals):
         """Apply the rule of ``step`` (an ``Instruction`` or a schedule
-        entry), store the message at ``index`` and its distribution in the
+        entry), store the message's distribution at ``index`` and in the
         site the step writes."""
         inbound = [self.resolve(s, fid, data, marginals) for s in step.slots]
         previous = self.resolve(step.extra, fid, data, marginals) if step.extra else None
-        msg = self._rules[step.rule_id].apply(inbound, step.constants, previous)
-        self.messages[fid][index] = msg
+        dist = self._rules[step.rule_id].apply(inbound, step.constants, previous).dist
+        self.messages[fid][index] = dist
         if step.writes_site:
-            self.sites[step.writes_site] = msg.dist
+            self.sites[step.writes_site] = dist
 
     def belief(self, fid, slots, data, marginals) -> Distribution:
         """The product of the messages in ``slots``, ``product`` folded left
@@ -722,7 +724,7 @@ class Interpreter(Executor):
             return [marginals[slot[1]] for slot in column]
         if tag == "entry":
             messages = self.messages[fid]
-            return [messages[slot[1]].dist for slot in column]
+            return [messages[slot[1]] for slot in column]
         return [self.resolve(slot, fid, data, marginals) for slot in column]
 
     def run_group(self, fid, group: _Group, data, marginals):
@@ -731,9 +733,9 @@ class Interpreter(Executor):
         columns = [self._column(column, fid, data, marginals) for column in group.columns]
         results = self._batches[group.rule_id](columns, group.constants)
         if group.opcode == "rule":
-            messages, rule_id = self.messages[fid], group.rule_id
+            messages = self.messages[fid]
             for index, dist in zip(group.outputs, results):
-                messages[index] = Message(dist, rule_id)
+                messages[index] = dist
         elif group.opcode == "joint":
             for key, dist in zip(group.outputs, results):
                 marginals[key] = dist

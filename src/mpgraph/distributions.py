@@ -30,6 +30,16 @@ branch raises the same exceptions with the same text and gives the same bits
 as the numpy body it stands in for, which still runs for d >= 3; so F traces
 and listings do not depend on which branch ran.
 
+The Gaussians of d >= 2 that one batched rule call returns (a group's
+results, such as a chain's two-slice joints) are built as the members of
+one stack (``gaussians``): the constructor's checks run once over the whole
+stack, with the same predicates, and each member is an instance of its
+class whose read-only arrays are rows of the group's frozen stacks, with
+the bits the constructor gives it. If a member fails a check, every member
+is built through the constructor, which raises at the first. A grouped
+reader of the same members in the same order takes the stacks back
+(``_stacked``) instead of stacking the members' arrays again.
+
 The average energies of the Gaussian, mixture, probit and transition terms
 and the Gaussian and categorical entropies are batch functions (``Batch``,
 the one wrapper that batched rule bodies use too): one stacked evaluation
@@ -39,7 +49,9 @@ which is how a single term is evaluated too.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,6 +65,7 @@ from ._linalg import (
     as_vector,
     check_spd,
     check_spd_1x1,
+    check_spd_stacked,
     floored_eigh,
     inverse_1x1,
     spd_inverse,
@@ -107,6 +120,7 @@ class Distribution:
     """Base class for all distribution variants."""
 
     variant: str = "distribution"
+    _stack = None  # the ``_Stack`` of a Gaussian built as a member of one
 
     def to_json(self) -> dict:
         return {"type": self.variant, "params": self._params_json()}
@@ -147,6 +161,19 @@ class GaussianBase(Distribution):
     depend on how the value was built."""
 
     dim: int
+    _arrays: tuple[str, str]  # the attributes that hold the two parameters' arrays
+
+    @classmethod
+    def _from_stack(cls, first: np.ndarray, second: np.ndarray) -> list | None:
+        """The constructor on each row of two stacks (``gaussians``), as the
+        members of one ``_Stack``, if every member passes the constructor's
+        checks, run in one pass with the same predicates (``check_spd``'s for
+        moment and precision form: ``check_spd_stacked``); None if any
+        fails."""
+        if not _square_stacks(first, second):
+            return None
+        v = check_spd_stacked(second)
+        return None if v is None else _stack_members(cls, first, v)
 
     def mean_vector(self) -> np.ndarray:
         raise NotImplementedError
@@ -228,10 +255,71 @@ class _cached:
         return value
 
 
+_STACK_OF, _ROW_OF = operator.attrgetter("_stack"), operator.attrgetter("_row")
+
+
+class _Stack:
+    """The parameter arrays the Gaussians of one group share: two frozen
+    stacks, ``first`` ``(n, d)`` and ``second`` ``(n, d, d)``, whose row i
+    is member i's pair of arrays, in the class ``cls`` of the members. Each
+    member holds its stack and row as ``_stack`` and ``_row``; the stack
+    holds no member, so a member is freed as soon as no one reads it."""
+
+    __slots__ = ("cls", "first", "second")
+
+    def __init__(self, cls, first, second):
+        self.cls, self.first, self.second = cls, first, second
+
+    def holds(self, column) -> bool:
+        """Whether ``column`` is this stack's members, each once, in member
+        order."""
+        n = len(self.first)
+        return (len(column) == n and all(map(operator.is_, map(_STACK_OF, column), itertools.repeat(self, n)))
+                and list(map(_ROW_OF, column)) == list(range(n)))
+
+
+def _stack_members(cls, first: np.ndarray, second: np.ndarray) -> list:
+    """Instances of ``cls`` whose parameter arrays (``cls._arrays``) are the
+    rows of ``first`` (frozen here, a copy) and of ``second`` (checked and
+    symmetrized, which no one else holds), without running the constructor:
+    the members of one ``_Stack``."""
+    stack = _Stack(cls, _freeze(first), _freeze_owned(second))
+    a, b = cls._arrays
+    d, new, members = stack.first.shape[1], object.__new__, []
+    for i, x, y in zip(range(len(first)), stack.first, stack.second):
+        q = new(cls)
+        q.__dict__ = {"dim": d, a: x, b: y, "_stack": stack, "_row": i}
+        members.append(q)
+    return members
+
+
+def _square_stacks(first, second) -> bool:
+    """Whether ``first`` is a stack of d-vectors, d >= 2, and ``second`` a
+    stack of as many d x d matrices: the shapes the constructors accept."""
+    return (first.ndim == 2 and second.ndim == 3 and first.shape[1] >= 2
+            and second.shape == (first.shape[0], first.shape[1], first.shape[1]))
+
+
+def gaussians(cls, first: np.ndarray, second: np.ndarray) -> list:
+    """``[cls(first[i], second[i]) for each row i]`` for two stacks of a
+    group's parameters, d >= 2 and at least two rows (a row may stand for
+    all through ``np.broadcast_to``). Each member's checks run stacked, in
+    one pass, with the constructor's predicates (``cls._from_stack``); if
+    they all pass, the members share one frozen stack, with the bits the
+    constructor gives them, and a grouped reader takes the stack back
+    (``_stacked``). Otherwise each member is built through the constructor,
+    which raises its error at the first failing member."""
+    members = cls._from_stack(first, second)
+    if members is None:
+        members = [cls(first[i], second[i]) for i in range(len(first))]
+    return members
+
+
 class GaussianMeanVariance(GaussianBase):
     """Moment form (m, V); for d = 1, m and V are also Python floats."""
 
     variant = "GaussianMeanVariance"
+    _arrays = ("mean", "covariance")
 
     def __init__(self, mean, covariance):
         if mean.__class__ is float and covariance.__class__ is float:
@@ -277,6 +365,7 @@ class GaussianMeanPrecision(GaussianBase):
     """Precision form (m, W); for d = 1, m and W are also Python floats."""
 
     variant = "GaussianMeanPrecision"
+    _arrays = ("mean", "precision")
 
     def __init__(self, mean, precision):
         if mean.__class__ is float and precision.__class__ is float:
@@ -330,6 +419,7 @@ class GaussianCanonical(GaussianBase):
     """
 
     variant = "GaussianCanonical"
+    _arrays = ("weighted_mean", "precision")
     _mean = _covariance = _v = None  # the moments, as arrays and (for d = 1) floats, once computed
 
     def __init__(self, weighted_mean, precision):
@@ -364,6 +454,22 @@ class GaussianCanonical(GaussianBase):
                 raise DistributionError("precision is not symmetric")
             w = symmetrize(w)
         self.dim, self.weighted_mean, self.precision = n, _freeze(xi), _freeze_owned(w)
+
+    @classmethod
+    def _from_stack(cls, weighted_means, precisions) -> list | None:
+        """``GaussianBase._from_stack`` with this constructor's checks of the
+        precision: finiteness, then symmetry within 1e-9 (for d = 2 the
+        largest skew is |b - c|)."""
+        w = precisions
+        if not _square_stacks(weighted_means, w):
+            return None
+        with np.errstate(all="ignore"):
+            if not np.isfinite(w).all():
+                return None
+            skew = np.max(np.abs(w - w.swapaxes(1, 2)), axis=(1, 2))
+            if not (skew <= 1e-9 * np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))).all():
+                return None
+        return _stack_members(cls, weighted_means, 0.5 * (w + w.swapaxes(1, 2)))
 
     # built from the floats of a value built from floats
     weighted_mean = _cached(lambda q: _vector(q._xi))
@@ -1144,10 +1250,11 @@ class Batch:
     and returns one result per member: a message's distribution, or an
     energy, where an array of one value stands for every member; the members
     share ``constants``. Every step is elementwise over the members (stacked
-    ``@`` and ``eigh``, ufuncs, per-row dot products) and each message is
-    built by its family's constructor, so a result has the same bits and
-    passes the same checks in a batch of any size. Called like a per-call
-    body, ``f(args, constants)``, it evaluates a batch of one; used as a
+    ``@`` and ``eigh``, ufuncs, per-row dot products) and each message runs
+    its family's constructor checks (stacked, for a group's Gaussians of
+    d >= 2: ``gaussians``), so a result has the same bits and passes the
+    same checks in a batch of any size. Called like a per-call body,
+    ``f(args, constants)``, it evaluates a batch of one; used as a
     decorator, it makes a batch function a rule body (``rules.Rule.batch``)
     or a node kind's average energy (``graph.NodeKind.energies``)."""
 
@@ -1172,10 +1279,17 @@ def _stacked(column, fn, scalar=None, ndims=()) -> list:
     ``scalar(q)``, if given, is ``fn(q)`` as Python floats where each array
     is a 1-vector or a 1x1 matrix (None elsewhere), and ``ndims`` gives each
     array's rank: beliefs that all have floats are stacked from them, so no
-    array of a member is built."""
+    array of a member is built.
+
+    A column that is one group's moment-form Gaussians, each once and in
+    member order (``_Stack.holds``), gives their stacks as they are for
+    ``mean_and_cov``; the arrays are read-only."""
     first = column[0]
     if len(column) == 1 or all(q is first for q in column):
         return [np.asarray(x)[None] for x in fn(first)]
+    stack = getattr(first, "_stack", None)
+    if stack is not None and fn is mean_and_cov and stack.cls is GaussianMeanVariance and stack.holds(column):
+        return [stack.first, stack.second]
     if scalar is not None and scalar(first) is not None:
         rows = list(map(scalar, column))
         if None not in rows:

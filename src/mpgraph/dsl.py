@@ -186,6 +186,8 @@ class _Parser:
         if tok is not None and tok.value == "[":
             index = self.index_suffix(env)
             var = f"{base}[{index}]"
+            if index < 1:
+                raise ModelParseError(f"observed index {var} is below 1: data series are 1-based", tok.line)
         self.expect("::")
         dims = self.dims_tuple()
         if var not in self.declared:

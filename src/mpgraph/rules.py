@@ -57,6 +57,7 @@ from .distributions import (
     expected_covariance,
     expected_logdet_precision,
     expected_precision,
+    gaussians,
     mean_and_cov,
     moment,
     product,
@@ -359,13 +360,17 @@ def _members(x, n: int):
 def _gaussians(cls, n: int, first, second, floats: bool = True) -> list:
     """``cls`` of each member's two parameters, for ``n`` messages (see
     ``_members``); stacks by row alone on a body's array path (``floats``
-    False, see ``distributions._floats``)."""
+    False, see ``distributions._floats``). Two or more members of d >= 2
+    are built as the members of one checked stack (``gaussians``); one
+    message goes through its constructor."""
     if not floats:
         first, second = _rows(first, n), _rows(second, n)
     elif n == 1 and first.__class__ is float and second.__class__ is float:
         return [cls(first, second)]
     else:
         first, second = _members(first, n), _members(second, n)
+    if n > 1 and first.__class__ is np.ndarray and first.shape[-1] > 1:
+        return gaussians(cls, first, second)
     return [cls(first[i], second[i]) for i in range(n)]
 
 

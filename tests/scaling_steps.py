@@ -18,11 +18,18 @@ microseconds (``timeit``): building a 1-D ``GaussianMeanVariance`` and a
 ``GaussianCanonical`` from floats, a 1-D ``product``, and the walk's
 ``variational:addition:out`` rule applied alone (``Rule.apply``, as the
 interpreter runs a lone instruction), called as a batch of one, and per
-member in batches of 10 and 100. Its last rows give the microseconds per
-member of a product of 200 messages, as a parameter marginal multiplies them
-(2-D Gaussians, 2x2 Wisharts, 3x3 Dirichlets and Gammas, drawn from a fixed
-seed): the pairwise ``product`` folded left to right (``Executor.belief``),
-and ``product_all``'s one pass (``Interpreter.belief``).
+member in batches of 10 and 100. Then the floor under a group's 2-D
+Gaussians, as the walk's 1,600 two-slice joints have it: a 2-D
+``GaussianMeanVariance`` built by its constructor against one member of a
+stack of 1,600 checked in one pass (``distributions.gaussians``), and per
+member, the moments a grouped reader stacks (``_stacked(column,
+mean_and_cov)``) from 1,600 Gaussians built one at a time, restacked,
+against the group's own members, whose stack it takes back. Its last rows
+give the microseconds per member of a product of 200 messages, as a
+parameter marginal multiplies them (2-D Gaussians, 2x2 Wisharts, 3x3
+Dirichlets and Gammas, drawn from a fixed seed): the pairwise ``product``
+folded left to right (``Executor.belief``), and ``product_all``'s one pass
+(``Interpreter.belief``).
 
 A script, not a test (pytest does not collect it, and it asserts no time):
 
@@ -44,6 +51,9 @@ from mpgraph.distributions import (
     GaussianCanonical,
     GaussianMeanVariance,
     Wishart,
+    _stacked,
+    gaussians,
+    mean_and_cov,
     product,
     product_all,
 )
@@ -54,6 +64,7 @@ from mpgraph.rules import MARGINAL, MESSAGE, VOID, default_registry
 REPEATS = 5
 NUMBER = 2000  # calls per timing of the floor table
 MEMBERS = 200  # messages per product of the floor table
+JOINTS = 1600  # members of a group of 2-D Gaussians in the floor table
 
 
 def bench_models():
@@ -147,8 +158,8 @@ def floor_rows() -> list:
     rule = default_registry().lookup("addition", "out", [(VOID, None), (MESSAGE, GaussianMeanVariance),
                                                          (MARGINAL, GaussianCanonical)], "variational")
 
-    def micros(fn, per=1) -> float:
-        return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER / per * 1e6
+    def micros(fn, per=1, number=NUMBER) -> float:
+        return min(timeit.repeat(fn, number=number, repeat=REPEATS)) / number / per * 1e6
 
     rows = [("1-D GaussianMeanVariance from floats", micros(lambda: GaussianMeanVariance(0.25, 2.0))),
             ("1-D GaussianCanonical from floats", micros(lambda: GaussianCanonical(0.5, 3.0))),
@@ -158,6 +169,17 @@ def floor_rows() -> list:
     for n in (10, 100):
         columns = [[None] * n, [GaussianMeanVariance(0.25 + i, 2.0) for i in range(n)], [shift] * n]
         rows.append((f"{rule.id} per member, batch of {n}", micros(lambda: rule.batch(columns, {}), n)))
+    means, covariances = joint_moments()
+    alone = [GaussianMeanVariance(m, v) for m, v in zip(means, covariances)]
+    members = gaussians(GaussianMeanVariance, means, covariances)
+    rows += [("2-D GaussianMeanVariance by its constructor",
+              micros(lambda: GaussianMeanVariance(means[0], covariances[0]))),
+             (f"2-D GaussianMeanVariance per member of a checked stack of {JOINTS}",
+              micros(lambda: gaussians(GaussianMeanVariance, means, covariances), JOINTS, NUMBER // 100)),
+             (f"_stacked(column, mean_and_cov) per member of {JOINTS}, restacked",
+              micros(lambda: _stacked(alone, mean_and_cov), JOINTS, NUMBER // 100)),
+             (f"_stacked(column, mean_and_cov) per member of {JOINTS}, taken back",
+              micros(lambda: _stacked(members, mean_and_cov), JOINTS, NUMBER // 100))]
     for family, qs in product_members().items():
         def fold():
             out = qs[0]
@@ -170,6 +192,13 @@ def floor_rows() -> list:
             rows.append((f"{family}, {MEMBERS} messages: {how} per member",
                          seconds / max(1, NUMBER // MEMBERS) / (MEMBERS - 1) * 1e6))
     return rows
+
+
+def joint_moments() -> tuple:
+    """``JOINTS`` 2-D means and covariances, drawn from a fixed seed."""
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(JOINTS, 2, 2))
+    return rng.normal(size=(JOINTS, 2)), g @ g.swapaxes(1, 2) + 0.1 * np.eye(2)
 
 
 def product_members() -> dict:

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpgraph.cli import CliError, ingest, main
+from mpgraph.cli import CliError, _check_data, ingest, main
 from mpgraph.distributions import from_json
 from mpgraph.dsl import MAX_LOOP_DEPTH, ModelParseError, parse_model
-from mpgraph.graph import NODE_KINDS
+from mpgraph.graph import NODE_KINDS, FactorGraph
 
 ONE_NODE_MODEL = """
 x ~ GaussianMeanVariance(0.0, 1.0)
@@ -349,6 +349,18 @@ def data_file_bytes(draw):
             else:
                 content[at] = byte
     return bytes(content)
+
+
+def test_check_data_exits_1_for_an_observed_index_below_1():
+    # a graph built in Python may observe y[0]; the model language rejects it
+    g = FactorGraph()
+    g.add_node("gaussian_mean_variance", {"out": "x", "mean": 0.0, "variance": 1.0})
+    g.add_node("gaussian_mean_precision", {"out": "y", "mean": "x", "precision": 1.0})
+    g.observe("y", "y", 0, ())
+    with pytest.raises(CliError) as err:
+        _check_data(g, {"y": [3.0, 30.0]}, "d.csv")
+    assert err.value.code == 1
+    assert str(err.value) == "d.csv: the model references y[0], but data series are 1-based"
 
 
 class TestDataFileContract:

@@ -222,3 +222,16 @@ class TestInterpret:
         m1 = Interpreter(ir).run_iteration(data, init_marginals(g, rf))
         m2 = Interpreter(clone).run_iteration(data, init_marginals(g, rf))
         assert {k: v.to_json() for k, v in m1.items()} == {k: v.to_json() for k, v in m2.items()}
+
+    def test_an_observed_index_below_1_is_a_missing_data_slot(self):
+        # data series are 1-based: index 0 must not read the series' last entry
+        g = FactorGraph()
+        g.add_node("gaussian_mean_variance", {"out": "x", "mean": 0.0, "variance": 1.0})
+        g.add_node("gaussian_mean_precision", {"out": "y", "mean": "x", "precision": 1.0})
+        g.observe("y", "y", 0, ())
+        rf = default_factorization(g)
+        schedules, fe = schedule_vmp(g, rf), schedule_free_energy(g, rf)
+        data = {"y": np.array([3.0, 30.0])}
+        for runner in (Interpreter(compile_program(schedules, fe)), DirectExecutor(schedules, fe)):
+            with pytest.raises(InterpretError, match=r"missing data slot y\[0\]$"):
+                runner.run_iteration(data, init_marginals(g, rf))

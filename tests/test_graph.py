@@ -249,6 +249,16 @@ for t in 1:T {
             parse_model(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("observe", ["observe y[0] :: ()", "for t in 1:2 {\n  observe y[t-1] :: ()\n}"],
+                             ids=["literal", "loop"])
+    def test_an_observed_index_below_1_is_a_parse_error(self, observe):
+        text = "x ~ GaussianMeanVariance(0.0, 1.0)\ny[0] ~ GaussianMeanPrecision(x, 1.0)\n" \
+               "y[1] ~ GaussianMeanPrecision(x, 1.0)\n" + observe
+        with pytest.raises(ModelParseError) as err:
+            parse_model(text)
+        line = 4 if observe.startswith("observe") else 5
+        assert str(err.value) == f"line {line}: observed index y[0] is below 1: data series are 1-based"
+
     def test_loop_constant_from_cli(self):
         g = parse_model("x[0] ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:T {\n  x[t] ~ GaussianMeanPrecision(x[t-1], 1.0)\n}\n", {"T": 4})
         assert len([n for n in g.nodes if n.kind == "gaussian_mean_precision"]) == 4

@@ -330,7 +330,7 @@ def test_the_walks_chain_step_builds_no_arrays_for_its_messages():
     assert len(golden) == 2 * n
     for iteration in range(2):
         runner.run_iteration(data, marginals)
-        dists = [msg.dist for msg in runner.messages["X"]]
+        dists = [msg for msg in runner.messages["X"]]
         assert all(q.dim == 1 for q in dists)
         assert not [name for q in dists for name, value in vars(q).items()
                     if isinstance(value, (np.ndarray, tuple))]  # arrays, or the pair of moments
@@ -378,8 +378,8 @@ def test_an_edited_datum_is_seen_by_the_next_iteration():
     runner.run_iteration(edited, m1)
     fresh = Interpreter(program.ir)  # reads every datum afresh
     fresh.run_iteration({"y": edited["y"].copy()}, m2)
-    assert [json.dumps(msg.dist.to_json()) for msg in runner.messages["X"]] == \
-        [json.dumps(msg.dist.to_json()) for msg in fresh.messages["X"]]
+    assert [json.dumps(msg.to_json()) for msg in runner.messages["X"]] == \
+        [json.dumps(msg.to_json()) for msg in fresh.messages["X"]]
     assert {k: json.dumps(q.to_json()) for k, q in m1.items()} == {k: json.dumps(q.to_json()) for k, q in m2.items()}
     observed = [runner.resolve(("data", ("y", t)), None, edited, m1).value for t in (3, 5)]
     assert np.signbit(observed[0]) and observed[1] == 7.5

@@ -83,7 +83,7 @@ def run_both(reg, program, marginals):
             for pos, ins in enumerate(program):
                 runner.run_instruction("X", pos, ins, {}, table)
         outs.append(({k: float(v.value) for k, v in table.items()},
-                     [None if m is None else float(m.dist.value) for m in runner.messages["X"]]))
+                     [None if m is None else float(m.value) for m in runner.messages["X"]]))
     return outs
 
 
@@ -239,7 +239,7 @@ class TestGroupedRuns:
         table = {"a": PointMass(1.0), "b": PointMass(2.0)}
         for _ in range(2):
             runner.run_step("X", {}, table)
-            assert [float(m.dist.value) for m in runner.messages["X"]] == [2.0, 2.0, 3.0, 3.0, 3.0]
+            assert [float(m.value) for m in runner.messages["X"]] == [2.0, 2.0, 3.0, 3.0, 3.0]
             assert [value for _, value in runner.free_energy_terms({}, table)] == [2.0, 2.0, 2.0, 3.0, 3.0]
             assert runner.free_energy({}, table) == 12.0
             # only the rule or kind whose beliefs did not stack, and only in its program
