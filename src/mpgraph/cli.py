@@ -307,16 +307,23 @@ def cmd_stream(args) -> int:
     if size < 1:
         raise CliError(f"--batch-size must be at least 1, got {size}", 1)
     template = DslStreamingTemplate(_read_text(args.model), _constants(args))
-    data = ingest(args.data, _placeholder_name(template.build(size, {})[0]))
+    models: dict[int, tuple] = {}  # batch length -> the model its data and --init are checked against
+
+    def model(batch_len: int) -> tuple:
+        if batch_len not in models:
+            models[batch_len] = template.build(batch_len, {})
+        return models[batch_len]
+
+    data = ingest(args.data, _placeholder_name(model(size)[0]))
     length = max(len(series) for series in data.values())
     batches = [{k: v[i: i + size] for k, v in data.items()} for i in range(0, length, size)]
     for batch in batches:
         # the graph streaming_update builds for a batch has its first series' length
-        _check_data(template.build(len(next(iter(batch.values()))), {})[0], batch, args.data)
+        _check_data(model(len(next(iter(batch.values()))))[0], batch, args.data)
     overrides = None
     if args.init:  # initial marginals of the first batch, as ``infer --init``
         overrides = _load_init(args.init)
-        _check_init(args.init, *template.build(len(next(iter(batches[0].values()))), {}), overrides)
+        _check_init(args.init, *model(len(next(iter(batches[0].values())))), overrides)
     results = streaming_update(template, batches, iters_per_batch=args.iters, tol=args.tol,
                                overrides_fn=lambda batch, priors: overrides if batch is batches[0] else None)
     seed = _seed_of(args)

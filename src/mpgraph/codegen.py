@@ -5,24 +5,27 @@ The listing is the IR's one serialization, and this module holds its whole
 grammar: each writer sits beside its reader (``slot_text`` and its slot
 parser, ``call_text`` and its one call pattern, ``render`` and
 ``parse_listing``), and ``render_schedule(s)`` write schedules in the same
-line forms. ``parse_listing(render(ir)) == ir`` holds field by field.
+line forms. ``parse_listing(render(ir)) == ir`` holds field by field (the
+``out_variant`` annotation aside).
 
-The IR is interpreted rather than transpiled: one instruction per schedule
-entry or marginal/energy step, executed against a message array (slots are
-reused across iterations), a marginal table, persistent EP site slots, and a
-data table. That storage, the one slot resolver and the evaluation of one
-instruction live in ``Executor``, which ``Interpreter`` and
-``engine.DirectExecutor`` share; the two differ only in the program they walk
-(instructions here, schedules and the free-energy program there) and in
-that ``DirectExecutor`` runs every instruction alone. ``Interpreter`` runs
-each step program and the free-energy program in the order one planner
-gives (``plan_step``): a program's independent instructions of one batched
-rule or energy (``distributions.Batch``) run as one call, and a group that
-raises falls back to one instruction at a time. Each message and each term
-has the bits it gets alone, and a marginal multiplied in one pass
+The IR is interpreted rather than transpiled. A schedule step is the IR's
+instruction (``scheduler.Instruction``), so ``compile_program`` assembles the
+schedules' steps and the free-energy terms into programs and builds only the
+entropy terms. Instructions run against a message array (slots are reused
+across iterations), a marginal table, persistent EP site slots, and a data
+table. That storage, the one slot resolver and the one dispatch of an
+instruction (``run_instruction``) live in ``Executor``, which ``Interpreter``
+and ``engine.DirectExecutor`` share; the two walk the same instructions and
+differ only in that ``DirectExecutor`` runs every instruction alone and
+folds each marginal pairwise. ``Interpreter`` runs each step
+program and the free-energy program in the order one planner gives
+(``plan_step``): a program's independent instructions of one batched rule or
+energy (``distributions.Batch``) run as one call, and a group that raises
+falls back to one instruction at a time. Each message and each term has the
+bits it gets alone, and a marginal multiplied in one pass
 (``distributions.product_all``) has the bits of the pairwise fold
 ``DirectExecutor`` runs, so interpretation is bit-identical to direct
-schedule execution as long as instructions mirror schedule steps one for one.
+schedule execution.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .distributions import (
 )
 from .graph import energy_function
 from .rules import RuleRegistry, default_registry
-from .scheduler import FreeEnergyProgram, MarginalStep, Schedule
+from .scheduler import FreeEnergyProgram, Instruction, Schedule
 
 
 class CompileError(ValueError):
@@ -54,57 +57,6 @@ class CompileError(ValueError):
 
 class InterpretError(RuntimeError):
     pass
-
-
-_NOT_CANONICAL = (np.ndarray, tuple, np.floating, np.integer)
-
-
-def _canon_value(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
-
-
-def _canon_constants(constants: dict | None) -> dict:
-    """``constants`` as the listing reads them back: arrays and tuples as
-    lists, numpy scalars as floats. A dict that holds none of those is
-    returned itself, so an instruction shares its schedule step's dict."""
-    if constants is None:
-        return {}
-    for value in constants.values():
-        if isinstance(value, _NOT_CANONICAL):
-            return {key: _canon_value(value) for key, value in constants.items()}
-    return constants
-
-
-class Instruction:
-    """One pure step: a rule application, a marginal product, a two-slice
-    joint, or a free-energy contribution. ``slots`` is a tuple; a schedule
-    step's tuple is shared, not copied. ``rule_id`` names what the
-    instruction applies: a rule (rule, joint) or an energy term
-    (average_energy)."""
-
-    __slots__ = ("opcode", "output", "slots", "rule_id", "constants", "extra", "writes_site", "label")
-
-    def __init__(self, opcode, output, slots, rule_id=None, constants=None, extra=None,
-                 writes_site=None, label=""):
-        self.opcode = opcode  # rule | product | joint | average_energy | entropy
-        self.output = output  # ("msg", i) | ("marginal", key) | ("F",)
-        self.slots = tuple(slots)
-        self.rule_id = rule_id
-        self.constants = _canon_constants(constants)
-        self.extra = extra
-        self.writes_site = writes_site
-        self.label = label
-
-    def __eq__(self, other):
-        return isinstance(other, Instruction) and all(
-            getattr(self, field) == getattr(other, field) for field in self.__slots__
-        )
 
 
 class AlgorithmIR:
@@ -125,53 +77,25 @@ class AlgorithmIR:
 
 
 def compile_program(schedules: dict[str, Schedule], fe_program: FreeEnergyProgram | None) -> AlgorithmIR:
-    """Translate schedules and the free-energy program into an AlgorithmIR.
+    """Assemble schedules and the free-energy program into an AlgorithmIR.
 
-    The instruction count equals the schedule entry count plus marginal and
-    energy steps; message arrays are sized exactly by entry count."""
+    A schedule's steps are the IR's instructions, the same objects: a
+    factor's program is its entries, then its marginal steps. Only the
+    entropy terms are built here; message arrays are sized exactly by entry
+    count."""
     steps = []
     site_inits: dict[str, Distribution] = {}
-    data_slots: dict[tuple[str, int], None] = {}  # insertion-ordered set
-
-    def note_slots(slots):
-        for slot in slots:
-            if slot[0] == "data":
-                data_slots[tuple(slot[1])] = None
-
     for fid, schedule in schedules.items():
-        program: list[Instruction] = []
+        steps.append((fid, [*schedule.entries, *schedule.marginal_steps]))
         site_inits.update(schedule.site_inits)
-        for i, entry in enumerate(schedule.entries):
-            note_slots(entry.slots)
-            program.append(
-                Instruction(
-                    "rule", ("msg", i), entry.slots, entry.rule_id, entry.constants,
-                    entry.extra, entry.writes_site,
-                    label=f"edge {entry.edge_label[0]} {entry.edge_label[1]}",
-                )
-            )
-        for step in schedule.marginal_steps:
-            if isinstance(step, MarginalStep):
-                program.append(Instruction("product", ("marginal", step.key), step.inputs))
-            else:
-                note_slots(step.slots)
-                program.append(
-                    Instruction("joint", ("marginal", step.key), step.slots, step.rule_id, step.constants)
-                )
-        steps.append((fid, program))
-
-    fe_instructions: list[Instruction] = []
-    if fe_program is not None:
-        for term in fe_program.energies:
-            note_slots(term.slots)
-            fe_instructions.append(
-                Instruction("average_energy", ("F",), term.slots, term.kind, term.constants, label=term.label)
-            )
-        for key, weight in fe_program.entropies:
-            fe_instructions.append(
-                Instruction("entropy", ("F",), [("marginal", key)], None, {"weight": weight})
-            )
-    return AlgorithmIR(steps, fe_instructions, site_inits, list(data_slots))
+    free_energy = [] if fe_program is None else fe_program.instructions()
+    data_slots: dict[tuple[str, int], None] = {}  # insertion-ordered set
+    for program in [*(program for _, program in steps), free_energy]:
+        for ins in program:
+            for slot in ins.slots:
+                if slot[0] == "data":
+                    data_slots[slot[1]] = None
+    return AlgorithmIR(steps, free_energy, site_inits, list(data_slots))
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +184,10 @@ _CALL_RE = re.compile(
 
 
 def render_schedule(schedule: Schedule) -> str:
-    """Deterministic text listing; the contract consumed by golden tests."""
-    lines = []
-    for site, init in schedule.site_inits.items():
-        lines.append(f"site[{site}] <- init:" + canonical_json(init.to_json()))
-    for i, entry in enumerate(schedule.entries):
-        var, direction = entry.edge_label
-        lines.append(call_text(f"msg[{i}] <- {entry.rule_id}", entry.slots, extra=entry.extra,
-                               writes_site=entry.writes_site, label=f"edge {var} {direction}"))
-    for step in schedule.marginal_steps:
-        if isinstance(step, MarginalStep):
-            rhs = " * ".join(slot_text(s) for s in step.inputs)
-            lines.append(f"q[{step.key}] <- {rhs}")
-        else:
-            lines.append(call_text(f"q[{step.key}] <- joint {step.rule_id}", step.slots))
+    """Deterministic text listing; the contract consumed by golden tests.
+    Its steps are written as ``render`` writes them, without constants."""
+    lines = [f"site[{site}] <- init:{canonical_json(init.to_json())}" for site, init in schedule.site_inits.items()]
+    lines.extend(_render_instruction(step, None) for step in (*schedule.entries, *schedule.marginal_steps))
     return "\n".join(lines) + "\n"
 
 
@@ -320,16 +234,17 @@ def render(ir: AlgorithmIR) -> str:
 
 
 def _render_instruction(ins: Instruction, encode) -> str:
+    """One instruction's line; ``encode`` None leaves its constants out."""
+    constants = ins.constants if encode else None
     if ins.opcode == "rule":
-        return call_text(f"msg[{ins.output[1]}] <- {ins.rule_id}", ins.slots, ins.constants,
+        return call_text(f"msg[{ins.output[1]}] <- {ins.rule_id}", ins.slots, constants,
                          ins.extra, ins.writes_site, ins.label, encode)
     if ins.opcode == "product":
         return f"q[{ins.output[1]}] <- {' * '.join(slot_text(s) for s in ins.slots)}"
     if ins.opcode == "joint":
-        return call_text(f"q[{ins.output[1]}] <- joint {ins.rule_id}", ins.slots, ins.constants,
-                         encode=encode)
+        return call_text(f"q[{ins.output[1]}] <- joint {ins.rule_id}", ins.slots, constants, encode=encode)
     if ins.opcode == "average_energy":
-        return call_text(f"F += averageEnergy[{ins.rule_id}]", ins.slots, ins.constants, label=ins.label,
+        return call_text(f"F += averageEnergy[{ins.rule_id}]", ins.slots, constants, label=ins.label,
                          encode=encode)
     if ins.opcode == "entropy":
         return call_text(f"F -= {ins.constants.get('weight', 1.0)!r} * entropy", ins.slots)
@@ -407,31 +322,41 @@ def _energy(kind: str):
 
 
 class Executor:
-    """Run-time storage shared by ``Interpreter`` and ``engine.DirectExecutor``:
-    per-step message arrays (each message's distribution), the EP site store
-    (distributions), the one slot resolver and the evaluation of one
-    instruction (``send``, ``belief`` and ``joint`` in a step, ``term`` in
-    F). A subclass walks its own program in ``run_step``, reading and
-    writing only through the methods here, and hands its free-energy terms
-    ``(label, kind, slots, constants)`` over in program order.
+    """Run-time storage and the evaluation of one instruction, shared by
+    ``Interpreter`` and ``engine.DirectExecutor``: per-step message arrays
+    (each message's distribution), the EP site store (distributions), the
+    one slot resolver and the one dispatch of an instruction
+    (``run_instruction``: ``send``, ``belief`` or ``joint`` in a step,
+    ``term`` in F). The programs are the step programs, by factor id, and
+    the free-energy program under the key None.
 
-    Here every message and every F term is evaluated alone, as
-    ``engine.DirectExecutor`` runs them; ``Interpreter`` runs both its step
-    programs and its free-energy program in groups. F is the terms' values
-    summed in program order either way. A datum's value is read from the
-    table on its first read in an iteration, and its point mass is shared by
-    the rules and F; each ``run_iteration`` reads the table afresh, and so
-    does a read of another table. The point mass is kept across iterations
-    while the value read has the shape and bits it was built from.
-    Concurrent runs must not share an executor."""
+    Here each program runs one instruction at a time in program order, as
+    ``engine.DirectExecutor`` runs them; ``Interpreter`` runs its programs
+    in groups (``_run``). F is the terms' values summed in program order
+    either way. A datum's value is read from the table on its first read in
+    an iteration, and its point mass is shared by the rules and F; each
+    ``run_iteration`` reads the table afresh, and so does a read of another
+    table. The point mass is kept across iterations while the value read
+    has the shape and bits it was built from. Concurrent runs must not share
+    an executor."""
 
-    def __init__(self, registry, site_inits, message_counts, rule_ids, energy_terms):
+    def __init__(self, registry, programs: dict[str, list[Instruction]], free_energy: list[Instruction],
+                 site_inits: dict[str, Distribution]):
         self.registry = registry or default_registry()
         self.sites: dict[str, Distribution] = dict(site_inits)
-        self.messages: dict[str, list] = {fid: [None] * n for fid, n in message_counts.items()}
-        self._rules = {rule_id: self.registry.by_id(rule_id) for rule_id in dict.fromkeys(rule_ids)}
-        self.energy_terms = list(energy_terms)
+        self._programs = {**programs, None: free_energy}
+        self.messages: dict[str, list] = {fid: [None] * sum(1 for ins in program if ins.opcode == "rule")
+                                          for fid, program in programs.items()}
+        rule_ids = dict.fromkeys(ins.rule_id for program in programs.values() for ins in program if ins.rule_id)
+        self._rules = {rule_id: self.registry.by_id(rule_id) for rule_id in rule_ids}
+        # (label, kind, slots, constants) per free-energy term
+        self.energy_terms = [
+            (ins.label or ins.rule_id, ins.rule_id, ins.slots, ins.constants) if ins.opcode == "average_energy"
+            else (ins.label or ins.opcode, "entropy", ins.slots, ins.constants)
+            for ins in free_energy
+        ]
         self._energies = {kind: _energy(kind) for kind in dict.fromkeys(term[1] for term in self.energy_terms)}
+        self.values: list = []  # the free-energy terms' values in the evaluation under way
         self._data = None  # the data table read in this iteration
         self._fresh: dict = {}  # data slot -> its point mass, read in this iteration
         self._points: dict = {}  # data slot -> (its value's shape and bytes, its point mass)
@@ -472,16 +397,15 @@ class Executor:
             return self.sites[slot[1]]
         return None
 
-    def send(self, fid, index, step, data, marginals):
-        """Apply the rule of ``step`` (an ``Instruction`` or a schedule
-        entry), store the message's distribution at ``index`` and in the
-        site the step writes."""
-        inbound = [self.resolve(s, fid, data, marginals) for s in step.slots]
-        previous = self.resolve(step.extra, fid, data, marginals) if step.extra else None
-        dist = self._rules[step.rule_id].apply(inbound, step.constants, previous).dist
-        self.messages[fid][index] = dist
-        if step.writes_site:
-            self.sites[step.writes_site] = dist
+    def send(self, fid, ins, data, marginals):
+        """Apply the rule of ``ins``, store the message's distribution at
+        its output index and in the site the instruction writes."""
+        inbound = [self.resolve(s, fid, data, marginals) for s in ins.slots]
+        previous = self.resolve(ins.extra, fid, data, marginals) if ins.extra else None
+        dist = self._rules[ins.rule_id].apply(inbound, ins.constants, previous).dist
+        self.messages[fid][ins.output[1]] = dist
+        if ins.writes_site:
+            self.sites[ins.writes_site] = dist
 
     def belief(self, fid, slots, data, marginals) -> Distribution:
         """The product of the messages in ``slots``, ``product`` folded left
@@ -491,10 +415,39 @@ class Executor:
             out = product(out, self.resolve(slot, fid, data, marginals))
         return out
 
-    def joint(self, fid, step, data, marginals) -> Distribution:
-        """A two-slice joint marginal from the rule of ``step``."""
-        inbound = [self.resolve(s, fid, data, marginals) for s in step.slots]
-        return self._rules[step.rule_id].apply(inbound, step.constants).dist
+    def joint(self, fid, ins, data, marginals) -> Distribution:
+        """A two-slice joint marginal from the rule of ``ins``."""
+        inbound = [self.resolve(s, fid, data, marginals) for s in ins.slots]
+        return self._rules[ins.rule_id].apply(inbound, ins.constants).dist
+
+    def run_instruction(self, fid, pos, ins, data, marginals):
+        """Evaluate instruction ``pos`` of program ``fid``: a free-energy
+        term's value into ``values``, or a step's message or marginal. A
+        failed step raises naming the instruction."""
+        if fid is None:
+            self.values[pos] = self.term(pos, data, marginals)
+            return
+        try:
+            if ins.opcode == "rule":
+                self.send(fid, ins, data, marginals)
+            elif ins.opcode == "product":
+                marginals[ins.output[1]] = self.belief(fid, ins.slots, data, marginals)
+            elif ins.opcode == "joint":
+                marginals[ins.output[1]] = self.joint(fid, ins, data, marginals)
+            else:
+                raise InterpretError(f"opcode {ins.opcode!r} is not executable in a step")
+        except Exception as exc:
+            raise InterpretError(f"step {fid}, instruction {pos} ({ins.opcode} -> {ins.output}): {exc}") from exc
+
+    def _run(self, key, data, marginals):
+        """Run program ``key`` (a factor id, or None for the free-energy
+        program) one instruction at a time."""
+        for pos, ins in enumerate(self._programs[key]):
+            self.run_instruction(key, pos, ins, data, marginals)
+
+    def run_step(self, fid: str, data, marginals):
+        self._run(fid, data, marginals)
+        return marginals
 
     def run_iteration(self, data, marginals):
         self._data = None
@@ -512,10 +465,17 @@ class Executor:
             raise InterpretError(f"free-energy term {pos} ({label}): {exc}") from exc
 
     def term_values(self, data, marginals):
-        """Yield each free-energy term's signed contribution to F, in program
-        order; a term that fails raises after the values before it."""
-        for pos in range(len(self.energy_terms)):
-            yield self.term(pos, data, marginals)
+        """The free-energy program run; then each term's value in program
+        order, or, after a failure, the values before the failing term and
+        its error."""
+        self.values = values = [None] * len(self.energy_terms)
+        try:
+            self._run(None, data, marginals)
+        except InterpretError:
+            # every term before the failing one has its value
+            yield from itertools.takewhile(lambda value: value is not None, values)
+            raise
+        yield from values
 
     def free_energy_terms(self, data, marginals):
         """Yield ``(label, signed contribution to F)`` per free-energy term,
@@ -530,11 +490,6 @@ class Executor:
         for value in self.term_values(data, marginals):
             total += value
         return total
-
-
-def step_error(fid, pos, opcode, output, exc) -> InterpretError:
-    """The error both executors raise for a failed step instruction."""
-    return InterpretError(f"step {fid}, instruction {pos} ({opcode} -> {output}): {exc}")
 
 
 class _Group:
@@ -670,50 +625,22 @@ class Interpreter(Executor):
 
     def __init__(self, ir: AlgorithmIR, registry: RuleRegistry | None = None):
         self.ir = ir
-        super().__init__(
-            registry, ir.site_inits,
-            {fid: sum(1 for ins in prog if ins.opcode == "rule") for fid, prog in ir.steps},
-            [ins.rule_id for _, prog in ir.steps for ins in prog if ins.rule_id],
-            [(ins.label or ins.rule_id, ins.rule_id, ins.slots, ins.constants) if ins.opcode == "average_energy"
-             else (ins.label or ins.opcode, "entropy", ins.slots, ins.constants)
-             for ins in ir.free_energy],
-        )
-        self._programs = {**dict(ir.steps), None: ir.free_energy}  # None: the free-energy program
+        super().__init__(registry, dict(ir.steps), ir.free_energy, ir.site_inits)
         self._batches = {rule_id: rule.batch for rule_id, rule in self._rules.items()
                          if getattr(rule, "batch", None)}
         self._batches.update((kind, energy.batch) for kind, energy in self._energies.items()
                              if isinstance(energy, Batch))
         self._unstacked: set[tuple] = set()  # (program, rule id or kind) whose beliefs did not stack
         self._plans = {key: self._plan(key) for key in self._programs}
-        self.values: list = []  # the free-energy terms' values in the evaluation under way
 
     def _plan(self, key):
         return plan_step(self._programs[key],
                          lambda applies: applies in self._batches and (key, applies) not in self._unstacked)[0]
 
     def belief(self, fid, slots, data, marginals) -> Distribution:
-        """``Executor.belief`` in one pass over the messages (``product_all``);
-        two messages, as a chain's marginals have, go to ``product`` at once."""
+        """``Executor.belief`` in one pass over the messages (``product_all``)."""
         resolve = self.resolve
-        if len(slots) == 2:
-            return product(resolve(slots[0], fid, data, marginals), resolve(slots[1], fid, data, marginals))
         return product_all([resolve(slot, fid, data, marginals) for slot in slots])
-
-    def run_instruction(self, fid, pos, ins, data, marginals):
-        if fid is None:
-            self.values[pos] = self.term(pos, data, marginals)
-            return
-        try:
-            if ins.opcode == "rule":
-                self.send(fid, ins.output[1], ins, data, marginals)
-            elif ins.opcode == "product":
-                marginals[ins.output[1]] = self.belief(fid, ins.slots, data, marginals)
-            elif ins.opcode == "joint":
-                marginals[ins.output[1]] = self.joint(fid, ins, data, marginals)
-            else:
-                raise InterpretError(f"opcode {ins.opcode!r} is not executable in a step")
-        except Exception as exc:
-            raise step_error(fid, pos, ins.opcode, ins.output, exc) from exc
 
     def _column(self, column, fid, data, marginals) -> list:
         """The values of one slot column of a group. The slots of a column
@@ -765,20 +692,3 @@ class Interpreter(Executor):
                 self._unstacked.add((key, item.rule_id))
                 self._plans[key] = self._plan(key)
                 break
-
-    def run_step(self, fid: str, data, marginals):
-        self._run(fid, data, marginals)
-        return marginals
-
-    def term_values(self, data, marginals):
-        """The free-energy program run in its plan's order; then each term's
-        value in program order, or, after a failure, the values before the
-        failing term and its error."""
-        self.values = values = [None] * len(self.energy_terms)
-        try:
-            self._run(None, data, marginals)
-        except InterpretError:
-            # every term before the failing one has its value
-            yield from itertools.takewhile(lambda value: value is not None, values)
-            raise
-        yield from values

@@ -9,8 +9,9 @@ and each ``streaming_update`` batch are one compile and one ``Program.run``.
 
 Each run owns its marginal table and message storage; runs are independent.
 Within a run execution is strictly sequential, following the schedule.
-``DirectExecutor`` walks the uncompiled schedules and free-energy program on
-the storage and slot resolver of ``codegen.Executor``, which the instruction
+``DirectExecutor`` walks the schedules' and the free-energy program's
+instructions, uncompiled and one at a time, through the storage, slot
+resolver and dispatch of ``codegen.Executor``, which the instruction
 interpreter shares; it is the reference the interpreter must match bit for
 bit.
 """
@@ -22,7 +23,7 @@ import time
 import numpy as np
 
 from ._linalg import as_matrix, as_vector
-from .codegen import Executor, Interpreter, compile_program, step_error
+from .codegen import Executor, Interpreter, compile_program
 from .distributions import (
     FAMILIES,
     Dirichlet,
@@ -39,7 +40,6 @@ from .rules import default_registry
 from .scheduler import (
     Factorization,
     FreeEnergyProgram,
-    MarginalStep,
     RecognitionFactorization,
     Schedule,
     analyze_factorization,
@@ -120,44 +120,18 @@ def init_marginals(graph: FactorGraph | Factorization, rf: RecognitionFactorizat
 
 class DirectExecutor(Executor):
     """Executes Schedule objects and the FreeEnergyProgram without compiling
-    them, on the interpreter's storage and resolver; the instruction
-    interpreter must match this path bit for bit."""
+    them: each factor's entries and marginal steps, then the energy and
+    entropy terms, one instruction at a time in program order, each marginal
+    the pairwise fold of ``Executor.belief``. The instruction interpreter
+    must match this path bit for bit."""
 
     def __init__(self, schedules: dict[str, Schedule], fe_program: FreeEnergyProgram | None = None,
                  registry=None):
-        self.schedules = schedules
-        self.fe_program = fe_program
         sites: dict[str, Distribution] = {}
         for schedule in schedules.values():
             sites.update(schedule.site_inits)
-        rule_ids = [e.rule_id for s in schedules.values() for e in s.entries]
-        rule_ids += [st.rule_id for s in schedules.values() for st in s.marginal_steps
-                     if not isinstance(st, MarginalStep)]
-        terms = [] if fe_program is None else [
-            *((term.label or term.kind, term.kind, term.slots, term.constants) for term in fe_program.energies),
-            *(("entropy", "entropy", [("marginal", key)], {"weight": weight}) for key, weight in fe_program.entropies),
-        ]
-        super().__init__(registry, sites, {fid: len(s.entries) for fid, s in schedules.items()},
-                         rule_ids, terms)
-
-    def run_step(self, fid, data, marginals):
-        schedule = self.schedules[fid]
-        for pos, entry in enumerate(schedule.entries):
-            try:
-                self.send(fid, pos, entry, data, marginals)
-            except Exception as exc:
-                raise step_error(fid, pos, "rule", ("msg", pos), exc) from exc
-        for pos, step in enumerate(schedule.marginal_steps, len(schedule.entries)):
-            is_product = isinstance(step, MarginalStep)
-            try:
-                if is_product:
-                    marginals[step.key] = self.belief(fid, step.inputs, data, marginals)
-                else:
-                    marginals[step.key] = self.joint(fid, step, data, marginals)
-            except Exception as exc:
-                raise step_error(fid, pos, "product" if is_product else "joint",
-                                 ("marginal", step.key), exc) from exc
-        return marginals
+        super().__init__(registry, {fid: [*s.entries, *s.marginal_steps] for fid, s in schedules.items()},
+                         [] if fe_program is None else fe_program.instructions(), sites)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ the sweeps, and rewritten from fresh cavities at the end of each sweep, which
 keeps every per-sweep schedule acyclic.
 
 Every update is selected at one site (``_FactorScheduler.lookup``), which
-types its slots, and appended by one emitter. What a support family decides
+types its slots, and appended by one emitter. Every step and energy term is
+built as an ``Instruction``, the record ``codegen.AlgorithmIR`` is made of,
+so compiling assembles them and copies none. What a support family decides
 (marginal class, vague default) comes from ``distributions.FAMILIES``.
 Listings of schedules are written by ``codegen.render_schedule(s)``.
 """
@@ -425,70 +427,93 @@ def slot_type(slot, entries: list, supports: dict[str, Support]) -> type | None:
 # ---------------------------------------------------------------------------
 
 
-class ScheduleEntry:
-    __slots__ = ("rule_id", "slots", "out_variant", "constants", "edge_label", "extra", "writes_site")
+_NOT_CANONICAL = (np.ndarray, tuple, np.floating, np.integer)
 
-    def __init__(self, rule_id, slots, out_variant, constants, edge_label, extra=None, writes_site=None):
+
+def _canon_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return float(value)
+    return value
+
+
+def _canon_constants(constants: dict | None) -> dict:
+    """``constants`` as the listing reads them back: arrays and tuples as
+    lists, numpy scalars as floats. A dict that holds none of those is
+    returned itself, so steps that share a layout share its dict."""
+    if constants is None:
+        return {}
+    for value in constants.values():
+        if isinstance(value, _NOT_CANONICAL):
+            return {key: _canon_value(value) for key, value in constants.items()}
+    return constants
+
+
+class Instruction:
+    """One pure step of a schedule or of the free-energy program, and the
+    record ``codegen.AlgorithmIR`` is made of: a rule application (``rule``,
+    writing ``("msg", i)``), a marginal product (``product``), a two-slice
+    joint (``joint``) or a free-energy contribution (``average_energy``,
+    ``entropy``, adding to ``("F",)``). ``rule_id`` names what it applies:
+    a rule (rule, joint) or an energy term kind (average_energy).
+    ``out_variant`` annotates a rule's outbound variant class name
+    (``slot_type``, ``infer_types``); equality and the listing leave it out."""
+
+    __slots__ = ("opcode", "output", "slots", "rule_id", "constants", "extra", "writes_site", "label",
+                 "out_variant")
+    _fields = __slots__[:-1]  # what equality compares
+
+    def __init__(self, opcode, output, slots, rule_id=None, constants=None, extra=None,
+                 writes_site=None, label="", out_variant=None):
+        self.opcode = opcode  # rule | product | joint | average_energy | entropy
+        self.output = output  # ("msg", i) | ("marginal", key) | ("F",)
+        self.slots = tuple(slots)  # aligned with the rule's signature; tagged tuples
         self.rule_id = rule_id
-        self.slots = tuple(slots)  # aligned with rule signature; tagged tuples
-        self.out_variant = out_variant  # variant class name (annotation)
-        self.constants = constants
-        self.edge_label = edge_label  # (variable, direction) for listings
+        self.constants = _canon_constants(constants)
         self.extra = extra  # slot providing the 'previous'/linearization input
         self.writes_site = writes_site
+        self.label = label
+        self.out_variant = out_variant
 
-    def referenced_entries(self):
-        for slot in (*self.slots, self.extra) if self.extra else self.slots:
-            if slot and slot[0] == "entry":
-                yield slot[1]
-
-
-class MarginalStep:
-    __slots__ = ("key", "inputs")
-
-    def __init__(self, key, inputs):
-        self.key = key
-        self.inputs = inputs  # entry slot refs
-
-
-class JointStep:
-    __slots__ = ("key", "rule_id", "slots", "constants")
-
-    def __init__(self, key, rule_id, slots, constants):
-        self.key = key
-        self.rule_id = rule_id
-        self.slots = tuple(slots)
-        self.constants = constants
+    def __eq__(self, other):
+        return isinstance(other, Instruction) and all(
+            getattr(self, field) == getattr(other, field) for field in self._fields
+        )
 
 
 class Schedule:
+    """A factor's steps: its rule instructions (``entries``, entry ``i``
+    writing ``("msg", i)``), then its product and joint instructions
+    (``marginal_steps``), and the initial values of its EP sites."""
+
     def __init__(self, factor_id):
         self.factor_id = factor_id
-        self.entries: list[ScheduleEntry] = []
-        self.marginal_steps: list[MarginalStep | JointStep] = []
+        self.entries: list[Instruction] = []
+        self.marginal_steps: list[Instruction] = []
         self.site_inits: dict[str, Distribution] = {}
 
     def check_topological(self) -> bool:
         for i, entry in enumerate(self.entries):
-            if any(j >= i for j in entry.referenced_entries()):
-                return False
+            for slot in (*entry.slots, entry.extra) if entry.extra else entry.slots:
+                if slot[0] == "entry" and slot[1] >= i:
+                    return False
         return True
-
-
-class FreeEnergyTerm:
-    __slots__ = ("kind", "slots", "constants", "label")
-
-    def __init__(self, kind, slots, constants=None, label=""):
-        self.kind = kind
-        self.slots = tuple(slots)
-        self.constants = constants or {}
-        self.label = label
 
 
 class FreeEnergyProgram:
     def __init__(self, energies, entropies):
-        self.energies: list[FreeEnergyTerm] = energies
+        self.energies: list[Instruction] = energies  # average_energy instructions
         self.entropies: list[tuple[str, float]] = entropies  # (marginal key, weight)
+
+    def instructions(self) -> list[Instruction]:
+        """The program's instructions: the energy terms, then one entropy
+        term per ``(key, weight)``; terms of one weight share its constants."""
+        constants = {weight: {"weight": weight} for _, weight in self.entropies}
+        return [*self.energies, *(Instruction("entropy", ("F",), [("marginal", key)], None, constants[weight])
+                                  for key, weight in self.entropies)]
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +550,13 @@ class _FactorScheduler:
         return self.registry.lookup(kind, role, tuple(zip(kinds, types))), types
 
     def emit_entry(self, rule, types, slots, constants, label, extra=None, writes_site=None):
-        """Append an entry applying a ``lookup`` result to ``slots``; its
+        """Append a rule instruction applying a ``lookup`` result to
+        ``slots``, labelled with its edge's ``(variable, direction)``; its
         outbound variant is the rule's output type for the slots' types."""
-        self.schedule.entries.append(ScheduleEntry(
-            rule.id, slots, rule.out_type(types, constants).__name__, constants, label, extra, writes_site,
-        ))
-        return ("entry", len(self.schedule.entries) - 1)
+        entries = self.schedule.entries
+        entries.append(Instruction("rule", ("msg", len(entries)), slots, rule.id, constants, extra, writes_site,
+                                   f"edge {label[0]} {label[1]}", rule.out_type(types, constants).__name__))
+        return ("entry", len(entries) - 1)
 
     # -- message scheduling -------------------------------------------------
 
@@ -787,7 +813,7 @@ class _FactorScheduler:
             return _FactorScheduler(self.facts, self.factor_id, self.factor_vars, self.registry,
                                     self.ep_damping, fold=False).build()
         for var in order:
-            self.schedule.marginal_steps.append(MarginalStep(var, inputs[var]))
+            self.schedule.marginal_steps.append(Instruction("product", ("marginal", var), inputs[var]))
         self.emit_joints(chain)
         return self.schedule
 
@@ -851,7 +877,7 @@ class _FactorScheduler:
                 kind = "gaussian_affine_variance" if variance else "gaussian_affine"
             rule, _ = self.lookup(kind, "joint", slots, [MESSAGE, MESSAGE] + [MARGINAL] * (len(slots) - 2))
             self.schedule.marginal_steps.append(
-                JointStep(joint_key(sec.leaf_var, sec.out_var), rule.id, slots, constants)
+                Instruction("joint", ("marginal", joint_key(sec.leaf_var, sec.out_var)), slots, rule.id, constants)
             )
 
 
@@ -925,7 +951,7 @@ def schedule_sum_product(graph: FactorGraph, targets, registry: RuleRegistry | N
         inputs = [fwd]
         if edge.head is not None:
             inputs.append(sched.require(edge.id, "bwd"))
-        sched.schedule.marginal_steps.append(MarginalStep(var, inputs))
+        sched.schedule.marginal_steps.append(Instruction("product", ("marginal", var), inputs))
     return sched.schedule
 
 
@@ -1006,12 +1032,13 @@ def schedule_free_energy(
     stochastic node's energy term is laid out by its kind's record."""
     facts = analyze_factorization(graph, rf, registry or default_registry())
     graph, links, layout = facts.graph, facts.links, TermLayout(facts)
-    energies: list[FreeEnergyTerm] = []
+    energies: list[Instruction] = []
     for node in graph.nodes:
         energy = graph.kind_of(node).energy
         if energy is not None:
             term, slots, constants, label = energy(node, layout)
-            energies.append(FreeEnergyTerm(term, slots, constants, f"node{node.id}:{label}"))
+            energies.append(Instruction("average_energy", ("F",), slots, term, constants,
+                                        label=f"node{node.id}:{label}"))
 
     entropies: list[tuple[str, float]] = []
     for fid, fvars in rf.factors:

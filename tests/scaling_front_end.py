@@ -13,7 +13,8 @@ the front end's cost with the collector on over its cost with it off.
 ``tracked`` counts the objects the collector tracks right after
 ``compile_program`` (the whole process, imports included).
 
-A script, not a test (pytest does not collect it, and it asserts no time):
+A script, not a test (pytest does not collect it, and it asserts no time;
+``tests/test_scheduler.py`` runs it once at a small T):
 
     PYTHONPATH=src python tests/scaling_front_end.py [T ...]   # default: 400 1600 6400
 
@@ -81,16 +82,19 @@ def main(lengths: list[int]):
     print("|" + "---|" * len(header))
     clock = CollectorClock()
     gc.callbacks.append(clock)
-    for T in lengths:
-        gc.collect()  # start every length from the same heap
-        clock.seconds = 0.0
-        before = sys.getrecursionlimit()
-        seconds, tracked = front_end(T, clock)
-        after = sys.getrecursionlimit()
-        total = sum(seconds[s] for s in STAGES)
-        cells = [str(T), *(f"{seconds[s]:.2f}" for s in COLUMNS), f"{total:.2f}", f"{clock.seconds:.2f}",
-                 str(tracked), str(before), str(after)]
-        print("| " + " | ".join(cells) + " |", flush=True)
+    try:
+        for T in lengths:
+            gc.collect()  # start every length from the same heap
+            clock.seconds = 0.0
+            before = sys.getrecursionlimit()
+            seconds, tracked = front_end(T, clock)
+            after = sys.getrecursionlimit()
+            total = sum(seconds[s] for s in STAGES)
+            cells = [str(T), *(f"{seconds[s]:.2f}" for s in COLUMNS), f"{total:.2f}", f"{clock.seconds:.2f}",
+                     str(tracked), str(before), str(after)]
+            print("| " + " | ".join(cells) + " |", flush=True)
+    finally:
+        gc.callbacks.remove(clock)
 
 
 if __name__ == "__main__":

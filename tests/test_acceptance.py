@@ -345,7 +345,7 @@ def test_criterion_10_scheduler_golden():
     s = schedule_sum_product(g, ["x2"])
     four = len(s.entries) == 4
     topo = s.check_topological()
-    marginal = s.marginal_steps[0].inputs == [("entry", 1), ("entry", 3)]
+    marginal = list(s.marginal_steps[0].slots) == [("entry", 1), ("entry", 3)]
     report(10, "scheduler golden test", four and topo and marginal,
            f"messages={len(s.entries)}, backward-only={topo}, marginal=msg2*msg4={marginal}")
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpgraph import cli
 from mpgraph.cli import CliError, _check_data, ingest, main
 from mpgraph.distributions import from_json
 from mpgraph.dsl import MAX_LOOP_DEPTH, ModelParseError, parse_model
@@ -675,6 +676,22 @@ class TestStreamCommand:
         assert main(["stream", str(z_model), str(z_data), "--batch-size", "6", "--iters", "3",
                      "-o", str(out)]) == 0
         assert len(list(out.glob("batch_*.json"))) == 4
+
+    def test_each_batch_length_is_parsed_once_for_the_checks(self, tmp_path, monkeypatch):
+        # 110 rows in batches of 24: four of 24 and one of 14
+        model = tmp_path / "rw.mp"
+        model.write_text(RW_MODEL)
+        data = tmp_path / "data.csv"
+        data.write_text("y\n" + "\n".join(repr(0.1 * t) for t in range(110)) + "\n")
+        init = tmp_path / "init.json"
+        init.write_text('{"w": {"type": "Gamma", "params": {"shape": 1.0, "rate": 1.0}}}')
+        parsed = []
+        monkeypatch.setattr(cli, "parse_model", lambda text, constants: parsed.append(constants["T"])
+                            or parse_model(text, constants))
+        assert main(["stream", str(model), str(data), "--batch-size", "24", "--iters", "2",
+                     "--init", str(init), "-o", str(tmp_path / "stream")]) == 0
+        # one parse per distinct length for the checks, one per batch for its inference
+        assert sorted(parsed) == sorted([24, 14] + [24, 24, 24, 24, 14])
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_batch_size_below_one_is_rejected(self, rw_files, size, capsys):

@@ -10,9 +10,9 @@ from mpgraph.codegen import (
     parse_listing,
     render,
 )
-from mpgraph.engine import DirectExecutor, init_marginals
+from mpgraph.engine import DirectExecutor, compile_model, init_marginals
 from mpgraph.graph import FactorGraph
-from mpgraph.models import HmgmModel, LgssmModel, sample_hmgm
+from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel, sample_hmgm
 from mpgraph.scheduler import (
     RecognitionFactorization,
     default_factorization,
@@ -56,6 +56,23 @@ class TestCompile:
         n_sched = sum(len(s.entries) + len(s.marginal_steps) for s in schedules.values())
         n_ir = sum(len(prog) for _, prog in ir.steps)
         assert n_ir == n_sched
+
+    @pytest.mark.parametrize("build, options", [
+        (lambda: RandomWalkModel().build(4), {}),
+        (lambda: ProbitSsmModel().build(3), {"ep_damping": 0.5}),
+        (lambda: HmgmModel(K=3).build(3), {}),
+        (lambda: Co2Model().build(3), {}),
+    ], ids=["random-walk", "probit", "hmgm", "co2"])
+    def test_the_ir_is_made_of_the_schedules_steps(self, build, options):
+        program = compile_model(*build(), **options)
+        assert [fid for fid, _ in program.ir.steps] == list(program.schedules)
+        for (fid, instructions), schedule in zip(program.ir.steps, program.schedules.values()):
+            steps = [*schedule.entries, *schedule.marginal_steps]
+            assert len(instructions) == len(steps)
+            assert all(ins is step for ins, step in zip(instructions, steps)), fid
+        energies = [ins for ins in program.ir.free_energy if ins.opcode == "average_energy"]
+        assert len(energies) == len(program.free_energy.energies)
+        assert all(ins is term for ins, term in zip(energies, program.free_energy.energies))
 
     def test_fig2_compiles_to_four_rules_and_a_product(self):
         g = FactorGraph()

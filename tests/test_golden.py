@@ -149,7 +149,7 @@ def test_slotted_ir_round_trips_field_by_field(name):
     for (_, want), (_, got) in zip(programs, parsed):
         assert len(got) == len(want)
         for a, b in zip(want, got):
-            for field in Instruction.__slots__:
+            for field in Instruction._fields:
                 assert getattr(b, field) == getattr(a, field), field
             assert type(a.slots) is type(b.slots) is tuple
             assert not hasattr(a, "__dict__") and not hasattr(b, "__dict__")

@@ -343,7 +343,7 @@ def test_the_walks_chain_step_builds_no_arrays_for_its_messages():
 
 
 def test_a_datum_point_mass_is_kept_while_its_bits_are():
-    executor = Executor(None, {}, {}, [], [])
+    executor = Executor(None, {}, [], {})
     data = {"y": np.array([[1.0, 2.0], [3.0, 4.0]]), "z": [0.0, 1.5]}
 
     def read(name, index):

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scaling_front_end
 
 from mpgraph.codegen import compile_program, render_schedule, render_schedules
 from mpgraph.dsl import parse_model
@@ -12,7 +14,6 @@ from mpgraph.graph import FactorGraph
 from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
 from mpgraph.rules import default_registry
 from mpgraph.scheduler import (
-    JointStep,
     RecognitionFactorization,
     SchedulingError,
     _FactorScheduler,
@@ -41,12 +42,12 @@ class TestSumProduct:
         s = schedule_sum_product(four_factor_graph(), ["x2"])
         assert len(s.entries) == 4
         assert s.check_topological()
-        labels = [e.edge_label for e in s.entries]
-        assert labels == [("x1", "fwd"), ("x2", "fwd"), ("x4", "fwd"), ("x2", "bwd")]
+        labels = [e.label for e in s.entries]
+        assert labels == ["edge x1 fwd", "edge x2 fwd", "edge x4 fwd", "edge x2 bwd"]
         # marginal is the product of messages 2 and 4 (1-indexed)
         step = s.marginal_steps[0]
-        assert step.key == "x2"
-        assert step.inputs == [("entry", 1), ("entry", 3)]
+        assert step.output[1] == "x2"
+        assert step.slots == (("entry", 1), ("entry", 3))
 
     def test_single_prior_single_message(self):
         g = FactorGraph()
@@ -63,13 +64,13 @@ class TestSumProduct:
         s = schedule_sum_product(g, ["b"])
         # forward (through a) and backward (from the clamp) collide on b
         assert len(s.entries) == 3
-        directions = {e.edge_label for e in s.entries}
-        assert ("b", "fwd") in directions and ("b", "bwd") in directions
+        directions = {e.label for e in s.entries}
+        assert "edge b fwd" in directions and "edge b bwd" in directions
 
     def test_memoized_across_targets(self):
         g = four_factor_graph()
         s = schedule_sum_product(g, ["x2", "x1", "x4"])
-        labels = [e.edge_label for e in s.entries]
+        labels = [e.label for e in s.entries]
         assert len(labels) == len(set(labels)), "no message computed twice"
         assert len(s.entries) <= 2 * len([e for e in g.edges])
 
@@ -121,13 +122,13 @@ class TestVmpSchedules:
         assert x.check_topological()
         # marginal steps reference the colliding frontier messages: the
         # filtering pass runs ascending in t, the smoothing pass descending
-        singles = {st.key: st.inputs for st in x.marginal_steps if "&" not in st.key}
+        singles = {st.output[1]: st.slots for st in x.marginal_steps if "&" not in st.output[1]}
         fwd_idx = [singles[f"x[{t}]"][0][1] for t in range(7)]
         bwd_idx = [singles[f"x[{t}]"][1][1] for t in range(7)]
         assert fwd_idx == sorted(fwd_idx)
         assert bwd_idx == sorted(bwd_idx, reverse=True)
         assert bwd_idx[0] > fwd_idx[-1], "smoothing completes after filtering"
-        joints = [st for st in x.marginal_steps if "&" in getattr(st, "key", "")]
+        joints = [st for st in x.marginal_steps if "&" in st.output[1]]
         assert len(joints) == 6
 
     def test_conjugate_single_factor_degenerates_to_sum_product(self):
@@ -193,7 +194,7 @@ class TestVmpSchedules:
     def test_gamma_boundary_annotated_gamma(self):
         g, rf = RandomWalkModel().build(3)
         scheds = schedule_vmp(g, rf)
-        w_variants = [e.out_variant for e in scheds["W"].entries if e.edge_label[0] == "w"]
+        w_variants = [e.out_variant for e in scheds["W"].entries if e.label.split()[1] == "w"]
         assert "Gamma" in w_variants
 
 
@@ -212,7 +213,7 @@ class TestFreeEnergyProgram:
         T = 50
         g, rf = HmgmModel().build(T)
         fe = schedule_free_energy(g, rf)
-        kinds = [t.kind for t in fe.energies]
+        kinds = [t.rule_id for t in fe.energies]
         assert kinds.count("dirichlet") == 1
         assert kinds.count("gaussian_mean_variance") == 3
         assert kinds.count("wishart") == 3
@@ -229,7 +230,7 @@ class TestFreeEnergyProgram:
     def test_transition_energy_uses_joint(self):
         g, rf = HmgmModel().build(3)
         fe = schedule_free_energy(g, rf)
-        trans = [t for t in fe.energies if t.kind == "transition"]
+        trans = [t for t in fe.energies if t.rule_id == "transition"]
         assert all(t.slots[0][0] == "marginal" and "&" in t.slots[0][1] for t in trans)
 
 
@@ -330,7 +331,7 @@ class TestMeanFieldProducts:
         mean_field = 0
         for fid, fvars in rf.factors:
             got, want = folded[fid], unfolded[fid]
-            if any(isinstance(step, JointStep) for step in want.marginal_steps):
+            if any(step.opcode == "joint" for step in want.marginal_steps):
                 assert render_schedule(got) == render_schedule(want)  # chain steps as they were
                 continue
             mean_field += 1
@@ -342,7 +343,7 @@ class TestMeanFieldProducts:
             assert len(got.entries) == len(kept)
             for entry, old in zip(got.entries, kept):
                 was = want.entries[old]
-                assert (entry.rule_id, entry.edge_label) == (was.rule_id, was.edge_label)
+                assert (entry.rule_id, entry.label) == (was.rule_id, was.label)
                 assert entry.slots == tuple(number.get(slot, slot) for slot in was.slots)
 
             def leaves(slot):  # a fold's left operand, then its right one
@@ -352,9 +353,9 @@ class TestMeanFieldProducts:
                 return [slot]
 
             (was,) = want.marginal_steps
-            order = [leaf for slot in was.inputs[:1] for leaf in leaves(slot)] + was.inputs[1:]
-            assert step.key == was.key and len(step.inputs) > 2
-            assert step.inputs == [number.get(slot, slot) for slot in order]
+            order = [leaf for slot in was.slots[:1] for leaf in leaves(slot)] + list(was.slots[1:])
+            assert step.output[1] == was.output[1] and len(step.slots) > 2
+            assert step.slots == tuple(number.get(slot, slot) for slot in order)
         assert mean_field >= 1
 
     def test_partial_products_read_by_other_messages_keep_their_folds(self):
@@ -390,3 +391,16 @@ for t in 1:T {
             schedule_vmp(*HmgmModel(K=3).build(T))
             depths.append(deepest[0])
         assert depths[0] == depths[1] <= 3
+
+
+def test_the_front_end_scaling_script_runs(capsys):
+    # tests/scaling_front_end.py times the front end's stages by name: one small T
+    callbacks = list(gc.callbacks)
+    scaling_front_end.main([8])
+    assert gc.callbacks == callbacks
+    header, _, row = capsys.readouterr().out.splitlines()
+    cells = dict(zip((c.strip() for c in header.strip("| ").split("|")),
+                     (c.strip() for c in row.strip("| ").split("|"))))
+    assert cells["T"] == "8" and int(cells["tracked"]) > 0
+    assert all(float(cells[column]) >= 0 for column in (*scaling_front_end.COLUMNS, "total", "collector"))
+    assert cells["recursion limit before"] == cells["after"]
