@@ -703,30 +703,25 @@ def _transition_term(node, layout):
 
 def _gaussian_term(node, layout):
     """The out belief (the chain link's two-slice joint in a chain), a slot
-    per mean-side leaf with its gain, then the precision belief."""
+    per mean-side leaf with its gain, then the belief of role 2: a precision,
+    or a fixed variance (term ``gaussian_affine_variance``, whose mean side
+    has no nonlinearity)."""
     info = layout.mean_sides[node.id]
-    precision = layout.belief_at(node, "precision")
+    second = node.roles(layout.graph)[2]
+    param = layout.belief_at(node, second)
     link = layout.links.get(node.id)
     if info.nonlinear is not None:
+        if second == "variance":
+            raise layout.error(f"unsupported nonlinear composition at node {node.id}")
         out = layout.belief_at(node, "out")
         leaves, constants = layout.mean_sides.layout(info, layout.belief)
-        return "gaussian_nonlinear_affine", [out, *leaves, precision], constants, "gaussian_nonlinear"
+        return "gaussian_nonlinear_affine", [out, *leaves, param], constants, "gaussian_nonlinear"
     out = layout.joint(link) if link is not None else layout.belief_at(node, "out")
     leaves, constants = layout.mean_sides.layout(info, layout.belief, link and link.leaf_var,
                                                  joint=link is not None)
-    return "gaussian_affine", [out, *leaves, precision], constants, "gaussian"
-
-
-def _gaussian_variance_term(node, layout):
-    """The beliefs of every interface; in a chain, laid out as
-    ``_gaussian_term`` lays out a link, with the fixed variance last."""
-    link = layout.links.get(node.id)
-    if link is None:
-        return "gaussian_mean_variance", layout.beliefs(node), {}, "gaussian_mv"
-    leaves, constants = layout.mean_sides.layout(layout.mean_sides[node.id], layout.belief, link.leaf_var,
-                                                 joint=True)
-    variance = layout.belief_at(node, "variance")
-    return "gaussian_affine_variance", [layout.joint(link), *leaves, variance], constants, "gaussian_mv"
+    if second == "variance":
+        return "gaussian_affine_variance", [out, *leaves, param], constants, "gaussian_mv"
+    return "gaussian_affine", [out, *leaves, param], constants, "gaussian"
 
 
 def _probit_term(node, layout):
@@ -743,7 +738,7 @@ NODE_KINDS.update((kind.name, kind) for kind in (
     NodeKind("gaussian_mean_variance", ("out", "mean", "variance"), dsl="GaussianMeanVariance",
              check=_gaussian_dims, check_values=_psd_values("variance"),
              support=_shaped_like("mean", "gaussian"),
-             energy=_gaussian_variance_term,
+             energy=_gaussian_term,
              energies={"gaussian_mean_variance": dist._energy_gaussian_mean_variance,
                        "gaussian_affine_variance": dist._energy_gaussian_affine_variance},
              prior=(dist.GaussianBase, lambda q: {"mean": q.mean_vector(), "variance": q.covariance_matrix()})),

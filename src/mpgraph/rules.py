@@ -311,11 +311,15 @@ def _moments(q) -> tuple:
     return _scalar_moments(q) or mean_and_cov(q)
 
 
-def _variance(q):
-    """The fixed variance a point mass holds, as a matrix, or as a float
-    where that matrix is 1x1."""
+def _variance_matrix(q, dim: int) -> np.ndarray:
+    """The fixed variance a point mass holds, as a matrix."""
+    return as_matrix(q.value)
+
+
+def _scalar_variance(q) -> tuple[float] | None:
+    """``_variance_matrix(q, d)`` as a float where its matrix is 1x1."""
     v = q.value
-    return v.item() if v.size == 1 and v.ndim in (0, 2) else as_matrix(v)
+    return (v.item(),) if v.size == 1 and v.ndim in (0, 2) else None
 
 
 def _precision_messages(scatters: np.ndarray, constants: dict, weights=1.0) -> list:
@@ -393,65 +397,49 @@ def _equality_sp(inbound, constants):
     return product(a, b)
 
 
-def _gaussian_spread(at: int) -> Batch:
+def _gaussian_spread(at: int, covariance, scalar) -> Batch:
     """Toward out or mean of a Gaussian node from the message on the other
-    (slot ``at``): its moments, E[W]^-1 added to the covariance."""
+    (slot ``at``): its moments, the node's covariance added to theirs. The
+    node's second parameter (slot 2) is read as that covariance by
+    ``covariance(q, d)``, and as a float by ``scalar(q)`` where it is one
+    number: E[W]^-1 of a precision, or a fixed variance as it is."""
 
     @Batch
     def batch(columns, constants):
         floats = _floats(columns[at][0])
         read = _column if floats else _stacked
         m, v = read(columns[at], mean_and_cov, _scalar_moments, (1, 2))
-        (e,) = read(columns[2], lambda q: (expected_covariance(q, _size(m)),), _scalar_covariance, (2,))
+        (e,) = read(columns[2], lambda q: (covariance(q, _size(m)),), scalar, (2,))
         return _gaussians(GaussianMeanVariance, len(columns[at]), m, v + e, floats)
 
     return batch
 
 
-def _gaussian_vmp(at: int) -> Batch:
+def _gaussian_vmp(at: int, cls, second, scalar) -> Batch:
     """Toward out or mean of a Gaussian node from the marginal on the other
-    (slot ``at``): its mean, with precision E[W]."""
+    (slot ``at``): a ``cls`` of its mean and the node's second parameter, read
+    by ``second(q, d)`` and ``scalar(q)`` as ``_gaussian_spread`` reads it:
+    E[W] of a precision, or a fixed variance."""
 
     @Batch
     def batch(columns, constants):
         floats = _floats(columns[at][0])
         read = _column if floats else _stacked
         (m,) = read(columns[at], _mean_vector, _scalar_mean, (1,))
-        (w,) = read(columns[2], lambda q: (expected_precision(q, _size(m)),), _scalar_precision, (2,))
-        return _gaussians(GaussianMeanPrecision, len(columns[at]), m, w, floats)
+        (w,) = read(columns[2], lambda q: (second(q, _size(m)),), scalar, (2,))
+        return _gaussians(cls, len(columns[at]), m, w, floats)
 
     return batch
 
 
-_gaussian_forward, _gaussian_backward_mean = _gaussian_spread(1), _gaussian_spread(0)
-_gaussian_vmp_out, _gaussian_vmp_mean = _gaussian_vmp(1), _gaussian_vmp(0)
-
-
-def _gaussian_vmp_precision(inbound, constants):
-    q_out, q_mean, _ = inbound
-    mx, vx = mean_and_cov(q_out)
-    mm, vm = mean_and_cov(q_mean)
-    r = mx - mm
-    return _precision_messages((vx + vm + np.outer(r, r))[None], constants)[0]
-
-
-def _gaussian_mv_forward(inbound, constants):
-    _, q_mean, q_var = inbound
-    m, v = _moments(q_mean)
-    return GaussianMeanVariance(m, v + _variance(q_var))
-
-
-def _gaussian_mv_backward_mean(inbound, constants):
-    q_out, _, q_var = inbound
-    m, v = _moments(q_out)
-    return GaussianMeanVariance(m, v + _variance(q_var))
-
-
-def _gaussian_mv_vmp(inbound, constants):
-    # the void slot is out or mean; the other is a marginal, read for its mean
-    q_other = inbound[1] if inbound[0] is None else inbound[0]
-    (m,) = _scalar_mean(q_other) or (moment(q_other, "mean"),)
-    return GaussianMeanVariance(m, _variance(inbound[2]))
+_gaussian_forward = _gaussian_spread(1, expected_covariance, _scalar_covariance)
+_gaussian_backward_mean = _gaussian_spread(0, expected_covariance, _scalar_covariance)
+_gaussian_vmp_out = _gaussian_vmp(1, GaussianMeanPrecision, expected_precision, _scalar_precision)
+_gaussian_vmp_mean = _gaussian_vmp(0, GaussianMeanPrecision, expected_precision, _scalar_precision)
+_variance_forward = _gaussian_spread(1, _variance_matrix, _scalar_variance)
+_variance_backward_mean = _gaussian_spread(0, _variance_matrix, _scalar_variance)
+_variance_vmp_out = _gaussian_vmp(1, GaussianMeanVariance, _variance_matrix, _scalar_variance)
+_variance_vmp_mean = _gaussian_vmp(0, GaussianMeanVariance, _variance_matrix, _scalar_variance)
 
 
 def _prior_emission(cls, param_names):
@@ -460,13 +448,6 @@ def _prior_emission(cls, param_names):
         return cls(**dict(zip(param_names, params)))
 
     return fn
-
-
-def _categorical_vmp_out(inbound, constants):
-    _, q_p = inbound
-    logp = np.asarray(moment(q_p, "logprobs"), dtype=float)
-    p = np.exp(logp - np.max(logp))
-    return Categorical(p / float(np.sum(p)))
 
 
 def _addition_sp(direction):
@@ -584,11 +565,6 @@ def _transition_toward_matrix(inbound, constants):
     return Dirichlet(1.0 + j)
 
 
-def _transition_toward_matrix_mf(inbound, constants):
-    q_out, q_in, _ = inbound
-    return Dirichlet(1.0 + np.outer(moment(q_out, "mean"), moment(q_in, "mean")))
-
-
 def _mixture_components(inbound):
     comps = inbound[2:]
     return [(comps[2 * i], comps[2 * i + 1]) for i in range(len(comps) // 2)]
@@ -640,19 +616,6 @@ def _mixture_toward_precision(columns, constants):
     mm, vm = _stacked(columns[at - 1], mean_and_cov)
     scatters = _rows(_scatters(my - mm, vy + vm), len(columns[0]))
     return _precision_messages(scatters, constants, _responsibilities(columns[1], k))
-
-
-def _mixture_out(inbound, constants):
-    resp = np.asarray(moment(inbound[1], "mean"), dtype=float)
-    comps = _mixture_components(inbound)
-    d = as_vector(moment(comps[0][0], "mean")).shape[0]
-    w = np.zeros((d, d))
-    xi = np.zeros(d)
-    for r, (q_m, q_w) in zip(resp, comps):
-        ew = expected_precision(q_w, d)
-        w = w + r * ew
-        xi = xi + r * (ew @ as_vector(moment(q_m, "mean")))
-    return GaussianCanonical(xi, w)
 
 
 def _probit_ep(inbound, constants, previous):
@@ -901,18 +864,16 @@ def build_default_registry() -> RuleRegistry:
         _gaussian_vmp_out, _static(GaussianMeanPrecision))
     add(gk, "mean", "variational", [_marg(GAUSSIAN_LIKE), Slot(VOID), _msg(PointMass)],
         _gaussian_vmp_mean, _static(GaussianMeanPrecision))
-    add(gk, "precision", "variational", [_marg(GAUSSIAN_LIKE), _marg(GAUSSIAN_LIKE), Slot(VOID)],
-        _gaussian_vmp_precision, _precision_out_type)
 
     gv = "gaussian_mean_variance"
     add(gv, "out", "sum-product", [Slot(VOID), _msg(GAUSSIAN_LIKE), _msg(PointMass)],
-        _gaussian_mv_forward, _static(GaussianMeanVariance))
+        _variance_forward, _static(GaussianMeanVariance))
     add(gv, "mean", "sum-product", [_msg(GAUSSIAN_LIKE), Slot(VOID), _msg(PointMass)],
-        _gaussian_mv_backward_mean, _static(GaussianMeanVariance))
+        _variance_backward_mean, _static(GaussianMeanVariance))
     add(gv, "out", "variational", [Slot(VOID), _marg(GAUSSIAN_LIKE), _msg(PointMass)],
-        _gaussian_mv_vmp, _static(GaussianMeanVariance))
+        _variance_vmp_out, _static(GaussianMeanVariance))
     add(gv, "mean", "variational", [_marg(GAUSSIAN_LIKE), Slot(VOID), _msg(PointMass)],
-        _gaussian_mv_vmp, _static(GaussianMeanVariance))
+        _variance_vmp_mean, _static(GaussianMeanVariance))
 
     add("gamma", "out", "sum-product", [Slot(VOID), _msg(PointMass), _msg(PointMass)],
         _prior_emission(Gamma, ("shape", "rate")), _static(Gamma))
@@ -922,8 +883,6 @@ def build_default_registry() -> RuleRegistry:
         _prior_emission(Dirichlet, ("concentration",)), _static(Dirichlet))
     add("categorical", "out", "sum-product", [Slot(VOID), _msg(PointMass)],
         _prior_emission(Categorical, ("probabilities",)), _static(Categorical))
-    add("categorical", "out", "variational", [Slot(VOID), _marg(Dirichlet)],
-        _categorical_vmp_out, _static(Categorical))
 
     add("addition", "out", "sum-product", [Slot(VOID), _msg(GAUSSIAN_LIKE), _msg(GAUSSIAN_LIKE)],
         _addition_sp("out"), _product_type)
@@ -964,8 +923,6 @@ def build_default_registry() -> RuleRegistry:
         _transition_in, _static(Categorical))
     add("transition", "matrix", "variational", [_marg(Categorical), Slot(VOID), Slot(VOID)],
         _transition_toward_matrix, _static(Dirichlet))
-    add("transition", "matrix", "variational", [_marg(Categorical), _marg(Categorical), Slot(VOID)],
-        _transition_toward_matrix_mf, _static(Dirichlet))
 
     # Component pairs (mean_k, precision_k) repeat for any K >= 2; the roles
     # mean_k and precision_k void the first or second slot of the k-th pair.
@@ -973,9 +930,6 @@ def build_default_registry() -> RuleRegistry:
     add("gaussian_mixture", "selector", "variational",
         [_msg(GAUSSIAN_LIKE), Slot(VOID), Repeat(pair, 2)],
         _mixture_selector, _static(Categorical))
-    add("gaussian_mixture", "out", "variational",
-        [Slot(VOID), _marg(CATEGORICAL_LIKE), Repeat(pair, 2)],
-        _mixture_out, _static(GaussianCanonical))
     add("gaussian_mixture", "mean", "variational",
         [_msg(GAUSSIAN_LIKE), _marg(CATEGORICAL_LIKE), Repeat(pair, 2, void_at=0)],
         _mixture_toward_mean, _static(GaussianCanonical))

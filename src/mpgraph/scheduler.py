@@ -321,14 +321,12 @@ def marginal_slot(var: str):
 class Section:
     """One chain transition: out_var ~ f(leaf_var, parameters)."""
 
-    def __init__(self, node, leaf_var, out_var, kind, mean_info=None, prec_var=None, matrix_var=None):
+    def __init__(self, node, leaf_var, out_var, kind, mean_info=None):
         self.node = node
         self.leaf_var = leaf_var
         self.out_var = out_var
         self.kind = kind  # "gaussian" | "transition"
         self.mean_info = mean_info
-        self.prec_var = prec_var
-        self.matrix_var = matrix_var
 
 
 def analyze_sections(graph: FactorGraph, supports, mean_sides: MeanSides | None = None) -> dict[int, Section]:
@@ -346,10 +344,9 @@ def analyze_sections(graph: FactorGraph, supports, mean_sides: MeanSides | None 
             continue
         if node.kind == "transition":
             in_var = graph.edges[node.interfaces[roles.index("in")]].variable
-            matrix_var = graph.edges[node.interfaces[roles.index("matrix")]].variable
             if in_var in clamped:
                 continue
-            sections[node.id] = Section(node, in_var, out_var, "transition", matrix_var=matrix_var)
+            sections[node.id] = Section(node, in_var, out_var, "transition")
             continue
         try:
             mean_info = mean_sides[node.id]
@@ -357,13 +354,9 @@ def analyze_sections(graph: FactorGraph, supports, mean_sides: MeanSides | None 
             continue
         if mean_info.nonlinear is not None:
             continue
-        prec_role = "precision" if "precision" in roles else "variance"
-        prec_var = graph.edges[node.interfaces[roles.index(prec_role)]].variable
         candidates = [v for v in mean_info.leaves if v not in clamped]
         if len(candidates) >= 1:
-            sections[node.id] = Section(
-                node, candidates[0], out_var, "gaussian", mean_info=mean_info, prec_var=prec_var
-            )
+            sections[node.id] = Section(node, candidates[0], out_var, "gaussian", mean_info=mean_info)
     return sections
 
 
@@ -689,7 +682,7 @@ class _FactorScheduler:
         it needs, receives its slot, and returns the emitted entry's slot."""
         roles = node.roles(self.graph)
         role = roles[out_iface]
-        if node.kind in GAUSSIAN_NODE_KINDS and role in ("precision", "variance"):
+        if node.kind in GAUSSIAN_NODE_KINDS and role == "precision":
             return self.emit_precision_update(node)
         if node.kind == "transition" and role == "matrix":
             return self.emit_matrix_update(node)
@@ -743,8 +736,7 @@ class _FactorScheduler:
         out_dim = support_of(self.graph.edges[node.interfaces[0]].variable, self.supports).dim
         info = self.mean_sides[node.id]
         sec = self.links.get(node.id)
-        prec_role = "precision" if "precision" in roles else "variance"
-        prec_var = self.graph.edges[node.interfaces[roles.index(prec_role)]].variable
+        prec_var = self.graph.edges[node.interfaces[roles.index("precision")]].variable
         if info.nonlinear is not None:
             kind, extra = "gaussian_nonlinear", {"out_dim": out_dim}
         else:
@@ -870,11 +862,9 @@ class _FactorScheduler:
             else:
                 leaf_ref = self.require(*sec.mean_info.leaf_edges[sec.leaf_var])
                 leaf_slots, constants = self.mean_sides.layout(sec.mean_info, marginal_slot, sec.leaf_var)
-                roles = node.roles(self.graph)
-                variance = "variance" in roles
-                prec_slot, _ = self.inbound_slot(node, roles.index("variance" if variance else "precision"))
+                prec_slot, _ = self.inbound_slot(node, 2)  # a precision or a fixed variance
                 slots = [out_side, leaf_ref, *leaf_slots, prec_slot]
-                kind = "gaussian_affine_variance" if variance else "gaussian_affine"
+                kind = "gaussian_affine_variance" if node.kind == "gaussian_mean_variance" else "gaussian_affine"
             rule, _ = self.lookup(kind, "joint", slots, [MESSAGE, MESSAGE] + [MARGINAL] * (len(slots) - 2))
             self.schedule.marginal_steps.append(
                 Instruction("joint", ("marginal", joint_key(sec.leaf_var, sec.out_var)), slots, rule.id, constants)

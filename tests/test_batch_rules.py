@@ -5,7 +5,7 @@ the batched ones replaced, kept here as the reference, bit for bit."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_free_energy import finite, gains, gaussians, precisions, ref_scatter, tables, variances
+from test_free_energy import finite, gains, gaussians, precisions, ref_scatter, spd_matrices, tables, variances
 
 from mpgraph import rules
 from mpgraph._linalg import as_matrix, as_vector, spd_inverse, symmetrize
@@ -18,6 +18,8 @@ from mpgraph.distributions import (
     GaussianMeanVariance,
     PointMass,
     Wishart,
+    _scalar_mean,
+    _scalar_moments,
     expected_covariance,
     expected_logdet_precision,
     expected_precision,
@@ -50,6 +52,24 @@ def ref_vmp(at):
         m = as_vector(moment(inbound[at], "mean"))
         return GaussianMeanPrecision(m, expected_precision(inbound[2], m.shape[0]))
     return body
+
+
+def ref_variance(q):
+    v = q.value
+    return v.item() if v.size == 1 and v.ndim in (0, 2) else as_matrix(v)
+
+
+def ref_variance_spread(at):
+    def body(inbound, constants):
+        m, v = _scalar_moments(inbound[at]) or mean_and_cov(inbound[at])
+        return GaussianMeanVariance(m, v + ref_variance(inbound[2]))
+    return body
+
+
+def ref_variance_vmp(inbound, constants):
+    q_other = inbound[1] if inbound[0] is None else inbound[0]
+    (m,) = _scalar_mean(q_other) or (moment(q_other, "mean"),)
+    return GaussianMeanVariance(m, ref_variance(inbound[2]))
 
 
 def ref_shift(direction, marginal_at):
@@ -142,6 +162,11 @@ BODIES = {
     "gaussian backward": (rules._gaussian_backward_mean, ref_spread(0)),
     "gaussian vmp out": (rules._gaussian_vmp_out, ref_vmp(1)),
     "gaussian vmp mean": (rules._gaussian_vmp_mean, ref_vmp(0)),
+    # a mean-variance node: slot 2 is the fixed variance
+    "gaussian variance forward": (rules._variance_forward, ref_variance_spread(1)),
+    "gaussian variance backward": (rules._variance_backward_mean, ref_variance_spread(0)),
+    "gaussian variance vmp out": (rules._variance_vmp_out, ref_variance_vmp),
+    "gaussian variance vmp mean": (rules._variance_vmp_mean, ref_variance_vmp),
     **{f"addition {d} from {at}": (rules._addition_vmp_shift(d, at), ref_shift(d, at))
        for d, at in [("out", 1), ("out", 2), ("in1", 2), ("in2", 1)]},
     "affine precision": (rules._gaussian_affine_precision, ref_affine_precision),
@@ -155,6 +180,13 @@ BODIES = {
 VOID = st.just(None)
 
 
+def fixed_variances(d):
+    """A fixed variance as a matrix, or for d = 1 also as a number."""
+    if d > 1:
+        return variances(d)
+    return st.one_of(variances(1), spd_matrices(1).map(lambda v: PointMass(float(v[0, 0]))))
+
+
 @st.composite
 def rule_batches(draw):
     """One body's instructions with shared constants: a list of inbound
@@ -165,8 +197,8 @@ def rule_batches(draw):
     d = draw(st.integers(1, 3))
     constants = {}
     if name.startswith("gaussian"):
-        other = gaussians(d)
-        slots = [VOID, other, precisions(d)] if name.endswith(("forward", "out")) else [other, VOID, precisions(d)]
+        other, second = gaussians(d), fixed_variances(d) if " variance " in name else precisions(d)
+        slots = [VOID, other, second] if name.endswith(("forward", "out")) else [other, VOID, second]
     elif name.startswith("addition"):
         _, direction, _, at = name.split()
         slots = [gaussians(d), gaussians(d), gaussians(d)]
@@ -255,7 +287,9 @@ class TestBatchedRules:
                 "variational:gaussian_mean_precision:out", "sum-product:gaussian_mean_precision:mean",
                 "sum-product:gaussian_mean_precision:out", "variational:gaussian_mixture:selector",
                 "variational:gaussian_mixture:mean", "variational:gaussian_mixture:precision",
-                "variational:addition:in1", "variational:addition:in2", "variational:addition:out"} == batched
+                "variational:addition:in1", "variational:addition:in2", "variational:addition:out",
+                "variational:gaussian_mean_variance:mean", "variational:gaussian_mean_variance:out",
+                "sum-product:gaussian_mean_variance:mean", "sum-product:gaussian_mean_variance:out"} == batched
         # an EP update reads its previous message, so it never runs batched
         assert all(rule.batch is None for rule in default_registry()._rules if rule.needs_previous)
         # a batched rule's per-call body is its batch of one

@@ -159,6 +159,50 @@ class TestExitCodes:
         assert main(["infer", str(model), str(data)]) == 2
         assert "no rule" in capsys.readouterr().err
 
+    def test_latent_variance_is_a_scheduling_error(self, tmp_path, capsys):
+        # a variance node's variance is fixed: no rule updates it
+        model = tmp_path / "m.mp"
+        model.write_text("v ~ Gamma(1.0, 1.0)\ny ~ GaussianMeanVariance(0.0, v)\nobserve y :: ()\n")
+        data = tmp_path / "d.csv"
+        data.write_text("y\n0.5\n")
+        assert main(["infer", str(model), str(data), "-o", str(tmp_path / "out")]) == 2
+        assert "no rule for node kind 'gaussian_mean_variance', interface 'variance'" in capsys.readouterr().err
+
+    def test_nonlinear_mean_of_a_variance_node_names_the_node(self, tmp_path, capsys):
+        text = ("x ~ GaussianMeanPrecision(0.0, 1.0)\ns ~ Nonlinear(x, softplus)\n"
+                "y ~ GaussianMeanVariance(s, 0.5)\nobserve y :: ()\n")
+        node = next(n for n in parse_model(text).nodes if n.kind == "gaussian_mean_variance")
+        model = tmp_path / "m.mp"
+        model.write_text(text)
+        data = tmp_path / "d.csv"
+        data.write_text("y\n0.5\n")
+        assert main(["infer", str(model), str(data), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"scheduling error: unsupported nonlinear composition at node {node.id}\n"
+
+    @pytest.mark.parametrize("text, factors, interface", [
+        # each would read a neighbour as a marginal that no message toward
+        # that neighbour can serve: the message toward it has no rule
+        ("p ~ Dirichlet([1.0, 1.0])\nz ~ Categorical(p)\ny ~ GaussianMixture(z, 0.0, 1.0, 3.0, 1.0)\n",
+         None, "'categorical', interface 'p'"),
+        ("A ~ Dirichlet([[1.0, 1.0], [1.0, 1.0]])\nx0 ~ Categorical([0.5, 0.5])\nx1 ~ Transition(x0, A)\n"
+         "y ~ GaussianMixture(x1, 0.0, 1.0, 3.0, 1.0)\n", ["x0", "x1", "A"], "'transition', interface 'in'"),
+        ("z ~ Categorical([0.5, 0.5])\nm1 ~ GaussianMeanPrecision(0.0, 0.01)\nm2 ~ GaussianMeanPrecision(3.0, 0.01)\n"
+         "x ~ GaussianMixture(z, m1, 1.0, m2, 1.0)\ny ~ GaussianMeanPrecision(x, 1.0)\n",
+         None, "'gaussian_mixture', interface 'selector'"),
+    ], ids=["categorical p", "transition in as a marginal", "mixture selector with a latent out"])
+    def test_a_marginal_no_message_serves_is_a_scheduling_error(self, tmp_path, text, factors, interface, capsys):
+        model = tmp_path / "m.mp"
+        model.write_text(text + "observe y :: ()\n")
+        data = tmp_path / "d.csv"
+        data.write_text("y\n0.5\n")
+        args = ["infer", str(model), str(data), "-o", str(tmp_path / "out")]
+        if factors:
+            rf = tmp_path / "rf.json"
+            rf.write_text(json.dumps({"factors": [{"id": v, "variables": [v]} for v in factors]}))
+            args += ["--factorization", str(rf)]
+        assert main(args) == 2
+        assert f"no rule for node kind {interface}" in capsys.readouterr().err
+
     def test_numerical_failure(self, tmp_path, capsys):
         model = tmp_path / "m.mp"
         model.write_text(ONE_NODE_MODEL)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mpgraph.distributions import Gamma, GaussianMeanVariance, PointMass, mean_and_cov, moment
+from mpgraph.distributions import Gamma, GaussianBase, GaussianMeanVariance, PointMass, mean_and_cov, moment
 from mpgraph.engine import (
     DirectExecutor,
     NumericalError,
@@ -379,6 +379,64 @@ class TestVarianceChain:
         for key, q in mp.marginals.items():
             for got, want in zip(mean_and_cov(mv.marginals[key]), mean_and_cov(q)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+_MEANS = "a ~ GaussianMeanPrecision(0.0, 0.01)\nb ~ GaussianMeanPrecision(1.0, 0.1)\n"
+_STATES = "x[0] ~ GaussianMeanPrecision(0.0, 0.01)\nd ~ GaussianMeanPrecision(0.0, 0.01)\nw ~ Gamma(1.0, 1.0)\n"
+# name -> model with the Gaussian node under test written GAUSSIAN(mean)
+MEAN_SHAPES = {
+    "latent mean": _MEANS + "y ~ GAUSSIAN(a)\nobserve y :: ()\n",
+    "addition of two latents": _MEANS + "m ~ Addition(a, b)\ny ~ GAUSSIAN(m)\nobserve y :: ()\n",
+    "gain of a chain state": _STATES + """for t in 1:T {
+  x[t] ~ GaussianMeanPrecision(x[t-1], w)
+  r[t] ~ Gain(x[t], 2.0)
+  y[t] ~ GAUSSIAN(r[t])
+  observe y[t] :: ()
+}
+""",
+    "chain state plus d": _STATES + """for t in 1:T {
+  x[t] ~ GaussianMeanPrecision(x[t-1], w)
+  a[t] ~ Addition(x[t], d)
+  y[t] ~ GAUSSIAN(a[t])
+  observe y[t] :: ()
+}
+""",
+    "chain link": _STATES + """for t in 1:T {
+  m[t] ~ Addition(x[t-1], d)
+  x[t] ~ GAUSSIAN(m[t])
+  y[t] ~ GaussianMeanPrecision(x[t], w)
+  observe y[t] :: ()
+}
+""",
+}
+
+
+class TestVarianceMeanShapes:
+    """A GaussianMeanVariance node with a fixed variance infers like a
+    GaussianMeanPrecision node with its inverse, whatever its mean is."""
+
+    @pytest.mark.parametrize("name", list(MEAN_SHAPES))
+    def test_variance_form_matches_precision_form(self, name):
+        source = MEAN_SHAPES[name]
+        ys = np.array([0.3, -0.2, 0.9, 1.4])
+        data = {"y": ys if "T" in source else ys[:1]}
+        results = []
+        for node in (r"GaussianMeanVariance(\1, 0.5)", r"GaussianMeanPrecision(\1, 2.0)"):
+            g = parse_model(re.sub(r"GAUSSIAN\(([^)]*)\)", node, source), {"T": 4})
+            results.append(run_inference(g, default_factorization(g), data, max_iters=6, tol=0))
+        mv, mp = results
+        assert len(mv.free_energy_trace) == 6
+        np.testing.assert_allclose(mv.free_energy_trace, mp.free_energy_trace, rtol=1e-12, atol=0)
+        assert mv.marginals.keys() == mp.marginals.keys()
+        for key, q in mp.marginals.items():
+            got, want = mv.marginals[key], q
+            if isinstance(q, GaussianBase):
+                got, want = mean_and_cov(got), mean_and_cov(want)
+            else:
+                assert type(got) is type(want), key
+                got, want = got._params_json().values(), want._params_json().values()
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0, err_msg=key)
 
 
 def leaf_sum_model(n_leaves: int) -> str:

@@ -375,8 +375,9 @@ class TestExecutors:
             assert all(same_bits(f, total) for f, total in runner.sums)
             traces.append(result.free_energy_trace)
         assert traces[0] == traces[1]
-        # the F groups all stack but co2's priors, whose kind runs term by term after one failed batch
-        assert interpreter._unstacked == ({(None, "gaussian_mean_variance")} if name == "co2" else set())
+        # every F group stacks: terms group by equal constants, and co2's
+        # scalar and 2-D Gaussian priors differ in their offsets
+        assert interpreter._unstacked == set()
 
     def run_probit(self):
         graph, rf, schedules, fe, data, overrides = compiled("probit")

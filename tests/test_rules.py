@@ -34,6 +34,8 @@ from mpgraph.scheduler import default_factorization, schedule_vmp
 from test_cli import RW_MODEL
 
 REG = default_registry()
+# the constants of a precision update whose mean side is one leaf, itself
+IDENTITY_MEAN = {"gains": [[[1.0]]], "joint": False}
 
 
 def run(kind, role, query, inbound, constants=None, flavor=None, previous=None):
@@ -162,9 +164,9 @@ class TestGaussianRules:
     def test_vmp_toward_precision(self):
         # Oracle: E[(x-m)^2] = v + (E[x]-m)^2 = 1 under q(x)=N(0,1), m=0.
         xq, mq = GaussianMeanVariance(0.0, 1.0), PointMass(0.0)
-        out = run("gaussian_mean_precision", "precision",
+        out = run("gaussian_affine", "precision",
                   [(MARGINAL, GaussianMeanVariance), (MARGINAL, PointMass), (VOID, None)],
-                  [xq, mq, None], {"out_dim": 1})
+                  [xq, mq, None], {"out_dim": 1, **IDENTITY_MEAN})
         assert isinstance(out.dist, Gamma)
         assert out.dist.shape == pytest.approx(1.5)
         assert out.dist.rate == pytest.approx(0.5)
@@ -187,9 +189,9 @@ class TestGaussianRules:
     def test_wishart_precision_message_bookkeeping(self):
         xq = GaussianMeanVariance([0.0, 0.0], np.eye(2))
         mq = PointMass([0.0, 0.0])
-        out = run("gaussian_mean_precision", "precision",
+        out = run("gaussian_affine", "precision",
                   [(MARGINAL, GaussianMeanVariance), (MARGINAL, PointMass), (VOID, None)],
-                  [xq, mq, None], {"out_dim": 2})
+                  [xq, mq, None], {"out_dim": 2, "gains": [np.eye(2).tolist()], "joint": False})
         assert isinstance(out.dist, Wishart)
         # product with a prior must add exactly one dof per slice
         prior = Wishart(1e12 * np.eye(2), 2.0)
@@ -589,9 +591,9 @@ class TestCoordinateDescent:
             q_w = Gamma(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)))
             before = self.toy_free_energy_precision(q_w, y, a0, b0)
             msg = run(
-                "gaussian_mean_precision", "precision",
+                "gaussian_affine", "precision",
                 [(MARGINAL, PointMass), (MARGINAL, PointMass), (VOID, None)],
-                [PointMass(y), PointMass(0.0), None], {"out_dim": 1},
+                [PointMass(y), PointMass(0.0), None], {"out_dim": 1, **IDENTITY_MEAN},
             )
             q_new = product(Gamma(a0, b0), msg.dist)
             after = self.toy_free_energy_precision(q_new, y, a0, b0)

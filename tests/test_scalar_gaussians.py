@@ -134,10 +134,10 @@ RULES = {
     "gaussian vmp out": (rules._gaussian_vmp_out, "_mp", _vmp),
     "gaussian vmp mean": (rules._gaussian_vmp_mean, "m_p", _vmp),
     # a mean-variance node: "p" is the fixed variance
-    "gaussian mv out": (rules._gaussian_mv_forward, "_mp", _mv_spread),
-    "gaussian mv mean": (rules._gaussian_mv_backward_mean, "m_p", _mv_spread),
-    "gaussian mv vmp out": (rules._gaussian_mv_vmp, "_mp", _mv_vmp),
-    "gaussian mv vmp mean": (rules._gaussian_mv_vmp, "m_p", _mv_vmp),
+    "gaussian mv out": (rules._variance_forward, "_mp", _mv_spread),
+    "gaussian mv mean": (rules._variance_backward_mean, "m_p", _mv_spread),
+    "gaussian mv vmp out": (rules._variance_vmp_out, "_mp", _mv_vmp),
+    "gaussian mv vmp mean": (rules._variance_vmp_mean, "m_p", _mv_vmp),
     # the message first, then the marginal whose mean shifts it
     "addition out from 2": (rules._addition_vmp_shift("out", 2), "_01", _shift("out")),
     "addition out from 1": (rules._addition_vmp_shift("out", 1), "_10", _shift("out")),

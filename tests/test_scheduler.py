@@ -215,7 +215,7 @@ class TestFreeEnergyProgram:
         fe = schedule_free_energy(g, rf)
         kinds = [t.rule_id for t in fe.energies]
         assert kinds.count("dirichlet") == 1
-        assert kinds.count("gaussian_mean_variance") == 3
+        assert kinds.count("gaussian_affine_variance") == 3
         assert kinds.count("wishart") == 3
         assert kinds.count("categorical") == 1
         assert kinds.count("transition") == T
