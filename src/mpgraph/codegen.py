@@ -638,8 +638,11 @@ class Interpreter(Executor):
                          lambda applies: applies in self._batches and (key, applies) not in self._unstacked)[0]
 
     def belief(self, fid, slots, data, marginals) -> Distribution:
-        """``Executor.belief`` in one pass over the messages (``product_all``)."""
+        """``Executor.belief`` in one pass over the messages (``product_all``);
+        two messages are one ``product``, as in the fold."""
         resolve = self.resolve
+        if len(slots) == 2:
+            return product(resolve(slots[0], fid, data, marginals), resolve(slots[1], fid, data, marginals))
         return product_all([resolve(slot, fid, data, marginals) for slot in slots])
 
     def _column(self, column, fid, data, marginals) -> list:

@@ -8,11 +8,11 @@ value: the precision of a mean-variance Gaussian, the covariance of a
 mean-precision one, the mean and covariance of a canonical one, and the
 expectations a precision or probability belief hands to every time slice
 that reads it (E[w], E[w]^-1 and E[log w] of a Gamma; E[W], E[W]^-1 and
-E[log|W|] of a Wishart; E[log p] of a Dirichlet; the moments of a point mass
-read as a Gaussian). Caching is safe because the value is immutable: a cached
-entry is its parameters' expression evaluated once, arrays are stored
-read-only, and the lazy fill is idempotent (two threads that race on it store
-equal values).
+E[log|W|] of a Wishart; E[log p] and exp(E[log p]) of a Dirichlet; the
+moments of a point mass read as a Gaussian). Caching is safe because the
+value is immutable: a cached entry is its parameters' expression evaluated
+once, arrays are stored read-only, and the lazy fill is idempotent (two
+threads that race on it store equal values).
 
 Gaussian values come in three interconvertible parameterizations. Products of
 colliding messages are fused in the canonical (weighted-mean, precision) form,
@@ -29,6 +29,19 @@ product's semi-definiteness test run on floats (see ``_linalg``). Each float
 branch raises the same exceptions with the same text and gives the same bits
 as the numpy body it stands in for, which still runs for d >= 3; so F traces
 and listings do not depend on which branch ran.
+
+A categorical vector of K < 8 states (``FLOAT_STATES``) keeps its
+probabilities as a tuple of Python floats in the same way, and builds its
+read-only array only when it is read. Its constructor's checks, the
+categorical ``product``, the normalization of the transition messages and
+the mixture selector's rows run on those floats, and F's terms stack them.
+Three rules keep the array body's bits: below 8 entries ``np.sum`` is a left
+fold from +0.0 (``float_sum``), so the floats are summed in that order; a
+matrix-vector product (E[T] p) stays in numpy, whose kernel fuses each
+multiply-add where a float expression would round twice; and the clip of
+the constructor maps -0.0 and the entries in [-1e-12, 0) to +0.0. A
+two-slice joint (a K x K table) and a vector of 8 or more states keep the
+array body, where numpy sums pairwise.
 
 The Gaussians of d >= 2 that one batched rule call returns (a group's
 results, such as a chain's two-slice joints) are built as the members of
@@ -655,7 +668,7 @@ class Dirichlet(Distribution):
         if not (a < math.inf).all():  # NaN fails the comparison as well
             raise DistributionError("Dirichlet concentration entries must be finite")
         self.concentration = _freeze(a)
-        self._expected_logprobs = None
+        self._expected_logprobs = self._geometric_mean = None
 
     @property
     def is_matrix(self) -> bool:
@@ -671,6 +684,13 @@ class Dirichlet(Distribution):
             total = np.sum(a, axis=0, keepdims=True) if self.is_matrix else np.sum(a)
             self._expected_logprobs = _freeze_owned(digamma(a) - digamma(total))
         return self._expected_logprobs
+
+    def geometric_mean(self) -> np.ndarray:
+        """exp(E[log p]), read-only: the expected transition table a
+        variational transition message reads."""
+        if self._geometric_mean is None:
+            self._geometric_mean = _freeze_owned(np.exp(self.expected_logprobs()))
+        return self._geometric_mean
 
     def entropy(self) -> float:
         a = self.concentration if self.is_matrix else self.concentration[:, None]
@@ -696,15 +716,59 @@ class Dirichlet(Distribution):
         return {"concentration": self.concentration.tolist()}
 
 
+FLOAT_STATES = 8  # np.sum of fewer entries is a left fold; from 8 up it sums pairwise
+
+
+def float_sum(xs) -> float:
+    """``np.sum`` of fewer than ``FLOAT_STATES`` numbers, on floats: the left
+    fold from +0.0 that numpy runs (so a lone -0.0 sums to +0.0)."""
+    s = 0.0
+    for x in xs:
+        s += x
+    return s
+
+
 class Categorical(Distribution):
     """Categorical over one-hot vectors. A matrix-shaped probability table
     represents a joint over two adjacent chain states (rows index the later
-    state); it sums to one as a whole."""
+    state); it sums to one as a whole.
+
+    A vector of K < ``FLOAT_STATES`` states keeps its probabilities as a
+    tuple of Python floats, ``_p``, and is checked on them: one built from
+    such a tuple builds its read-only array (``probabilities``) only when it
+    is read, and one built from anything else is converted to that tuple
+    first. The float checks are the array body's, in its order: an entry
+    below -1e-12, then a sum (``float_sum``, numpy's left fold) off 1 by
+    more than 1e-12, then the clip to +0.0 of the entries that are not
+    positive (-0.0 among them), so the bits, ``to_json`` and ``==`` do not
+    depend on how the value was built."""
 
     variant = "Categorical"
+    _p = None  # a vector of fewer than FLOAT_STATES states: its probabilities as floats
 
     def __init__(self, probabilities):
-        p = np.asarray(probabilities, dtype=float)
+        p = probabilities
+        if p.__class__ is tuple and len(p) < FLOAT_STATES:
+            s, low = 0.0, False
+            for x in p:
+                if x.__class__ is not float:
+                    break
+                if x < -1e-12:
+                    low = True
+                s += x
+            else:
+                if low:
+                    raise DistributionError("Categorical probabilities must be nonnegative")
+                if not abs(s - 1.0) <= 1e-12:
+                    if not all(map(math.isfinite, p)):
+                        raise DistributionError("Categorical probabilities must be finite")
+                    raise DistributionError(f"Categorical probabilities must sum to 1, got {s!r}")
+                self._p = p if min(p) > 0.0 else tuple([x if x > 0.0 else 0.0 for x in p])
+                return
+        p = np.asarray(p, dtype=float)
+        if p.ndim == 1 and len(p) < FLOAT_STATES:
+            Categorical.__init__(self, tuple(p.tolist()))
+            return
         if p.ndim not in (1, 2):
             raise DistributionError("Categorical probabilities must be a vector or matrix")
         if np.any(p < -1e-12):
@@ -715,6 +779,9 @@ class Categorical(Distribution):
                 raise DistributionError("Categorical probabilities must be finite")
             raise DistributionError(f"Categorical probabilities must sum to 1, got {s!r}")
         self.probabilities = _freeze_owned(np.clip(p, 0.0, None))
+
+    # built from the floats of a vector of fewer than FLOAT_STATES states
+    probabilities = _cached(lambda q: _freeze_owned(np.array(q._p)))
 
     def mean(self) -> np.ndarray:
         return self.probabilities
@@ -916,6 +983,15 @@ def product(a: Distribution, b: Distribution) -> Distribution:
         return Dirichlet(a.concentration + b.concentration - 1.0)
 
     if isinstance(a, Categorical) and isinstance(b, Categorical):
+        pa, pb = a._p, b._p
+        if pa is not None and pb is not None:  # the array body's steps, on floats
+            if len(pa) != len(pb):
+                raise IncompatibleSupport("Categorical size mismatch")
+            p = list(map(operator.mul, pa, pb))
+            z = float_sum(p)
+            if z <= 0.0:
+                raise DistributionError("Categorical product has zero normalizer")
+            return Categorical(tuple([x / z for x in p]))
         if a.probabilities.shape != b.probabilities.shape:
             raise IncompatibleSupport("Categorical size mismatch")
         p = a.probabilities * b.probabilities
@@ -982,12 +1058,22 @@ def _gaussian_product_all_stacked(qs) -> Distribution | None:
     """``product_all`` of Gaussians of one dimension d >= 2. The running
     sums are cumulative sums (``np.add.accumulate`` adds in order) as long
     as symmetrizing each partial precision, which the canonical constructor
-    does, leaves its bits as they are."""
-    d = qs[0].dim
-    if not all(isinstance(q, GaussianBase) and q.dim == d for q in qs):
+    does, leaves its bits as they are. Where the messages after the first
+    are one group's canonical members in member order (``_Stack.holds``),
+    their stacks are taken back instead of stacking the members again: the
+    same values are added in the same order."""
+    first, d = qs[0], qs[0].dim
+    stack = getattr(qs[1], "_stack", None)
+    if stack is not None and stack.cls is GaussianCanonical and stack.first.shape[1] == d and stack.holds(qs[1:]):
+        precisions = np.concatenate([first.precision_matrix()[None], stack.second])
+        weighted_means = np.concatenate([first.weighted_mean_vector()[None], stack.first])
+    elif all(isinstance(q, GaussianBase) and q.dim == d for q in qs):
+        precisions = np.array([q.precision_matrix() for q in qs])
+        weighted_means = np.array([q.weighted_mean_vector() for q in qs])
+    else:
         return None
-    w = np.add.accumulate(np.array([q.precision_matrix() for q in qs]), axis=0)[1:]
-    xi = np.add.accumulate(np.array([q.weighted_mean_vector() for q in qs]), axis=0)[-1]
+    w = np.add.accumulate(precisions, axis=0)[1:]
+    xi = np.add.accumulate(weighted_means, axis=0)[-1]
     with np.errstate(all="ignore"):
         sym = 0.5 * (w + w.swapaxes(1, 2))
         if not (np.isfinite(w).all() and np.array_equal(sym.view(np.int64), w.view(np.int64))):
@@ -1431,7 +1517,7 @@ def _energy_gaussian_mixture(columns, constants) -> np.ndarray:
     if len(comps) < 4 or len(comps) % 2 != 0:
         raise IncompatibleSupport("mixture energy needs K >= 2 (mean, precision) pairs")
     k = len(comps) // 2
-    resp = np.array([np.asarray(moment(q, "mean"), dtype=float) for q in columns[1]])
+    resp = np.array([_probabilities(q) for q in columns[1]])
     if resp.shape[1:] != (k,):
         raise IncompatibleSupport("selector size does not match component count")
     total = np.zeros(len(out))
@@ -1498,7 +1584,8 @@ def negative_entropy(columns, constants) -> np.ndarray:
         if isinstance(q, GaussianBase):
             stacks.setdefault((gaussian_entropies, q.dim), []).append(i)
         elif isinstance(q, Categorical):
-            stacks.setdefault((categorical_entropies, q.probabilities.shape), []).append(i)
+            shape = q.probabilities.shape if q._p is None else (len(q._p),)
+            stacks.setdefault((categorical_entropies, shape), []).append(i)
         else:
             h[i] = differential_entropy(q)
     for (entropies, _), rows in stacks.items():
@@ -1509,7 +1596,16 @@ def negative_entropy(columns, constants) -> np.ndarray:
 def _entropy_operand(q):
     if isinstance(q, GaussianBase):
         return [[q.scalar_moments()[1]]] if q.dim == 1 else q.covariance_matrix()
-    return q.probabilities
+    return _probabilities(q)
+
+
+def _probabilities(q):
+    """E[z] of a categorical belief or a point mass: a categorical vector's
+    tuple of floats where it has one, which stacks or converts without the
+    value keeping an array."""
+    if isinstance(q, Categorical):
+        return q._p if q._p is not None else q.probabilities
+    return np.asarray(moment(q, "mean"), dtype=float)
 
 
 def _energy_gamma(q_out, q_shape, q_rate) -> float:
@@ -1562,12 +1658,12 @@ def _energy_categorical(q_out, q_p) -> float:
 def _energy_transition(columns, constants) -> np.ndarray:
     """E[-log Cat(x_t | T x_{t-1})]: either a joint two-slice belief (matrix
     Categorical, rows index x_t) or independent out/in beliefs, plus q(T)."""
-    (j,) = _stacked(columns[0], lambda q: (np.asarray(moment(q, "mean"), dtype=float),))
+    (j,) = _stacked(columns[0], lambda q: (_probabilities(q),))
     if len(columns) == 2:
         if j.ndim != 3:
             raise IncompatibleSupport("transition energy needs a two-slice joint")
     else:
-        (p_in,) = _stacked(columns[1], lambda q: (np.asarray(moment(q, "mean"), dtype=float),))
+        (p_in,) = _stacked(columns[1], lambda q: (_probabilities(q),))
         j = j[:, :, None] * p_in[:, None, :]
     (e_logt,) = _stacked(columns[-1], lambda q: (np.asarray(moment(q, "logprobs"), dtype=float),))
     if e_logt.shape[1:] != j.shape[1:]:

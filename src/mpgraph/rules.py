@@ -36,6 +36,7 @@ from .distributions import (
     Categorical,
     Dirichlet,
     Distribution,
+    FLOAT_STATES,
     Gamma,
     GaussianBase,
     GaussianCanonical,
@@ -47,6 +48,7 @@ from .distributions import (
     _apply,
     _column,
     _floats,
+    _probabilities,
     _scalar_covariance,
     _scalar_mean,
     _scalar_moments,
@@ -57,6 +59,7 @@ from .distributions import (
     expected_covariance,
     expected_logdet_precision,
     expected_precision,
+    float_sum,
     gaussians,
     mean_and_cov,
     moment,
@@ -537,25 +540,39 @@ def _nonlinear_backward(inbound, constants, previous):
 
 
 def _expected_transition(q_t) -> np.ndarray:
+    """exp(E[log T]), the cached table of a Dirichlet belief."""
+    if q_t.__class__ is Dirichlet:
+        return q_t.geometric_mean()
     return np.exp(np.asarray(moment(q_t, "logprobs"), dtype=float))
+
+
+def _normalized(p: np.ndarray, error: str) -> Categorical:
+    """``Categorical(p / sum(p))``, or ``RuleError(error)`` if the sum is not
+    positive. A vector of fewer than ``FLOAT_STATES`` states is normalized
+    on floats, with numpy's left-fold sum; the product that gives ``p``
+    stays in numpy, whose matrix-vector product fuses the multiply-add."""
+    if p.ndim == 1 and len(p) < FLOAT_STATES:
+        p = p.tolist()
+        z = float_sum(p)
+        if z <= 0.0:
+            raise RuleError(error)
+        return Categorical(tuple([x / z for x in p]))
+    z = float(np.sum(p))
+    if z <= 0.0:
+        raise RuleError(error)
+    return Categorical(p / z)
 
 
 def _transition_out(inbound, constants):
     _, q_in, q_t = inbound
-    p = _expected_transition(q_t) @ np.asarray(moment(q_in, "mean"), dtype=float)
-    z = float(np.sum(p))
-    if z <= 0.0:
-        raise RuleError("transition message has zero normalizer")
-    return Categorical(p / z)
+    p = _expected_transition(q_t) @ np.asarray(_probabilities(q_in), dtype=float)
+    return _normalized(p, "transition message has zero normalizer")
 
 
 def _transition_in(inbound, constants):
     q_out, _, q_t = inbound
-    p = _expected_transition(q_t).T @ np.asarray(moment(q_out, "mean"), dtype=float)
-    z = float(np.sum(p))
-    if z <= 0.0:
-        raise RuleError("transition message has zero normalizer")
-    return Categorical(p / z)
+    p = _expected_transition(q_t).T @ np.asarray(_probabilities(q_out), dtype=float)
+    return _normalized(p, "transition message has zero normalizer")
 
 
 def _transition_toward_matrix(inbound, constants):
@@ -584,6 +601,9 @@ def _mixture_selector(columns, constants):
         logs.append(0.5 * logdet - 0.5 * d * np.log(2 * np.pi) - 0.5 * np.trace(w @ quad, axis1=1, axis2=2))
     logs = np.stack(np.broadcast_arrays(*logs), axis=1)
     p = np.ascontiguousarray(_rows(np.exp(logs - np.max(logs, axis=1, keepdims=True)), len(columns[0])))
+    if p.shape[1] < FLOAT_STATES:  # each row's largest entry is exp(0) = 1, so a total is >= 1 or NaN
+        rows = p.tolist()
+        return [Categorical(tuple([x / total for x in row])) for row, total in zip(rows, map(float_sum, rows))]
     return [Categorical(row / total) for row, total in zip(p, np.sum(p, axis=1).tolist())]
 
 
@@ -594,8 +614,15 @@ def _component(columns) -> tuple[int, int]:
     return at, (at - 2) // 2
 
 
+def _responsibility(q, k: int) -> float:
+    """E[z_k] of a selector belief, read from a categorical's floats where
+    it has them."""
+    p = getattr(q, "_p", None)
+    return p[k] if p is not None and k < len(p) else float(np.asarray(moment(q, "mean"))[k])
+
+
 def _responsibilities(selectors, k: int) -> np.ndarray:
-    return np.array([float(np.asarray(moment(q, "mean"))[k]) for q in selectors])
+    return np.array([_responsibility(q, k) for q in selectors])
 
 
 @Batch
@@ -738,13 +765,9 @@ def _joint_categorical_chain(inbound, constants):
     """Two-slice joint for a Transition section; rows index x_out."""
     msg_out_side, msg_leaf, q_t = _strip_void(inbound)
     m = _expected_transition(q_t)
-    p_out = np.asarray(moment(msg_out_side, "mean"), dtype=float)
-    p_in = np.asarray(moment(msg_leaf, "mean"), dtype=float)
-    j = p_out[:, None] * m * p_in[None, :]
-    z = float(np.sum(j))
-    if z <= 0.0:
-        raise RuleError("two-slice joint has zero normalizer")
-    return Categorical(j / z)
+    p_out = np.asarray(_probabilities(msg_out_side), dtype=float)
+    p_in = np.asarray(_probabilities(msg_leaf), dtype=float)
+    return _normalized(p_out[:, None] * m * p_in[None, :], "two-slice joint has zero normalizer")
 
 
 @Batch

@@ -18,7 +18,10 @@ microseconds (``timeit``): building a 1-D ``GaussianMeanVariance`` and a
 ``GaussianCanonical`` from floats, a 1-D ``product``, and the walk's
 ``variational:addition:out`` rule applied alone (``Rule.apply``, as the
 interpreter runs a lone instruction), called as a batch of one, and per
-member in batches of 10 and 100. Then the floor under a group's 2-D
+member in batches of 10 and 100. Then the same floor under hmgm's 3-state
+chain messages: a 3-state ``Categorical`` built from a tuple of floats and
+from an array, a 3-state ``product``, and ``variational:transition:out``
+applied alone. Then the floor under a group's 2-D
 Gaussians, as the walk's 1,600 two-slice joints have it: a 2-D
 ``GaussianMeanVariance`` built by its constructor against one member of a
 stack of 1,600 checked in one pass (``distributions.gaussians``), and per
@@ -46,6 +49,7 @@ import numpy as np
 
 from mpgraph.codegen import Interpreter
 from mpgraph.distributions import (
+    Categorical,
     Dirichlet,
     Gamma,
     GaussianCanonical,
@@ -169,6 +173,15 @@ def floor_rows() -> list:
     for n in (10, 100):
         columns = [[None] * n, [GaussianMeanVariance(0.25 + i, 2.0) for i in range(n)], [shift] * n]
         rows.append((f"{rule.id} per member, batch of {n}", micros(lambda: rule.batch(columns, {}), n)))
+    floats, array = (0.2, 0.3, 0.5), np.array([0.2, 0.3, 0.5])
+    state, other = Categorical(floats), Categorical((0.6, 0.1, 0.3))
+    table = Dirichlet(1.0 + np.arange(9.0).reshape(3, 3))
+    transition = default_registry().lookup("transition", "out", [(VOID, None), (MESSAGE, Categorical),
+                                                                 (MARGINAL, Dirichlet)], "variational")
+    rows += [("3-state Categorical from floats", micros(lambda: Categorical(floats))),
+             ("3-state Categorical from an array", micros(lambda: Categorical(array))),
+             ("3-state product", micros(lambda: product(state, other))),
+             (f"{transition.id} alone (Rule.apply)", micros(lambda: transition.apply([None, state, table], {})))]
     means, covariances = joint_moments()
     alone = [GaussianMeanVariance(m, v) for m, v in zip(means, covariances)]
     members = gaussians(GaussianMeanVariance, means, covariances)

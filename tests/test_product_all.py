@@ -5,13 +5,16 @@ exception type and text. Members are Gaussians of one to three dimensions
 (built from floats and from arrays, in all three forms), Gammas, Wisharts of
 one to three dimensions, vector and matrix Dirichlets, categoricals and
 absorbing point masses; draws include partial products that fail their
-checks."""
+checks. Then two shortcuts of the interpreter's product, with the fold's
+bits: a group's canonical members are taken back as their stack, and two
+messages are one ``product``."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from mpgraph import codegen
 from mpgraph.distributions import (
     Categorical,
     Dirichlet,
@@ -25,6 +28,9 @@ from mpgraph.distributions import (
     product,
     product_all,
 )
+from mpgraph.distributions import gaussians as stack_members
+from mpgraph.engine import DirectExecutor, compile_model, init_marginals
+from mpgraph.models import HmgmModel, sample_generative
 
 
 def fold(qs):
@@ -216,3 +222,47 @@ def test_mixed_families_fail_as_in_the_fold():
     assert assert_fold_bits(qs)[0] is not Gamma
     qs = [GaussianCanonical(1.0, 1.0), GaussianCanonical(1.0, 1.0), GaussianCanonical([1.0, 0.0], np.eye(2))]
     assert assert_fold_bits(qs)[0] is not GaussianCanonical
+
+
+# ---------------------------------------------------------------------------
+# A group's members, two messages
+# ---------------------------------------------------------------------------
+
+
+def test_a_groups_canonical_members_are_taken_back_as_their_stack(monkeypatch):
+    # a mean-field marginal multiplies a prior by one group's messages, in
+    # member order: their stacks are added as they are, with the fold's bits
+    rng = np.random.default_rng(5)
+    n, g = 30, rng.normal(size=(30, 2, 2))
+    members = stack_members(GaussianCanonical, rng.normal(size=(n, 2)), g @ g.swapaxes(1, 2) + 0.1 * np.eye(2))
+    prior = GaussianMeanVariance(np.zeros(2), 1e12 * np.eye(2))
+    alone = [GaussianCanonical(q.weighted_mean, q.precision) for q in members]
+    for qs in ([prior, *members], [prior, *members[::-1]], [prior, *members[:-1]], [members[0], *members],
+               [prior, *alone]):
+        assert_fold_bits(qs)
+    reads = []
+    monkeypatch.setattr(GaussianCanonical, "precision_matrix", lambda q: reads.append(q) or q.precision)
+    product_all([prior, *members])
+    assert reads == []
+    product_all([prior, *members[::-1]])  # not in member order: restacked
+    assert len(reads) == n
+
+
+def test_the_interpreter_multiplies_two_messages_with_one_product(monkeypatch):
+    T, model = 4, HmgmModel(K=2)
+    data, _ = sample_generative("hmgm", 1, T=T)
+    program = compile_model(*model.build(T))
+    lengths = []
+
+    def recorded(qs):
+        lengths.append(len(qs))
+        return product_all(qs)
+
+    monkeypatch.setattr(codegen, "product_all", recorded)
+    got = {}
+    for runner in (codegen.Interpreter(program.ir), DirectExecutor(program.schedules)):
+        marginals = init_marginals(program.factorization, program.rf, model.initial_marginals(T, data))
+        runner.run_iteration(data, marginals)
+        got[type(runner)] = {key: outcome([q], lambda qs: qs[0]) for key, q in marginals.items()}
+    assert lengths and min(lengths) > 2  # the chain's marginals, of two messages each, did not come here
+    assert got[codegen.Interpreter] == got[DirectExecutor]
