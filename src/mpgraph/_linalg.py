@@ -4,23 +4,25 @@ All matrices handled here are tiny (state dimensions of a few). The routines
 are eigendecomposition based, so that flooring and inversion are deterministic
 and robust. Most matrices in a run are 1x1 or 2x2, where a numpy call costs far
 more than the arithmetic, so ``check_spd``, ``floored_eigh``, ``sym_eigvals``
-and the 1x1 ``spd_inverse`` work on Python floats for d <= 2 (analytic 2x2
+and ``spd_inverse`` work on Python floats for d <= 2 (analytic 2x2
 eigenvalues, exact 1x1 closed forms). Each such float path runs the same tests
 in the same order, raises the same exceptions with the same text and returns
 the same bits as the numpy body it stands in for; ``tests/test_linalg.py``
-compares them. ``check_spd_1x1`` and ``inverse_1x1`` are those 1x1 bodies on
-a Python float, which the one-dimensional Gaussians of ``distributions``
-keep their parameters in: each step is the one correctly rounded operation
-the 1x1 array expression performs (``0.5 * (x + x)`` for the
+compares them. ``check_spd_1x1``, ``inverse_1x1``, ``check_spd_2x2`` and
+``inverse_2x2`` are those bodies on Python floats, which the one-dimensional
+Gaussians of ``distributions`` keep their parameters in and the Wishart
+product's running scale is folded in: each step is the one correctly
+rounded operation the array expression performs (``0.5 * (x + x)`` for the
 symmetrization, ``max(x, floor)`` for the floor, and ``p * m + 0.0`` for a
-1x1 matrix-vector product, which sums from +0.0), so a float and a 1x1
-array give the same bits. Products of 2x2 and larger matrices stay in
-numpy: a 2x2 ``@`` and ``a*b + c*d`` on floats round differently in the
-last bit. ``spd_logdets`` and ``spd_inverses`` take the log-determinants
-and inverses of a stack of matrices at once (the free energy's Gaussian
-entropies, the messages of a batched rule), each with the bits its matrix
-gets alone, and ``check_spd_stacked`` runs ``check_spd``'s tests on a
-stack at once (the Gaussians of a batched rule's group).
+1x1 matrix-vector product, which sums from +0.0), so floats and an array
+give the same bits. Products of 2x2 and larger matrices stay in numpy, one
+numpy matmul per inverse: a 2x2 ``@`` and ``a*b + c*d`` on floats round
+differently in the last bit. ``spd_logdets`` and ``spd_inverses`` take the
+log-determinants and inverses of a stack of matrices at once (the free
+energy's Gaussian entropies, the messages of a batched rule), each with the
+bits its matrix gets alone, and ``check_spd_stacked`` runs ``check_spd``'s
+tests on a stack at once (the Gaussians and Wisharts of a batched rule's
+group).
 """
 
 from __future__ import annotations
@@ -72,13 +74,17 @@ def _eigvals_2x2(a: float, b: float, c: float) -> tuple[float, float, float]:
     return lo, hi, r
 
 
-def _eigh_2x2(a: float, b: float, c: float):
+_EYE, _SWAP = ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0))
+
+
+def _eigh_2x2_floats(a: float, b: float, c: float) -> tuple:
+    """``_eigh_2x2`` on Python floats: the eigenvalues ``(lo, hi)`` and the
+    eigenvector matrix's rows ``((q00, q01), (q10, q11))``."""
     lo, hi, r = _eigvals_2x2(a, b, c)
     if r == 0.0:
-        return np.array([lo, hi]), np.eye(2)
+        return (lo, hi), _EYE
     if b == 0.0:
-        q = np.eye(2) if c >= a else np.array([[0.0, 1.0], [1.0, 0.0]])
-        return np.array([lo, hi]), q
+        return (lo, hi), (_EYE if c >= a else _SWAP)
     # top-eigenvector via whichever residual avoids cancellation:
     # hi - c = (a-c)/2 + r and hi - a = (c-a)/2 + r; one of the two adds
     # same-sign terms
@@ -88,7 +94,12 @@ def _eigh_2x2(a: float, b: float, c: float):
         v0, v1 = b, hi - a
     norm = float(np.hypot(v0, v1))
     u0, u1 = v0 / norm, v1 / norm
-    return np.array([lo, hi]), np.array([[-u1, u0], [u0, u1]])
+    return (lo, hi), ((-u1, u0), (u0, u1))
+
+
+def _eigh_2x2(a: float, b: float, c: float):
+    w, q = _eigh_2x2_floats(a, b, c)
+    return np.array(w), np.array(q)
 
 
 def floored_eigh(m: np.ndarray, floor: float = EIG_FLOOR):
@@ -123,9 +134,30 @@ def inverse_1x1(a: float, floor: float = EIG_FLOOR) -> float:
     return 0.5 * (x + x)
 
 
+def inverse_2x2(a: float, b: float, c: float, floor: float = EIG_FLOOR) -> tuple[tuple, tuple]:
+    """``spd_inverse`` of the symmetric 2x2 matrix [[a, b], [b, c]] on
+    Python floats, as its rows ``((x00, x01), (x10, x11))``; ``floor`` must
+    be positive. The eigendecomposition, the floor, ``q / w`` and the
+    symmetrization run on floats, each the one correctly rounded operation
+    the array expression performs; ``(q / w) @ q.T`` stays one numpy
+    matmul, whose kernel fuses the multiply-adds. x01 and x10 are equal
+    unless both are NaN: a sum of two NaNs keeps the first one's sign."""
+    (lo, hi), ((q00, q01), (q10, q11)) = _eigh_2x2_floats(a, b, c)
+    # np.maximum(w, floor): a NaN stays, and a positive floor leaves no tie
+    # between signed zeros
+    lo, hi = (floor if lo < floor else lo), (floor if hi < floor else hi)
+    q = np.array(((q00, q01), (q10, q11)))
+    (x00, x01), (x10, x11) = (np.array(((q00 / lo, q01 / hi), (q10 / lo, q11 / hi))) @ q.T).tolist()
+    return (0.5 * (x00 + x00), 0.5 * (x01 + x10)), (0.5 * (x10 + x01), 0.5 * (x11 + x11))
+
+
 def spd_inverse(m: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    if m.shape[0] == 1 and floor > 0.0:
+    d = m.shape[0]
+    if d == 1 and floor > 0.0:
         return np.array([[inverse_1x1(float(m[0, 0]), floor)]])
+    if d == 2 and floor > 0.0:
+        (a, b), (c, e) = m.tolist()
+        return np.array(inverse_2x2(a, 0.5 * (b + c), e, floor))
     w, q = floored_eigh(m, floor)
     return symmetrize((q / w) @ q.T)
 
@@ -226,17 +258,18 @@ def check_spd(m: np.ndarray, name: str, strict: bool = False, tol: float = 1e-12
     return symmetrize(m)
 
 
-def check_spd_stacked(m: np.ndarray, tol: float = 1e-12) -> np.ndarray | None:
-    """``check_spd`` (not strict) of each matrix of a stack ``(n, d, d)``,
-    d >= 2, in one pass: the symmetrized stack, each matrix with the bits
-    ``check_spd`` returns for it, if every matrix passes; None if any fails,
-    so the caller checks them one at a time and raises ``check_spd``'s error
-    at the first. The predicates are ``check_spd``'s: finiteness, symmetry
-    within ``tol`` (for d = 2 the largest skew is |b - c|), then
-    semi-definiteness from the eigenvalues ``check_spd`` computes
-    (``_eigvals_2x2_stacked`` on the raw diagonal for d = 2, LAPACK's
-    ``eigvalsh`` of each symmetrized matrix above), against the same bounds:
-    a NaN eigenvalue fails no comparison, and it leaves the bound at -tol."""
+def check_spd_stacked(m: np.ndarray, tol: float = 1e-12, strict: bool = False) -> np.ndarray | None:
+    """``check_spd`` of each matrix of a stack ``(n, d, d)``, d >= 2, in one
+    pass: the symmetrized stack, each matrix with the bits ``check_spd``
+    returns for it, if every matrix passes; None if any fails, so the caller
+    checks them one at a time and raises ``check_spd``'s error at the first.
+    The predicates are ``check_spd``'s: finiteness, symmetry within ``tol``
+    (for d = 2 the largest skew is |b - c|), then definiteness (``strict``:
+    every eigenvalue positive) or semi-definiteness from the eigenvalues
+    ``check_spd`` computes (``_eigvals_2x2_stacked`` on the raw diagonal for
+    d = 2, LAPACK's ``eigvalsh`` of each symmetrized matrix above), against
+    the same bounds: a NaN eigenvalue fails no comparison, and it leaves the
+    bound at -tol."""
     d = m.shape[-1]
     with np.errstate(all="ignore"):  # the float version never warns
         if not np.isfinite(m).all():
@@ -257,7 +290,7 @@ def check_spd_stacked(m: np.ndarray, tol: float = 1e-12) -> np.ndarray | None:
                 return None
             big = np.max(np.abs(w), axis=1)
             scale = np.where(big > 1.0, big, 1.0)  # max(1.0, big), as Python's max picks it
-        if (w < (-tol * scale)[:, None]).any():
+        if (w <= 0.0).any() if strict else (w < (-tol * scale)[:, None]).any():
             return None
     return sym
 
@@ -273,6 +306,15 @@ def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.n
     if m.shape[0] == 1:
         return np.array([[check_spd_1x1(float(m[0, 0]), name, strict, tol)]])
     (a, b), (c, d) = m.tolist()
+    x, y, z = check_spd_2x2(a, b, c, d, name, strict, tol)
+    return np.array([[x, y], [y, z]])  # the entries passed, so they are finite
+
+
+def check_spd_2x2(a: float, b: float, c: float, d: float, name: str, strict: bool = False,
+                  tol: float = 1e-12) -> tuple[float, float, float]:
+    """``check_spd`` of the 2x2 matrix [[a, b], [c, d]] on Python floats;
+    returns the symmetrized matrix's entries ``(s00, s01, s11)`` (s10 is
+    s01: the entries are finite)."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise ValueError(f"{name} has a non-finite entry")
     if not abs(b - c) <= tol * max(1.0, abs(a), abs(b), abs(c), abs(d)):
@@ -287,7 +329,7 @@ def _check_spd_small(m: np.ndarray, name: str, strict: bool, tol: float) -> np.n
             raise ValueError(f"{name} must be positive definite (min eig {low:.3e})")
     elif lo < bound or hi < bound:
         raise ValueError(f"{name} must be positive semi-definite (min eig {low:.3e})")
-    return np.array([[0.5 * (a + a), 0.5 * (b + c)], [0.5 * (c + b), 0.5 * (d + d)]])
+    return 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
 
 
 def check_spd_1x1(a: float, name: str, strict: bool = False, tol: float = 1e-12) -> float:

@@ -41,17 +41,22 @@ matrix-vector product (E[T] p) stays in numpy, whose kernel fuses each
 multiply-add where a float expression would round twice; and the clip of
 the constructor maps -0.0 and the entries in [-1e-12, 0) to +0.0. A
 two-slice joint (a K x K table) and a vector of 8 or more states keep the
-array body, where numpy sums pairwise.
+array body, where numpy sums pairwise; a group's joints are checked as one
+stack, whose per-table sums numpy adds in the order it adds a table alone.
 
-The Gaussians of d >= 2 that one batched rule call returns (a group's
-results, such as a chain's two-slice joints) are built as the members of
-one stack (``gaussians``): the constructor's checks run once over the whole
-stack, with the same predicates, and each member is an instance of its
-class whose read-only arrays are rows of the group's frozen stacks, with
-the bits the constructor gives it. If a member fails a check, every member
-is built through the constructor, which raises at the first. A grouped
-reader of the same members in the same order takes the stacks back
-(``_stacked``) instead of stacking the members' arrays again.
+The Gaussians and Wisharts of d >= 2, the K x K categorical tables and the
+Dirichlets that one batched rule call returns (a group's results, such as a
+chain's two-slice joints or the messages toward a precision) are built as
+the members of one stack (``stack_members``): the constructor's checks run
+once over the whole stack, with the same predicates, and each member is an
+instance of its class whose read-only arrays are rows of the group's frozen
+stacks, with the bits the constructor gives it. If a member fails a check,
+every member is built through the constructor, which raises at the first.
+A grouped reader of the same members in the same order (``_held``) takes
+the stacks back instead of stacking the members' arrays again: the moments
+a batched body reads (``_stacked``), a marginal's product (``product_all``)
+and the free energy's transition and entropy terms. The product of 2x2
+Wisharts folds its running scale on Python floats (``_linalg.inverse_2x2``).
 
 The average energies of the Gaussian, mixture, probit and transition terms
 and the Gaussian and categorical entropies are batch functions (``Batch``,
@@ -78,9 +83,11 @@ from ._linalg import (
     as_vector,
     check_spd,
     check_spd_1x1,
+    check_spd_2x2,
     check_spd_stacked,
     floored_eigh,
     inverse_1x1,
+    inverse_2x2,
     spd_inverse,
     spd_inverses,
     spd_logdet,
@@ -133,7 +140,7 @@ class Distribution:
     """Base class for all distribution variants."""
 
     variant: str = "distribution"
-    _stack = None  # the ``_Stack`` of a Gaussian built as a member of one
+    _stack = None  # the ``_Stack`` of a value built as a member of one
 
     def to_json(self) -> dict:
         return {"type": self.variant, "params": self._params_json()}
@@ -178,15 +185,15 @@ class GaussianBase(Distribution):
 
     @classmethod
     def _from_stack(cls, first: np.ndarray, second: np.ndarray) -> list | None:
-        """The constructor on each row of two stacks (``gaussians``), as the
-        members of one ``_Stack``, if every member passes the constructor's
-        checks, run in one pass with the same predicates (``check_spd``'s for
-        moment and precision form: ``check_spd_stacked``); None if any
-        fails."""
+        """The constructor on each row of two stacks (``stack_members``), as
+        the members of one ``_Stack``, if every member passes the
+        constructor's checks, run in one pass with the same predicates
+        (``check_spd``'s for moment and precision form:
+        ``check_spd_stacked``); None if any fails."""
         if not _square_stacks(first, second):
             return None
         v = check_spd_stacked(second)
-        return None if v is None else _stack_members(cls, first, v)
+        return None if v is None else _gaussian_members(cls, first, v)
 
     def mean_vector(self) -> np.ndarray:
         raise NotImplementedError
@@ -272,15 +279,18 @@ _STACK_OF, _ROW_OF = operator.attrgetter("_stack"), operator.attrgetter("_row")
 
 
 class _Stack:
-    """The parameter arrays the Gaussians of one group share: two frozen
-    stacks, ``first`` ``(n, d)`` and ``second`` ``(n, d, d)``, whose row i
-    is member i's pair of arrays, in the class ``cls`` of the members. Each
+    """The parameters the members of one group share, in the class ``cls``
+    of the members: ``first``, a frozen stack whose row i is member i's
+    first parameter (a Gaussian's mean or weighted mean ``(n, d)``, a
+    Wishart's scale ``(n, d, d)``, a categorical's table or a Dirichlet's
+    concentration), and ``second``, the second parameters (a Gaussian's
+    frozen ``(n, d, d)`` stack, a tuple of Wishart dofs) or None. Each
     member holds its stack and row as ``_stack`` and ``_row``; the stack
     holds no member, so a member is freed as soon as no one reads it."""
 
     __slots__ = ("cls", "first", "second")
 
-    def __init__(self, cls, first, second):
+    def __init__(self, cls, first, second=None):
         self.cls, self.first, self.second = cls, first, second
 
     def holds(self, column) -> bool:
@@ -291,19 +301,36 @@ class _Stack:
                 and list(map(_ROW_OF, column)) == list(range(n)))
 
 
-def _stack_members(cls, first: np.ndarray, second: np.ndarray) -> list:
-    """Instances of ``cls`` whose parameter arrays (``cls._arrays``) are the
-    rows of ``first`` (frozen here, a copy) and of ``second`` (checked and
-    symmetrized, which no one else holds), without running the constructor:
-    the members of one ``_Stack``."""
-    stack = _Stack(cls, _freeze(first), _freeze_owned(second))
-    a, b = cls._arrays
-    d, new, members = stack.first.shape[1], object.__new__, []
-    for i, x, y in zip(range(len(first)), stack.first, stack.second):
+def _held(column, cls) -> _Stack | None:
+    """The stack of ``cls`` whose members ``column`` is, each once and in
+    member order (``_Stack.holds``), or None: a grouped reader of those
+    members takes the stack back instead of stacking their arrays again."""
+    stack = getattr(column[0], "_stack", None)
+    return stack if stack is not None and stack.cls is cls and stack.holds(column) else None
+
+
+def _members(stack: _Stack, fields) -> list:
+    """Instances of ``stack.cls`` whose attributes are the dicts of
+    ``fields``, one per row, without running the constructor: the members
+    of ``stack``."""
+    new, cls, members = object.__new__, stack.cls, []
+    for i, attributes in enumerate(fields):
         q = new(cls)
-        q.__dict__ = {"dim": d, a: x, b: y, "_stack": stack, "_row": i}
+        attributes["_stack"], attributes["_row"] = stack, i
+        q.__dict__ = attributes
         members.append(q)
     return members
+
+
+def _gaussian_members(cls, first: np.ndarray, second: np.ndarray) -> list:
+    """The Gaussians of ``cls`` whose parameter arrays (``cls._arrays``) are
+    the rows of ``first`` (frozen here, a copy) and of ``second`` (checked
+    and symmetrized, which no one else holds): the members of one
+    ``_Stack``."""
+    stack = _Stack(cls, _freeze(first), _freeze_owned(second))
+    a, b = cls._arrays
+    d = stack.first.shape[1]
+    return _members(stack, ({"dim": d, a: x, b: y} for x, y in zip(stack.first, stack.second)))
 
 
 def _square_stacks(first, second) -> bool:
@@ -313,18 +340,20 @@ def _square_stacks(first, second) -> bool:
             and second.shape == (first.shape[0], first.shape[1], first.shape[1]))
 
 
-def gaussians(cls, first: np.ndarray, second: np.ndarray) -> list:
-    """``[cls(first[i], second[i]) for each row i]`` for two stacks of a
-    group's parameters, d >= 2 and at least two rows (a row may stand for
-    all through ``np.broadcast_to``). Each member's checks run stacked, in
-    one pass, with the constructor's predicates (``cls._from_stack``); if
-    they all pass, the members share one frozen stack, with the bits the
-    constructor gives them, and a grouped reader takes the stack back
-    (``_stacked``). Otherwise each member is built through the constructor,
-    which raises its error at the first failing member."""
-    members = cls._from_stack(first, second)
+def stack_members(cls, *stacks) -> list:
+    """``[cls(*row) for row in zip(*stacks)]`` for the stacks of a group's
+    parameters, one per constructor argument (a row may stand for all
+    through ``np.broadcast_to``): Gaussians of d >= 2, Wisharts of d >= 2,
+    K x K categorical tables and Dirichlets. For two or more rows each
+    member's checks run stacked, in one pass, with the constructor's
+    predicates (``cls._from_stack``); if they all pass, the members share
+    one frozen stack, with the bits the constructor gives them, and a
+    grouped reader takes the stack back (``_held``). Otherwise, and for a
+    batch of one, each member is built through the constructor, which
+    raises its error at the first failing member."""
+    members = cls._from_stack(*stacks) if len(stacks[0]) > 1 else None
     if members is None:
-        members = [cls(first[i], second[i]) for i in range(len(first))]
+        members = [cls(*row) for row in zip(*stacks)]
     return members
 
 
@@ -482,7 +511,7 @@ class GaussianCanonical(GaussianBase):
             skew = np.max(np.abs(w - w.swapaxes(1, 2)), axis=(1, 2))
             if not (skew <= 1e-9 * np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))).all():
                 return None
-        return _stack_members(cls, weighted_means, 0.5 * (w + w.swapaxes(1, 2)))
+        return _gaussian_members(cls, weighted_means, 0.5 * (w + w.swapaxes(1, 2)))
 
     # built from the floats of a value built from floats
     weighted_mean = _cached(lambda q: _vector(q._xi))
@@ -595,24 +624,37 @@ class Gamma(Distribution):
         return {"shape": self.shape, "rate": self.rate}
 
 
-def _wishart_parameters(scale, dof) -> tuple[np.ndarray, float]:
-    """A Wishart's scale, checked and symmetrized, and its dof, checked."""
-    v = _checked_spd(as_matrix(scale), "Wishart scale", strict=True)
+def _wishart_dof(dof, d: int) -> float:
+    """A Wishart's dof, checked against its dimension ``d``."""
     nu = float(dof)
-    d = v.shape[0]
     if nu <= d - 1:
         raise DistributionError(f"Wishart dof must exceed dim-1, got nu={nu}, d={d}")
-    return v, nu
+    return nu
 
 
 class Wishart(Distribution):
     variant = "Wishart"
+    _mean_matrix = _expected_logdet = _mean_inverse = None  # the expectations, once computed
 
     def __init__(self, scale, dof):
-        v, nu = _wishart_parameters(scale, dof)
+        v = _checked_spd(as_matrix(scale), "Wishart scale", strict=True)
         self.scale = _freeze_owned(v)
-        self.dof = nu
-        self._mean_matrix = self._expected_logdet = self._mean_inverse = None
+        self.dof = _wishart_dof(dof, v.shape[0])
+
+    @classmethod
+    def _from_stack(cls, scales: np.ndarray, dofs) -> list | None:
+        """The constructor on each scale of a stack ``(n, d, d)``, d >= 2,
+        and each dof, as the members of one ``_Stack``, if every member
+        passes the constructor's checks, run in one pass: ``check_spd``
+        strict (``check_spd_stacked``), then the dof; None if any fails."""
+        if not (scales.ndim == 3 and scales.shape[1] >= 2 and scales.shape[1] == scales.shape[2]):
+            return None
+        d, nus = scales.shape[1], tuple(map(float, dofs))
+        v = check_spd_stacked(scales, strict=True)
+        if v is None or any(nu <= d - 1 for nu in nus):
+            return None
+        stack = _Stack(cls, _freeze_owned(v), nus)
+        return _members(stack, ({"scale": x, "dof": nu} for x, nu in zip(stack.first, nus)))
 
     @property
     def dim(self) -> int:
@@ -658,6 +700,7 @@ class Dirichlet(Distribution):
     Dirichlets (one per column, as used for transition matrices)."""
 
     variant = "Dirichlet"
+    _expected_logprobs = _geometric_mean = None  # the expectations, once computed
 
     def __init__(self, concentration):
         a = np.asarray(concentration, dtype=float)
@@ -668,7 +711,18 @@ class Dirichlet(Distribution):
         if not (a < math.inf).all():  # NaN fails the comparison as well
             raise DistributionError("Dirichlet concentration entries must be finite")
         self.concentration = _freeze(a)
-        self._expected_logprobs = self._geometric_mean = None
+
+    @classmethod
+    def _from_stack(cls, concentrations: np.ndarray) -> list | None:
+        """The constructor on each row of a stack of vectors or matrices, as
+        the members of one ``_Stack``, if every member passes the
+        constructor's checks, run in one pass: every entry positive, then
+        finite; None if any fails."""
+        a = np.asarray(concentrations, dtype=float)
+        if a.ndim not in (2, 3) or (a <= 0.0).any() or not (a < math.inf).all():
+            return None
+        stack = _Stack(cls, _freeze(a))
+        return _members(stack, ({"concentration": x} for x in stack.first))
 
     @property
     def is_matrix(self) -> bool:
@@ -779,6 +833,23 @@ class Categorical(Distribution):
                 raise DistributionError("Categorical probabilities must be finite")
             raise DistributionError(f"Categorical probabilities must sum to 1, got {s!r}")
         self.probabilities = _freeze_owned(np.clip(p, 0.0, None))
+
+    @classmethod
+    def _from_stack(cls, tables: np.ndarray) -> list | None:
+        """The constructor's array body on each table of a stack
+        ``(n, K, K)``, as the members of one ``_Stack``, if every table
+        passes its checks, run in one pass: no entry below -1e-12, then each
+        table's sum (numpy's, in the order ``np.sum`` adds a table alone)
+        within 1e-12 of 1; then one clip of the whole stack. None if any
+        fails."""
+        if tables.ndim != 3:
+            return None
+        flat = tables.reshape(len(tables), -1)
+        with np.errstate(invalid="ignore"):
+            if (flat < -1e-12).any() or not (np.abs(np.sum(flat, axis=1) - 1.0) <= 1e-12).all():
+                return None
+        stack = _Stack(cls, _freeze_owned(np.clip(tables, 0.0, None)))
+        return _members(stack, ({"probabilities": p} for p in stack.first))
 
     # built from the floats of a vector of fewer than FLOAT_STATES states
     probabilities = _cached(lambda q: _freeze_owned(np.array(q._p)))
@@ -1016,11 +1087,14 @@ def product_all(qs: list) -> Distribution:
     stacked); Gammas and Dirichlets sum their parameters less one. A Wishart
     product inverts each partial sum of inverse scales, one after the other,
     and feeds the checked scale on; the members' inverses are taken as one
-    stack, and each partial scale runs the constructor's checks. Two
-    members, point masses, categoricals, mixed families or sizes, and a
-    Gaussian, Gamma or Dirichlet partial product that fails its checks go
-    through the fold itself; so a failure raises the fold's error at the
-    fold's member."""
+    stack, and each partial scale runs the constructor's checks, for 2x2
+    scales on Python floats around one numpy matmul per inverse
+    (``_wishart_fold_2x2``). Where the members after the first are one
+    group's, in member order (``_held``), their stacks are read as they
+    are. Two members, point masses, categoricals, mixed families or sizes,
+    and a Gaussian, Gamma or Dirichlet partial product that fails its
+    checks go through the fold itself; so a failure raises the fold's error
+    at the fold's member."""
     first, out = qs[0], None
     if len(qs) > 2:
         if isinstance(first, GaussianBase):
@@ -1059,12 +1133,12 @@ def _gaussian_product_all_stacked(qs) -> Distribution | None:
     sums are cumulative sums (``np.add.accumulate`` adds in order) as long
     as symmetrizing each partial precision, which the canonical constructor
     does, leaves its bits as they are. Where the messages after the first
-    are one group's canonical members in member order (``_Stack.holds``),
-    their stacks are taken back instead of stacking the members again: the
-    same values are added in the same order."""
+    are one group's canonical members in member order (``_held``), their
+    stacks are taken back instead of stacking the members again: the same
+    values are added in the same order."""
     first, d = qs[0], qs[0].dim
-    stack = getattr(qs[1], "_stack", None)
-    if stack is not None and stack.cls is GaussianCanonical and stack.first.shape[1] == d and stack.holds(qs[1:]):
+    stack = _held(qs[1:], GaussianCanonical)
+    if stack is not None and stack.first.shape[1] == d:
         precisions = np.concatenate([first.precision_matrix()[None], stack.second])
         weighted_means = np.concatenate([first.weighted_mean_vector()[None], stack.first])
     elif all(isinstance(q, GaussianBase) and q.dim == d for q in qs):
@@ -1101,9 +1175,13 @@ def _gamma_product_all(qs) -> Distribution | None:
 
 def _dirichlet_product_all(qs) -> Distribution | None:
     shape = qs[0].concentration.shape
-    if not all(q.__class__ is Dirichlet and q.concentration.shape == shape for q in qs):
+    stack = _held(qs[1:], Dirichlet)
+    if stack is not None and stack.first.shape[1:] == shape:
+        a = np.concatenate([qs[0].concentration[None], stack.first])
+    elif all(q.__class__ is Dirichlet and q.concentration.shape == shape for q in qs):
+        a = np.array([q.concentration for q in qs])
+    else:
         return None
-    a = np.array([q.concentration for q in qs])
     for k in range(1, len(a)):  # in place: row k becomes partial product k
         np.subtract(np.add(a[k - 1], a[k], out=a[k]), 1.0, out=a[k])
     partials = a[1:]
@@ -1113,15 +1191,44 @@ def _dirichlet_product_all(qs) -> Distribution | None:
 
 
 def _wishart_product_all(qs) -> Distribution | None:
-    d = qs[0].dim
-    if not all(q.__class__ is Wishart and q.dim == d for q in qs):
+    first, d = qs[0], qs[0].dim
+    stack = _held(qs[1:], Wishart)
+    if stack is not None and stack.first.shape[1] == d:
+        scales, dofs = np.concatenate([first.scale[None], stack.first]), (first.dof, *stack.second)
+    elif all(q.__class__ is Wishart and q.dim == d for q in qs):
+        scales, dofs = np.array([q.scale for q in qs]), [q.dof for q in qs]
+    else:
         return None
-    inverses = spd_inverses(np.array([q.scale for q in qs]))
-    running, dof = inverses[0], qs[0].dof
+    inverses = spd_inverses(scales)
+    if d == 2:
+        return _wishart_fold_2x2(inverses.tolist(), dofs)
+    running, dof = inverses[0], dofs[0]
     for k in range(1, len(qs) - 1):
-        v, dof = _wishart_parameters(spd_inverse(running + inverses[k]), dof + qs[k].dof - d - 1.0)
+        v = _checked_spd(spd_inverse(running + inverses[k]), "Wishart scale", strict=True)
+        dof = _wishart_dof(dof + dofs[k] - d - 1.0, d)
         running = spd_inverse(v)
-    return Wishart(spd_inverse(running + inverses[-1]), dof + qs[-1].dof - d - 1.0)
+    return Wishart(spd_inverse(running + inverses[-1]), dof + dofs[-1] - d - 1.0)
+
+
+def _wishart_fold_2x2(inverses: list, dofs) -> Distribution:
+    """``_wishart_product_all``'s fold for 2x2 scales, on Python floats:
+    each step is the one the arrays take (``spd_inverse`` of the running
+    sum, the constructor's strict scale check and dof check, and
+    ``spd_inverse`` of the checked scale), through ``inverse_2x2`` and
+    ``check_spd_2x2``."""
+    ((r00, r01), (r10, r11)), dof = inverses[0], dofs[0]
+    for k in range(1, len(inverses) - 1):
+        (i00, i01), (i10, i11) = inverses[k]
+        (v00, v01), (v10, v11) = inverse_2x2(r00 + i00, 0.5 * ((r01 + i01) + (r10 + i10)), r11 + i11)
+        try:  # a scale that passes is finite, so its symmetrized entries are equal
+            v00, v01, v11 = check_spd_2x2(v00, v01, v10, v11, "Wishart scale", strict=True)
+        except ValueError as exc:
+            raise DistributionError(str(exc)) from None
+        dof = _wishart_dof(dof + dofs[k] - 2 - 1.0, 2)
+        (r00, r01), (r10, r11) = inverse_2x2(v00, 0.5 * (v01 + v01), v11)
+    (i00, i01), (i10, i11) = inverses[-1]
+    x = inverse_2x2(r00 + i00, 0.5 * ((r01 + i01) + (r10 + i10)), r11 + i11)
+    return Wishart(np.array(x), dof + dofs[-1] - 2 - 1.0)
 
 
 def _check_point_support(pm: PointMass, other: Distribution):
@@ -1337,12 +1444,13 @@ class Batch:
     energy, where an array of one value stands for every member; the members
     share ``constants``. Every step is elementwise over the members (stacked
     ``@`` and ``eigh``, ufuncs, per-row dot products) and each message runs
-    its family's constructor checks (stacked, for a group's Gaussians of
-    d >= 2: ``gaussians``), so a result has the same bits and passes the
-    same checks in a batch of any size. Called like a per-call body,
-    ``f(args, constants)``, it evaluates a batch of one; used as a
-    decorator, it makes a batch function a rule body (``rules.Rule.batch``)
-    or a node kind's average energy (``graph.NodeKind.energies``)."""
+    its family's constructor checks (stacked, for a group's Gaussians and
+    Wisharts of d >= 2, K x K tables and Dirichlets: ``stack_members``), so
+    a result has the same bits and passes the same checks in a batch of any
+    size. Called like a per-call body, ``f(args, constants)``, it evaluates
+    a batch of one; used as a decorator, it makes a batch function a rule
+    body (``rules.Rule.batch``) or a node kind's average energy
+    (``graph.NodeKind.energies``)."""
 
     __slots__ = ("batch",)
 
@@ -1367,15 +1475,17 @@ def _stacked(column, fn, scalar=None, ndims=()) -> list:
     array's rank: beliefs that all have floats are stacked from them, so no
     array of a member is built.
 
-    A column that is one group's moment-form Gaussians, each once and in
-    member order (``_Stack.holds``), gives their stacks as they are for
-    ``mean_and_cov``; the arrays are read-only."""
+    A column that is one group's members, each once and in member order
+    (``_held``), gives their stacks as they are: moment-form Gaussians for
+    ``mean_and_cov``, categorical tables for ``_table``; the arrays are
+    read-only."""
     first = column[0]
     if len(column) == 1 or all(q is first for q in column):
         return [np.asarray(x)[None] for x in fn(first)]
-    stack = getattr(first, "_stack", None)
-    if stack is not None and fn is mean_and_cov and stack.cls is GaussianMeanVariance and stack.holds(column):
+    if fn is mean_and_cov and (stack := _held(column, GaussianMeanVariance)):
         return [stack.first, stack.second]
+    if fn is _table and (stack := _held(column, Categorical)):
+        return [stack.first]
     if scalar is not None and scalar(first) is not None:
         rows = list(map(scalar, column))
         if None not in rows:
@@ -1589,14 +1699,29 @@ def negative_entropy(columns, constants) -> np.ndarray:
         else:
             h[i] = differential_entropy(q)
     for (entropies, _), rows in stacks.items():
-        h[rows] = entropies(np.array([_entropy_operand(qs[i]) for i in rows]))
+        h[rows] = entropies(_entropy_operands([qs[i] for i in rows]))
     return -(constants.get("weight", 1.0) * h)
+
+
+def _entropy_operands(column) -> np.ndarray:
+    """The covariances of a column of Gaussians of one dimension, or the
+    tables of a column of categoricals of one shape, stacked; a group's
+    stack is taken back (``_held``)."""
+    stack = _held(column, Categorical) or _held(column, GaussianMeanVariance)
+    if stack is not None:
+        return stack.first if stack.cls is Categorical else stack.second
+    return np.array([_entropy_operand(q) for q in column])
 
 
 def _entropy_operand(q):
     if isinstance(q, GaussianBase):
         return [[q.scalar_moments()[1]]] if q.dim == 1 else q.covariance_matrix()
     return _probabilities(q)
+
+
+def _table(q) -> tuple:
+    """``(_probabilities(q),)``, for ``_stacked``."""
+    return (_probabilities(q),)
 
 
 def _probabilities(q):
@@ -1658,12 +1783,12 @@ def _energy_categorical(q_out, q_p) -> float:
 def _energy_transition(columns, constants) -> np.ndarray:
     """E[-log Cat(x_t | T x_{t-1})]: either a joint two-slice belief (matrix
     Categorical, rows index x_t) or independent out/in beliefs, plus q(T)."""
-    (j,) = _stacked(columns[0], lambda q: (_probabilities(q),))
+    (j,) = _stacked(columns[0], _table)
     if len(columns) == 2:
         if j.ndim != 3:
             raise IncompatibleSupport("transition energy needs a two-slice joint")
     else:
-        (p_in,) = _stacked(columns[1], lambda q: (_probabilities(q),))
+        (p_in,) = _stacked(columns[1], _table)
         j = j[:, :, None] * p_in[:, None, :]
     (e_logt,) = _stacked(columns[-1], lambda q: (np.asarray(moment(q, "logprobs"), dtype=float),))
     if e_logt.shape[1:] != j.shape[1:]:

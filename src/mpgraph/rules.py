@@ -48,6 +48,7 @@ from .distributions import (
     _apply,
     _column,
     _floats,
+    _held,
     _probabilities,
     _scalar_covariance,
     _scalar_mean,
@@ -55,15 +56,16 @@ from .distributions import (
     _scalar_precision,
     _scatters,
     _stacked,
+    _table,
     affine_transport,
     expected_covariance,
     expected_logdet_precision,
     expected_precision,
     float_sum,
-    gaussians,
     mean_and_cov,
     moment,
     product,
+    stack_members,
     vague,
 )
 from .graph import NONLINEAR_FUNCTIONS
@@ -342,7 +344,7 @@ def _precision_messages(scatters: np.ndarray, constants: dict, weights=1.0) -> l
             rates = np.maximum(0.5 * weights * scatters[:, 0, 0], 1e-300)
         return [Gamma(1.0 + 0.5 * w, rate) for w, rate in zip(weights.tolist(), rates.tolist())]
     scales = spd_inverses(weights[:, None, None] * scatters)
-    return [Wishart(scale, d + 1.0 + w) for w, scale in zip(weights.tolist(), scales)]
+    return stack_members(Wishart, scales, [d + 1.0 + w for w in weights.tolist()])
 
 
 def _strip_void(inbound) -> list:
@@ -368,7 +370,7 @@ def _gaussians(cls, n: int, first, second, floats: bool = True) -> list:
     """``cls`` of each member's two parameters, for ``n`` messages (see
     ``_members``); stacks by row alone on a body's array path (``floats``
     False, see ``distributions._floats``). Two or more members of d >= 2
-    are built as the members of one checked stack (``gaussians``); one
+    are built as the members of one checked stack (``stack_members``); one
     message goes through its constructor."""
     if not floats:
         first, second = _rows(first, n), _rows(second, n)
@@ -377,7 +379,7 @@ def _gaussians(cls, n: int, first, second, floats: bool = True) -> list:
     else:
         first, second = _members(first, n), _members(second, n)
     if n > 1 and first.__class__ is np.ndarray and first.shape[-1] > 1:
-        return gaussians(cls, first, second)
+        return stack_members(cls, first, second)
     return [cls(first[i], second[i]) for i in range(n)]
 
 
@@ -575,11 +577,20 @@ def _transition_in(inbound, constants):
     return _normalized(p, "transition message has zero normalizer")
 
 
-def _transition_toward_matrix(inbound, constants):
-    j = np.asarray(moment(inbound[0], "mean"), dtype=float)
+def _two_slice_table(q) -> np.ndarray:
+    j = np.asarray(moment(q, "mean"), dtype=float)
     if j.ndim != 2:
         raise RuleError("message toward a transition matrix needs the two-slice joint")
-    return Dirichlet(1.0 + j)
+    return j
+
+
+@Batch
+def _transition_toward_matrix(columns, constants):
+    """Dirichlet(1 + E[x_t x_{t-1}^T]) from each two-slice joint; a group's
+    joints are read as their stack (``_held``)."""
+    stack = _held(columns[0], Categorical)
+    tables = stack.first if stack is not None else np.array([_two_slice_table(q) for q in columns[0]])
+    return stack_members(Dirichlet, 1.0 + tables)
 
 
 def _mixture_components(inbound):
@@ -761,13 +772,24 @@ def _joint_gaussian_variance_chain(columns, constants):
     return _joint_gaussian_chain.batch([*rest, [inverses[id(q)] for q in variances]], constants)
 
 
-def _joint_categorical_chain(inbound, constants):
-    """Two-slice joint for a Transition section; rows index x_out."""
-    msg_out_side, msg_leaf, q_t = _strip_void(inbound)
-    m = _expected_transition(q_t)
-    p_out = np.asarray(_probabilities(msg_out_side), dtype=float)
-    p_in = np.asarray(_probabilities(msg_leaf), dtype=float)
-    return _normalized(p_out[:, None] * m * p_in[None, :], "two-slice joint has zero normalizer")
+@Batch
+def _joint_categorical_chain(columns, constants):
+    """Two-slice joint for a Transition section; rows index x_out. The
+    tables of a group are normalized and checked as one stack
+    (``stack_members``); numpy sums each table as it sums it alone. A
+    normalizer that is not positive sends every member through
+    ``_normalized``, which raises at the first."""
+    out_side, leaf, q_t = columns
+    n = len(leaf)
+    (m,) = _stacked(q_t, lambda q: (_expected_transition(q),))
+    (p_out,) = _stacked(out_side, _table)
+    (p_in,) = _stacked(leaf, _table)
+    j = _rows(p_out[:, :, None] * m * p_in[:, None, :], n)
+    if n > 1:
+        z = np.sum(j.reshape(n, -1), axis=1)
+        if (z > 0.0).all():
+            return stack_members(Categorical, j / z[:, None, None])
+    return [_normalized(table, "two-slice joint has zero normalizer") for table in j]
 
 
 @Batch

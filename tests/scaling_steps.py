@@ -24,15 +24,20 @@ from an array, a 3-state ``product``, and ``variational:transition:out``
 applied alone. Then the floor under a group's 2-D
 Gaussians, as the walk's 1,600 two-slice joints have it: a 2-D
 ``GaussianMeanVariance`` built by its constructor against one member of a
-stack of 1,600 checked in one pass (``distributions.gaussians``), and per
+stack of 1,600 checked in one pass (``distributions.stack_members``), and per
 member, the moments a grouped reader stacks (``_stacked(column,
 mean_and_cov)``) from 1,600 Gaussians built one at a time, restacked,
-against the group's own members, whose stack it takes back. Its last rows
-give the microseconds per member of a product of 200 messages, as a
-parameter marginal multiplies them (2-D Gaussians, 2x2 Wisharts, 3x3
-Dirichlets and Gammas, drawn from a fixed seed): the pairwise ``product``
-folded left to right (``Executor.belief``), and ``product_all``'s one pass
-(``Interpreter.belief``).
+against the group's own members, whose stack it takes back. Then the same
+for hmgm's groups of 200: a 2x2 ``Wishart`` (a message toward a precision)
+and a 3x3 two-slice joint (a ``Categorical`` table) built by their
+constructors against one member of a checked stack of 200, and the 2x2
+inverse its Wishart product folds with, on floats (``_linalg.inverse_2x2``)
+against ``spd_inverse``'s numpy body. Its last rows give the microseconds
+per member of a product of 200 messages, as a parameter marginal
+multiplies them (2-D Gaussians, 2x2 Wisharts, 3x3 Dirichlets and Gammas,
+drawn from a fixed seed): the pairwise ``product`` folded left to right
+(``Executor.belief``), and ``product_all``'s one pass
+(``Interpreter.belief``); the 2x2 Wisharts' one pass is the float fold.
 
 A script, not a test (pytest does not collect it, and it asserts no time):
 
@@ -47,6 +52,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from mpgraph._linalg import floored_eigh, inverse_2x2, symmetrize
 from mpgraph.codegen import Interpreter
 from mpgraph.distributions import (
     Categorical,
@@ -56,7 +62,7 @@ from mpgraph.distributions import (
     GaussianMeanVariance,
     Wishart,
     _stacked,
-    gaussians,
+    stack_members,
     mean_and_cov,
     product,
     product_all,
@@ -184,15 +190,31 @@ def floor_rows() -> list:
              (f"{transition.id} alone (Rule.apply)", micros(lambda: transition.apply([None, state, table], {})))]
     means, covariances = joint_moments()
     alone = [GaussianMeanVariance(m, v) for m, v in zip(means, covariances)]
-    members = gaussians(GaussianMeanVariance, means, covariances)
+    members = stack_members(GaussianMeanVariance, means, covariances)
     rows += [("2-D GaussianMeanVariance by its constructor",
               micros(lambda: GaussianMeanVariance(means[0], covariances[0]))),
              (f"2-D GaussianMeanVariance per member of a checked stack of {JOINTS}",
-              micros(lambda: gaussians(GaussianMeanVariance, means, covariances), JOINTS, NUMBER // 100)),
+              micros(lambda: stack_members(GaussianMeanVariance, means, covariances), JOINTS, NUMBER // 100)),
              (f"_stacked(column, mean_and_cov) per member of {JOINTS}, restacked",
               micros(lambda: _stacked(alone, mean_and_cov), JOINTS, NUMBER // 100)),
              (f"_stacked(column, mean_and_cov) per member of {JOINTS}, taken back",
               micros(lambda: _stacked(members, mean_and_cov), JOINTS, NUMBER // 100))]
+    scales, dofs, tables = hmgm_groups()
+    m = scales[0]
+    (a, b), (_, c) = m.tolist()
+
+    def numpy_inverse():
+        w, q = floored_eigh(m)
+        return symmetrize((q / w) @ q.T)
+
+    rows += [("2x2 Wishart by its constructor", micros(lambda: Wishart(scales[0], dofs[0]))),
+             (f"2x2 Wishart per member of a checked stack of {MEMBERS}",
+              micros(lambda: stack_members(Wishart, scales, dofs), MEMBERS, NUMBER // 10)),
+             ("3x3 joint Categorical by its constructor", micros(lambda: Categorical(tables[0]))),
+             (f"3x3 joint Categorical per member of a checked stack of {MEMBERS}",
+              micros(lambda: stack_members(Categorical, tables), MEMBERS, NUMBER // 10)),
+             ("2x2 inverse, spd_inverse's numpy body", micros(numpy_inverse)),
+             ("2x2 inverse on floats (inverse_2x2)", micros(lambda: inverse_2x2(a, b, c)))]
     for family, qs in product_members().items():
         def fold():
             out = qs[0]
@@ -212,6 +234,16 @@ def joint_moments() -> tuple:
     rng = np.random.default_rng(2)
     g = rng.normal(size=(JOINTS, 2, 2))
     return rng.normal(size=(JOINTS, 2)), g @ g.swapaxes(1, 2) + 0.1 * np.eye(2)
+
+
+def hmgm_groups() -> tuple:
+    """``MEMBERS`` 2x2 Wishart scales and dofs and 3x3 joint tables, drawn
+    from a fixed seed."""
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(MEMBERS, 2, 2))
+    tables = rng.uniform(size=(MEMBERS, 3, 3))
+    return (g @ g.swapaxes(1, 2) + 0.1 * np.eye(2), [3.0 + w for w in rng.uniform(size=MEMBERS).tolist()],
+            tables / np.sum(tables, axis=(1, 2), keepdims=True))
 
 
 def product_members() -> dict:

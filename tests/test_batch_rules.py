@@ -5,6 +5,7 @@ the batched ones replaced, kept here as the reference, bit for bit."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_categorical_floats import state_messages, transition_beliefs
 from test_free_energy import finite, gains, gaussians, precisions, ref_scatter, spd_matrices, tables, variances
 
 from mpgraph import rules
@@ -18,6 +19,7 @@ from mpgraph.distributions import (
     GaussianMeanVariance,
     PointMass,
     Wishart,
+    _probabilities,
     _scalar_mean,
     _scalar_moments,
     expected_covariance,
@@ -26,7 +28,7 @@ from mpgraph.distributions import (
     mean_and_cov,
     moment,
 )
-from mpgraph.rules import default_registry
+from mpgraph.rules import RuleError, default_registry
 
 # ---------------------------------------------------------------------------
 # The per-call bodies the batched ones replaced
@@ -156,6 +158,21 @@ def ref_affine_precision(inbound, constants):
     return ref_precision_message(ref_scatter([q for q in inbound if q is not None], constants), constants)
 
 
+def ref_transition_joint(inbound, constants):
+    msg_out_side, msg_leaf, q_t = inbound
+    m = rules._expected_transition(q_t)
+    p_out = np.asarray(_probabilities(msg_out_side), dtype=float)
+    p_in = np.asarray(_probabilities(msg_leaf), dtype=float)
+    return rules._normalized(p_out[:, None] * m * p_in[None, :], "two-slice joint has zero normalizer")
+
+
+def ref_transition_matrix(inbound, constants):
+    j = np.asarray(moment(inbound[0], "mean"), dtype=float)
+    if j.ndim != 2:
+        raise RuleError("message toward a transition matrix needs the two-slice joint")
+    return Dirichlet(1.0 + j)
+
+
 # name -> (batched body, reference)
 BODIES = {
     "gaussian forward": (rules._gaussian_forward, ref_spread(1)),
@@ -175,6 +192,8 @@ BODIES = {
     "mixture selector": (rules._mixture_selector, ref_selector),
     "mixture mean": (rules._mixture_toward_mean, ref_toward_mean),
     "mixture precision": (rules._mixture_toward_precision, ref_toward_precision),
+    "transition joint": (rules._joint_categorical_chain, ref_transition_joint),
+    "transition matrix": (rules._transition_toward_matrix, ref_transition_matrix),
 }
 
 VOID = st.just(None)
@@ -214,6 +233,12 @@ def rule_batches(draw):
             slots[2 + 2 * draw(st.integers(0, k - 1)) + name.endswith("precision")] = VOID
         if d == 1 and draw(st.booleans()):
             constants["family"] = "wishart"
+    elif name.startswith("transition"):
+        k = draw(st.integers(2, 9))  # a table of 8 entries or more is summed pairwise
+        if name.endswith("joint"):
+            slots = [state_messages(k), state_messages(k), transition_beliefs(k)]
+        else:  # a joint, or a state belief, which has no two-slice table
+            slots = [st.one_of(tables((k, k)), tables((k,))).map(Categorical), VOID, VOID]
     elif name == "affine precision":
         joint = draw(st.booleans())
         dims = [draw(st.integers(1, 2)) for _ in range(draw(st.integers(1, 2)))]
@@ -289,7 +314,8 @@ class TestBatchedRules:
                 "variational:gaussian_mixture:mean", "variational:gaussian_mixture:precision",
                 "variational:addition:in1", "variational:addition:in2", "variational:addition:out",
                 "variational:gaussian_mean_variance:mean", "variational:gaussian_mean_variance:out",
-                "sum-product:gaussian_mean_variance:mean", "sum-product:gaussian_mean_variance:out"} == batched
+                "sum-product:gaussian_mean_variance:mean", "sum-product:gaussian_mean_variance:out",
+                "variational:transition:joint", "variational:transition:matrix"} == batched
         # an EP update reads its previous message, so it never runs batched
         assert all(rule.batch is None for rule in default_registry()._rules if rule.needs_previous)
         # a batched rule's per-call body is its batch of one

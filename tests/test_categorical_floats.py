@@ -329,8 +329,8 @@ def test_entropies_stack_from_the_floats_with_the_array_bits(qs):
 
 def test_an_hmgm_iteration_builds_no_state_vector_through_the_array_body(monkeypatch):
     # The constructor's array body clips with numpy (its only use of
-    # np.clip); in one iteration only the T two-slice joints, K x K tables,
-    # go through it
+    # np.clip), and so does a stack of K x K tables; in one iteration only
+    # the T two-slice joints, as stacks of 3 x 3 tables, are clipped
     T, model = 20, HmgmModel(K=3)
     data, _ = sample_generative("hmgm", 1, T=T)
     program = compile_model(*model.build(T))
@@ -345,4 +345,5 @@ def test_an_hmgm_iteration_builds_no_state_vector_through_the_array_body(monkeyp
 
     monkeypatch.setattr(np, "clip", spied)
     runner.run_iteration(data, marginals)
-    assert shapes == [(3, 3)] * T
+    assert shapes and all(len(shape) == 3 and shape[1:] == (3, 3) for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == T

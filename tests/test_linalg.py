@@ -1,6 +1,7 @@
 """The 1x1/2x2 float paths of ``check_spd``, ``GaussianCanonical``, the
-Gaussian ``product`` and the 1x1 inverses against the numpy bodies they stand
-in for, and the float arithmetic of ``_eigh_2x2`` against numpy scalars."""
+Gaussian ``product`` and the 1x1 and 2x2 inverses against the numpy bodies
+they stand in for, and the float arithmetic of ``_eigh_2x2`` against numpy
+scalars."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from mpgraph._linalg import (
     as_matrix,
     as_vector,
     check_spd,
+    check_spd_2x2,
     floored_eigh,
+    inverse_2x2,
     spd_inverse,
     spd_inverses,
     spd_logdets,
@@ -504,3 +507,78 @@ def symmetric_pairs(draw):
 @given(symmetric_pairs())
 def test_product_psd_test_matches_numpy_body_random(pair):
     assert_product_same(*pair)
+
+
+# ---------------------------------------------------------------------------
+# The 2x2 inverse and the strict 2x2 check on floats, as the Wishart
+# product's running scale takes them
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def inverse_inputs(draw):
+    """[[a, b], [c, d]]: flat (r == 0), diagonal with c < a or c >= a,
+    eigenvalues at and below EIG_FLOOR, scales of 1e+-150, non-finite and
+    free entries; most are symmetric."""
+    kind = draw(st.sampled_from(["flat", "diagonal", "floor", "scaled", "nonfinite", "free"]))
+    if kind == "flat":
+        a = draw(SCALARS)
+        m = [[a, 0.0], [0.0, a]]
+    elif kind == "diagonal":
+        m = [[draw(SCALARS), draw(st.sampled_from([0.0, -0.0]))], [0.0, draw(SCALARS)]]
+    elif kind in ("floor", "scaled"):
+        angle = draw(st.floats(0.0, np.pi))
+        q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        eigs = [draw(st.sampled_from(TINY + [1.0, 1e6, -1e-13])), draw(st.floats(1e-3, 1e3))]
+        if kind == "scaled":
+            eigs = [e * 10.0 ** draw(st.sampled_from([-150, 150])) for e in eigs]
+        m = ((q * eigs) @ q.T).tolist()
+    elif kind == "nonfinite":
+        m = [[1.0, 0.25], [0.25, 2.0]]
+        m[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        m = [[draw(anything), draw(anything)], [draw(anything), draw(anything)]]
+    if draw(st.booleans()):  # symmetric, as a checked or symmetrized scale is
+        m[1][0] = m[0][1]
+    return m
+
+
+@settings(max_examples=1000, deadline=None)
+@example([[2.0, 0.0], [0.0, 2.0]])  # r == 0
+@example([[3.0, 0.0], [0.0, 1.0]])  # b == 0 with c < a: the swap
+@example([[EIG_FLOOR, 0.0], [0.0, 0.5 * EIG_FLOOR]])  # both floored
+@example([[1e150, 1e-150], [1e-150, 1e-150]])
+@example([[1.0, np.nan], [np.nan, 1.0]])
+@example([[np.inf, 0.0], [0.0, 1.0]])
+@example([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])  # b + b overflows
+@example([[0.0, 0.0], [np.inf, np.nan]])  # NaN + NaN keeps the first one's sign: x01 and x10 differ
+@given(inverse_inputs())
+def test_spd_inverse_2x2_matches_numpy_body(m):
+    m = np.array(m)
+    for floor in (EIG_FLOOR, 1e-6, 5e-324):
+        want = result_of(reference_spd_inverse, m, floor)
+        assert result_of(spd_inverse, m, floor) == want
+        (a, b), (c, d) = m.tolist()
+        with np.errstate(all="ignore"):
+            rows = inverse_2x2(a, 0.5 * (b + c), d, floor)
+        assert result_of(np.array, rows) == want
+
+
+@settings(max_examples=1000, deadline=None)
+@example([[1.0, 0.0], [0.0, 0.0]])  # an eigenvalue at zero
+@example([[1.0, 0.0], [0.0, -0.0]])
+@example([[1.0, 1.0], [1.0, 1.0]])  # singular: det rounds to zero
+@example([[2.5e7, -2.5e7], [-2.5e7, 2.5e7 + 1e-8]])  # det below the rounding of a * c
+@example([[-1.0, 0.0], [0.0, 2.0]])
+@example([[1.0, 0.5], [0.5 + 1e-6, 1.0]])  # not symmetric
+@example([[np.nan, 0.0], [0.0, 1.0]])
+@given(inverse_inputs())
+def test_strict_2x2_check_matches_numpy_body(m):
+    (a, b), (c, d) = m
+
+    def check(a, b, c, d):
+        x, y, z = check_spd_2x2(a, b, c, d, "Wishart scale", strict=True)
+        return np.array([[x, y], [y, z]])
+
+    want = result_of(reference_check_spd, np.array(m), "Wishart scale", True)
+    assert result_of(check, a, b, c, d) == want

@@ -6,8 +6,8 @@ exception type and text. Members are Gaussians of one to three dimensions
 one to three dimensions, vector and matrix Dirichlets, categoricals and
 absorbing point masses; draws include partial products that fail their
 checks. Then two shortcuts of the interpreter's product, with the fold's
-bits: a group's canonical members are taken back as their stack, and two
-messages are one ``product``."""
+bits: a group's canonical, Wishart and Dirichlet members are taken back as
+their stack, and two messages are one ``product``."""
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from mpgraph.distributions import (
     product,
     product_all,
 )
-from mpgraph.distributions import gaussians as stack_members
+from mpgraph.distributions import stack_members
 from mpgraph.engine import DirectExecutor, compile_model, init_marginals
 from mpgraph.models import HmgmModel, sample_generative
 
@@ -217,6 +217,38 @@ def test_a_wishart_partial_fails_its_dof_check_as_in_the_fold():
     assert kind is DistributionError and text.startswith("Wishart dof must exceed dim-1, got nu=-0.29")
 
 
+def ill_conditioned_wisharts(seed: int, n: int = 5) -> list:
+    """Wisharts whose scales share one rotation, with eigenvalues from
+    1e-14 to 1e12: their running sums of inverse scales are so ill
+    conditioned that a partial scale may round to a singular or indefinite
+    matrix. Members the constructor rejects are left out."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, np.pi)
+    q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    qs = []
+    for _ in range(n):
+        scale = (q * [10.0 ** rng.uniform(-14, -11), 10.0 ** rng.uniform(8, 12)]) @ q.T
+        wishart = build(Wishart, scale, 3.0 + rng.uniform())
+        if wishart is not None:
+            qs.append(wishart)
+    return qs
+
+
+def test_a_wishart_partial_fails_its_scale_check_as_in_the_fold():
+    failed = 0
+    for seed in range(40):
+        qs = ill_conditioned_wisharts(seed)
+        if len(qs) < 3:
+            continue
+        members = stack_members(Wishart, np.array([q.scale for q in qs[1:]]), [q.dof for q in qs[1:]])
+        assert members[0]._stack is not None
+        kind, text = assert_fold_bits(qs)
+        assert assert_fold_bits([qs[0], *members]) == (kind, text)
+        failed += kind is DistributionError
+        assert kind is Wishart or text.startswith("Wishart scale must be positive definite")
+    assert failed >= 3
+
+
 def test_mixed_families_fail_as_in_the_fold():
     qs = [Gamma(2.0, 1.0), Gamma(2.0, 1.0), Dirichlet([1.0, 2.0]), Gamma(2.0, 1.0)]
     assert assert_fold_bits(qs)[0] is not Gamma
@@ -246,6 +278,35 @@ def test_a_groups_canonical_members_are_taken_back_as_their_stack(monkeypatch):
     assert reads == []
     product_all([prior, *members[::-1]])  # not in member order: restacked
     assert len(reads) == n
+
+
+def test_a_groups_wishart_and_dirichlet_members_are_taken_back_as_their_stack(monkeypatch):
+    rng = np.random.default_rng(6)
+    n, g = 30, rng.normal(size=(30, 2, 2))
+    wisharts = stack_members(Wishart, g @ g.swapaxes(1, 2) + 0.1 * np.eye(2), 3.0 + rng.uniform(size=n))
+    dirichlets = stack_members(Dirichlet, 1.0 + rng.uniform(size=(n, 3, 3)))
+    for members, prior in ((wisharts, Wishart(1e12 * np.eye(2), 2.0)), (dirichlets, Dirichlet(np.ones((3, 3))))):
+        assert members[0]._stack is not None
+        alone = [build(type(q), *q._params_json().values()) for q in members]
+        for qs in ([prior, *members], [prior, *members[::-1]], [prior, *members[:-1]], [members[0], *members],
+                   [prior, *alone]):
+            assert_fold_bits(qs)
+    # members in member order are not stacked again: no array is built from
+    # a list of the members' parameters
+    stacked, array = [], np.array
+
+    def spied(x, *args, **kwargs):
+        if isinstance(x, list) and len(x) > n:
+            stacked.append(len(x))
+        return array(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array", spied)
+    product_all([Wishart(np.eye(2), 3.0), *wisharts])
+    product_all([Dirichlet(np.ones((3, 3))), *dirichlets])
+    assert stacked == []
+    product_all([Wishart(np.eye(2), 3.0), *wisharts[::-1]])
+    product_all([Dirichlet(np.ones((3, 3))), *dirichlets[::-1]])
+    assert stacked == [n + 1, n + 1]
 
 
 def test_the_interpreter_multiplies_two_messages_with_one_product(monkeypatch):

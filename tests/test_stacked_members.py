@@ -1,5 +1,5 @@
 """A group's Gaussians of d >= 2 built as the members of one checked stack
-(``distributions.gaussians``) against the same Gaussians built one at a time
+(``distributions.stack_members``) against the same Gaussians built one at a time
 through their constructors: type, dimension, array bits, read-only flags,
 ``to_json``, ``==`` and the lazily derived forms, and, for a stack with a
 failing member, the constructor's exception at the first failing member.
@@ -22,7 +22,7 @@ from mpgraph.distributions import (
     GaussianMeanPrecision,
     GaussianMeanVariance,
     _stacked,
-    gaussians,
+    stack_members,
     mean_and_cov,
 )
 from mpgraph.engine import DirectExecutor, compile_model, init_marginals
@@ -129,7 +129,7 @@ def test_stack_built_members_are_the_constructors(group):
     cls, first, second = group
     with np.errstate(all="ignore"):
         alone = outcome(lambda: [cls(first[i], second[i]) for i in range(len(first))])
-        stacked = outcome(lambda: gaussians(cls, first, second))
+        stacked = outcome(lambda: stack_members(cls, first, second))
     if isinstance(alone, tuple):  # the first failing member's exception
         assert stacked == alone
         return
@@ -147,7 +147,7 @@ def test_a_row_may_stand_for_all(cls):
     mean = rng.normal(size=(1, 2))
     matrices = np.array([matrix("spd", 2, rng) for _ in range(4)])
     first = np.broadcast_to(mean, (4, 2))
-    for a, b in zip(gaussians(cls, first, matrices), [cls(mean[0], m) for m in matrices]):
+    for a, b in zip(stack_members(cls, first, matrices), [cls(mean[0], m) for m in matrices]):
         assert_same_member(a, b)
 
 
@@ -169,7 +169,7 @@ def test_a_reader_takes_the_stack_back_only_for_its_own_members_in_order():
     rng = np.random.default_rng(11)
     means = rng.normal(size=(6, 2))
     covs = np.array([matrix("spd", 2, rng) for _ in range(6)])
-    members = gaussians(GaussianMeanVariance, means, covs)
+    members = stack_members(GaussianMeanVariance, means, covs)
     stack = members[0]._stack
     taken = _stacked(members, mean_and_cov)
     assert taken[0] is stack.first and taken[1] is stack.second
@@ -182,7 +182,7 @@ def test_a_reader_takes_the_stack_back_only_for_its_own_members_in_order():
         assert got[0] is not stack.first
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     # a stack of precision form holds no covariance
-    precisions = gaussians(GaussianMeanPrecision, means, covs)
+    precisions = stack_members(GaussianMeanPrecision, means, covs)
     got = _stacked(precisions, mean_and_cov)
     assert got[1].tobytes() == np.array([q.covariance_matrix() for q in precisions]).tobytes()
 
