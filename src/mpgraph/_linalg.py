@@ -77,10 +77,11 @@ def _eigvals_2x2(a: float, b: float, c: float) -> tuple[float, float, float]:
 _EYE, _SWAP = ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 0.0))
 
 
-def _eigh_2x2_floats(a: float, b: float, c: float) -> tuple:
-    """``_eigh_2x2`` on Python floats: the eigenvalues ``(lo, hi)`` and the
-    eigenvector matrix's rows ``((q00, q01), (q10, q11))``."""
-    lo, hi, r = _eigvals_2x2(a, b, c)
+def _eigh_2x2_floats(a: float, b: float, c: float, eig: tuple) -> tuple:
+    """``_eigh_2x2`` on Python floats, given ``eig``, ``_eigvals_2x2(a, b,
+    c)``: the eigenvalues ``(lo, hi)`` and the eigenvector matrix's rows
+    ``((q00, q01), (q10, q11))``."""
+    lo, hi, r = eig
     if r == 0.0:
         return (lo, hi), _EYE
     if b == 0.0:
@@ -98,7 +99,7 @@ def _eigh_2x2_floats(a: float, b: float, c: float) -> tuple:
 
 
 def _eigh_2x2(a: float, b: float, c: float):
-    w, q = _eigh_2x2_floats(a, b, c)
+    w, q = _eigh_2x2_floats(a, b, c, _eigvals_2x2(a, b, c))
     return np.array(w), np.array(q)
 
 
@@ -142,7 +143,13 @@ def inverse_2x2(a: float, b: float, c: float, floor: float = EIG_FLOOR) -> tuple
     the array expression performs; ``(q / w) @ q.T`` stays one numpy
     matmul, whose kernel fuses the multiply-adds. x01 and x10 are equal
     unless both are NaN: a sum of two NaNs keeps the first one's sign."""
-    (lo, hi), ((q00, q01), (q10, q11)) = _eigh_2x2_floats(a, b, c)
+    return _inverse_2x2(a, b, c, _eigvals_2x2(a, b, c), floor)
+
+
+def _inverse_2x2(a: float, b: float, c: float, eig: tuple, floor: float = EIG_FLOOR) -> tuple[tuple, tuple]:
+    """``inverse_2x2`` given ``eig``, ``_eigvals_2x2(a, b, c)``, computed
+    once for a matrix both checked and inverted."""
+    (lo, hi), ((q00, q01), (q10, q11)) = _eigh_2x2_floats(a, b, c, eig)
     # np.maximum(w, floor): a NaN stays, and a positive floor leaves no tie
     # between signed zeros
     lo, hi = (floor if lo < floor else lo), (floor if hi < floor else hi)
@@ -315,11 +322,20 @@ def check_spd_2x2(a: float, b: float, c: float, d: float, name: str, strict: boo
     """``check_spd`` of the 2x2 matrix [[a, b], [c, d]] on Python floats;
     returns the symmetrized matrix's entries ``(s00, s01, s11)`` (s10 is
     s01: the entries are finite)."""
+    s00, s01, s11, _ = _check_spd_2x2(a, b, c, d, name, strict, tol)
+    return s00, s01, s11
+
+
+def _check_spd_2x2(a: float, b: float, c: float, d: float, name: str, strict: bool = False,
+                   tol: float = 1e-12) -> tuple:
+    """``check_spd_2x2``, and the eigenvalues it tested,
+    ``_eigvals_2x2(a, (b + c) / 2, d)``: ``(s00, s01, s11, eig)``."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
         raise ValueError(f"{name} has a non-finite entry")
     if not abs(b - c) <= tol * max(1.0, abs(a), abs(b), abs(c), abs(d)):
         raise ValueError(f"{name} is not symmetric within {tol}")
-    lo, hi, _ = _eigvals_2x2(a, 0.5 * (b + c), d)
+    s01 = 0.5 * (b + c)
+    eig = lo, hi, _ = _eigvals_2x2(a, s01, d)
     if lo != lo or hi != hi:
         low, bound = float("nan"), -tol
     else:
@@ -329,7 +345,7 @@ def check_spd_2x2(a: float, b: float, c: float, d: float, name: str, strict: boo
             raise ValueError(f"{name} must be positive definite (min eig {low:.3e})")
     elif lo < bound or hi < bound:
         raise ValueError(f"{name} must be positive semi-definite (min eig {low:.3e})")
-    return 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
+    return 0.5 * (a + a), s01, 0.5 * (d + d), eig
 
 
 def check_spd_1x1(a: float, name: str, strict: bool = False, tol: float = 1e-12) -> float:

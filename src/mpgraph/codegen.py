@@ -13,11 +13,13 @@ instruction (``scheduler.Instruction``), so ``compile_program`` assembles the
 schedules' steps and the free-energy terms into programs and builds only the
 entropy terms. Instructions run against a message array (slots are reused
 across iterations), a marginal table, persistent EP site slots, and a data
-table. That storage, the one slot resolver and the one dispatch of an
-instruction (``run_instruction``) live in ``Executor``, which ``Interpreter``
-and ``engine.DirectExecutor`` share; the two walk the same instructions and
+table. That storage, the one slot resolver and the one executor loop
+(``run_items``) live in ``Executor``, which ``Interpreter`` and
+``engine.DirectExecutor`` share; the two walk the same instructions and
 differ only in that ``DirectExecutor`` runs every instruction alone and
-folds each marginal pairwise. ``Interpreter`` runs each step
+folds each marginal pairwise. The loop runs a lone instruction in its own
+frame, reading message and marginal slots itself and calling the rule's
+``Rule.apply``. ``Interpreter`` runs each step
 program and the free-energy program in the order one planner gives
 (``plan_step``): a program's independent instructions of one batched rule or
 energy (``distributions.Batch``) run as one call, and a group that raises
@@ -322,23 +324,23 @@ def _energy(kind: str):
 
 
 class Executor:
-    """Run-time storage and the evaluation of one instruction, shared by
-    ``Interpreter`` and ``engine.DirectExecutor``: per-step message arrays
-    (each message's distribution), the EP site store (distributions), the
-    one slot resolver and the one dispatch of an instruction
-    (``run_instruction``: ``send``, ``belief`` or ``joint`` in a step,
-    ``term`` in F). The programs are the step programs, by factor id, and
-    the free-energy program under the key None.
+    """Run-time storage and the executor loop, shared by ``Interpreter`` and
+    ``engine.DirectExecutor``: per-step message arrays (each message's
+    distribution), the EP site store (distributions), the one slot resolver
+    and the one loop that runs a program's instructions (``run_items``:
+    ``Rule.apply`` or ``belief`` in a step, ``term`` in F). The programs are
+    the step programs, by factor id, and the free-energy program under the
+    key None.
 
-    Here each program runs one instruction at a time in program order, as
-    ``engine.DirectExecutor`` runs them; ``Interpreter`` runs its programs
-    in groups (``_run``). F is the terms' values summed in program order
-    either way. A datum's value is read from the table on its first read in
-    an iteration, and its point mass is shared by the rules and F; each
-    ``run_iteration`` reads the table afresh, and so does a read of another
-    table. The point mass is kept across iterations while the value read
-    has the shape and bits it was built from. Concurrent runs must not share
-    an executor."""
+    Here each program runs one instruction at a time in program order (its
+    plan is every position), as ``engine.DirectExecutor`` runs them;
+    ``Interpreter`` plans its programs in groups. F is the terms' values
+    summed in program order either way. A datum's value is read from the
+    table on its first read in an iteration, and its point mass is shared
+    by the rules and F; each ``run_iteration`` reads the table afresh, and
+    so does a read of another table. The point mass is kept across
+    iterations while the value read has the shape and bits it was built
+    from. Concurrent runs must not share an executor."""
 
     def __init__(self, registry, programs: dict[str, list[Instruction]], free_energy: list[Instruction],
                  site_inits: dict[str, Distribution]):
@@ -356,6 +358,8 @@ class Executor:
             for ins in free_energy
         ]
         self._energies = {kind: _energy(kind) for kind in dict.fromkeys(term[1] for term in self.energy_terms)}
+        # the order each program runs in: every position alone
+        self._plans: dict = {key: range(len(program)) for key, program in self._programs.items()}
         self.values: list = []  # the free-energy terms' values in the evaluation under way
         self._data = None  # the data table read in this iteration
         self._fresh: dict = {}  # data slot -> its point mass, read in this iteration
@@ -397,56 +401,75 @@ class Executor:
             return self.sites[slot[1]]
         return None
 
-    def send(self, fid, ins, data, marginals):
-        """Apply the rule of ``ins``, store the message's distribution at
-        its output index and in the site the instruction writes."""
-        inbound = [self.resolve(s, fid, data, marginals) for s in ins.slots]
-        previous = self.resolve(ins.extra, fid, data, marginals) if ins.extra else None
-        dist = self._rules[ins.rule_id].apply(inbound, ins.constants, previous).dist
-        self.messages[fid][ins.output[1]] = dist
-        if ins.writes_site:
-            self.sites[ins.writes_site] = dist
-
-    def belief(self, fid, slots, data, marginals) -> Distribution:
-        """The product of the messages in ``slots``, ``product`` folded left
-        to right."""
-        out = self.resolve(slots[0], fid, data, marginals)
-        for slot in slots[1:]:
-            out = product(out, self.resolve(slot, fid, data, marginals))
+    def belief(self, beliefs) -> Distribution:
+        """The product of ``beliefs``, ``product`` folded left to right."""
+        out = beliefs[0]
+        for q in beliefs[1:]:
+            out = product(out, q)
         return out
 
-    def joint(self, fid, ins, data, marginals) -> Distribution:
-        """A two-slice joint marginal from the rule of ``ins``."""
-        inbound = [self.resolve(s, fid, data, marginals) for s in ins.slots]
-        return self._rules[ins.rule_id].apply(inbound, ins.constants).dist
+    def run_items(self, key, items, data, marginals):
+        """The executor loop: run the ``items`` of program ``key`` (a factor
+        id, or None for the free-energy program) in order.
 
-    def run_instruction(self, fid, pos, ins, data, marginals):
-        """Evaluate instruction ``pos`` of program ``fid``: a free-energy
-        term's value into ``values``, or a step's message or marginal. A
-        failed step raises naming the instruction."""
-        if fid is None:
-            self.values[pos] = self.term(pos, data, marginals)
-            return
-        try:
-            if ins.opcode == "rule":
-                self.send(fid, ins, data, marginals)
-            elif ins.opcode == "product":
-                marginals[ins.output[1]] = self.belief(fid, ins.slots, data, marginals)
-            elif ins.opcode == "joint":
-                marginals[ins.output[1]] = self.joint(fid, ins, data, marginals)
-            else:
-                raise InterpretError(f"opcode {ins.opcode!r} is not executable in a step")
-        except Exception as exc:
-            raise InterpretError(f"step {fid}, instruction {pos} ({ins.opcode} -> {ins.output}): {exc}") from exc
-
-    def _run(self, key, data, marginals):
-        """Run program ``key`` (a factor id, or None for the free-energy
-        program) one instruction at a time."""
-        for pos, ins in enumerate(self._programs[key]):
-            self.run_instruction(key, pos, ins, data, marginals)
+        A position runs its instruction alone, in this one frame: a step's
+        rule or joint instruction reads its slots (a message as
+        ``messages[i]``, a marginal as ``marginals[key]``, every other tag
+        and ``extra`` through ``resolve``) and calls its rule's
+        ``Rule.apply``, a ``product`` calls ``belief``, and a free-energy
+        term is ``term``. A failed step instruction raises naming it. Any
+        other item is a group of ``Interpreter``'s plan, run as one call
+        (``Interpreter.run_group``); if it raises, the rest of the program
+        runs alone (``Interpreter.fall_back``)."""
+        if key is None:
+            values = self.values
+        else:
+            program, messages = self._programs[key], self.messages[key]
+        rules, resolve = self._rules, self.resolve
+        for item in items:
+            if item.__class__ is not int:
+                try:
+                    self.run_group(key, item, data, marginals)
+                except Exception:
+                    self.fall_back(key, item, data, marginals)
+                    return
+                continue
+            if key is None:
+                values[item] = self.term(item, data, marginals)
+                continue
+            ins = program[item]
+            try:
+                inbound = []
+                for slot in ins.slots:
+                    tag = slot[0]
+                    if tag == "entry":
+                        inbound.append(messages[slot[1]])
+                    elif tag == "marginal":
+                        try:
+                            inbound.append(marginals[slot[1]])
+                        except KeyError:  # resolve raises naming the marginal
+                            inbound.append(resolve(slot, key, data, marginals))
+                    else:
+                        inbound.append(resolve(slot, key, data, marginals))
+                opcode = ins.opcode
+                if opcode == "rule":
+                    extra = ins.extra
+                    dist = rules[ins.rule_id].apply(
+                        inbound, ins.constants, resolve(extra, key, data, marginals) if extra else None).dist
+                    messages[ins.output[1]] = dist
+                    if ins.writes_site:
+                        self.sites[ins.writes_site] = dist
+                elif opcode == "product":
+                    marginals[ins.output[1]] = self.belief(inbound)
+                elif opcode == "joint":
+                    marginals[ins.output[1]] = rules[ins.rule_id].apply(inbound, ins.constants).dist
+                else:
+                    raise InterpretError(f"opcode {opcode!r} is not executable in a step")
+            except Exception as exc:
+                raise InterpretError(f"step {key}, instruction {item} ({ins.opcode} -> {ins.output}): {exc}") from exc
 
     def run_step(self, fid: str, data, marginals):
-        self._run(fid, data, marginals)
+        self.run_items(fid, self._plans[fid], data, marginals)
         return marginals
 
     def run_iteration(self, data, marginals):
@@ -470,7 +493,7 @@ class Executor:
         its error."""
         self.values = values = [None] * len(self.energy_terms)
         try:
-            self._run(None, data, marginals)
+            self.run_items(None, self._plans[None], data, marginals)
         except InterpretError:
             # every term before the failing one has its value
             yield from itertools.takewhile(lambda value: value is not None, values)
@@ -637,13 +660,12 @@ class Interpreter(Executor):
         return plan_step(self._programs[key],
                          lambda applies: applies in self._batches and (key, applies) not in self._unstacked)[0]
 
-    def belief(self, fid, slots, data, marginals) -> Distribution:
+    def belief(self, beliefs) -> Distribution:
         """``Executor.belief`` in one pass over the messages (``product_all``);
         two messages are one ``product``, as in the fold."""
-        resolve = self.resolve
-        if len(slots) == 2:
-            return product(resolve(slots[0], fid, data, marginals), resolve(slots[1], fid, data, marginals))
-        return product_all([resolve(slot, fid, data, marginals) for slot in slots])
+        if len(beliefs) == 2:
+            return product(beliefs[0], beliefs[1])
+        return product_all(beliefs)
 
     def _column(self, column, fid, data, marginals) -> list:
         """The values of one slot column of a group. The slots of a column
@@ -676,22 +698,14 @@ class Interpreter(Executor):
         else:  # the instructions then run alone, where the step error names the first
             raise InterpretError(f"opcode {group.opcode!r} is not executable in a step")
 
-    def _run(self, key, data, marginals):
-        """Run program ``key`` (a factor id, or None for the free-energy
-        program) in its plan's order."""
-        program, plan = self._programs[key], self._plans[key]
-        for at, item in enumerate(plan):
-            if item.__class__ is int:
-                self.run_instruction(key, item, program[item], data, marginals)
-                continue
-            try:
-                self.run_group(key, item, data, marginals)
-            except Exception:
-                done = {pos for earlier in plan[:at] if earlier.__class__ is not int
-                        for pos in earlier.positions}
-                for pos in range(item.position, len(program)):
-                    if pos not in done:
-                        self.run_instruction(key, pos, program[pos], data, marginals)
-                self._unstacked.add((key, item.rule_id))
-                self._plans[key] = self._plan(key)
-                break
+    def fall_back(self, key, group: _Group, data, marginals):
+        """After ``group`` raised: run program ``key`` alone from the group's
+        position, skipping what earlier groups ran, then plan it again
+        without the group's rule or term kind."""
+        plan, program = self._plans[key], self._programs[key]
+        done = {pos for earlier in plan[:plan.index(group)] if earlier.__class__ is not int
+                for pos in earlier.positions}
+        self.run_items(key, [pos for pos in range(group.position, len(program)) if pos not in done],
+                       data, marginals)
+        self._unstacked.add((key, group.rule_id))
+        self._plans[key] = self._plan(key)

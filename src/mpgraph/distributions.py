@@ -77,13 +77,14 @@ from scipy.special import digamma, gammaln, log_ndtr, multigammaln
 
 from ._linalg import (
     EIG_FLOOR,
+    _check_spd_2x2,
     _eigvals_2x2,
     _eigvals_2x2_stacked,
+    _inverse_2x2,
     as_matrix,
     as_vector,
     check_spd,
     check_spd_1x1,
-    check_spd_2x2,
     check_spd_stacked,
     floored_eigh,
     inverse_1x1,
@@ -1215,20 +1216,32 @@ def _wishart_fold_2x2(inverses: list, dofs) -> Distribution:
     each step is the one the arrays take (``spd_inverse`` of the running
     sum, the constructor's strict scale check and dof check, and
     ``spd_inverse`` of the checked scale), through ``inverse_2x2`` and
-    ``check_spd_2x2``."""
+    ``_checked_inverse_2x2``."""
     ((r00, r01), (r10, r11)), dof = inverses[0], dofs[0]
     for k in range(1, len(inverses) - 1):
         (i00, i01), (i10, i11) = inverses[k]
         (v00, v01), (v10, v11) = inverse_2x2(r00 + i00, 0.5 * ((r01 + i01) + (r10 + i10)), r11 + i11)
-        try:  # a scale that passes is finite, so its symmetrized entries are equal
-            v00, v01, v11 = check_spd_2x2(v00, v01, v10, v11, "Wishart scale", strict=True)
-        except ValueError as exc:
-            raise DistributionError(str(exc)) from None
+        (r00, r01), (r10, r11) = _checked_inverse_2x2(v00, v01, v10, v11)
         dof = _wishart_dof(dof + dofs[k] - 2 - 1.0, 2)
-        (r00, r01), (r10, r11) = inverse_2x2(v00, 0.5 * (v01 + v01), v11)
     (i00, i01), (i10, i11) = inverses[-1]
     x = inverse_2x2(r00 + i00, 0.5 * ((r01 + i01) + (r10 + i10)), r11 + i11)
     return Wishart(np.array(x), dof + dofs[-1] - 2 - 1.0)
+
+
+def _checked_inverse_2x2(v00: float, v01: float, v10: float, v11: float) -> tuple[tuple, tuple]:
+    """The strict check of the Wishart scale [[v00, v01], [v10, v11]]
+    (``check_spd_2x2``), then ``inverse_2x2`` of the checked scale, as rows.
+    The check's eigenvalues serve the inverse where the entries they were
+    taken of equal the ones the inverse reads, and are computed again where
+    symmetrizing changed one (doubling an entry near DBL_MAX overflows)."""
+    try:  # a scale that passes is finite, so its symmetrized entries are equal
+        s00, s01, s11, eig = _check_spd_2x2(v00, v01, v10, v11, "Wishart scale", strict=True)
+    except ValueError as exc:
+        raise DistributionError(str(exc)) from None
+    b = 0.5 * (s01 + s01)
+    if s00 == v00 and b == s01 and s11 == v11:  # eig is of (v00, s01, v11)
+        return _inverse_2x2(s00, b, s11, eig)
+    return inverse_2x2(s00, b, s11)
 
 
 def _check_point_support(pm: PointMass, other: Distribution):

@@ -193,6 +193,12 @@ class Rule:
         self.id = f"{flavor}:{kind}:{role}:{digest}"
 
     def apply(self, inbound, constants, previous=None) -> Message:
+        batch = self.batch
+        if batch is not None:  # a batch of one: one one-member column per slot
+            columns = []
+            for q in inbound:
+                columns.append([q])
+            return Message(batch(columns, constants)[0], self.id)
         if self.needs_previous:
             result = self.fn(inbound, constants, previous)
         else:

@@ -433,12 +433,17 @@ def _canon_value(value):
     return value
 
 
+# The constants of every instruction that has none: one dict, never written.
+_NO_CONSTANTS: dict = {}
+
+
 def _canon_constants(constants: dict | None) -> dict:
     """``constants`` as the listing reads them back: arrays and tuples as
     lists, numpy scalars as floats. A dict that holds none of those is
-    returned itself, so steps that share a layout share its dict."""
-    if constants is None:
-        return {}
+    returned itself, so steps that share a layout share its dict; no
+    constants (None or empty) is the shared ``_NO_CONSTANTS``."""
+    if not constants:
+        return _NO_CONSTANTS
     for value in constants.values():
         if isinstance(value, _NOT_CANONICAL):
             return {key: _canon_value(value) for key, value in constants.items()}

@@ -3,6 +3,8 @@ benchmark's sizes: each factor step and the free-energy program run one
 instruction at a time (the order ``engine.DirectExecutor`` walks) against
 the grouped plan ``codegen.Interpreter`` runs, where a program's
 independent instructions of one batched rule or energy go through one call.
+Both go through the executor loop (``Executor.run_items``), which runs a
+lone instruction in its own frame up to ``Rule.apply``.
 
 Each model runs a few iterations first, so the beliefs are the kind a run
 sees. A program's first row gives milliseconds per run of it (``step`` for
@@ -16,9 +18,10 @@ left out. Each timing is the best of five runs.
 A second table gives the per-object floor under a one-dimensional message, in
 microseconds (``timeit``): building a 1-D ``GaussianMeanVariance`` and a
 ``GaussianCanonical`` from floats, a 1-D ``product``, and the walk's
-``variational:addition:out`` rule applied alone (``Rule.apply``, as the
-interpreter runs a lone instruction), called as a batch of one, and per
-member in batches of 10 and 100. Then the same floor under hmgm's 3-state
+``variational:addition:out`` rule applied alone (``Rule.apply``), run as a
+lone instruction through the executor loop (``Executor.run_items``, as both
+executors run one; per instruction of a program of ``LONE`` of them),
+called as a batch of one, and per member in batches of 10 and 100. Then the same floor under hmgm's 3-state
 chain messages: a 3-state ``Categorical`` built from a tuple of floats and
 from an array, a 3-state ``product``, and ``variational:transition:out``
 applied alone. Then the floor under a group's 2-D
@@ -53,7 +56,7 @@ from collections import defaultdict
 import numpy as np
 
 from mpgraph._linalg import floored_eigh, inverse_2x2, symmetrize
-from mpgraph.codegen import Interpreter
+from mpgraph.codegen import Executor, Interpreter
 from mpgraph.distributions import (
     Categorical,
     Dirichlet,
@@ -70,11 +73,13 @@ from mpgraph.distributions import (
 from mpgraph.engine import compile_model, init_marginals
 from mpgraph.models import Co2Model, HmgmModel, ProbitSsmModel, RandomWalkModel, sample_generative
 from mpgraph.rules import MARGINAL, MESSAGE, VOID, default_registry
+from mpgraph.scheduler import Instruction
 
 REPEATS = 5
 NUMBER = 2000  # calls per timing of the floor table
 MEMBERS = 200  # messages per product of the floor table
 JOINTS = 1600  # members of a group of 2-D Gaussians in the floor table
+LONE = 100  # lone instructions per program timed through the executor loop
 
 
 def bench_models():
@@ -107,14 +112,11 @@ def best(fn) -> float:
 
 
 def run(runner, key, data, marginals, grouped: bool):
-    """One run of program ``key`` (a factor id, None for F): in its plan's
-    order, or one instruction at a time."""
+    """One run of program ``key`` (a factor id, None for F) through the
+    executor loop (``Executor.run_items``): in its plan's order, or one
+    instruction at a time."""
     runner.values = [None] * len(runner.energy_terms)
-    if grouped:
-        runner._run(key, data, marginals)
-        return
-    for pos, ins in enumerate(runner._programs[key]):
-        runner.run_instruction(key, pos, ins, data, marginals)
+    runner.run_items(key, runner._plans[key] if grouped else range(len(runner._programs[key])), data, marginals)
 
 
 def per_key(runner, key, data, marginals, grouped: bool) -> dict:
@@ -129,7 +131,7 @@ def per_key(runner, key, data, marginals, grouped: bool) -> dict:
         for item in items:
             start = time.perf_counter()
             if item.__class__ is int:
-                runner.run_instruction(key, item, program[item], data, marginals)
+                runner.run_items(key, (item,), data, marginals)
                 applies, count = program[item].rule_id or program[item].opcode, 1
             else:
                 runner.run_group(key, item, data, marginals)
@@ -171,10 +173,15 @@ def floor_rows() -> list:
     def micros(fn, per=1, number=NUMBER) -> float:
         return min(timeit.repeat(fn, number=number, repeat=REPEATS)) / number / per * 1e6
 
+    slots = [("void",), ("marginal", "msg"), ("marginal", "shift")]
+    program = [Instruction("rule", ("msg", i), slots, rule.id) for i in range(LONE)]
+    loop, marginals = Executor(None, {"X": program}, [], {}), {"msg": msg, "shift": shift}
     rows = [("1-D GaussianMeanVariance from floats", micros(lambda: GaussianMeanVariance(0.25, 2.0))),
             ("1-D GaussianCanonical from floats", micros(lambda: GaussianCanonical(0.5, 3.0))),
             ("1-D product", micros(lambda: product(msg, shift))),
             (f"{rule.id} alone (Rule.apply)", micros(lambda: rule.apply([None, msg, shift], {}))),
+            (f"{rule.id} as a lone instruction through the executor loop",
+             micros(lambda: loop.run_items("X", range(LONE), {}, marginals), LONE, NUMBER // LONE)),
             (f"{rule.id} as a batch of one", micros(lambda: rule.batch([[None], [msg], [shift]], {})))]
     for n in (10, 100):
         columns = [[None] * n, [GaussianMeanVariance(0.25 + i, 2.0) for i in range(n)], [shift] * n]

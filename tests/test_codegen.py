@@ -6,13 +6,24 @@ from mpgraph.codegen import (
     Instruction,
     Interpreter,
     InterpretError,
+    canonical_json,
     compile_program,
     parse_listing,
     render,
 )
+from mpgraph.distributions import Batch, Gamma
 from mpgraph.engine import DirectExecutor, compile_model, init_marginals
 from mpgraph.graph import FactorGraph
-from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel, sample_hmgm
+from mpgraph.models import (
+    Co2Model,
+    HmgmModel,
+    LgssmModel,
+    ProbitSsmModel,
+    RandomWalkModel,
+    sample_generative,
+    sample_hmgm,
+)
+from mpgraph.rules import Rule, default_registry
 from mpgraph.scheduler import (
     RecognitionFactorization,
     default_factorization,
@@ -20,6 +31,32 @@ from mpgraph.scheduler import (
     schedule_sum_product,
     schedule_vmp,
 )
+
+
+def swapped_registry(prefix, fn):
+    """The default registry, with the body of the rule whose id starts
+    with ``prefix`` replaced by ``fn`` (the rule keeps its id)."""
+    class Swapped:
+        def by_id(self, rule_id):
+            rule = default_registry().by_id(rule_id)
+            if rule_id.startswith(prefix):
+                rule = Rule(rule.kind, rule.role, rule.flavor, rule.slots, fn, rule.out_type, rule.needs_previous)
+                assert rule.id == rule_id
+            return rule
+
+    return Swapped()
+
+
+def _boom(inbound, constants):
+    raise ValueError("boom")
+
+
+def _boom_batch(columns, constants):
+    raise ValueError("boom")
+
+
+def _previous_named(inbound, constants, previous):
+    raise ValueError(f"previous {canonical_json(previous.to_json())}")
 
 
 def conjugate_toy():
@@ -204,6 +241,67 @@ class TestInterpret:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
         assert errors[0].endswith(expected)
+
+    # step X of the toy below, every instruction alone:
+    #   msg[0] <- sum-product:gaussian_mean_variance:out(_, const, const)
+    #   msg[1] <- variational:gaussian_mean_precision:mean(data[y][1], _, q[w])
+    #   q[x] <- msg[0] * msg[1]
+    @pytest.mark.parametrize("case, expected", [
+        ("marginal", "step X, instruction 1 (rule -> ('msg', 1)): marginal 'w' missing from the table"),
+        ("data", "step X, instruction 1 (rule -> ('msg', 1)): missing data slot y[1]"),
+        ("rule body", "step X, instruction 1 (rule -> ('msg', 1)): boom"),
+        ("batched rule body", "step X, instruction 1 (rule -> ('msg', 1)): boom"),
+        ("product", "step X, instruction 2 (product -> ('marginal', 'x')): "
+                    "cannot multiply Gamma with GaussianMeanVariance"),
+    ])
+    def test_direct_and_interpreted_lone_errors_agree(self, case, expected):
+        g = FactorGraph()
+        g.add_node("gaussian_mean_variance", {"out": "x", "mean": 0.0, "variance": 1.0})
+        g.add_node("gamma", {"out": "w", "shape": 1.0, "rate": 1.0})
+        g.add_node("gaussian_mean_precision", {"out": "y", "mean": "x", "precision": "w"})
+        g.observe("y", "y", 1, ())
+        rf = RecognitionFactorization([("X", ["x"]), ("W", ["w"])])
+        schedules, fe = schedule_vmp(g, rf), schedule_free_energy(g, rf)
+        registry = {
+            "rule body": swapped_registry("variational:gaussian_mean_precision:mean:", _boom),
+            "batched rule body": swapped_registry("variational:gaussian_mean_precision:mean:", Batch(_boom_batch)),
+            "product": swapped_registry("sum-product:gaussian_mean_variance:out:",
+                                        lambda inbound, constants: Gamma(1.0, 1.0)),
+        }.get(case)
+        ir = compile_program(schedules, fe)
+        errors = []
+        for runner in (Interpreter(ir, registry), DirectExecutor(schedules, fe, registry)):
+            assert all(item.__class__ is int for key, plan in runner._plans.items() if key for item in plan)
+            data, marginals = {"y": np.array([0.3])}, init_marginals(g, rf)
+            if case == "data":
+                data = {}
+            elif case == "marginal":
+                del marginals["w"]
+            with pytest.raises(InterpretError) as err:
+                runner.run_iteration(data, marginals)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0] == expected
+
+    def test_direct_and_interpreted_errors_agree_on_an_ep_rules_extra(self):
+        # the EP update reads the site it writes through ``extra``; its body
+        # here raises naming the value it was handed
+        model, T = ProbitSsmModel(), 2
+        data, _ = sample_generative("probit-ssm", 1, T=T)
+        graph, rf = model.build(T)
+        schedules, fe = schedule_vmp(graph, rf, ep_damping=0.5), schedule_free_energy(graph, rf)
+        ir = compile_program(schedules, fe)
+        fid, pos, ins = next((fid, pos, ins) for fid, program in ir.steps for pos, ins in enumerate(program)
+                             if ins.extra)
+        registry = swapped_registry(ins.rule_id, _previous_named)
+        errors = []
+        for runner in (Interpreter(ir, registry), DirectExecutor(schedules, fe, registry)):
+            assert pos in runner._plans[fid]  # it runs alone
+            with pytest.raises(InterpretError) as err:
+                runner.run_iteration(data, init_marginals(graph, rf, model.initial_marginals(T)))
+            errors.append(str(err.value))
+        site = canonical_json(ir.site_inits[ins.extra[1]].to_json())
+        assert errors[0] == errors[1] == f"step {fid}, instruction {pos} (rule -> ('msg', {pos})): previous {site}"
 
     def test_error_carries_instruction_position(self):
         g, rf = conjugate_toy()

@@ -28,6 +28,10 @@ from mpgraph.distributions import (
     GaussianCanonical,
     GaussianMeanPrecision,
     GaussianMeanVariance,
+    Wishart,
+    _checked_inverse_2x2,
+    _wishart_dof,
+    _wishart_fold_2x2,
     product,
 )
 
@@ -582,3 +586,97 @@ def test_strict_2x2_check_matches_numpy_body(m):
 
     want = result_of(reference_check_spd, np.array(m), "Wishart scale", True)
     assert result_of(check, a, b, c, d) == want
+
+
+# ---------------------------------------------------------------------------
+# The Wishart fold's checked inverse: the strict check's eigenvalues reused
+# ---------------------------------------------------------------------------
+
+
+def reference_checked_inverse(v00, v01, v10, v11):
+    """The fold's step before the check's eigenvalues were reused: the strict
+    check, then ``inverse_2x2`` of the checked scale from scratch."""
+    try:
+        v00, v01, v11 = check_spd_2x2(v00, v01, v10, v11, "Wishart scale", strict=True)
+    except ValueError as exc:
+        raise DistributionError(str(exc)) from None
+    return inverse_2x2(v00, 0.5 * (v01 + v01), v11)
+
+
+def reference_wishart_fold_2x2(inverses, dofs):
+    """``_wishart_fold_2x2`` before the check's eigenvalues were reused: the
+    strict check, the dof check, then the inverse of the checked scale."""
+    ((r00, r01), (r10, r11)), dof = inverses[0], dofs[0]
+    for k in range(1, len(inverses) - 1):
+        (i00, i01), (i10, i11) = inverses[k]
+        (v00, v01), (v10, v11) = inverse_2x2(r00 + i00, 0.5 * ((r01 + i01) + (r10 + i10)), r11 + i11)
+        try:
+            v00, v01, v11 = check_spd_2x2(v00, v01, v10, v11, "Wishart scale", strict=True)
+        except ValueError as exc:
+            raise DistributionError(str(exc)) from None
+        dof = _wishart_dof(dof + dofs[k] - 2 - 1.0, 2)
+        (r00, r01), (r10, r11) = inverse_2x2(v00, 0.5 * (v01 + v01), v11)
+    (i00, i01), (i10, i11) = inverses[-1]
+    x = inverse_2x2(r00 + i00, 0.5 * ((r01 + i01) + (r10 + i10)), r11 + i11)
+    return Wishart(np.array(x), dof + dofs[-1] - 2 - 1.0)
+
+
+HUGE = [1e307, 8.9e307, 8.99e307, 1.7e308, np.finfo(float).max]
+
+
+@st.composite
+def huge_scales(draw):
+    """Symmetric 2x2 scales with an entry near DBL_MAX, where doubling it
+    overflows, and ill-conditioned ones with a tiny second eigenvalue."""
+    big = draw(st.sampled_from(HUGE))
+    small = draw(st.one_of(st.sampled_from(TINY + [1.0, 1e-300]), st.floats(1e-3, 1e3)))
+    off = draw(st.sampled_from([0.0, -0.0, 1.0, 1e150, 1e300]))
+    if draw(st.booleans()):
+        return [[big, off], [off, small]]
+    return [[small, off], [off, big]]
+
+
+@st.composite
+def spd_scales(draw):
+    """Symmetric positive definite 2x2 matrices with eigenvalues from 1e-12
+    to 1e150, most within 1e+-3, so that folds of them mostly pass their
+    checks."""
+    angle = draw(st.floats(0.0, np.pi))
+    q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    eigs = [10.0 ** draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-12.0, 150.0))) for _ in range(2)]
+    return ((q * eigs) @ q.T).tolist()
+
+
+def rows_of(fn, *args):
+    return result_of(lambda: np.array(fn(*args)))
+
+
+@settings(max_examples=1000, deadline=None)
+@example([[2.0, 0.5], [0.5, 1.0]])
+@example([[1.7e308, 0.0], [0.0, 1.7e308]])  # 0.5 * (a + a) overflows: the check's eigenvalues do not serve
+@example([[1.0, 8.99e307], [8.99e307, 1.7e308]])  # not positive definite
+@example([[1e-300, 0.0], [0.0, 1e300]])  # ill-conditioned
+@example([[1.0, 0.5], [0.5 + 1e-6, 1.0]])  # not symmetric
+@given(st.one_of(inverse_inputs(), huge_scales(), spd_scales()))
+def test_the_checked_inverse_reuses_the_checks_eigenvalues_bit_for_bit(m):
+    (a, b), (c, d) = m
+    assert rows_of(_checked_inverse_2x2, a, b, c, d) == rows_of(reference_checked_inverse, a, b, c, d)
+
+
+def wishart_outcome(fold, inverses, dofs):
+    def scale_and_dof():
+        q = fold(inverses, dofs)
+        return q.scale, np.array(q.dof)
+
+    return result_of(scale_and_dof)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(spd_scales(), min_size=2, max_size=6),
+                st.lists(st.one_of(spd_scales(), inverse_inputs(), huge_scales()), min_size=2, max_size=6)),
+       st.lists(st.floats(1.5, 6.0), min_size=6, max_size=6))
+def test_the_float_wishart_fold_matches_its_reference(inverses, dofs):
+    inverses = [[[a, b], [b, d]] for (a, b), (_, d) in inverses]  # inverses of scales are symmetric
+    dofs = dofs[:len(inverses)]
+    assert wishart_outcome(_wishart_fold_2x2, inverses, dofs) == \
+        wishart_outcome(reference_wishart_fold_2x2, inverses, dofs)

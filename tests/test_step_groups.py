@@ -2,7 +2,10 @@
 hand-built programs, planning cost on a long chain, the grouped run against
 one instruction at a time and ``DirectExecutor``, error location inside a
 group, the fallback of a group that does not stack (in a step and in the
-free-energy program), and grouping through rule proxies."""
+free-energy program), and grouping through rule proxies, which see one
+``Rule.apply`` per rule instruction run alone."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -80,8 +83,7 @@ def run_both(reg, program, marginals):
         if grouped:
             runner.run_step("X", {}, table)
         else:
-            for pos, ins in enumerate(program):
-                runner.run_instruction("X", pos, ins, {}, table)
+            runner.run_items("X", range(len(program)), {}, table)
         outs.append(({k: float(v.value) for k, v in table.items()},
                      [None if m is None else float(m.value) for m in runner.messages["X"]]))
     return outs
@@ -283,6 +285,47 @@ class TestGroupedRuns:
         assert any(isinstance(item, _Group) for plan in proxied._plans.values() for item in plan)
         runs = [iterate(runner, data, init_marginals(graph, rf, overrides), max_iters=4, tol=0.0)
                 for runner in (proxied, Interpreter(ir), DirectExecutor(schedules, fe))]
+        for run in runs[1:]:
+            assert run.free_energy_trace == runs[0].free_energy_trace
+            assert {k: v.to_json() for k, v in run.marginals.items()} == \
+                {k: v.to_json() for k, v in runs[0].marginals.items()}
+
+    def test_rule_apply_runs_once_per_lone_rule_instruction(self):
+        # a timing proxy (the benchmark's ``TimedRule``) sees every rule
+        # instruction an executor runs alone as one ``Rule.apply``, and no
+        # group's members
+        calls = Counter()
+
+        class Counted:
+            def __init__(self, rule):
+                self._rule = rule
+
+            def apply(self, inbound, constants, previous=None):
+                calls[self._rule.id] += 1
+                return self._rule.apply(inbound, constants, previous)
+
+            def __getattr__(self, attr):
+                return getattr(self._rule, attr)
+
+        class Registry:
+            def by_id(self, rule_id):
+                return Counted(default_registry().by_id(rule_id))
+
+        graph, rf, schedules, fe, data, overrides = walk()
+        ir, iterations = compile_program(schedules, fe), 3
+        applying = sum(ins.opcode != "product" for _, program in ir.steps for ins in program)  # rule, joint
+        runs = []
+        for runner in (Interpreter(ir, Registry()), DirectExecutor(schedules, fe, Registry()), Interpreter(ir)):
+            calls.clear()
+            runs.append(iterate(runner, data, init_marginals(graph, rf, overrides), max_iters=iterations, tol=0.0))
+            lone = Counter(runner._programs[fid][pos].rule_id for fid in runner.messages
+                           for pos in runner._plans[fid] if pos.__class__ is int and runner._programs[fid][pos].rule_id)
+            if runner.registry.__class__ is Registry:
+                assert calls == Counter({rule_id: n * iterations for rule_id, n in lone.items()})
+            if runner.__class__ is DirectExecutor:
+                assert sum(lone.values()) == applying
+            else:
+                assert 0 < sum(lone.values()) < applying
         for run in runs[1:]:
             assert run.free_energy_trace == runs[0].free_energy_trace
             assert {k: v.to_json() for k, v in run.marginals.items()} == \
