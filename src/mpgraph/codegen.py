@@ -207,14 +207,21 @@ def render(ir: AlgorithmIR) -> str:
     """Deterministic source listing of the compiled program, and the IR's
     one serialization: re-rendering an identical IR yields byte-identical
     text, and ``parse_listing`` reads it back to an equal IR. Equal
-    constants are encoded once per call."""
+    constants are encoded once per call, and a dict that instructions share
+    is looked up once."""
     encoded: dict[str, str] = {}  # repr of a constants dict -> its canonical JSON
+    # id of a constants dict -> its text; the IR holds each dict while this
+    # runs, so no id is reused
+    by_id: dict[int, str] = {}
 
     def encode(constants: dict) -> str:
-        key = repr(constants)
-        text = encoded.get(key)
+        text = by_id.get(id(constants))
         if text is None:
-            text = encoded[key] = canonical_json(constants)
+            key = repr(constants)
+            text = encoded.get(key)
+            if text is None:
+                text = encoded[key] = canonical_json(constants)
+            by_id[id(constants)] = text
         return text
 
     lines = []

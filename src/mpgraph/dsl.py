@@ -28,8 +28,8 @@ import numpy as np
 
 from .graph import NODE_KINDS, FactorGraph, GraphError, NodeKind, infer_supports
 
-# Loops are unrolled by recursion, two Python frames per level; deeper nesting
-# is rejected before it can exhaust the interpreter's recursion limit.
+# Loops are unrolled by recursion, three Python frames per level; deeper
+# nesting is rejected before it can exhaust the interpreter's recursion limit.
 MAX_LOOP_DEPTH = 100
 
 
@@ -122,6 +122,14 @@ class _Parser:
 
     # -- grammar ----------------------------------------------------------
 
+    # Each statement is parsed where it stands and run at once in its loop
+    # indices' environment, and returns a record, ``run(env)``, that runs it
+    # again in another environment of the same indices. A loop parses its
+    # body at its first index and runs the records at the others, with the
+    # same checks in the same order as a parse at that index; a body that
+    # holds a ``let`` is parsed at every index, since a ``let`` changes how
+    # the statements after it parse.
+
     def parse(self) -> FactorGraph:
         while self.peek() is not None:
             self.statement({})
@@ -131,15 +139,14 @@ class _Parser:
     def statement(self, env: dict):
         tok = self.peek()
         if tok.kind == "name" and tok.value == "let":
-            self.let_statement()
-        elif tok.kind == "name" and tok.value == "for":
-            self.for_statement(env)
-        elif tok.kind == "name" and tok.value == "observe":
-            self.observe_statement(env)
-        elif tok.kind == "name":
-            self.sample_statement(env)
-        else:
-            self.error(f"expected a statement, found {tok.value!r}")
+            return self.let_statement()
+        if tok.kind == "name" and tok.value == "for":
+            return self.for_statement(env)
+        if tok.kind == "name" and tok.value == "observe":
+            return self.observe_statement(env)
+        if tok.kind == "name":
+            return self.sample_statement(env)
+        self.error(f"expected a statement, found {tok.value!r}")
 
     def let_statement(self):
         self.expect("let")
@@ -169,33 +176,58 @@ class _Parser:
                 depth -= 1
         body_end = self.i - 1
         saved = self.i
-        for value in range(start, stop + 1):
-            self.i = body_start
-            inner = dict(env)
-            inner[var] = value
-            while self.i < body_end:
-                self.statement(inner)
+        replay = all(tok.value != "let" for tok in self.tokens[body_start:body_end])
+        records = None  # the body's statement records, once parsed
+
+        def run(env):
+            nonlocal records
+            for value in range(start(env), stop(env) + 1):
+                inner = dict(env)
+                inner[var] = value
+                if records is not None:
+                    for record in records:
+                        record(inner)
+                    continue
+                self.i = body_start
+                parsed = []
+                while self.i < body_end:
+                    parsed.append(self.statement(inner))
+                if replay:
+                    records = parsed
+
+        run(env)
         self.i = saved
+        return run
 
     def observe_statement(self, env: dict):
         self.expect("observe")
         base = self.ident()
         tok = self.peek()
-        index = 1
-        var = base
+        index = None
         if tok is not None and tok.value == "[":
             index = self.index_suffix(env)
-            var = f"{base}[{index}]"
-            if index < 1:
-                raise ModelParseError(f"observed index {var} is below 1: data series are 1-based", tok.line)
+            at = index(env)
+            if at < 1:
+                raise ModelParseError(f"observed index {base}[{at}] is below 1: data series are 1-based", tok.line)
         self.expect("::")
         dims = self.dims_tuple()
-        if var not in self.declared:
-            self.error(f"undeclared variable {var!r}")
-        self.graph.observe(var, base, index, dims)
+        where = self.peek() or self.tokens[-1]
+        declared, graph = self.declared, self.graph
+
+        def run(env):
+            at = 1 if index is None else index(env)
+            var = base if index is None else f"{base}[{at}]"
+            if at < 1:
+                raise ModelParseError(f"observed index {var} is below 1: data series are 1-based", tok.line)
+            if var not in declared:
+                raise ModelParseError(f"undeclared variable {var!r}", where.line, where.pos)
+            graph.observe(var, base, at, dims)
+
+        run(env)
+        return run
 
     def sample_statement(self, env: dict):
-        out = self.variable_ref(env, declare=True)
+        out = self.variable_ref(env)
         self.expect("~")
         kind_tok = self.next()
         kind = self.kinds.get(kind_tok.value)
@@ -209,9 +241,20 @@ class _Parser:
                 self.next()
                 args.append(self.argument(env))
         self.expect(")")
-        self.build_node(kind, out, args, kind_tok)
+        declared, build_node = self.declared, self.build_node
 
-    def build_node(self, kind: NodeKind, out: str, args: list, kind_tok: _Token):
+        def run(env, check_values=False):
+            name = out(env)
+            declared.add(name)
+            build_node(kind, name, [arg(env) for arg in args], kind_tok, check_values)
+
+        run(env, True)
+        return run
+
+    def build_node(self, kind: NodeKind, out: str, args: list, kind_tok: _Token, check_values: bool = True):
+        """Add ``out ~ kind(args)``; ``check_values`` False skips the check
+        of the parameters written as numbers, for a record run again with
+        the values it passed."""
         constants = {}
         if kind.parse_constants is not None:
             try:
@@ -226,12 +269,14 @@ class _Parser:
             )
         connections = {roles[0]: out}
         for role, arg in zip(roles[1:], args):
-            if isinstance(arg, str) and arg not in self.declared:
-                raise ModelParseError(f"undeclared variable {arg!r}", kind_tok.line)
-            if isinstance(arg, str) and arg == out:
-                raise ModelParseError(f"variable {out!r} is an input of the node that produces it", kind_tok.line)
+            if isinstance(arg, str):
+                if arg not in self.declared:
+                    raise ModelParseError(f"undeclared variable {arg!r}", kind_tok.line)
+                if arg == out:
+                    raise ModelParseError(f"variable {out!r} is an input of the node that produces it",
+                                          kind_tok.line)
             connections[role] = arg
-        if kind.check_values is not None:
+        if check_values and kind.check_values is not None:
             try:
                 kind.check_values({role: np.asarray(arg, dtype=float) for role, arg in connections.items()
                                    if not isinstance(arg, str)})
@@ -243,6 +288,9 @@ class _Parser:
             raise ModelParseError(str(exc), kind_tok.line) from None
 
     # -- terminals ----------------------------------------------------------
+    #
+    # Those that read a loop index or a literal return a function of the
+    # environment, for the statement records.
 
     def ident(self) -> str:
         tok = self.next()
@@ -250,44 +298,56 @@ class _Parser:
             raise ModelParseError(f"expected a name, found {tok.value!r}", tok.line, tok.pos)
         return tok.value
 
-    def variable_ref(self, env: dict, declare: bool = False) -> str:
+    def variable_ref(self, env: dict):
+        """The variable's name as a function of the environment."""
         base = self.ident()
-        name = base
-        if self.peek() is not None and self.peek().value == "[":
-            name = f"{base}[{self.index_suffix(env)}]"
-        if declare:
-            self.declared.add(name)
-        return name
+        if self.peek() is None or self.peek().value != "[":
+            return lambda env: base
+        index = self.index_suffix(env)
+        return lambda env: f"{base}[{index(env)}]"
 
-    def index_suffix(self, env: dict) -> int:
+    def index_suffix(self, env: dict):
+        """The index as a function of the environment: the sum of its
+        numbers and loop indices."""
         self.expect("[")
-        total = 0
+        total, names = 0, []
         while True:
             tok = self.next()
             if tok.kind == "name":
                 if tok.value not in env:
                     raise ModelParseError(f"unknown loop index {tok.value!r}", tok.line, tok.pos)
-                total += int(env[tok.value])
+                names.append(tok.value)
             elif tok.kind == "number":
                 total += _integer(float(tok.value), tok)
             elif tok.value == "]":
-                return total
+                break
             else:
                 raise ModelParseError(f"bad index expression at {tok.value!r}", tok.line, tok.pos)
+        if not names:
+            return lambda env: total
+        if len(names) == 1:
+            name = names[0]
+            return lambda env: total + env[name]
+        return lambda env: total + sum(env[name] for name in names)
 
     def argument(self, env: dict):
         """A number, literal or ``let`` constant, or else a name (a variable,
-        or a constant such as Nonlinear's g that the kind parses)."""
+        or a constant such as Nonlinear's g that the kind parses), as a
+        function of the environment; a literal array is a new copy each
+        time, as a parse at each index makes it."""
         tok = self.current()
         if tok.kind == "number":
             self.next()
-            return float(tok.value)
+            value = float(tok.value)
+            return lambda env: value
         if tok.value == "[":
-            return self.literal()
+            value = self.literal()
+            return lambda env: value.copy()
         if tok.kind == "name":
             if tok.value in self.lets:
                 self.next()
-                return self.lets[tok.value]
+                value = self.lets[tok.value]
+                return lambda env: value
             return self.variable_ref(env)
         self.error(f"bad argument {tok.value!r}")
 
@@ -338,15 +398,19 @@ class _Parser:
             raise ModelParseError(f"expected a number, found {tok.value!r}", tok.line, tok.pos)
         return float(tok.value)
 
-    def int_literal(self, env: dict) -> int:
+    def int_literal(self, env: dict):
+        """A loop bound as a function of the environment."""
         tok = self.next()
         if tok.kind == "number":
-            return _integer(float(tok.value), tok)
+            value = _integer(float(tok.value), tok)
+            return lambda env: value
         if tok.kind == "name":
             if tok.value in self.lets and np.isscalar(self.lets[tok.value]):
-                return _integer(self.lets[tok.value], tok)
+                value = _integer(self.lets[tok.value], tok)
+                return lambda env: value
             if tok.value in env:
-                return int(env[tok.value])
+                name = tok.value
+                return lambda env: env[name]
             raise ModelParseError(f"loop bound {tok.value!r} is not a known constant", tok.line, tok.pos)
         raise ModelParseError(f"expected a loop bound, found {tok.value!r}", tok.line, tok.pos)
 

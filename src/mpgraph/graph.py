@@ -110,12 +110,16 @@ NODE_KINDS: dict[str, NodeKind] = {}
 
 
 class Node:
+    """One factor. ``interfaces`` holds the edge id on each interface (None
+    while unconnected): a list while the builder connects the node, then a
+    tuple of ints, which the cyclic collector does not keep tracking."""
+
     __slots__ = ("id", "kind", "interfaces", "constants", "_roles")
 
     def __init__(self, node_id: int, kind: str, arity: int, constants: dict | None = None):
         self.id = node_id
         self.kind = kind
-        self.interfaces: list[int | None] = [None] * arity
+        self.interfaces: list[int | None] | tuple[int | None, ...] = [None] * arity
         self.constants = constants or {}
         self._roles: tuple[str, ...] | None = None
 
@@ -172,7 +176,13 @@ class FactorGraph:
         self.placeholders: list[Placeholder] = []
         self.composites: dict[str, CompositeDefinition] = {}
         self._frontier: dict[str, int] = {}  # variable -> edge id with latest free/taken head
-        self._edges_of: dict[str, list[int]] = {}  # variable -> its edge ids in creation order
+        # Each variable's edges in creation order, as a linked list: its first
+        # and last edge ids, and per edge the id of the next one of its
+        # variable (None for the last); ints only, so the cyclic collector
+        # tracks none of it but the one list.
+        self._first: dict[str, int] = {}
+        self._last: dict[str, int] = {}
+        self._next: list[int | None] = []
 
     # -- lookups ------------------------------------------------------------
 
@@ -185,10 +195,18 @@ class FactorGraph:
         raise GraphError(f"unknown node kind {node.kind!r}")
 
     def variable_edges(self, name: str) -> list[Edge]:
-        return [self.edges[i] for i in self._edges_of.get(name, ())]
+        edges, edge_id = [], self._first.get(name)
+        while edge_id is not None:
+            edges.append(self.edges[edge_id])
+            edge_id = self._next[edge_id]
+        return edges
+
+    def last_edge(self, name: str) -> Edge:
+        """The variable's most recently created edge."""
+        return self.edges[self._last[name]]
 
     def variables(self) -> list[str]:
-        return list(self._edges_of)
+        return list(self._first)
 
     def node_at(self, site: tuple[int, int]) -> Node:
         return self.nodes[site[0]]
@@ -210,13 +228,29 @@ class FactorGraph:
         """The one place edges are appended; keeps the per-variable index."""
         edge = Edge(len(self.edges), name)
         self.edges.append(edge)
-        self._edges_of.setdefault(name, []).append(edge.id)
+        self._next.append(None)
+        last = self._last.get(name)
+        if last is None:
+            self._first[name] = edge.id
+        else:
+            self._next[last] = edge.id
+        self._last[name] = edge.id
         return edge
+
+    def _connect(self, site: tuple[int, int], edge_id: int):
+        """Point interface ``site`` at ``edge_id``; a connected node's
+        interfaces tuple is replaced."""
+        node = self.nodes[site[0]]
+        interfaces, idx = node.interfaces, site[1]
+        if isinstance(interfaces, list):
+            interfaces[idx] = edge_id
+        else:
+            node.interfaces = (*interfaces[:idx], edge_id, *interfaces[idx + 1:])
 
     def _attach_output(self, name: str, site: tuple[int, int]):
         if name not in self._frontier:
             self.add_variable(name)
-        first = self.edges[self._edges_of[name][0]]
+        first = self.edges[self._first[name]]
         if first.tail is not None:
             held = self.node_at(first.tail)
             if first.tail[1] == 0 and held.kind not in ("equality", "clamp"):
@@ -230,13 +264,14 @@ class FactorGraph:
                 segment.tail = (eq.id, idx)
                 segment.head = reader
                 eq.interfaces[idx] = segment.id
-                self.nodes[reader[0]].interfaces[reader[1]] = segment.id
+                self._connect(reader, segment.id)
             first.head = (eq.id, 0)
             eq.interfaces[0] = first.id
+            eq.interfaces = tuple(eq.interfaces)
             if self._frontier[name] == first.id:
                 self._frontier[name] = segment.id
         first.tail = site
-        self.nodes[site[0]].interfaces[site[1]] = first.id
+        self._connect(site, first.id)
 
     def _attach_input(self, name: str, site: tuple[int, int]):
         if name not in self._frontier:
@@ -244,13 +279,13 @@ class FactorGraph:
         edge = self.edges[self._frontier[name]]
         if edge.head is None:
             edge.head = site
-            self.nodes[site[0]].interfaces[site[1]] = edge.id
+            self._connect(site, edge.id)
             return
         if edge.tail is None:
             # Orientation is notational; reuse the free endpoint before
             # resorting to an equality branch.
             edge.tail = site
-            self.nodes[site[0]].interfaces[site[1]] = edge.id
+            self._connect(site, edge.id)
             return
         # Third (or later) usage: branch through an equality node, splitting
         # the frontier segment at its current consumer.
@@ -264,13 +299,14 @@ class FactorGraph:
         to_old.tail = (eq.id, 1)
         to_old.head = old_head
         eq.interfaces[1] = to_old.id
-        self.nodes[old_head[0]].interfaces[old_head[1]] = to_old.id
+        self._connect(old_head, to_old.id)
 
         to_new = self._new_segment(name)
         to_new.tail = (eq.id, 2)
         to_new.head = site
         eq.interfaces[2] = to_new.id
-        self.nodes[site[0]].interfaces[site[1]] = to_new.id
+        eq.interfaces = tuple(eq.interfaces)
+        self._connect(site, to_new.id)
         self._frontier[name] = to_new.id
 
     def add_node(self, kind: str, connections: dict, constants: dict | None = None) -> Node:
@@ -303,6 +339,7 @@ class FactorGraph:
                 self.add_variable(aux)
                 self._attach_output(aux, (node.id, idx))
                 self.clamp(aux, target)
+        node.interfaces = tuple(node.interfaces)
         return node
 
     def clamp(self, variable: str, value, placeholder: Placeholder | None = None) -> Node:
@@ -319,6 +356,7 @@ class FactorGraph:
         node = Node(len(self.nodes), "clamp", 1, constants)
         self.nodes.append(node)
         self._attach_input(variable, (node.id, 0))
+        node.interfaces = tuple(node.interfaces)
         return node
 
     def observe(self, variable: str, name: str, index: int, dims: tuple[int, ...]) -> Node:
@@ -400,7 +438,9 @@ class FactorGraph:
                 else:
                     outer.head = site
                 flat.nodes[site[0]].interfaces[site[1]] = outer.id
-        flat._frontier = {var: ids[-1] for var, ids in flat._edges_of.items()}
+        for clone in flat.nodes:
+            clone.interfaces = tuple(clone.interfaces)
+        flat._frontier = dict(flat._last)
         return flat.flatten()
 
     def validate(self, targets=None) -> list[str]:
@@ -454,15 +494,12 @@ class Support:
     """Family plus shape of a variable: what kind of belief can live on it.
     A value, never changed once made, so equal supports may be shared."""
 
-    __slots__ = ("family", "shape")
+    __slots__ = ("family", "shape", "dim")
 
     def __init__(self, family: str, shape: tuple[int, ...]):
         self.family = family
-        self.shape = tuple(int(s) for s in shape)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.shape)
+        self.shape = tuple(map(int, shape))
+        self.dim = math.prod(self.shape)
 
     def __repr__(self):
         return f"Support({self.family}, {self.shape})"
@@ -480,20 +517,27 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
     def share(sup: Support) -> Support:
         return shared.setdefault((sup.family, sup.shape), sup)
 
+    def shared_support(family: str, shape: tuple) -> Support:
+        """``share(Support(family, shape))``, built only when new."""
+        sup = shared.get((family, shape))
+        return share(Support(family, shape)) if sup is None else sup
+
+    nodes, edges = graph.nodes, graph.edges
     producer: dict[str, Node] = {}  # the node whose out site (interface 0) holds the variable
-    for edge in graph.edges:
-        if edge.tail is not None and edge.tail[1] == 0:
-            node = graph.node_at(edge.tail)
-            if graph.kind_of(node).support is not None:
+    for edge in edges:
+        tail = edge.tail
+        if tail is not None and tail[1] == 0:
+            node = nodes[tail[0]]
+            if (NODE_KINDS.get(node.kind) or graph.kind_of(node)).support is not None:
                 producer[edge.variable] = node
-    for node in graph.nodes:
+    for node in nodes:
         if node.kind == "clamp":
-            edge = graph.edges[node.interfaces[0]]
+            var = edges[node.interfaces[0]].variable
             if "value" in node.constants:
-                supports.setdefault(edge.variable, share(_support_of_value(node.constants["value"])))
+                sup = shared_support("point", np.asarray(node.constants["value"], dtype=float).shape)
             else:
-                dims = node.constants.get("dims", ())
-                supports.setdefault(edge.variable, share(Support("gaussian", dims or ())))
+                sup = shared_support("gaussian", tuple(node.constants.get("dims", ())))
+            supports.setdefault(var, sup)
 
     def input_var(node: Node, role: str) -> str | None:
         """The variable on ``node``'s ``role`` interface (None if unconnected)."""
@@ -536,6 +580,8 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
     for var in graph.variables():
         if var not in supports:
             resolve(var)
+    if all(var in supports for var in graph.variables()):
+        return supports
     # Precision/parameter inputs with no producer default by consumer role.
     for node in graph.nodes:
         roles = node.roles(graph)
@@ -549,13 +595,6 @@ def infer_supports(graph: FactorGraph) -> dict[str, Support]:
             if role in ("precision", "rate", "shape", "dof") or role.startswith("precision_"):
                 supports[var] = share(Support("gamma", ()))
     return supports
-
-
-def _support_of_value(value: np.ndarray) -> Support:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return Support("point", ())
-    return Support("point", arr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ prior parameters, for these builders and for DSL models alike.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtr
 
 from .distributions import (
     Dirichlet,
@@ -160,8 +161,6 @@ class ProbitSsmModel:
 
 
 def sample_probit_ssm(seed: int, T: int = 96):
-    from scipy.stats import norm
-
     rng = np.random.default_rng(seed)
     a = rotation(LGSSM_ANGLE)
     w_true = 50.0
@@ -169,7 +168,7 @@ def sample_probit_ssm(seed: int, T: int = 96):
     xs, ys = [], []
     for _ in range(T):
         x = a @ x + rng.multivariate_normal(np.zeros(2), np.eye(2) / w_true)
-        p = norm.cdf(x[0])
+        p = ndtr(x[0])  # the standard normal cdf, as scipy.stats.norm.cdf computes it
         ys.append(1.0 if rng.uniform() < p else -1.0)
         xs.append(x.copy())
     return {"y": np.asarray(ys)}, {"x": np.asarray(xs), "W": w_true, "seed": seed}

@@ -593,7 +593,10 @@ def _two_slice_table(q) -> np.ndarray:
 @Batch
 def _transition_toward_matrix(columns, constants):
     """Dirichlet(1 + E[x_t x_{t-1}^T]) from each two-slice joint; a group's
-    joints are read as their stack (``_held``)."""
+    joints are read as their stack (``_held``). A batch of one builds its
+    one table, without a stack."""
+    if len(columns[0]) == 1:
+        return [Dirichlet(1.0 + _two_slice_table(columns[0][0]))]
     stack = _held(columns[0], Categorical)
     tables = stack.first if stack is not None else np.array([_two_slice_table(q) for q in columns[0]])
     return stack_members(Dirichlet, 1.0 + tables)
@@ -784,9 +787,14 @@ def _joint_categorical_chain(columns, constants):
     tables of a group are normalized and checked as one stack
     (``stack_members``); numpy sums each table as it sums it alone. A
     normalizer that is not positive sends every member through
-    ``_normalized``, which raises at the first."""
+    ``_normalized``, which raises at the first. A batch of one computes its
+    one table, without the stacks' leading axis."""
     out_side, leaf, q_t = columns
     n = len(leaf)
+    if n == 1:
+        m = _expected_transition(q_t[0])
+        p_out, p_in = np.asarray(_probabilities(out_side[0])), np.asarray(_probabilities(leaf[0]))
+        return [_normalized(p_out[:, None] * m * p_in[None, :], "two-slice joint has zero normalizer")]
     (m,) = _stacked(q_t, lambda q: (_expected_transition(q),))
     (p_out,) = _stacked(out_side, _table)
     (p_in,) = _stacked(leaf, _table)

@@ -25,6 +25,7 @@ Listings of schedules are written by ``codegen.render_schedule(s)``.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +39,7 @@ from .distributions import (
     _VARIANTS,
     vague,
 )
-from .graph import FactorGraph, Node, Support, infer_supports
+from .graph import NODE_KINDS, FactorGraph, Node, Support, infer_supports
 from .rules import (
     CAVITY,
     MARGINAL,
@@ -147,13 +148,14 @@ def latent_stochastic_variables(graph: FactorGraph, supports=None) -> list[str]:
     """Variables produced by a stochastic node and not clamped, in edge order."""
     clamped = clamped_variables(graph)
     names: dict[str, None] = {}  # insertion-ordered set
+    nodes = graph.nodes
     for edge in graph.edges:
-        if edge.variable in clamped or edge.variable in names:
+        var, tail = edge.variable, edge.tail
+        if tail is None or tail[1] != 0 or var in clamped or var in names:
             continue
-        if edge.tail is None:
-            continue
-        if edge.tail[1] == 0 and graph.kind_of(graph.node_at(edge.tail)).energy is not None:
-            names[edge.variable] = None
+        node = nodes[tail[0]]
+        if (NODE_KINDS.get(node.kind) or graph.kind_of(node)).energy is not None:
+            names[var] = None
     return list(names)
 
 
@@ -271,12 +273,20 @@ class MeanSides(dict):
         return slots, constants
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """The identity gain of a dimension, read only, shared by every walk."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def affine_subtree(graph: FactorGraph, root_edge: int, root_site, out_dim: int, node_id) -> MeanSideInfo:
     """Decompose the producer side of an edge into g(sum_i G_i v_i + c). The
     deterministic subtree is walked depth first, inputs in interface order,
     from an explicit stack."""
     info = MeanSideInfo(node_id)
-    stack = [(root_edge, root_site, np.eye(out_dim))]
+    stack = [(root_edge, root_site, _identity(out_dim))]
     while stack:
         edge_id, consumer_site, gain = stack.pop()
         edge = graph.edges[edge_id]
@@ -537,14 +547,31 @@ class _FactorScheduler:
         self.belief_entries: set[int] = set()
         self.fold = fold  # a mean-field marginal is one product of its inbound messages
         self.folded: list[tuple[int, str]] = []  # the partial products it stands in for
+        self.marginal_reads: dict[str, tuple] = {}  # marginal key -> how ``read`` offers it
+        self.constants: dict[int, dict] = {}  # node id -> the constants its messages record
 
     # -- slot helpers -----------------------------------------------------
+
+    def read(self, slot) -> tuple:
+        """How ``emit`` offers a slot that is not void to a rule: ``(kind,
+        slot_type(slot, ...))``, the kind MARGINAL for a marginal or a belief
+        transport and MESSAGE otherwise."""
+        tag = slot[0]
+        if tag == "entry":
+            kind = MARGINAL if slot[1] in self.belief_entries else MESSAGE
+            return (kind, _VARIANTS[self.schedule.entries[slot[1]].out_variant])
+        if tag == "marginal":
+            read = self.marginal_reads.get(slot[1])
+            if read is None:
+                read = (MARGINAL, FAMILIES[support_of(slot[1], self.supports).family].belief)
+                self.marginal_reads[slot[1]] = read
+            return read
+        return (MESSAGE, slot_type(slot, self.schedule.entries, self.supports))
 
     def lookup(self, kind: str, role: str, slots, kinds):
         """The rule for ``slots`` read as ``kinds``, and the slots' run-time
         types (None for a void slot)."""
-        types = [None if k == VOID else slot_type(s, self.schedule.entries, self.supports)
-                 for s, k in zip(slots, kinds)]
+        types = [None if k == VOID else self.read(s)[1] for s, k in zip(slots, kinds)]
         return self.registry.lookup(kind, role, tuple(zip(kinds, types))), types
 
     def emit_entry(self, rule, types, slots, constants, label, extra=None, writes_site=None):
@@ -563,34 +590,37 @@ class _FactorScheduler:
         ('fwd' = out of the tail node, 'bwd' = out of the head node).
 
         A message computed from inbound messages comes out of an ``emit``
-        generator, which yields the ``(edge_id, direction)`` of each inbound
-        it needs. The suspended generators wait on an explicit stack, so a
+        generator, which opens each inbound message it needs; one that must
+        be emitted first pushes its own generator, and the opener waits for
+        it. The suspended generators wait on an explicit stack, so a
         dependency chain of any length runs in a fixed number of Python
         frames; entries are appended in the order a depth-first recursion
-        would append them."""
-        stack: list = []  # (key, suspended emit generator), innermost last
+        would append them. ``require`` is not entered again while it runs,
+        so the messages in progress are those of its stack."""
+        slot = self.memo.get((edge_id, direction))
+        if slot is not None:
+            return slot
+        stack: list = []  # suspended emit generators, innermost last
         try:
             slot = self._open((edge_id, direction), stack)
             while stack:
-                key, gen = stack[-1]
                 try:
-                    request = gen.send(slot)
+                    stack[-1].send(slot)
                 except StopIteration as done:
                     stack.pop()
-                    self.in_progress.discard(key)
-                    slot = self.memo[key] = done.value
+                    slot = done.value
                 else:
-                    slot = self._open(request, stack)
+                    slot = None  # the generator pushed another: start it
             return slot
         finally:
-            for key, _ in stack:
-                self.in_progress.discard(key)
+            self.in_progress.clear()
 
     def _open(self, key: tuple[int, str], stack: list):
         """The slot of a message that needs no inbound messages, or None
         after pushing the generator that will emit it onto ``stack``."""
-        if key in self.memo:
-            return self.memo[key]
+        slot = self.memo.get(key)
+        if slot is not None:
+            return slot
         edge_id, direction = key
         edge = self.graph.edges[edge_id]
         source = edge.tail if direction == "fwd" else edge.head
@@ -598,16 +628,13 @@ class _FactorScheduler:
             slot = ("const", vague_for(support_of(edge.variable, self.supports)))
             self.memo[key] = slot
             return slot
-        node = self.graph.node_at(source)
+        node = self.graph.nodes[source[0]]
         if node.kind == "clamp":
             slot = clamp_slot(node)
             self.memo[key] = slot
             return slot
-        if (
-            self.use_sites
-            and node.kind in ("probit", "nonlinear")
-            and node.roles(self.graph)[source[1]] == "in"
-        ):
+        kind, role = node.kind, node.roles(self.graph)[source[1]]
+        if self.use_sites and kind in ("probit", "nonlinear") and role == "in":
             # Backward messages out of these nodes depend on the smoothed
             # cavity, which is circular within one sweep: hold them in a
             # persistent site slot refreshed after the passes.
@@ -618,11 +645,7 @@ class _FactorScheduler:
             slot = ("site", site)
             self.memo[key] = slot
             return slot
-        if (
-            self.use_sites
-            and node.kind in ("gain", "addition")
-            and node.roles(self.graph)[source[1]] == "out"
-        ):
+        if self.use_sites and kind in ("gain", "addition") and role == "out":
             transported = self.try_belief_transport(node, edge, direction)
             if transported is not None:
                 self.memo[key] = transported
@@ -632,8 +655,14 @@ class _FactorScheduler:
                 f"message dependency cycle at edge {edge.variable!r}; "
                 "a recognition factorization must break this loop"
             )
+        if kind in GAUSSIAN_NODE_KINDS and role == "precision":
+            slot = self.memo[key] = self.emit_precision_update(node)
+            return slot
+        if kind == "transition" and role == "matrix":
+            slot = self.memo[key] = self.emit_matrix_update(node)
+            return slot
         self.in_progress.add(key)
-        stack.append((key, self.emit(node, source[1], edge_id, direction)))
+        stack.append(self.emit(node, source[1], key, stack))
         return None
 
     def inbound(self, node: Node, iface: int):
@@ -645,17 +674,12 @@ class _FactorScheduler:
         fam = self.owner.get(edge.variable)
         if fam is not None and fam != self.factor_id:
             return ("marginal", edge.variable)
-        return (edge_id, "fwd" if edge.head == (node.id, iface) else "bwd")
-
-    def slot_kind(self, slot):
-        if slot[0] == "marginal" or (slot[0] == "entry" and slot[1] in self.belief_entries):
-            return MARGINAL
-        return MESSAGE
+        head = edge.head
+        return (edge_id, "fwd" if head is not None and head[0] == node.id and head[1] == iface else "bwd")
 
     def inbound_slot(self, node: Node, iface: int):
         target = self.inbound(node, iface)
-        slot = target if target[0] == "marginal" else self.require(*target)
-        return slot, self.slot_kind(slot)
+        return target if target[0] == "marginal" else self.require(*target)
 
     def try_belief_transport(self, node: Node, edge, direction: str):
         """When a deterministic subtree depends only on other factors'
@@ -664,6 +688,11 @@ class _FactorScheduler:
         consumer = edge.head if direction == "fwd" else edge.tail
         if consumer is None:
             return None
+        for edge_id in node.interfaces[1:]:
+            # an input of this factor's own is a leaf of the walk below (a
+            # latent variable has a stochastic producer), so no transport
+            if edge_id is not None and self.owner.get(self.graph.edges[edge_id].variable) == self.factor_id:
+                return None
         try:
             info = affine_subtree(self.graph, edge.id, consumer, support_of(edge.variable, self.supports).dim,
                                   node.id)
@@ -682,39 +711,64 @@ class _FactorScheduler:
         self.belief_entries.add(slot[1])
         return slot
 
-    def emit(self, node: Node, out_iface: int, edge_id: int, direction: str):
-        """Generator: yields the (edge_id, direction) of each inbound message
-        it needs, receives its slot, and returns the emitted entry's slot."""
+    def emit(self, node: Node, out_iface: int, key: tuple[int, str], stack: list):
+        """Generator: opens each inbound message it needs; when that pushes
+        the message's own generator onto ``stack``, it yields and receives
+        the message's slot. Then it emits the message on ``key`` out of
+        interface ``out_iface`` and returns its slot, memoized. (A precision
+        or transition-matrix update reads no message: ``_open`` emits it.)"""
+        edge_id, direction = key
         roles = node.roles(self.graph)
         role = roles[out_iface]
-        if node.kind in GAUSSIAN_NODE_KINDS and role == "precision":
-            return self.emit_precision_update(node)
-        if node.kind == "transition" and role == "matrix":
-            return self.emit_matrix_update(node)
-        slots, kinds = [], []
+        slots, query = [], []
+        memo, read = self.memo, self.read
         for idx in range(len(node.interfaces)):
             if idx == out_iface:
                 slots.append(("void",))
-                kinds.append(VOID)
+                query.append((VOID, None))
+                continue
+            target = self.inbound(node, idx)
+            if target[0] == "marginal":
+                slot = target
             else:
-                target = self.inbound(node, idx)
-                slot = target if target[0] == "marginal" else (yield target)
-                slots.append(slot)
-                kinds.append(self.slot_kind(slot))
-        rule, types = self.lookup(node.kind, role, slots, kinds)
-        constants = dict(node.constants)
+                slot = memo.get(target) or self._open(target, stack)
+                if slot is None:
+                    slot = yield
+            slots.append(slot)
+            query.append(read(slot))
+        rule = self.registry.lookup(node.kind, role, query)
+        types = [t for _, t in query]
         if role.startswith("precision"):
+            constants = dict(node.constants)
             constants["out_dim"] = support_of(self.graph.edges[node.interfaces[0]].variable, self.supports).dim
             constants.update(self.precision_family(self.graph.edges[edge_id].variable))
+        else:
+            constants = self.node_constants(node)
         extra = None
         if rule.needs_previous and node.kind == "nonlinear":
             # linearization point: the forward inbound on the in interface
             in_idx = roles.index("in")
             in_edge = node.interfaces[in_idx]
             toward = "fwd" if self.graph.edges[in_edge].head == (node.id, in_idx) else "bwd"
-            extra = yield (in_edge, toward)
-        return self.emit_entry(rule, types, slots, constants, (self.graph.edges[edge_id].variable, direction),
-                               extra)
+            extra = self._open((in_edge, toward), stack)
+            if extra is None:
+                extra = yield
+        slot = self.memo[key] = self.emit_entry(rule, types, slots, constants,
+                                                (self.graph.edges[edge_id].variable, direction), extra)
+        self.in_progress.discard(key)
+        return slot
+
+    def node_constants(self, node: Node) -> dict:
+        """The constants the node's messages record: one canonical copy of
+        ``node.constants`` per node, shared by its messages (a copy even
+        where the graph's dict is canonical, as the graph may change)."""
+        constants = self.constants.get(node.id)
+        if constants is None:
+            constants = _canon_constants(node.constants)
+            if constants is node.constants:
+                constants = dict(constants)
+            self.constants[node.id] = constants
+        return constants
 
     # -- composed parameter updates -----------------------------------------
 
@@ -769,7 +823,7 @@ class _FactorScheduler:
     # -- per-factor driver ----------------------------------------------------
 
     def frontier(self, var: str) -> int:
-        return self.graph.variable_edges(var)[-1].id
+        return self.graph.last_edge(var).id
 
     def build(self) -> Schedule:
         """The factor's schedule. A chain factor is swept forward, then
@@ -793,7 +847,7 @@ class _FactorScheduler:
             site = f"{node.kind}{node.id}"
             if node.kind == "probit":
                 cavity_ref = self.require_toward(node, in_edge_id)
-                datum_slot, _ = self.inbound_slot(node, 0)
+                datum_slot = self.inbound_slot(node, 0)
                 slots = [datum_slot, cavity_ref]
                 constants = {"damping": self.ep_damping} if self.ep_damping else {}
                 self.emit_entry(*self.lookup("probit", "in", slots, [MESSAGE, CAVITY]), slots, constants,
@@ -861,13 +915,13 @@ class _FactorScheduler:
                 roles = node.roles(self.graph)
                 in_edge = node.interfaces[roles.index("in")]
                 leaf_ref = self.require_toward(node, in_edge)
-                matrix_slot, _ = self.inbound_slot(node, roles.index("matrix"))
+                matrix_slot = self.inbound_slot(node, roles.index("matrix"))
                 slots = [out_side, leaf_ref, matrix_slot]
                 kind, constants = "transition", {}
             else:
                 leaf_ref = self.require(*sec.mean_info.leaf_edges[sec.leaf_var])
                 leaf_slots, constants = self.mean_sides.layout(sec.mean_info, marginal_slot, sec.leaf_var)
-                prec_slot, _ = self.inbound_slot(node, 2)  # a precision or a fixed variance
+                prec_slot = self.inbound_slot(node, 2)  # a precision or a fixed variance
                 slots = [out_side, leaf_ref, *leaf_slots, prec_slot]
                 kind = "gaussian_affine_variance" if node.kind == "gaussian_mean_variance" else "gaussian_affine"
             rule, _ = self.lookup(kind, "joint", slots, [MESSAGE, MESSAGE] + [MARGINAL] * (len(slots) - 2))

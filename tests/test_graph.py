@@ -10,7 +10,6 @@ from mpgraph.graph import (
     GraphError,
     Node,
     Support,
-    _support_of_value,
     infer_supports,
 )
 from mpgraph.models import Co2Model, HmgmModel, LgssmModel, ProbitSsmModel, RandomWalkModel
@@ -100,7 +99,7 @@ class TestValidate:
     def test_unconnected_interface(self):
         g = FactorGraph()
         node = g.add_node("gaussian_mean_variance", {"out": "x", "mean": 0.0, "variance": 1.0})
-        node.interfaces[1] = None
+        node.interfaces = (node.interfaces[0], None, node.interfaces[2])
         diags = g.validate()
         assert any("interface 'mean' unconnected" in d for d in diags)
 
@@ -111,7 +110,7 @@ class TestValidate:
         extra = g.add_node("gain", {"out": "z", "in": "x"}, {"matrix": np.eye(1)})
         # Corrupt: point the gain input at the already-full first x segment.
         first = g.variable_edges("x")[0]
-        extra.interfaces[1] = first.id
+        extra.interfaces = (extra.interfaces[0], first.id)
         diags = g.validate()
         assert any("referenced by 3 interfaces" in d for d in diags)
 
@@ -259,6 +258,90 @@ for t in 1:T {
         line = 4 if observe.startswith("observe") else 5
         assert str(err.value) == f"line {line}: observed index y[0] is below 1: data series are 1-based"
 
+    LOOP = """
+let A = [[0.5]]
+let c = 2.0
+x[0] ~ GaussianMeanVariance(0.0, 100.0)
+w ~ Gamma(1.0, 1.0)
+for t in 1:T {
+  m[t] ~ Gain(x[t-1], A)
+  x[t] ~ GaussianMeanPrecision(m[t], w)
+  for s in t:t {
+    y[s] ~ GaussianMeanPrecision(x[s], c)
+    observe y[s] :: ()
+  }
+  q[t] ~ GaussianMeanVariance([0.5], [[1.0]])
+}
+"""
+
+    @staticmethod
+    def unrolled(T: int) -> str:
+        lines = ["let A = [[0.5]]", "let c = 2.0", "x[0] ~ GaussianMeanVariance(0.0, 100.0)", "w ~ Gamma(1.0, 1.0)"]
+        for t in range(1, T + 1):
+            lines += [f"m[{t}] ~ Gain(x[{t - 1}], A)", f"x[{t}] ~ GaussianMeanPrecision(m[{t}], w)",
+                      f"y[{t}] ~ GaussianMeanPrecision(x[{t}], c)", f"observe y[{t}] :: ()",
+                      f"q[{t}] ~ GaussianMeanVariance([0.5], [[1.0]])"]
+        return "\n".join(lines)
+
+    @staticmethod
+    def structure(g: FactorGraph):
+        def value(v):
+            return ("array", v.shape, v.tolist()) if isinstance(v, np.ndarray) else v
+
+        return ([(n.id, n.kind, tuple(n.interfaces), {k: value(v) for k, v in n.constants.items()})
+                 for n in g.nodes],
+                [(e.id, e.variable, e.tail, e.head) for e in g.edges],
+                [(p.name, p.index, p.dims) for p in g.placeholders],
+                g.variables())
+
+    def test_a_loop_builds_the_graph_of_its_unrolled_text(self):
+        loop, flat = parse_model(self.LOOP, {"T": 3}), parse_model(self.unrolled(3))
+        assert self.structure(loop) == self.structure(flat)
+        # a literal is a new array at each index, as written out; a let is one value
+        values = [n.constants["value"] for n in loop.nodes if n.kind == "clamp" and "value" in n.constants]
+        assert len({id(v) for v in values}) == len(values)
+        matrices = [n.constants["matrix"] for n in loop.nodes if n.kind == "gain"]
+        assert len(matrices) == 3 and all(m is matrices[0] for m in matrices)
+
+    def test_a_loop_body_is_parsed_once(self, monkeypatch):
+        from mpgraph import dsl
+
+        calls = [0]
+        statement = dsl._Parser.statement
+
+        def counted(self, env):
+            calls[0] += 1
+            return statement(self, env)
+
+        monkeypatch.setattr(dsl._Parser, "statement", counted)
+        counts = []
+        for T in (3, 30):
+            calls[0] = 0
+            parse_model(self.LOOP, {"T": T})
+            counts.append(calls[0])
+        # the top-level statements and the loop, and each body statement once
+        assert counts[0] == counts[1] == 4 + 1 + 3 + 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("x[1] ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:2 {\n  y[t] ~ GaussianMeanPrecision(x[t], 1.0)\n}\n",
+         "line 3: undeclared variable 'x[2]'"),
+        ("z[1] ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:2 {\n  observe z[t] :: ()\n}\n",
+         "line 4, token 1: undeclared variable 'z[2]'"),
+        ("for t in 1:2 {\n  for s in 2:t {\n    v[q] ~ Gamma(1.0, 1.0)\n  }\n}\n",
+         "line 3, token 3: unknown loop index 'q'"),
+        ("for t in 1:2 {\n  for s in 2:t {\n    v[s] ~ Gamma(-1.0, 1.0)\n  }\n}\n",
+         "line 3: Gamma: Gamma parameters must be positive, got a=-1.0, b=1.0"),
+        ("let c = 1.0\nfor t in 1:2 {\n  v[t] ~ Gamma(c, 1.0)\n  let c = -1.0\n}\n",
+         "line 3: Gamma: Gamma parameters must be positive, got a=-1.0, b=1.0"),
+        ("x[2] ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:2 {\n  x[t] ~ GaussianMeanVariance(x[2], 1.0)\n}\n",
+         "line 3: variable 'x[2]' is an input of the node that produces it"),
+    ], ids=["undeclared", "undeclared-observed", "unknown-index", "rejected-constant", "let-in-body", "self-input"])
+    def test_an_error_at_a_second_index_names_its_line(self, text, message):
+        # each fails only at t = 2, with the text a parse at that index gives
+        with pytest.raises(ModelParseError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
     def test_loop_constant_from_cli(self):
         g = parse_model("x[0] ~ GaussianMeanVariance(0.0, 1.0)\nfor t in 1:T {\n  x[t] ~ GaussianMeanPrecision(x[t-1], 1.0)\n}\n", {"T": 4})
         assert len([n for n in g.nodes if n.kind == "gaussian_mean_precision"]) == 4
@@ -374,7 +457,8 @@ def recursive_infer_supports(graph: FactorGraph) -> dict[str, Support]:
         if node.kind == "clamp":
             edge = graph.edges[node.interfaces[0]]
             if "value" in node.constants:
-                supports.setdefault(edge.variable, _support_of_value(node.constants["value"]))
+                shape = np.asarray(node.constants["value"], dtype=float).shape
+                supports.setdefault(edge.variable, Support("point", shape))
             else:
                 dims = node.constants.get("dims", ())
                 supports.setdefault(edge.variable, Support("gaussian", dims or ()))

@@ -402,5 +402,7 @@ def test_the_front_end_scaling_script_runs(capsys):
     cells = dict(zip((c.strip() for c in header.strip("| ").split("|")),
                      (c.strip() for c in row.strip("| ").split("|"))))
     assert cells["T"] == "8" and int(cells["tracked"]) > 0
-    assert all(float(cells[column]) >= 0 for column in (*scaling_front_end.COLUMNS, "total", "collector"))
+    assert all(float(cells[column]) >= 0 for column in (*scaling_front_end.COLUMNS, "total", "collector",
+                                                        *(f"gc {s}" for s in scaling_front_end.COLUMNS)))
+    assert float(cells["tracked / instruction"]) > 0
     assert cells["recursion limit before"] == cells["after"]
